@@ -314,7 +314,7 @@ def antidiagonal_divisor(inst: LinkInstance, cols: Sequence[int], A: Selector) -
     The index is produced by the scan rule: take the least row position i
     whose column satisfies cols[i] + 1 < a_i (the selector entry; the
     condition is vacuously true at i = m), and set j = cols[i] - i + 1.
-    Divisibility is asserted before returning.
+    Divisibility is checked before returning.
     """
     cols = tuple(cols)
     inst.check_selector(A)
@@ -324,7 +324,8 @@ def antidiagonal_divisor(inst: LinkInstance, cols: Sequence[int], A: Selector) -
         if i == inst.m or cols[i - 1] + 1 < A[i - 1]:
             eps = i
             break
-    assert eps is not None
+    if eps is None:
+        raise AssertionError(f"scan rule found no row for cols={cols}, A={A}")
     j = cols[eps - 1] - eps + 1
     if not (1 <= j <= inst.g):
         raise AssertionError(f"witness index out of range: {j}")
@@ -528,8 +529,10 @@ def odd_part_reduction(
         root_factors += half
     r = (total - 1) // 2
     s = (odd_count - 1) // 2
-    assert odd_part * root ** 2 == product
-    assert root_factors == r - s
+    if odd_part * root ** 2 != product:
+        raise AssertionError(f"{odd_part} * ({root})^2 is not the product {product}")
+    if root_factors != r - s:
+        raise AssertionError(f"square root has {root_factors} factors, expected {r - s}")
     if not inst.link_initial_power(r - s).contains(root):
         raise AssertionError("square root escaped the expected power")
     return OddPartReduction(product, odd_part, root, odd_count)

@@ -1,10 +1,12 @@
 """Independent brute-force oracles used to cross-check the library.
 
 These deliberately avoid the library's own algorithms: covers come from
-enumerating every subset of the support, memberships from raw divisibility.
+enumerating every subset of the support, memberships from raw divisibility,
+symbolic powers from pairwise intersection of the prime powers.
 """
 
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
+from operator import le
 
 from genlink import Monomial
 
@@ -45,3 +47,33 @@ def all_monomials(variables, max_degree):
 
     for exps in rec(0, max_degree):
         yield Monomial(exps)
+
+
+def pairwise_symbolic_power(primes, level):
+    """Generators of the intersection of the level-th powers of the primes.
+
+    Each prime power is generated by every degree-``level`` product of the
+    prime's variables; the generator lists are intersected pairwise (lcm of
+    every pair) in a left fold, keeping the divisibility-minimal ones after
+    every step. Exponents are tuples over the sorted variables of the primes.
+    """
+    order = sorted(set().union(*primes))
+    pos = {v: i for i, v in enumerate(order)}
+
+    def vec(mon):
+        out = [0] * len(order)
+        for v, e in mon.items():
+            out[pos[v]] = e
+        return tuple(out)
+
+    current = [(0,) * len(order)]
+    for prime in primes:
+        power = [vec(Monomial.of(*c)) for c in combinations_with_replacement(sorted(prime), level)]
+        candidates = sorted({tuple(map(max, u, w)) for u in current for w in power}, key=sum)
+        kept = []
+        for u in candidates:
+            support = {i for i, e in enumerate(u) if e}
+            if not any(s <= support and all(map(le, w, u)) for s, w in kept):
+                kept.append((support, u))
+        current = [u for _, u in kept]
+    return {Monomial(zip(order, u)) for u in current}

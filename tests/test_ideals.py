@@ -1,10 +1,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bruteforce import all_monomials, brute_minimal_covers
+from bruteforce import all_monomials, brute_minimal_covers, pairwise_symbolic_power
 from genlink import (
     LinkInstance,
     Monomial,
+    MonomialIdeal,
     NotSquarefree,
     SizeGuardExceeded,
     Universe,
@@ -19,6 +20,7 @@ from genlink import (
     yvar,
     zero_ideal,
 )
+from genlink.ideals import DEFAULT_CANDIDATE_CAP
 
 U3 = Universe.x_grid(1, 3)
 U4 = Universe.x_grid(1, 4)
@@ -234,6 +236,46 @@ def test_first_symbolic_gap():
     assert first_symbolic_gap(prime, 3) is None
 
 
+def test_first_symbolic_gap_finds_primes_once_per_symbolic_power(monkeypatch):
+    calls = []
+    original = MonomialIdeal.minimal_primes
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(MonomialIdeal, "minimal_primes", counting)
+    assert first_symbolic_gap(LinkInstance(2, 4).link_initial, 2) is None
+    # one for the ordinary-power check, one per symbolic power built
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_symbolic_power_matches_pairwise_reference(level):
+    for n in range(1, 6):
+        for m in range(1, n + 1):
+            inst = LinkInstance(m, n)
+            for W in (inst.link_initial, inst.staircase_ideal):
+                if W.is_unit():
+                    continue
+                want = pairwise_symbolic_power(W.minimal_primes(), level)
+                assert set(W.symbolic_power(level).gens) == want, (m, n)
+
+
+def test_symbolic_power_matches_pairwise_reference_at_4_6():
+    W = LinkInstance(4, 6).link_initial
+    assert set(W.symbolic_power(2).gens) == pairwise_symbolic_power(W.minimal_primes(), 2)
+
+
+@given(squarefree_ideals, st.integers(min_value=1, max_value=4))
+@settings(max_examples=40, deadline=None)
+def test_symbolic_power_matches_pairwise_reference_hypothesis(W, level):
+    if W.is_zero() or W.is_unit():
+        return
+    want = pairwise_symbolic_power(brute_minimal_covers(W), level)
+    assert set(W.symbolic_power(level).gens) == want
+
+
 # -- the square-bracket colon criterion ------------------------------------------------
 
 
@@ -278,3 +320,20 @@ def test_size_guard_trips():
     W = LinkInstance(2, 4).link_initial
     with pytest.raises(SizeGuardExceeded):
         W.power(3, cap=10)
+
+
+def test_symbolic_power_guard_refuses_quadratic_step():
+    with pytest.raises(SizeGuardExceeded) as refused:
+        LinkInstance(2, 3).link_initial.symbolic_power(60)
+    assert refused.value.estimate > DEFAULT_CANDIDATE_CAP
+
+
+def test_symbolic_power_guard_admits_4_7_at_level_2():
+    # The largest step of iniJ(4,7) at level 2 reduces candidates against the
+    # antichain in 63,244 comparisons, well inside the default cap.
+    W = LinkInstance(4, 7).link_initial
+    assert 63_244 < DEFAULT_CANDIDATE_CAP
+    assert len(W.symbolic_power(2, cap=63_244).gens) == 174
+    with pytest.raises(SizeGuardExceeded) as refused:
+        W.symbolic_power(2, cap=63_243)
+    assert refused.value.estimate == 63_244
