@@ -9,13 +9,12 @@ prints a summary table. Instances where a check trips a size guard show as
 """
 
 import argparse
-import json
 import os
 import sys
-import tempfile
 
 from genlink import LinkInstance
-from genlink.verify import VerifyBounds, run_suite
+from genlink.cli import _write_output
+from genlink.verify import VerifyBounds, reports_to_json, run_suite
 
 
 def main() -> int:
@@ -53,14 +52,7 @@ def main() -> int:
             any_fail |= any(r.status == "fail" for r in reports)
             if args.out_dir:
                 path = os.path.join(args.out_dir, f"verify_{m}_{n}.json")
-                payload = json.dumps(
-                    {"schema_version": 1, "reports": [r.to_dict() for r in reports]},
-                    indent=2, sort_keys=True,
-                ) + "\n"
-                fd, tmp = tempfile.mkstemp(dir=args.out_dir, prefix=".tmp-")
-                with os.fdopen(fd, "w") as handle:
-                    handle.write(payload)
-                os.replace(tmp, path)
+                _write_output(path, reports_to_json(reports))
 
     width = max(len(s) for s in suite_names) + 1
     print("instance " + "".join(f"{s:>{width}}" for s in suite_names))

@@ -17,7 +17,6 @@ output; verify reports additionally carry elapsed wall time.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import tempfile
@@ -36,7 +35,7 @@ from .serialize import (
     ideal_to_tex,
     ideal_to_text,
 )
-from .verify import DEFAULT_BOUNDS, VerifyBounds, run_suite
+from .verify import DEFAULT_BOUNDS, VerifyBounds, reports_to_json, run_suite
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -125,12 +124,7 @@ def _cmd_verify(args) -> int:
     for report in reports:
         print(report.summary())
     if args.out:
-        payload = json.dumps(
-            {"schema_version": 1, "reports": [r.to_dict() for r in reports]},
-            indent=2,
-            sort_keys=True,
-        ) + "\n"
-        _write_output(args.out, payload)
+        _write_output(args.out, reports_to_json(reports))
     statuses = {r.status for r in reports}
     if "fail" in statuses:
         return EXIT_FAIL

@@ -8,16 +8,20 @@ each generator into the next prime power), a symbolic-vs-ordinary scan, the
 square-bracket colon criterion certifying symbolic = ordinary for squarefree
 ideals, and a search for height-many pairwise-coprime squarefree generators.
 
-Internally generators are handled as dense exponent vectors over the
-universe with support bitmasks; squarefree inputs get a mask-only fast path.
-All sizes here are desk scale; an explicit candidate cap guards against
-intersection blowup before anything is enumerated.
+An ideal holds its minimal generators once, as dense exponent vectors over
+the universe; their support bitmasks and :class:`Monomial` form are derived
+on first use. Every operation works on the vectors: monomials enter only
+through :func:`ideal`, :meth:`~MonomialIdeal.contains` and
+:meth:`~MonomialIdeal.symbolic_member`. Squarefree inputs get a mask-only
+fast path. All sizes here are desk scale; an explicit candidate cap guards
+against intersection blowup before anything is enumerated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import cached_property, lru_cache
+from itertools import combinations, combinations_with_replacement
 from math import comb
 from typing import Iterable, Sequence
 
@@ -82,35 +86,40 @@ def _minimalize(vecs: Iterable[Vec]) -> list[Vec]:
 class MonomialIdeal:
     """A monomial ideal given by its minimal generators over a universe.
 
-    ``gens`` is canonically sorted; the zero ideal has no generators, the
-    unit ideal has the single generator 1. Construct through :func:`ideal`,
-    which reduces an arbitrary generating set.
+    ``vecs`` are the generators' exponent vectors, sorted by
+    :meth:`Monomial.canonical_key`; ``masks`` and ``gens`` are their support
+    bitmasks and monomials, in the same order. The zero ideal has no
+    generators, the unit ideal has the single generator 1. Construct through
+    :func:`ideal`, which reduces an arbitrary generating set.
     """
 
     universe: Universe
-    gens: tuple[Monomial, ...]
+    vecs: tuple[Vec, ...]
+
+    @cached_property
+    def gens(self) -> tuple[Monomial, ...]:
+        return tuple(_to_monomial(self.universe, v) for v in self.vecs)
+
+    @cached_property
+    def masks(self) -> tuple[int, ...]:
+        return tuple(_mask(v) for v in self.vecs)
 
     # -- basic predicates -------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.gens
+        return not self.vecs
 
     def is_unit(self) -> bool:
-        return len(self.gens) == 1 and self.gens[0].is_unit()
+        return len(self.vecs) == 1 and not any(self.vecs[0])
 
     def is_proper(self) -> bool:
         return not self.is_unit()
 
     def is_squarefree(self) -> bool:
-        return all(g.is_squarefree() for g in self.gens)
+        return all(e <= 1 for v in self.vecs for e in v)
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(g.degree() for g in self.gens)
-
-    # -- dense helpers ----------------------------------------------------
-
-    def _vecs(self) -> list[Vec]:
-        return [_to_vec(self.universe, g) for g in self.gens]
+        return tuple(sum(v) for v in self.vecs)
 
     def _same_universe(self, other: "MonomialIdeal") -> None:
         if self.universe != other.universe:
@@ -120,23 +129,25 @@ class MonomialIdeal:
 
     def contains(self, mon: Monomial) -> bool:
         """True iff some minimal generator divides ``mon``."""
-        vec = _to_vec(self.universe, mon)
+        return self._divides_into(_to_vec(self.universe, mon))
+
+    def _divides_into(self, vec: Vec) -> bool:
+        """True iff some minimal generator divides the exponent vector ``vec``."""
         mask = _mask(vec)
-        for gvec in self._vecs():
-            gmask = _mask(gvec)
+        for gvec, gmask in zip(self.vecs, self.masks):
             if gmask & mask == gmask and _vec_divides(gvec, vec):
                 return True
         return False
 
     def contains_ideal(self, other: "MonomialIdeal") -> bool:
         self._same_universe(other)
-        return all(self.contains(g) for g in other.gens)
+        return all(self._divides_into(v) for v in other.vecs)
 
     # -- ring operations --------------------------------------------------
 
     def product(self, other: "MonomialIdeal", cap: int = DEFAULT_CANDIDATE_CAP) -> "MonomialIdeal":
         self._same_universe(other)
-        a, b = self._vecs(), other._vecs()
+        a, b = self.vecs, other.vecs
         _check_cap(len(a) * len(b), cap, "product")
         candidates = [tuple(x + y for x, y in zip(u, v)) for u in a for v in b]
         return _from_vecs(self.universe, _minimalize(candidates))
@@ -151,29 +162,28 @@ class MonomialIdeal:
         return result
 
     def bracket_power(self, q: int) -> "MonomialIdeal":
-        """The ideal generated by the q-th powers of the minimal generators."""
+        """The ideal generated by the q-th powers of the minimal generators;
+        scaling keeps divisibility and the generator order, so no reduction."""
         if q < 1:
             raise ValueError("bracket power needs q >= 1")
-        vecs = [tuple(q * e for e in v) for v in self._vecs()]
-        return _from_vecs(self.universe, _minimalize(vecs))
+        return MonomialIdeal(self.universe, tuple(tuple(q * e for e in v) for v in self.vecs))
 
     def colon(self, other: "MonomialIdeal", cap: int = DEFAULT_CANDIDATE_CAP) -> "MonomialIdeal":
         """W : V, the ideal of monomials multiplying V into W."""
         self._same_universe(other)
         if other.is_zero():
             raise ValueError("colon by the zero ideal")
-        w = self._vecs()
         pieces = []
-        for v in other._vecs():
+        for v in other.vecs:
             pieces.append(_minimalize(
-                tuple(max(x - y, 0) for x, y in zip(u, v)) for u in w
+                tuple(max(x - y, 0) for x, y in zip(u, v)) for u in self.vecs
             ))
         folded = _tree_fold_intersect(pieces, cap)
         return _from_vecs(self.universe, folded)
 
     def intersect(self, other: "MonomialIdeal", cap: int = DEFAULT_CANDIDATE_CAP) -> "MonomialIdeal":
         self._same_universe(other)
-        folded = _intersect_vecs(self._vecs(), other._vecs(), cap)
+        folded = _intersect_vecs(self.vecs, other.vecs, cap)
         return _from_vecs(self.universe, folded)
 
     # -- squarefree combinatorics ------------------------------------------
@@ -187,8 +197,7 @@ class MonomialIdeal:
             raise ValueError("minimal primes need a proper nonzero ideal")
         if not self.is_squarefree():
             raise NotSquarefree("minimal primes implemented for squarefree ideals only")
-        edges = [_mask(v) for v in self._vecs()]
-        covers = _minimal_covers(edges)
+        covers = _minimal_covers(list(self.masks))
         vars_ = self.universe.variables
         out = []
         for cover in covers:
@@ -218,10 +227,8 @@ class MonomialIdeal:
         """
         if level < 1:
             raise ValueError("symbolic power needs level >= 1")
-        idx = self.universe.index
         current: list[Vec] = [(0,) * len(self.universe)]
-        for prime in self.minimal_primes():
-            cols = sorted(idx[v] for v in prime)
+        for cols in self._prime_columns():
             deficits = [max(level - sum(u[c] for c in cols), 0) for u in current]
             count = sum(comb(e + len(cols) - 1, e) for e in deficits)
             work = count * len(current)
@@ -231,16 +238,17 @@ class MonomialIdeal:
                     f"{len(current)} generators, about {work} comparisons (cap {cap})",
                     work,
                 )
-            lifts = {e: list(_compositions(e, len(cols))) for e in set(deficits) if e}
+            # a degree-e monomial in P's variables is a multiset of e columns
+            lifts = {e: list(combinations_with_replacement(cols, e)) for e in set(deficits) if e}
             candidates = []
             for u, e in zip(current, deficits):
                 if not e:
                     candidates.append(u)
                     continue
-                for comp in lifts[e]:
+                for w in lifts[e]:
                     lifted = list(u)
-                    for c, x in zip(cols, comp):
-                        lifted[c] += x
+                    for c in w:
+                        lifted[c] += 1
                     candidates.append(tuple(lifted))
             current = _minimalize(candidates)
         return _from_vecs(self.universe, current)
@@ -249,7 +257,12 @@ class MonomialIdeal:
         """Membership in the level-th symbolic power via per-prime degree sums."""
         if level < 1:
             raise ValueError("symbolic power needs level >= 1")
-        return _in_symbolic_power(mon, self.minimal_primes(), level)
+        return _in_symbolic_power(_to_vec(self.universe, mon), self._prime_columns(), level)
+
+    def _prime_columns(self) -> list[list[int]]:
+        """Each minimal prime as its sorted vector positions."""
+        idx = self.universe.index
+        return [sorted(idx[v] for v in prime) for prime in self.minimal_primes()]
 
 
 def ideal(universe: Universe, gens: Iterable[Monomial]) -> MonomialIdeal:
@@ -263,7 +276,7 @@ def zero_ideal(universe: Universe) -> MonomialIdeal:
 
 
 def unit_ideal(universe: Universe) -> MonomialIdeal:
-    return MonomialIdeal(universe, (Monomial.one(),))
+    return MonomialIdeal(universe, ((0,) * len(universe),))
 
 
 # -- scans and certificates ------------------------------------------------
@@ -280,19 +293,20 @@ def first_symbolic_gap(
     ordinary generators against the minimal primes, found once, and a
     generator that fails it raises :class:`AssertionError`.
     """
-    primes = W.minimal_primes()
+    columns = W._prime_columns()
     power = unit_ideal(W.universe)
     for level in range(1, upto + 1):
         power = power.product(W, cap=cap)
-        for g in power.gens:
-            if not _in_symbolic_power(g, primes, level):
+        for v in power.vecs:
+            if not _in_symbolic_power(v, columns, level):
                 raise AssertionError(
-                    f"ordinary power generator {g} escaped symbolic power {level}"
+                    f"ordinary power generator {_to_monomial(W.universe, v)} "
+                    f"escaped symbolic power {level}"
                 )
         symbolic = W.symbolic_power(level, cap=cap)
-        for g in symbolic.gens:
-            if not power.contains(g):
-                return level, g
+        for v in symbolic.vecs:
+            if not power._divides_into(v):
+                return level, _to_monomial(W.universe, v)
     return None
 
 
@@ -306,18 +320,19 @@ def square_colon_check(W: MonomialIdeal, r: int, cap: int = DEFAULT_CANDIDATE_CA
     """
     if r < 0:
         raise ValueError("r must be nonnegative")
-    nu = W.universe.product_of_variables()
-    bracket = W.power(r + 1, cap=cap).bracket_power(2)
-    big = W.power(2 * r + 1, cap=cap)
-    return all(bracket.contains(nu * t) for t in big.gens)
+    return _square_colon_holds(W.power(r + 1, cap=cap), W.power(2 * r + 1, cap=cap))
 
 
 def square_colon_scan(
     W: MonomialIdeal, r_max: int, cap: int = DEFAULT_CANDIDATE_CAP
 ) -> int | None:
-    """First r <= r_max failing :func:`square_colon_check`, or None."""
+    """First r <= r_max failing :func:`square_colon_check`, or None; each
+    power W^2, ..., W^(2 r_max + 1) is built once, from the one before."""
+    powers = [unit_ideal(W.universe), W]
     for r in range(r_max + 1):
-        if not square_colon_check(W, r, cap=cap):
+        while len(powers) <= 2 * r + 1:
+            powers.append(powers[-1].product(W, cap=cap))
+        if not _square_colon_holds(powers[r + 1], powers[2 * r + 1]):
             return r
     return None
 
@@ -331,19 +346,18 @@ def coprime_generator_witness(W: MonomialIdeal) -> tuple[Monomial, ...] | None:
     """
     if W.is_zero() or W.is_unit():
         raise ValueError("witness search needs a proper nonzero ideal")
-    # Height of W = height of its radical; the radical's supports are the
-    # supports of W's generators.
-    radical = ideal(W.universe, [Monomial.of(*g.support()) for g in W.gens])
-    height, _ = radical.height_and_unmixed()
-    candidates = [g for g in W.gens if g.is_squarefree()]
-    masks = [_mask(_to_vec(W.universe, g)) for g in candidates]
+    # Height of W = height of its radical = the size of a smallest cover of
+    # the generators' supports; covers come smallest first.
+    height = bin(_minimal_covers(list(W.masks))[0]).count("1")
+    squarefree = [i for i, v in enumerate(W.vecs) if all(e <= 1 for e in v)]
+    masks = [W.masks[i] for i in squarefree]
 
     chosen: list[int] = []
 
     def extend(start: int, used_mask: int) -> bool:
         if len(chosen) == height:
             return True
-        for i in range(start, len(candidates)):
+        for i in range(start, len(masks)):
             if masks[i] & used_mask:
                 continue
             chosen.append(i)
@@ -354,7 +368,7 @@ def coprime_generator_witness(W: MonomialIdeal) -> tuple[Monomial, ...] | None:
 
     if not extend(0, 0):
         return None
-    witness = tuple(candidates[i] for i in chosen)
+    witness = tuple(W.gens[squarefree[i]] for i in chosen)
     for g in witness:
         if not g.is_squarefree():
             raise AssertionError(f"witness generator {g} is not squarefree")
@@ -367,9 +381,15 @@ def coprime_generator_witness(W: MonomialIdeal) -> tuple[Monomial, ...] | None:
 # -- internals ---------------------------------------------------------------
 
 
-def _in_symbolic_power(mon: Monomial, primes: Iterable[frozenset[Variable]], level: int) -> bool:
-    """True iff ``mon`` has degree at least ``level`` on every prime."""
-    return all(sum(mon.exponent(v) for v in p) >= level for p in primes)
+def _in_symbolic_power(vec: Vec, columns: Iterable[Sequence[int]], level: int) -> bool:
+    """True iff ``vec`` has degree at least ``level`` on every prime's columns."""
+    return all(sum(vec[c] for c in cols) >= level for cols in columns)
+
+
+def _square_colon_holds(base: MonomialIdeal, big: MonomialIdeal) -> bool:
+    """nu * t in base^[2] for every generator t of big; nu * t is t + 1 everywhere."""
+    bracket = base.bracket_power(2)
+    return all(bracket._divides_into(tuple(e + 1 for e in t)) for t in big.vecs)
 
 
 def _to_vec(universe: Universe, mon: Monomial) -> Vec:
@@ -383,13 +403,31 @@ def _to_vec(universe: Universe, mon: Monomial) -> Vec:
     return tuple(vec)
 
 
-def _from_vecs(universe: Universe, vecs: Sequence[Vec]) -> MonomialIdeal:
+def _to_monomial(universe: Universe, vec: Vec) -> Monomial:
     vars_ = universe.variables
-    gens = tuple(
-        Monomial((vars_[i], e) for i, e in enumerate(v) if e) for v in vecs
-    )
-    gens = tuple(sorted(gens, key=Monomial.canonical_key))
-    return MonomialIdeal(universe, gens)
+    return Monomial((vars_[i], e) for i, e in enumerate(vec) if e)
+
+
+@lru_cache(maxsize=64)
+def _variable_order(universe: Universe) -> tuple[int, ...]:
+    """Vector positions sorted by variable, as ``Monomial.items`` lists them."""
+    return tuple(sorted(range(len(universe)), key=universe.variables.__getitem__))
+
+
+_ABSENT = float("inf")
+
+
+def _from_vecs(universe: Universe, vecs: Iterable[Vec]) -> MonomialIdeal:
+    """Wrap minimal generators in :meth:`Monomial.canonical_key` order.
+
+    At equal degree that key compares exponents in variable order, a missing
+    variable counting above any exponent (the other monomial must still have
+    degree left for later variables).
+    """
+    order = _variable_order(universe)
+    return MonomialIdeal(universe, tuple(sorted(
+        vecs, key=lambda v: (sum(v), [v[i] or _ABSENT for i in order])
+    )))
 
 
 def _check_cap(count: int, cap: int, what: str) -> None:
@@ -427,22 +465,6 @@ def _tree_fold_intersect(pieces: list[list[Vec]], cap: int) -> list[Vec]:
     return level[0]
 
 
-def _compositions(total: int, parts: int):
-    """Weak compositions of ``total`` into ``parts`` nonnegative parts."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for bars in combinations(range(total + parts - 1), parts - 1):
-        prev = -1
-        comp = []
-        for b in bars:
-            comp.append(b - prev - 1)
-            prev = b
-        comp.append(total + parts - 1 - prev - 1)
-        yield tuple(comp)
-
-
 def _minimal_covers(edges: list[int]) -> list[int]:
     """All minimal vertex covers (as bitmasks) of a clutter of edge bitmasks."""
     results: set[int] = set()
@@ -467,8 +489,7 @@ def _minimal_covers(edges: list[int]) -> list[int]:
             rec([e for e in remaining if not e & v], included | v, banned)
             banned |= v
 
-    live = [e for e in edges]
-    rec(live, 0, 0)
+    rec(edges, 0, 0)
     # Irredundant branching can still emit non-minimal covers; keep the antichain.
     out = []
     for c in sorted(results, key=lambda c: (bin(c).count("1"), c)):

@@ -1,4 +1,4 @@
-"""Term-order comparators for grid monomials.
+"""Term orders on grid monomials, as sort keys.
 
 Two orders are provided.
 
@@ -12,23 +12,21 @@ antidiagonal.
 ``DiagLexOrder`` compares the Y parts of two monomials lexicographically with
 the ranking Y[1,1] > Y[2,2] > ... (diagonal first, by row) followed by the
 remaining Y variables row-major, and breaks ties with ``GradedRevLex`` on the
-x parts. The remaining-Y tie ranking is configurable so experiments can vary
-it.
+x parts.
 
-Both orders are total, multiplicative, and have the unit monomial as unique
-minimum. Comparators are rule-based on (family, row, col), so monomials need
-not belong to a declared universe.
+Each order is one function ``key(mon)`` returning a tuple with
+``key(u) < key(v)`` exactly when ``u < v``; ``compare`` derives from it, and
+sorting by ``key`` computes each key once. Both orders are total,
+multiplicative, and have the unit monomial as unique minimum. Keys are
+rule-based on (family, row, col), so monomials need not belong to a declared
+universe.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cmp_to_key
-from typing import Callable
 
 from .monomial import Monomial, Variable, X_FAMILY, Y_FAMILY
-
-LESS, EQUAL, GREATER = -1, 0, 1
 
 
 def _ascending_rank(v: Variable) -> tuple:
@@ -36,66 +34,42 @@ def _ascending_rank(v: Variable) -> tuple:
     return (0 if v.family == X_FAMILY else 1, v.row, v.col)
 
 
-def _compare_revlex(u: Monomial, v: Monomial) -> int:
-    du, dv = u.degree(), v.degree()
-    if du != dv:
-        return GREATER if du > dv else LESS
-    for w in sorted(u.support() | v.support(), key=_ascending_rank):
-        eu, ev = u.exponent(w), v.exponent(w)
-        if eu != ev:
-            # larger exponent at the smaller-ranked variable loses
-            return LESS if eu > ev else GREATER
-    return EQUAL
+def _revlex_key(items) -> tuple:
+    """Degree, then (ascending rank, -exponent) over the support: at equal
+    degree the first differing variable from the bottom decides, and the
+    monomial with the larger exponent there is the smaller one."""
+    return (sum(e for _, e in items), tuple(sorted((_ascending_rank(v), -e) for v, e in items)))
 
 
-@dataclass(frozen=True)
-class GradedRevLex:
+def _negated_y_rank(v: Variable) -> tuple:
+    # Diagonal Y first by row, then the remaining Y row-major; negated so
+    # that the highest variable has the largest rank.
+    return (0, -v.row, 0) if v.row == v.col else (-1, -v.row, -v.col)
+
+
+class _KeyedOrder:
     def compare(self, u: Monomial, v: Monomial) -> int:
-        return _compare_revlex(u, v)
-
-    def sort_key(self) -> Callable:
-        return cmp_to_key(self.compare)
-
-    def max(self, monomials) -> Monomial:
-        return max(monomials, key=self.sort_key())
+        ku, kv = self.key(u), self.key(v)
+        return (ku > kv) - (ku < kv)
 
 
 @dataclass(frozen=True)
-class DiagLexOrder:
+class GradedRevLex(_KeyedOrder):
+    def key(self, mon: Monomial) -> tuple:
+        return _revlex_key(mon.items())
+
+
+@dataclass(frozen=True)
+class DiagLexOrder(_KeyedOrder):
     """Lex on Y parts (diagonal Y first), ties broken by revlex on x parts.
 
-    ``remaining_y`` optionally fixes an explicit descending ranking of the
-    off-diagonal Y variables; by default they rank row-major below every
-    diagonal Y.
+    The key lists the Y part as (negated rank, exponent) pairs, highest
+    variable first: a larger exponent, or a higher variable present where
+    the other monomial has none, makes the larger key.
     """
 
-    remaining_y: tuple[Variable, ...] | None = None
-
-    def _y_descending_rank(self, v: Variable) -> tuple:
-        if v.row == v.col:
-            return (0, v.row, 0)
-        if self.remaining_y is not None:
-            try:
-                return (1, self.remaining_y.index(v), 0)
-            except ValueError:
-                raise ValueError(f"{v} missing from the configured remaining-Y ranking")
-        return (1, v.row, v.col)
-
-    def compare(self, u: Monomial, v: Monomial) -> int:
-        y_support = [w for w in u.support() | v.support() if w.family == Y_FAMILY]
-        for w in sorted(y_support, key=self._y_descending_rank):
-            eu, ev = u.exponent(w), v.exponent(w)
-            if eu != ev:
-                return GREATER if eu > ev else LESS
-        ux = Monomial((w, e) for w, e in u.items() if w.family == X_FAMILY)
-        vx = Monomial((w, e) for w, e in v.items() if w.family == X_FAMILY)
-        return _compare_revlex(ux, vx)
-
-    def sort_key(self) -> Callable:
-        return cmp_to_key(self.compare)
-
-    def max(self, monomials) -> Monomial:
-        return max(monomials, key=self.sort_key())
-
-
-TermOrder = GradedRevLex | DiagLexOrder
+    def key(self, mon: Monomial) -> tuple:
+        items = mon.items()
+        y_part = [(_negated_y_rank(v), e) for v, e in items if v.family == Y_FAMILY]
+        x_part = [(v, e) for v, e in items if v.family == X_FAMILY]
+        return (tuple(sorted(y_part, reverse=True)), _revlex_key(x_part))

@@ -36,8 +36,7 @@ class SchemaError(ValueError):
 
 def sorted_generators(W: MonomialIdeal) -> list[Monomial]:
     """Generators sorted descending under the diagonal-lex order."""
-    key = DiagLexOrder().sort_key()
-    return sorted(W.gens, key=key, reverse=True)
+    return sorted(W.gens, key=DiagLexOrder().key, reverse=True)
 
 
 # -- ideal formats ---------------------------------------------------------

@@ -4,14 +4,17 @@ generic monomial-ideal algorithms.
 Every check produces a :class:`Report` with a pass/fail/refused status and
 machine-readable witnesses; refusals come from explicit size guards (maximum
 universe size and a cap on intermediate generator candidates) that fail fast
-with an estimate instead of letting intersections blow up. Reports are
-deterministic given (instance, seed, bounds).
+with an estimate instead of letting intersections blow up; a failed
+postcondition (an :class:`AssertionError`) becomes a ``fail`` report with
+its message. Reports are deterministic given (instance, seed, bounds).
 """
 
 from __future__ import annotations
 
+import json
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb, factorial
@@ -86,6 +89,12 @@ class Report:
         return f"{self.check} ({self.instance[0]},{self.instance[1]}): {self.status} [{self.elapsed_ms} ms]"
 
 
+def reports_to_json(reports: Iterable[Report]) -> str:
+    """The report file: the reports in a versioned envelope, canonical JSON."""
+    doc = {"schema_version": 1, "reports": [r.to_dict() for r in reports]}
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 def _run(check: str, inst: LinkInstance, params: dict, seed: int | None,
          body: Callable[[], tuple[bool, dict]]) -> Report:
     t0 = time.perf_counter()
@@ -94,6 +103,9 @@ def _run(check: str, inst: LinkInstance, params: dict, seed: int | None,
         status = PASS if ok else FAIL
     except SizeGuardExceeded as e:
         status, witnesses = REFUSED, {"reason": str(e), "estimate": e.estimate}
+    except AssertionError as e:
+        # a failed postcondition; its message names the offending input
+        status, witnesses = FAIL, {"error": str(e)}
     elapsed = int((time.perf_counter() - t0) * 1000)
     return Report(check, (inst.m, inst.n), params, status, witnesses, seed, elapsed)
 
@@ -188,11 +200,11 @@ def resolve_staircase_powers(
         if N.is_unit():
             # Degenerate m = 1 or m = n: the staircase ideal is the unit ideal.
             witnesses["staircase_ideal_unit"] = True
-            equal = True
+            square, equal = N, True
         else:
             symbolic = N.symbolic_power(2, cap=bounds.candidate_cap)
             square = N.power(2, cap=bounds.candidate_cap)
-            equal = set(symbolic.gens) == set(square.gens)
+            equal = symbolic == square
         conds = staircase_power_conditions(inst)
         witnesses["equal_at_2"] = equal
         witnesses["conditions"] = {
@@ -212,7 +224,7 @@ def resolve_staircase_powers(
                 any(v in a.support() and v in b.support() for v in column3)
                 for a in N.gens for b in N.gens
             )
-            nu_in_square = N.power(2, cap=bounds.candidate_cap).contains(nu)
+            nu_in_square = square.contains(nu)
             witnesses["nu_witness"] = {
                 "nu_in_symbolic": nu_in_symbolic,
                 "pairs_share_column3": pairs_share_column3,
@@ -250,9 +262,7 @@ def verify_counts_and_degrees(inst: LinkInstance, bounds: VerifyBounds = DEFAULT
             expected: dict[int, int] = {m + 1: g}
             high = m * (n - m) + 1
             expected[high] = expected.get(high, 0) + comb(n - 1, m - 1)
-            actual: dict[int, int] = {}
-            for t in W.gens:
-                actual[t.degree()] = actual.get(t.degree(), 0) + 1
+            actual = Counter(W.degrees())
             checks.append(actual == expected)
             witnesses["degree_counts"] = {str(k): v for k, v in sorted(actual.items())}
         else:
@@ -273,10 +283,7 @@ def verify_betti(inst: LinkInstance, bounds: VerifyBounds = DEFAULT_BOUNDS) -> R
         ranks = resolution_ranks(inst.m, inst.g)
         checks = []
         checks.append(ranks[inst.g] == comb(inst.n - 1, inst.m - 1))
-        degree_counts: dict[int, int] = {}
-        for t in inst.link_initial.gens:
-            degree_counts[t.degree()] = degree_counts.get(t.degree(), 0) + 1
-        checks.append(table.degree_counts() == degree_counts)
+        checks.append(table.degree_counts() == Counter(inst.link_initial.degrees()))
         witnesses: dict = {
             "entries": {f"{i},{j}": v for (i, j), v in sorted(table.entries.items())},
             "b_g": ranks[inst.g],
@@ -297,8 +304,7 @@ def verify_lead_terms(inst: LinkInstance, bounds: VerifyBounds = DEFAULT_BOUNDS)
         work = inst.r * factorial(inst.m) * inst.g
         if work > 500_000:
             raise SizeGuardExceeded(f"lead-term scan would compare {work} monomials", work)
-        order = DiagLexOrder()
-        key = order.sort_key()
+        key = DiagLexOrder().key
         rows_ok = []
         for j in range(1, inst.g + 1):
             candidates = [

@@ -2,13 +2,15 @@
 
 These deliberately avoid the library's own algorithms: covers come from
 enumerating every subset of the support, memberships from raw divisibility,
-symbolic powers from pairwise intersection of the prime powers.
+symbolic powers from pairwise intersection of the prime powers, term orders
+from comparators that walk the sorted joint support of two monomials.
 """
 
 from itertools import combinations, combinations_with_replacement
 from operator import le
 
 from genlink import Monomial
+from genlink.monomial import X_FAMILY, Y_FAMILY
 
 
 def support_sets(ideal):
@@ -77,3 +79,39 @@ def pairwise_symbolic_power(primes, level):
                 kept.append((support, u))
         current = [u for _, u in kept]
     return {Monomial(zip(order, u)) for u in current}
+
+
+def _ascending_rank(v):
+    # x below Y, then row, then column: x[1,1] is the smallest variable
+    return (0 if v.family == X_FAMILY else 1, v.row, v.col)
+
+
+def revlex_compare(u, v):
+    """Graded reverse lex: higher degree wins; at equal degree the first
+    variable from the bottom where the exponents differ decides, and the
+    larger exponent there loses. Returns -1, 0 or 1."""
+    du, dv = u.degree(), v.degree()
+    if du != dv:
+        return 1 if du > dv else -1
+    for w in sorted(u.support() | v.support(), key=_ascending_rank):
+        eu, ev = u.exponent(w), v.exponent(w)
+        if eu != ev:
+            return -1 if eu > ev else 1
+    return 0
+
+
+def diaglex_compare(u, v):
+    """Lex on Y parts with Y[1,1] > Y[2,2] > ... > the other Y row-major,
+    ties broken by graded reverse lex on the x parts."""
+
+    def descending_rank(w):
+        return (0, w.row, 0) if w.row == w.col else (1, w.row, w.col)
+
+    y_support = [w for w in u.support() | v.support() if w.family == Y_FAMILY]
+    for w in sorted(y_support, key=descending_rank):
+        eu, ev = u.exponent(w), v.exponent(w)
+        if eu != ev:
+            return 1 if eu > ev else -1
+    ux = Monomial((w, e) for w, e in u.items() if w.family == X_FAMILY)
+    vx = Monomial((w, e) for w, e in v.items() if w.family == X_FAMILY)
+    return revlex_compare(ux, vx)

@@ -186,24 +186,38 @@ def test_criterion_09_order_properties_and_lead_terms():
     assert len(monomials) == comb(14, 4)
     one = Monomial.one()
     orders = (GradedRevLex(), DiagLexOrder())
-    for order in orders:
-        for u in monomials:
+    # compare(u, v) is the sign of key(u) vs key(v), so the laws are checked
+    # on keys, each computed once per monomial.
+    caches = [{} for _ in orders]
+
+    def key(k, mon):
+        cache = caches[k]
+        if mon not in cache:
+            cache[mon] = orders[k].key(mon)
+        return cache[mon]
+
+    def sign(a, b):
+        return (a > b) - (a < b)
+
+    for k in range(len(orders)):
+        keys = [key(k, u) for u in monomials]
+        for u, ku in zip(monomials, keys):
             if not u.is_unit():
-                assert order.compare(one, u) < 0
-    # totality and antisymmetry on every unordered pair
-    for order in orders:
-        for i, u in enumerate(monomials):
-            for v in monomials[i:]:
-                c = order.compare(u, v)
+                assert sign(key(k, one), ku) < 0
+        # totality and antisymmetry on every unordered pair
+        for i, ku in enumerate(keys):
+            u = monomials[i]
+            for j in range(i, len(keys)):
+                c = sign(ku, keys[j])
                 assert c in (-1, 0, 1)
-                assert c == -order.compare(v, u)
-                assert (c == 0) == (u == v)
+                assert c == -sign(keys[j], ku)
+                assert (c == 0) == (u == monomials[j])
     # multiplicativity on seeded triples
     rng = random.Random(SEED)
     for _ in range(20_000):
         u, v, w = (monomials[rng.randrange(len(monomials))] for _ in range(3))
-        for order in orders:
-            assert order.compare(u * w, v * w) == order.compare(u, v)
+        for k in range(len(orders)):
+            assert sign(key(k, u * w), key(k, v * w)) == sign(key(k, u), key(k, v))
     for m, n in [(2, 3), (2, 4), (3, 5)]:
         assert verify_lead_terms(LinkInstance(m, n)).passed, (m, n)
     _line(9, f"order totality/antisymmetry on all {len(monomials)} monomials of "

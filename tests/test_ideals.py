@@ -77,6 +77,36 @@ def test_reduce_universe_mismatch():
         ideal(U3, [mono(xvar(1, 4))])
 
 
+MIXED = Universe.full(2, 2, 2, 2)  # x variables first, but Y sorts first
+
+mixed_ideals = st.builds(
+    lambda gens: ideal(MIXED, gens),
+    st.lists(
+        st.builds(
+            Monomial,
+            st.dictionaries(
+                st.sampled_from(MIXED.variables),
+                st.integers(min_value=1, max_value=3),
+                max_size=4,
+            ),
+        ),
+        max_size=6,
+    ),
+)
+
+
+@given(mixed_ideals)
+@settings(max_examples=80)
+def test_vectors_masks_and_gens_agree(W):
+    # gens are in canonical_key order, and vecs and masks line up with them
+    assert list(W.gens) == sorted(W.gens, key=Monomial.canonical_key)
+    assert len(W.vecs) == len(W.masks) == len(W.gens)
+    for vec, mask, g in zip(W.vecs, W.masks, W.gens):
+        assert vec == tuple(g.exponent(v) for v in MIXED.variables)
+        assert mask == sum(1 << i for i, e in enumerate(vec) if e)
+    assert ideal(MIXED, W.gens) == W
+
+
 @given(small_ideals)
 def test_reduce_idempotent_antichain(W):
     assert ideal(W.universe, W.gens).gens == W.gens
@@ -118,6 +148,13 @@ def test_bracket_power():
     }
     with pytest.raises(ValueError):
         W.bracket_power(0)
+
+
+@given(mixed_ideals, st.integers(min_value=1, max_value=3))
+@settings(max_examples=60)
+def test_bracket_power_needs_no_reduction(W, q):
+    # the scaled generators, left unreduced, equal the reduced ideal
+    assert W.bracket_power(q) == ideal(MIXED, [g ** q for g in W.gens])
 
 
 # -- colon / intersect -----------------------------------------------------------
@@ -285,6 +322,30 @@ def test_square_colon_examples():
     assert square_colon_scan(W, 2) is None
     failing = square_colon_scan(triangle(), 2)
     assert failing is not None and failing <= 2
+
+
+def test_square_colon_scan_agrees_with_check():
+    subjects = [triangle(), ideal(U3, [mono(X1), mono(X2)])]
+    subjects += [LinkInstance(m, n).link_initial for m, n in [(1, 3), (2, 3), (2, 4)]]
+    subjects += [LinkInstance(3, 5).staircase_ideal]
+    for W in subjects:
+        want = next((r for r in range(3) if not square_colon_check(W, r)), None)
+        assert square_colon_scan(W, 2) == want
+
+
+def test_square_colon_scan_builds_each_power_once(monkeypatch):
+    calls = []
+    original = MonomialIdeal.product
+
+    def counting(self, other, cap=DEFAULT_CANDIDATE_CAP):
+        calls.append(other)
+        return original(self, other, cap=cap)
+
+    monkeypatch.setattr(MonomialIdeal, "product", counting)
+    W = LinkInstance(2, 4).link_initial
+    assert square_colon_scan(W, 2) is None
+    # W^2, ..., W^5, each one product with W
+    assert len(calls) == 4 and all(V is W for V in calls)
 
 
 # -- coprime generator witness ----------------------------------------------------------

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from genlink import LinkInstance, VerifyBounds
+from genlink.cli import main
 from genlink.verify import (
     resolve_staircase_powers,
     run_suite,
@@ -111,3 +116,48 @@ def test_run_suite_all():
 def test_run_suite_unknown():
     with pytest.raises(ValueError):
         run_suite("nope", LinkInstance(2, 3))
+
+
+def test_postcondition_failure_becomes_fail_report(monkeypatch, tmp_path):
+    import genlink.verify
+
+    def broken(inst, diag, chain):
+        raise AssertionError(f"square divisor escaped at diag={diag} chain={chain}")
+
+    monkeypatch.setattr(genlink.verify, "square_divisor", broken)
+    rep = verify_witnesses(LinkInstance(2, 3), r_max=1)
+    assert rep.status == "fail"
+    assert rep.witnesses["error"].startswith("square divisor escaped at diag=")
+
+    out = tmp_path / "report.json"
+    assert main(["verify", "witnesses", "2", "3", "--rmax", "1", "--out", str(out)]) == 1
+    (report,) = json.loads(out.read_text())["reports"]
+    assert report["status"] == "fail"
+    assert report["witnesses"]["error"] == rep.witnesses["error"]
+
+
+def _masked(text):
+    data = json.loads(text)
+    for report in data["reports"]:
+        report["elapsed_ms"] = 0
+    return data
+
+
+def test_grid_script_writes_the_cli_report(tmp_path):
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    out_dir = tmp_path / "grid"
+    subprocess.run(
+        [sys.executable, str(root / "scripts" / "run_verification_grid.py"),
+         "--max-m", "2", "--max-n", "3", "--out-dir", str(out_dir)],
+        check=True, env=env, capture_output=True,
+    )
+    cli_out = tmp_path / "cli.json"
+    assert main(["verify", "all", "2", "3", "--Lmax", "2", "--rmax", "2",
+                 "--samples", "100", "--out", str(cli_out)]) == 0
+    grid = _masked((out_dir / "verify_2_3.json").read_text())
+    assert grid == _masked(cli_out.read_text())
+    assert [r["status"] for r in grid["reports"]] == ["pass"] * 7
+    assert sorted(p.name for p in out_dir.iterdir()) == [
+        f"verify_{m}_{n}.json" for m, n in [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3)]
+    ]
