@@ -29,7 +29,7 @@ from itertools import combinations, permutations
 from math import comb
 from typing import Mapping, Sequence
 
-from .ideals import MonomialIdeal, ideal
+from .ideals import MonomialIdeal, ideal, unit_ideal
 from .monomial import Monomial, Universe, xvar, yvar
 
 Cell = tuple[int, int]
@@ -214,10 +214,13 @@ class LinkInstance:
 
     def link_initial_power(self, k: int) -> MonomialIdeal:
         """Cached powers of the link initial ideal; witness checks hit these
-        repeatedly."""
-        powers = self._cached("_link_powers", dict)
-        if k not in powers:
-            powers[k] = self.link_initial.power(k)
+        repeatedly. W^k is built once, as W^(k-1) * W, with the same
+        per-step cap as :meth:`MonomialIdeal.power`."""
+        if k < 0:
+            raise ValueError("negative power")
+        powers = self._cached("_link_powers", lambda: [unit_ideal(self.universe)])
+        while len(powers) <= k:
+            powers.append(powers[-1].product(self.link_initial))
         return powers[k]
 
 

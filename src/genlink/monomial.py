@@ -12,8 +12,9 @@ Everything is an immutable value and safe to share between threads.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import NamedTuple
 
 X_FAMILY = "x"
 Y_FAMILY = "Y"
@@ -74,6 +75,14 @@ class Monomial:
         self._exps: tuple[tuple[Variable, int], ...] = tuple(sorted(acc.items()))
 
     @classmethod
+    def _trusted(cls, exps: tuple[tuple[Variable, int], ...]) -> "Monomial":
+        """Wrap exponent pairs already sorted by variable, each exponent a
+        positive int; for results of arithmetic on valid monomials."""
+        mon = cls.__new__(cls)
+        mon._exps = exps
+        return mon
+
+    @classmethod
     def one(cls) -> "Monomial":
         return cls()
 
@@ -112,12 +121,16 @@ class Monomial:
         acc = dict(self._exps)
         for v, e in other._exps:
             acc[v] = acc.get(v, 0) + e
-        return Monomial(acc)
+        return Monomial._trusted(tuple(sorted(acc.items())))
 
     def __pow__(self, k: int) -> "Monomial":
+        if not isinstance(k, int):
+            return NotImplemented
         if k < 0:
             raise ValueError("negative power")
-        return Monomial((v, e * k) for v, e in self._exps)
+        if not k:
+            return Monomial()
+        return Monomial._trusted(tuple((v, e * k) for v, e in self._exps))
 
     def divides(self, other: "Monomial") -> bool:
         return all(other.exponent(v) >= e for v, e in self._exps)
@@ -129,16 +142,17 @@ class Monomial:
         acc = dict(self._exps)
         for v, e in other._exps:
             acc[v] -= e
-        return Monomial(acc)
+        return Monomial._trusted(tuple((v, e) for v, e in acc.items() if e))
 
     def gcd(self, other: "Monomial") -> "Monomial":
-        return Monomial((v, min(e, other.exponent(v))) for v, e in self._exps)
+        pairs = ((v, min(e, other.exponent(v))) for v, e in self._exps)
+        return Monomial._trusted(tuple((v, e) for v, e in pairs if e))
 
     def lcm(self, other: "Monomial") -> "Monomial":
         acc = dict(self._exps)
         for v, e in other._exps:
             acc[v] = max(acc.get(v, 0), e)
-        return Monomial(acc)
+        return Monomial._trusted(tuple(sorted(acc.items())))
 
     def is_coprime(self, other: "Monomial") -> bool:
         return self.support().isdisjoint(other.support())

@@ -3,7 +3,8 @@
 These deliberately avoid the library's own algorithms: covers come from
 enumerating every subset of the support, memberships from raw divisibility,
 symbolic powers from pairwise intersection of the prime powers, term orders
-from comparators that walk the sorted joint support of two monomials.
+from comparators that walk the sorted joint support of two monomials,
+minimal generators from a pairwise scan over the kept vectors.
 """
 
 from itertools import combinations, combinations_with_replacement
@@ -49,6 +50,29 @@ def all_monomials(variables, max_degree):
 
     for exps in rec(0, max_degree):
         yield Monomial(exps)
+
+
+def _support_mask(vec):
+    return sum(1 << i for i, e in enumerate(vec) if e)
+
+
+def scan_minimalize(vecs):
+    """The divisibility-minimal exponent vectors, by a pairwise scan.
+
+    Distinct vectors sorted by (degree, support mask, vector); a vector is
+    kept unless some already kept one divides it. Same order as the
+    library's reduction, which this scan was before it grew an index.
+    """
+    kept = []
+    for _, mask, vec in sorted((sum(v), _support_mask(v), v) for v in set(vecs)):
+        if not any(km & mask == km and all(map(le, kv, vec)) for km, kv in kept):
+            kept.append((mask, vec))
+    return [vec for _, vec in kept]
+
+
+def vec_divides_some(gens, vec):
+    """Raw divisibility: does some exponent vector of ``gens`` divide ``vec``?"""
+    return any(all(map(le, g, vec)) for g in gens)
 
 
 def pairwise_symbolic_power(primes, level):

@@ -1,7 +1,16 @@
+from operator import add
+from random import Random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bruteforce import all_monomials, brute_minimal_covers, pairwise_symbolic_power
+from bruteforce import (
+    all_monomials,
+    brute_minimal_covers,
+    pairwise_symbolic_power,
+    scan_minimalize,
+    vec_divides_some,
+)
 from genlink import (
     LinkInstance,
     Monomial,
@@ -20,7 +29,8 @@ from genlink import (
     yvar,
     zero_ideal,
 )
-from genlink.ideals import DEFAULT_CANDIDATE_CAP
+from genlink import ideals
+from genlink.ideals import DEFAULT_CANDIDATE_CAP, _DivisorIndex, _minimalize
 
 U3 = Universe.x_grid(1, 3)
 U4 = Universe.x_grid(1, 4)
@@ -113,6 +123,126 @@ def test_reduce_idempotent_antichain(W):
     for a in W.gens:
         for b in W.gens:
             assert a == b or not a.divides(b)
+
+
+# -- divisor index ----------------------------------------------------------------
+
+
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+@st.composite
+def degree_bands(draw, squarefree):
+    """Exponent vectors whose degrees mostly lie in a narrow band, so that
+    many are pairwise incomparable and the kept antichain often outgrows the
+    index switch (4 per variable); a few free vectors prune the band.
+    Returns ``(width, vecs)``; the vectors come from a drawn seed."""
+    rng = Random(draw(seeds))
+    count = draw(st.integers(min_value=1, max_value=400))
+    if squarefree:
+        width = draw(st.integers(min_value=8, max_value=11))
+        degree = draw(st.integers(min_value=3, max_value=width - 4))
+
+        def band():
+            support = rng.sample(range(width), degree + rng.randint(0, 2))
+            return tuple(int(i in support) for i in range(width))
+
+        def free():
+            return tuple(rng.randint(0, 1) for _ in range(width))
+    else:
+        width = draw(st.integers(min_value=3, max_value=4))
+        degree = draw(st.integers(min_value=6, max_value=6 * (width - 1)))
+
+        def band():
+            head = [rng.randint(0, 6) for _ in range(width - 1)]
+            last = min(max(degree + rng.randint(0, 2) - sum(head), 0), 6)
+            return (*head, last)
+
+        def free():
+            return tuple(rng.randint(0, 6) for _ in range(width))
+    vecs = [band() for _ in range(count)]
+    vecs += [free() for _ in range(draw(st.integers(min_value=0, max_value=3)))]
+    return width, vecs
+
+
+@given(st.booleans().flatmap(degree_bands))
+@settings(max_examples=120, deadline=None)
+def test_minimalize_matches_scan_reference(band):
+    _, vecs = band
+    assert _minimalize(vecs) == scan_minimalize(vecs)
+
+
+def test_minimalize_switches_after_four_kept_per_variable(monkeypatch):
+    entered = []
+    original = ideals._minimalize_indexed
+
+    def spy(kept, items):
+        entered.append(len(kept))
+        return original(kept, items)
+
+    monkeypatch.setattr(ideals, "_minimalize_indexed", spy)
+    level4 = [(a, b, 4 - a - b) for a in range(5) for b in range(5 - a)]  # 15 vectors
+    top = (0, 0, 6)  # divided by level4[0] == (0, 0, 4)
+    for size, switched in ((12, False), (13, True)):
+        entered.clear()
+        vecs = level4[:size] + [top]
+        assert _minimalize(vecs) == scan_minimalize(vecs)
+        assert entered == ([size] if switched else [])
+
+
+def test_minimalize_matches_scan_on_link_powers_3_5():
+    W = LinkInstance(3, 5).link_initial
+    power, reached = W, 0
+    for _ in range(2, 6):
+        candidates = [tuple(map(add, u, v)) for u in power.vecs for v in W.vecs]
+        got = _minimalize(candidates)
+        assert got == scan_minimalize(candidates)
+        reached += len(got) > 4 * len(W.universe)
+        power = power.product(W)
+    assert reached >= 2  # W^4 and W^5 reduce through the index
+
+
+@given(
+    st.lists(
+        st.lists(st.tuples(*[st.integers(min_value=0, max_value=4)] * 3), max_size=12),
+        max_size=5,
+    ),
+    st.lists(st.tuples(*[st.integers(min_value=0, max_value=7)] * 3), min_size=1, max_size=20),
+)
+@settings(max_examples=150)
+def test_divisor_index_batches_match_raw_divisibility(batches, queries):
+    index = _DivisorIndex(3)
+    added = []
+    for batch in batches:
+        index.add(batch)
+        added += batch
+        for q in queries:
+            assert index.divides_some(q) == vec_divides_some(added, q)
+
+
+@given(st.booleans().flatmap(degree_bands), seeds)
+@settings(max_examples=60, deadline=None)
+def test_contains_matches_raw_divisibility(band, seed):
+    width, vecs = band
+    rng = Random(seed)
+    U = Universe.x_grid(1, width)
+    W = ideal(U, [Monomial(zip(U.variables, v)) for v in vecs])
+    top = max(max(v) for v in W.vecs)
+    # queries reach above every generator's exponent, exercising the clamp
+    queries = [tuple(rng.randint(0, top + 2) for _ in range(width)) for _ in range(50)]
+    near = rng.sample(W.vecs, min(10, len(W.vecs)))
+    queries += [tuple(e + rng.randint(0, 1) for e in v) for v in near]
+    for q in queries:
+        assert W.contains(Monomial(zip(U.variables, q))) == vec_divides_some(vecs, q)
+
+
+def test_contains_on_zero_and_unit_ideals():
+    for mon in (Monomial.one(), mono(X1), Monomial({X1: 9, X2: 4, X3: 1})):
+        assert not zero_ideal(U3).contains(mon)
+        assert unit_ideal(U3).contains(mon)
+    empty = Universe(1, 1, 0, 0, ())
+    assert unit_ideal(empty).contains(Monomial.one())
+    assert not zero_ideal(empty).contains(Monomial.one())
 
 
 # -- product / power / bracket -------------------------------------------------

@@ -19,6 +19,7 @@ from genlink import (
     xvar,
     yvar,
 )
+from genlink.ideals import DEFAULT_CANDIDATE_CAP, MonomialIdeal
 
 
 def beta(inst, A):
@@ -155,6 +156,26 @@ def test_link_initial_degenerate_square():
     for m in (1, 2, 3):
         inst = LinkInstance(m, m)
         assert inst.link_initial.gens == (Monomial.of(yvar(1, 1)),)
+
+
+def test_link_initial_power_builds_each_power_once(monkeypatch):
+    inst = LinkInstance(2, 4)
+    W = inst.link_initial
+    expected = {k: W.power(k) for k in range(4)}
+    calls = []
+    original = MonomialIdeal.product
+
+    def counting(self, other, cap=DEFAULT_CANDIDATE_CAP):
+        calls.append(other)
+        return original(self, other, cap=cap)
+
+    monkeypatch.setattr(MonomialIdeal, "product", counting)
+    for k in (3, 1, 2, 3, 0, 2):
+        assert inst.link_initial_power(k) == expected[k]
+    # W^1, W^2, W^3, each one product with W
+    assert len(calls) == 3 and all(V is W for V in calls)
+    with pytest.raises(ValueError):
+        inst.link_initial_power(-1)
 
 
 def test_complements_avoid_minors_ideal():

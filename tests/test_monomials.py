@@ -81,3 +81,32 @@ def test_monomials_upto_count():
     u = Universe.x_grid(1, 3)
     # monomials of degree <= 2 in 3 variables: C(5,2) = 10
     assert len(list(u.monomials_upto(2))) == 10
+
+
+@given(monomials, monomials, st.integers(min_value=0, max_value=3))
+def test_arithmetic_matches_validated_constructor(a, b, k):
+    # products, powers, quotients, lcm and gcd skip re-validation; each must
+    # equal the monomial the checking constructor builds from the same map
+    da, db = a.as_dict(), b.as_dict()
+    keys = da.keys() | db.keys()
+    cases = [
+        (a * b, {v: da.get(v, 0) + db.get(v, 0) for v in keys}),
+        (a ** k, {v: e * k for v, e in da.items()}),
+        ((a * b).exact_div(b), da),
+        (a.lcm(b), {v: max(da.get(v, 0), db.get(v, 0)) for v in keys}),
+        (a.gcd(b), {v: min(da.get(v, 0), db.get(v, 0)) for v in keys}),
+    ]
+    for got, exps in cases:
+        want = Monomial(exps)
+        assert got == want and got.items() == want.items() and hash(got) == hash(want)
+
+
+def test_constructor_rejects_bad_input():
+    with pytest.raises(TypeError):
+        Monomial({"x[1,1]": 1})
+    with pytest.raises(TypeError):
+        Monomial({xvar(1, 1): 1.0})
+    with pytest.raises(ValueError):
+        Monomial([(xvar(1, 1), -2)])
+    with pytest.raises(TypeError):
+        Monomial.of(xvar(1, 1)) ** 2.0

@@ -45,6 +45,12 @@ def test_symbolic_scan_pass_and_report_shape():
     assert data["instance"] == {"m": 2, "n": 3, "g": 2, "r": 3}
 
 
+def test_symbolic_suite_passes_at_4_6(capsys):
+    # W^5 of iniJ(4,6) reduces through the divisor index
+    assert main(["verify", "symbolic", "4", "6", "--Lmax", "2", "--rmax", "2"]) == 0
+    assert capsys.readouterr().out.startswith("symbolic (4,6): pass")
+
+
 def test_counts_and_degrees():
     assert verify_counts_and_degrees(LinkInstance(3, 5)).passed
     rep = verify_counts_and_degrees(LinkInstance(3, 3))
