@@ -42,10 +42,7 @@ def main() -> int:
     for m in range(1, args.max_m + 1):
         for n in range(m, args.max_n + 1):
             inst = LinkInstance(m, n)
-            reports = run_suite(
-                "all", inst, bounds,
-                upto=args.Lmax, r_max=args.rmax, seed=args.seed, samples=args.samples,
-            )
+            reports = run_suite("all", inst, bounds, seed=args.seed)
             if suite_names is None:
                 suite_names = [r.check for r in reports]
             rows.append(((m, n), {r.check: r.status for r in reports}))

@@ -106,21 +106,12 @@ def _cmd_generate(args) -> int:
 def _cmd_verify(args) -> int:
     inst = _instance(args)
     bounds = VerifyBounds(
-        max_universe_vars=DEFAULT_BOUNDS.max_universe_vars,
         candidate_cap=args.max_gens,
         symbolic_upto=args.Lmax,
         square_colon_rmax=args.rmax,
         witness_samples=args.samples,
     )
-    reports = run_suite(
-        args.suite,
-        inst,
-        bounds,
-        upto=args.Lmax,
-        r_max=args.rmax,
-        seed=args.seed,
-        samples=args.samples,
-    )
+    reports = run_suite(args.suite, inst, bounds, seed=args.seed)
     for report in reports:
         print(report.summary())
     if args.out:

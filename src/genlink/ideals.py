@@ -175,7 +175,8 @@ class MonomialIdeal:
     ``vecs`` are the generators' exponent vectors, sorted by
     :meth:`Monomial.canonical_key`; ``masks`` and ``gens`` are their support
     bitmasks and monomials, in the same order; membership queries go
-    through a :class:`_DivisorIndex` over ``vecs``, built on first use. The
+    through a :class:`_DivisorIndex` over ``vecs``, built on first use, and
+    the powers W^2, W^3, ... are kept once :meth:`power` builds them. The
     zero ideal has no generators, the unit ideal has the single generator 1.
     Construct through :func:`ideal`, which reduces an arbitrary generating
     set.
@@ -241,13 +242,30 @@ class MonomialIdeal:
         return _from_vecs(self.universe, _minimalize(candidates))
 
     def power(self, s: int, cap: int = DEFAULT_CANDIDATE_CAP) -> "MonomialIdeal":
-        """Iterated product with reduction after every step; W^0 is the unit ideal."""
+        """W^s; W^0 is the unit ideal and W^1 the ideal itself.
+
+        Each higher power is built once, as W^(s-1) * W, and kept on the
+        ideal. The cap is checked at every step, built or kept, so a refusal
+        does not depend on which powers were asked for before.
+        """
         if s < 0:
             raise ValueError("negative power")
-        result = unit_ideal(self.universe)
-        for _ in range(s):
-            result = result.product(self, cap=cap)
-        return result
+        if s == 0:
+            return unit_ideal(self.universe)
+        _check_cap(len(self.vecs), cap, "product")  # W^1 = 1 * W
+        power = self
+        for k in range(2, s + 1):
+            _check_cap(len(power.vecs) * len(self.vecs), cap, "product")
+            if len(self._powers) < k - 1:
+                self._powers.append(power.product(self, cap=cap))
+            power = self._powers[k - 2]
+        return power
+
+    @cached_property
+    def _powers(self) -> list["MonomialIdeal"]:
+        """W^2, W^3, ... as far as built; W^1 stays out, so no ideal refers
+        to itself."""
+        return []
 
     def bracket_power(self, q: int) -> "MonomialIdeal":
         """The ideal generated by the q-th powers of the minimal generators;
@@ -384,9 +402,8 @@ def first_symbolic_gap(
     generator that fails it raises :class:`AssertionError`.
     """
     columns = W._prime_columns()
-    power = unit_ideal(W.universe)
     for level in range(1, upto + 1):
-        power = power.product(W, cap=cap)
+        power = W.power(level, cap=cap)
         for v in power.vecs:
             if not _in_symbolic_power(v, columns, level):
                 raise AssertionError(
@@ -410,21 +427,19 @@ def square_colon_check(W: MonomialIdeal, r: int, cap: int = DEFAULT_CANDIDATE_CA
     """
     if r < 0:
         raise ValueError("r must be nonnegative")
-    return _square_colon_holds(W.power(r + 1, cap=cap), W.power(2 * r + 1, cap=cap))
+    bracket = W.power(r + 1, cap=cap).bracket_power(2)
+    # nu * t is t + 1 everywhere
+    return all(
+        bracket._divides_into(tuple(e + 1 for e in t))
+        for t in W.power(2 * r + 1, cap=cap).vecs
+    )
 
 
 def square_colon_scan(
     W: MonomialIdeal, r_max: int, cap: int = DEFAULT_CANDIDATE_CAP
 ) -> int | None:
-    """First r <= r_max failing :func:`square_colon_check`, or None; each
-    power W^2, ..., W^(2 r_max + 1) is built once, from the one before."""
-    powers = [unit_ideal(W.universe), W]
-    for r in range(r_max + 1):
-        while len(powers) <= 2 * r + 1:
-            powers.append(powers[-1].product(W, cap=cap))
-        if not _square_colon_holds(powers[r + 1], powers[2 * r + 1]):
-            return r
-    return None
+    """First r <= r_max failing :func:`square_colon_check`, or None."""
+    return next((r for r in range(r_max + 1) if not square_colon_check(W, r, cap)), None)
 
 
 def coprime_generator_witness(W: MonomialIdeal) -> tuple[Monomial, ...] | None:
@@ -474,12 +489,6 @@ def coprime_generator_witness(W: MonomialIdeal) -> tuple[Monomial, ...] | None:
 def _in_symbolic_power(vec: Vec, columns: Iterable[Sequence[int]], level: int) -> bool:
     """True iff ``vec`` has degree at least ``level`` on every prime's columns."""
     return all(sum(vec[c] for c in cols) >= level for cols in columns)
-
-
-def _square_colon_holds(base: MonomialIdeal, big: MonomialIdeal) -> bool:
-    """nu * t in base^[2] for every generator t of big; nu * t is t + 1 everywhere."""
-    bracket = base.bracket_power(2)
-    return all(bracket._divides_into(tuple(e + 1 for e in t)) for t in big.vecs)
 
 
 def _to_vec(universe: Universe, mon: Monomial) -> Vec:

@@ -25,11 +25,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, permutations
 from math import comb
 from typing import Mapping, Sequence
 
-from .ideals import MonomialIdeal, ideal, unit_ideal
+from .ideals import MonomialIdeal, ideal
 from .monomial import Monomial, Universe, xvar, yvar
 
 Cell = tuple[int, int]
@@ -61,44 +62,34 @@ class LinkInstance:
     def r(self) -> int:
         return comb(self.n, self.m)
 
-    def _cached(self, name: str, build):
-        value = self.__dict__.get(name)
-        if value is None:
-            value = build()
-            self.__dict__[name] = value
-        return value
-
-    @property
+    @cached_property
     def universe(self) -> Universe:
-        def build():
-            vs = tuple(xvar(i, j) for i in range(1, self.m + 1) for j in range(1, self.n + 1))
-            vs += tuple(yvar(j, j) for j in range(1, self.g + 1))
-            return Universe(self.m, self.n, self.g, self.r, vs)
-        return self._cached("_universe", build)
+        vs = tuple(xvar(i, j) for i in range(1, self.m + 1) for j in range(1, self.n + 1))
+        vs += tuple(yvar(j, j) for j in range(1, self.g + 1))
+        return Universe(self.m, self.n, self.g, self.r, vs)
 
     # -- the band and its staircases ---------------------------------------
 
-    @property
+    @cached_property
     def band(self) -> frozenset[Cell]:
-        def build():
-            return frozenset(
-                (i, j)
-                for i in range(1, self.m + 1)
-                for j in range(1, self.n + 1)
-                if self.m - i < j <= self.n - i + 1
-            )
-        return self._cached("_band", build)
-
-    @property
-    def selectors(self) -> tuple[Selector, ...]:
-        """All staircase selectors, i.e. (m-1)-subsets of {2,...,n}, sorted."""
-        return self._cached(
-            "_selectors",
-            lambda: tuple(combinations(range(2, self.n + 1), self.m - 1)),
+        return frozenset(
+            (i, j)
+            for i in range(1, self.m + 1)
+            for j in range(1, self.n + 1)
+            if self.m - i < j <= self.n - i + 1
         )
 
+    @cached_property
+    def selectors(self) -> tuple[Selector, ...]:
+        """All staircase selectors, i.e. (m-1)-subsets of {2,...,n}, sorted."""
+        return tuple(combinations(range(2, self.n + 1), self.m - 1))
+
+    @cached_property
+    def _selector_set(self) -> frozenset[Selector]:
+        return frozenset(self.selectors)
+
     def check_selector(self, A: Selector) -> None:
-        if A not in set(self.selectors):
+        if A not in self._selector_set:
             raise ValueError(f"not a staircase selector for ({self.m},{self.n}): {A}")
 
     def sentinels(self, A: Selector) -> tuple[int, ...]:
@@ -115,8 +106,15 @@ class LinkInstance:
 
     def complement_monomial(self, A: Selector) -> Monomial:
         """Product of the band variables outside the staircase of A."""
-        cells = self.band - self.staircase(A)
-        return Monomial.of(*(xvar(i, j) for i, j in cells))
+        self.check_selector(A)
+        return self._complements[A]
+
+    @cached_property
+    def _complements(self) -> dict[Selector, Monomial]:
+        return {
+            A: Monomial.of(*(xvar(i, j) for i, j in self.band - self.staircase(A)))
+            for A in self.selectors
+        }
 
     def antidiagonal(self, j: int) -> Monomial:
         """The degree-m antidiagonal monomial starting at column j of the bottom row."""
@@ -133,29 +131,27 @@ class LinkInstance:
             raise ValueError(f"columns out of range: {cols}")
         return Monomial.of(*(xvar(self.m - i + 1, cols[i - 1]) for i in range(1, self.m + 1)))
 
-    @property
+    @cached_property
     def diag_y_product(self) -> Monomial:
         return Monomial.of(*(yvar(j, j) for j in range(1, self.g + 1)))
 
-    @property
+    @cached_property
     def all_variables_product(self) -> Monomial:
         return self.universe.product_of_variables()
 
     # -- minors and their term monomials ------------------------------------
 
-    @property
+    @cached_property
     def column_sets(self) -> tuple[tuple[int, ...], ...]:
         """Column sets of the m-minors: the g consecutive windows first, the
         rest in colexicographic order."""
-        def build():
-            consecutive = [tuple(range(j, j + self.m)) for j in range(1, self.g + 1)]
-            seen = set(consecutive)
-            rest = sorted(
-                (c for c in combinations(range(1, self.n + 1), self.m) if c not in seen),
-                key=lambda c: tuple(reversed(c)),
-            )
-            return tuple(consecutive + rest)
-        return self._cached("_column_sets", build)
+        consecutive = [tuple(range(j, j + self.m)) for j in range(1, self.g + 1)]
+        seen = set(consecutive)
+        rest = sorted(
+            (c for c in combinations(range(1, self.n + 1), self.m) if c not in seen),
+            key=lambda c: tuple(reversed(c)),
+        )
+        return tuple(consecutive + rest)
 
     def minor_term_monomials(self, cols: Sequence[int]) -> tuple[Monomial, ...]:
         """The m! products one-per-row over the given columns (signs dropped)."""
@@ -167,37 +163,27 @@ class LinkInstance:
 
     # -- the ideals ----------------------------------------------------------
 
-    @property
+    @cached_property
     def minors_initial(self) -> MonomialIdeal:
         """Lead terms of the m-minors: all antidiagonals, C(n,m) generators."""
-        return self._cached(
-            "_minors_initial",
-            lambda: ideal(
-                self.universe,
-                [self.antidiagonal_for_columns(c) for c in self.column_sets],
-            ),
+        return ideal(
+            self.universe, [self.antidiagonal_for_columns(c) for c in self.column_sets]
         )
 
-    @property
+    @cached_property
     def sequence_initial(self) -> MonomialIdeal:
         """Lead terms of the g generic row combinations: Y[j,j] * antidiagonal(j)."""
-        return self._cached(
-            "_sequence_initial",
-            lambda: ideal(
-                self.universe,
-                [Monomial.of(yvar(j, j)) * self.antidiagonal(j) for j in range(1, self.g + 1)],
-            ),
+        return ideal(
+            self.universe,
+            [Monomial.of(yvar(j, j)) * self.antidiagonal(j) for j in range(1, self.g + 1)],
         )
 
-    @property
+    @cached_property
     def staircase_ideal(self) -> MonomialIdeal:
         """The ideal generated by the complement monomials beta(A)."""
-        return self._cached(
-            "_staircase_ideal",
-            lambda: ideal(self.universe, [self.complement_monomial(A) for A in self.selectors]),
-        )
+        return ideal(self.universe, [self.complement_monomial(A) for A in self.selectors])
 
-    @property
+    @cached_property
     def link_initial(self) -> MonomialIdeal:
         """Initial ideal of the generic link: the sequence lead terms together
         with (product of diagonal Y) * beta(A) for every selector A.
@@ -205,23 +191,10 @@ class LinkInstance:
         For m < n this list is already minimal: g generators of degree m+1
         and C(n-1,m-1) of degree m(n-m)+1. For m = n the single beta is 1 and
         the list collapses to (Y[1,1])."""
-        def build():
-            mu = self.diag_y_product
-            gens = [Monomial.of(yvar(j, j)) * self.antidiagonal(j) for j in range(1, self.g + 1)]
-            gens += [mu * self.complement_monomial(A) for A in self.selectors]
-            return ideal(self.universe, gens)
-        return self._cached("_link_initial", build)
-
-    def link_initial_power(self, k: int) -> MonomialIdeal:
-        """Cached powers of the link initial ideal; witness checks hit these
-        repeatedly. W^k is built once, as W^(k-1) * W, with the same
-        per-step cap as :meth:`MonomialIdeal.power`."""
-        if k < 0:
-            raise ValueError("negative power")
-        powers = self._cached("_link_powers", lambda: [unit_ideal(self.universe)])
-        while len(powers) <= k:
-            powers.append(powers[-1].product(self.link_initial))
-        return powers[k]
+        mu = self.diag_y_product
+        gens = [Monomial.of(yvar(j, j)) * self.antidiagonal(j) for j in range(1, self.g + 1)]
+        gens += [mu * self.complement_monomial(A) for A in self.selectors]
+        return ideal(self.universe, gens)
 
 
 # -- selector lattice ---------------------------------------------------------
@@ -436,7 +409,7 @@ def square_divisor(
                 cell=cell, lo=lo, hi=hi, bridge=bridge, off_staircase=off,
             )
 
-    if not inst.link_initial_power(r + 1).contains(witness.delta):
+    if not inst.link_initial.power(r + 1).contains(witness.delta):
         raise AssertionError(f"delta not in the (r+1)-st power: {witness}")
     if not (witness.delta ** 2).divides(witness.gamma):
         raise AssertionError(f"delta^2 does not divide gamma: {witness}")
@@ -536,7 +509,7 @@ def odd_part_reduction(
         raise AssertionError(f"{odd_part} * ({root})^2 is not the product {product}")
     if root_factors != r - s:
         raise AssertionError(f"square root has {root_factors} factors, expected {r - s}")
-    if not inst.link_initial_power(r - s).contains(root):
+    if not inst.link_initial.power(r - s).contains(root):
         raise AssertionError("square root escaped the expected power")
     return OddPartReduction(product, odd_part, root, odd_count)
 

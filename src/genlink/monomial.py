@@ -14,6 +14,7 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 X_FAMILY = "x"
@@ -240,13 +241,9 @@ class Universe:
         vs += tuple(yvar(i, j) for i in range(1, y_rows + 1) for j in range(1, y_cols + 1))
         return cls(m, n, y_rows, y_cols, vs)
 
-    @property
+    @cached_property
     def index(self) -> dict[Variable, int]:
-        cached = self.__dict__.get("_index")
-        if cached is None:
-            cached = {v: i for i, v in enumerate(self.variables)}
-            self.__dict__["_index"] = cached
-        return cached
+        return {v: i for i, v in enumerate(self.variables)}
 
     def __len__(self) -> int:
         return len(self.variables)

@@ -18,7 +18,7 @@ import io
 import json
 from typing import Any
 
-from .ideals import MonomialIdeal
+from .ideals import MonomialIdeal, ideal
 from .linkage import BettiTable
 from .monomial import Monomial, Universe, Variable, parse_variable
 from .orders import DiagLexOrder
@@ -113,9 +113,7 @@ def ideal_from_dict(data: Any) -> MonomialIdeal:
                 raise SchemaError(loc, "variable not in the universe")
             exps[var] = e
         gens.append(Monomial(exps))
-    from .ideals import ideal as make_ideal
-
-    return make_ideal(universe, gens)
+    return ideal(universe, gens)
 
 
 def ideal_from_json(text: str) -> MonomialIdeal:

@@ -16,7 +16,7 @@ import random
 import time
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb, factorial
 from typing import Callable, Iterable
 
@@ -153,16 +153,11 @@ def verify_colon_link(inst: LinkInstance, bounds: VerifyBounds = DEFAULT_BOUNDS)
     return _run("colon", inst, {}, None, body)
 
 
-def verify_symbolic_scan(
-    inst: LinkInstance,
-    upto: int | None = None,
-    r_max: int | None = None,
-    bounds: VerifyBounds = DEFAULT_BOUNDS,
-) -> Report:
+def verify_symbolic_scan(inst: LinkInstance, bounds: VerifyBounds = DEFAULT_BOUNDS) -> Report:
     """Symbolic powers of the link initial ideal equal ordinary powers up to
-    the bound, and the square-bracket colon criterion holds for r <= r_max."""
-    upto = bounds.symbolic_upto if upto is None else upto
-    r_max = bounds.square_colon_rmax if r_max is None else r_max
+    ``bounds.symbolic_upto``, and the square-bracket colon criterion holds
+    for r <= ``bounds.square_colon_rmax``."""
+    upto, r_max = bounds.symbolic_upto, bounds.square_colon_rmax
 
     def body():
         _guard_universe(inst, bounds)
@@ -320,11 +315,7 @@ def verify_lead_terms(inst: LinkInstance, bounds: VerifyBounds = DEFAULT_BOUNDS)
 
 
 def verify_witnesses(
-    inst: LinkInstance,
-    r_max: int | None = None,
-    seed: int = 0,
-    samples: int | None = None,
-    bounds: VerifyBounds = DEFAULT_BOUNDS,
+    inst: LinkInstance, bounds: VerifyBounds = DEFAULT_BOUNDS, seed: int = 0
 ) -> Report:
     """Run the divisor-witness constructions and assert their postconditions.
 
@@ -332,10 +323,11 @@ def verify_witnesses(
     when that grid is small, sampled otherwise. Square divisors and odd-part
     reductions run on exhaustively enumerated inputs for small instances and
     on seeded samples otherwise; chains are produced by sorting uniform
-    selector samples through the straightening normal form.
+    selector samples through the straightening normal form. Chains have
+    up to ``2 * bounds.square_colon_rmax + 1`` factors; a sampled input set
+    has ``bounds.witness_samples`` members.
     """
-    r_max = bounds.square_colon_rmax if r_max is None else r_max
-    samples = bounds.witness_samples if samples is None else samples
+    r_max, samples = bounds.square_colon_rmax, bounds.witness_samples
 
     def body():
         _guard_universe(inst, bounds)
@@ -389,24 +381,15 @@ def _multichains(elements: tuple[Selector, ...], length: int) -> Iterable[tuple[
 
 def _square_inputs(inst, r_max, rng, samples, exhaustive_cap):
     """(diag indices, chain) pairs with an odd total, exhaustive or sampled."""
-    exhaustive: list[tuple[tuple[int, ...], tuple[Selector, ...]]] = []
-    count = 0
-    for r in range(r_max + 1):
-        total = 2 * r + 1
-        for a in range(min(total, inst.g) + 1):
-            for diag in combinations(range(1, inst.g + 1), a):
-                for chain in _multichains(inst.selectors, total - a):
-                    exhaustive.append((diag, chain))
-                    count += 1
-                    if count > exhaustive_cap:
-                        break
-                if count > exhaustive_cap:
-                    break
-            if count > exhaustive_cap:
-                break
-        if count > exhaustive_cap:
-            break
-    if count <= exhaustive_cap:
+    every_input = (
+        (diag, chain)
+        for r in range(r_max + 1)
+        for a in range(min(2 * r + 1, inst.g) + 1)
+        for diag in combinations(range(1, inst.g + 1), a)
+        for chain in _multichains(inst.selectors, 2 * r + 1 - a)
+    )
+    exhaustive = list(islice(every_input, exhaustive_cap + 1))
+    if len(exhaustive) <= exhaustive_cap:
         return exhaustive
     picks = []
     for _ in range(samples):
@@ -439,30 +422,24 @@ def _odd_part_inputs(inst, r_max, rng, samples):
     return picks
 
 
-SUITES = {
-    "colon": lambda inst, bounds, args: verify_colon_link(inst, bounds),
-    "symbolic": lambda inst, bounds, args: verify_symbolic_scan(
-        inst, args.get("upto"), args.get("r_max"), bounds
-    ),
-    "cor412": lambda inst, bounds, args: resolve_staircase_powers(inst, bounds),
-    "counts": lambda inst, bounds, args: verify_counts_and_degrees(inst, bounds),
-    "betti": lambda inst, bounds, args: verify_betti(inst, bounds),
-    "leads": lambda inst, bounds, args: verify_lead_terms(inst, bounds),
-    "witnesses": lambda inst, bounds, args: verify_witnesses(
-        inst, args.get("r_max"), args.get("seed", 0), args.get("samples"), bounds
-    ),
+SUITES: dict[str, Callable[[LinkInstance, VerifyBounds, int], Report]] = {
+    "colon": lambda inst, bounds, seed: verify_colon_link(inst, bounds),
+    "symbolic": lambda inst, bounds, seed: verify_symbolic_scan(inst, bounds),
+    "cor412": lambda inst, bounds, seed: resolve_staircase_powers(inst, bounds),
+    "counts": lambda inst, bounds, seed: verify_counts_and_degrees(inst, bounds),
+    "betti": lambda inst, bounds, seed: verify_betti(inst, bounds),
+    "leads": lambda inst, bounds, seed: verify_lead_terms(inst, bounds),
+    "witnesses": verify_witnesses,
 }
 
 
 def run_suite(
-    suite: str,
-    inst: LinkInstance,
-    bounds: VerifyBounds = DEFAULT_BOUNDS,
-    **args,
+    suite: str, inst: LinkInstance, bounds: VerifyBounds = DEFAULT_BOUNDS, seed: int = 0
 ) -> list[Report]:
-    """Run one named suite, or all of them, returning the reports."""
+    """Run one named suite, or all of them, returning the reports; ``seed``
+    drives the sampled inputs of the witness suite."""
     if suite == "all":
-        return [SUITES[name](inst, bounds, args) for name in SUITES]
+        return [SUITES[name](inst, bounds, seed) for name in SUITES]
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(SUITES)} or 'all'")
-    return [SUITES[suite](inst, bounds, args)]
+    return [SUITES[suite](inst, bounds, seed)]

@@ -253,6 +253,8 @@ def test_product_power_examples():
     sq = ideal(U3, [mono(X1), mono(X2)]).power(2)
     assert set(sq.gens) == {Monomial({X1: 2}), mono(X1, X2), Monomial({X2: 2})}
     assert triangle().power(0).is_unit()
+    W = triangle()
+    assert W.power(1) is W
 
 
 @given(small_ideals, small_ideals)
@@ -511,6 +513,19 @@ def test_size_guard_trips():
     W = LinkInstance(2, 4).link_initial
     with pytest.raises(SizeGuardExceeded):
         W.power(3, cap=10)
+
+
+def test_kept_powers_refuse_like_fresh_ones():
+    W = LinkInstance(2, 4).link_initial
+    with pytest.raises(SizeGuardExceeded) as fresh:
+        ideal(W.universe, W.gens).power(3, cap=10)
+    W.power(3)
+    with pytest.raises(SizeGuardExceeded) as kept:
+        W.power(3, cap=10)
+    assert kept.value.estimate == fresh.value.estimate == 36  # |W|^2 at step 2
+    with pytest.raises(SizeGuardExceeded) as first:
+        W.power(2, cap=5)
+    assert first.value.estimate == 6  # step 1, 1 * W
 
 
 def test_symbolic_power_guard_refuses_quadratic_step():

@@ -16,6 +16,7 @@ from genlink import (
     side_of,
     staircase_power_conditions,
     straighten_holds,
+    unit_ideal,
     xvar,
     yvar,
 )
@@ -68,6 +69,8 @@ def test_staircase_rejects_bad_selector():
         LinkInstance(3, 5).staircase((1, 3))
     with pytest.raises(ValueError):
         LinkInstance(3, 5).staircase((2,))
+    with pytest.raises(ValueError):
+        LinkInstance(3, 5).complement_monomial((1, 3))
 
 
 # -- antidiagonals and complements ----------------------------------------------
@@ -159,9 +162,11 @@ def test_link_initial_degenerate_square():
 
 
 def test_link_initial_power_builds_each_power_once(monkeypatch):
-    inst = LinkInstance(2, 4)
-    W = inst.link_initial
-    expected = {k: W.power(k) for k in range(4)}
+    W = LinkInstance(2, 4).link_initial
+    # the reference products go through no kept power
+    expected = [unit_ideal(W.universe), W]
+    for _ in range(2):
+        expected.append(expected[-1].product(W))
     calls = []
     original = MonomialIdeal.product
 
@@ -171,11 +176,11 @@ def test_link_initial_power_builds_each_power_once(monkeypatch):
 
     monkeypatch.setattr(MonomialIdeal, "product", counting)
     for k in (3, 1, 2, 3, 0, 2):
-        assert inst.link_initial_power(k) == expected[k]
-    # W^1, W^2, W^3, each one product with W
-    assert len(calls) == 3 and all(V is W for V in calls)
+        assert W.power(k) == expected[k]
+    # W^2 and W^3, each one product with W
+    assert len(calls) == 2 and all(V is W for V in calls)
     with pytest.raises(ValueError):
-        inst.link_initial_power(-1)
+        W.power(-1)
 
 
 def test_complements_avoid_minors_ideal():

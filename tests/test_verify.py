@@ -3,12 +3,15 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from random import Random
 
 import pytest
 
 from genlink import LinkInstance, VerifyBounds
 from genlink.cli import main
+from genlink.ideals import DEFAULT_CANDIDATE_CAP, MonomialIdeal
 from genlink.verify import (
+    _square_inputs,
     resolve_staircase_powers,
     run_suite,
     verify_betti,
@@ -36,7 +39,8 @@ def test_colon_link_counts_35():
 
 
 def test_symbolic_scan_pass_and_report_shape():
-    rep = verify_symbolic_scan(LinkInstance(2, 3), upto=2, r_max=1)
+    bounds = VerifyBounds(symbolic_upto=2, square_colon_rmax=1)
+    rep = verify_symbolic_scan(LinkInstance(2, 3), bounds)
     assert rep.passed
     assert rep.params == {"upto": 2, "r_max": 1}
     data = rep.to_dict()
@@ -49,6 +53,20 @@ def test_symbolic_suite_passes_at_4_6(capsys):
     # W^5 of iniJ(4,6) reduces through the divisor index
     assert main(["verify", "symbolic", "4", "6", "--Lmax", "2", "--rmax", "2"]) == 0
     assert capsys.readouterr().out.startswith("symbolic (4,6): pass")
+
+
+def test_symbolic_suite_builds_each_power_once(monkeypatch, capsys):
+    calls = []
+    original = MonomialIdeal.product
+
+    def counting(self, other, cap=DEFAULT_CANDIDATE_CAP):
+        calls.append(other)
+        return original(self, other, cap=cap)
+
+    monkeypatch.setattr(MonomialIdeal, "product", counting)
+    assert main(["verify", "symbolic", "2", "4", "--Lmax", "2", "--rmax", "2"]) == 0
+    # W^2, ..., W^5: the symbolic comparison and the square-colon scan share them
+    assert len(calls) == 4
 
 
 def test_counts_and_degrees():
@@ -91,11 +109,20 @@ def test_staircase_resolution_degenerate_unit():
 
 
 def test_witnesses_deterministic_given_seed():
-    a = verify_witnesses(LinkInstance(2, 4), r_max=1, seed=3, samples=25)
-    b = verify_witnesses(LinkInstance(2, 4), r_max=1, seed=3, samples=25)
+    bounds = VerifyBounds(square_colon_rmax=1, witness_samples=25)
+    a = verify_witnesses(LinkInstance(2, 4), bounds, seed=3)
+    b = verify_witnesses(LinkInstance(2, 4), bounds, seed=3)
     assert a.passed and b.passed
     assert a.witnesses == b.witnesses
     assert a.seed == 3
+
+
+def test_square_inputs_are_exhaustive_up_to_the_cap():
+    inst = LinkInstance(2, 4)
+    everything = _square_inputs(inst, 1, Random(0), 7, 10_000)
+    assert len(everything) == 44
+    assert _square_inputs(inst, 1, Random(0), 7, 44) == everything
+    assert len(_square_inputs(inst, 1, Random(0), 7, 43)) == 7  # sampled
 
 
 def test_size_guard_refusal():
@@ -106,13 +133,14 @@ def test_size_guard_refusal():
 
 
 def test_candidate_cap_refusal():
-    bounds = VerifyBounds(candidate_cap=5)
-    rep = verify_symbolic_scan(LinkInstance(2, 4), upto=2, r_max=1, bounds=bounds)
+    bounds = VerifyBounds(candidate_cap=5, symbolic_upto=2, square_colon_rmax=1)
+    rep = verify_symbolic_scan(LinkInstance(2, 4), bounds)
     assert rep.status == "refused"
 
 
 def test_run_suite_all():
-    reports = run_suite("all", LinkInstance(2, 3), upto=2, r_max=1, seed=1, samples=10)
+    bounds = VerifyBounds(symbolic_upto=2, square_colon_rmax=1, witness_samples=10)
+    reports = run_suite("all", LinkInstance(2, 3), bounds, seed=1)
     assert [r.check for r in reports] == [
         "colon", "symbolic", "cor412", "counts", "betti", "leads", "witnesses",
     ]
@@ -131,7 +159,7 @@ def test_postcondition_failure_becomes_fail_report(monkeypatch, tmp_path):
         raise AssertionError(f"square divisor escaped at diag={diag} chain={chain}")
 
     monkeypatch.setattr(genlink.verify, "square_divisor", broken)
-    rep = verify_witnesses(LinkInstance(2, 3), r_max=1)
+    rep = verify_witnesses(LinkInstance(2, 3), VerifyBounds(square_colon_rmax=1))
     assert rep.status == "fail"
     assert rep.witnesses["error"].startswith("square divisor escaped at diag=")
 
@@ -147,6 +175,22 @@ def _masked(text):
     for report in data["reports"]:
         report["elapsed_ms"] = 0
     return data
+
+
+def test_suites_run_the_same_under_optimization(tmp_path):
+    # the checks raise explicitly, so -O, which strips asserts, changes nothing
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    optimized = tmp_path / "optimized.json"
+    subprocess.run(
+        [sys.executable, "-O", "-m", "genlink", "verify", "all", "2", "4",
+         "--Lmax", "2", "--rmax", "1", "--out", str(optimized)],
+        check=True, env=env, capture_output=True,
+    )
+    plain = tmp_path / "plain.json"
+    assert main(["verify", "all", "2", "4", "--Lmax", "2", "--rmax", "1",
+                 "--out", str(plain)]) == 0
+    assert _masked(optimized.read_text()) == _masked(plain.read_text())
 
 
 def test_grid_script_writes_the_cli_report(tmp_path):
