@@ -35,17 +35,27 @@ from .serialize import (
     ideal_to_tex,
     ideal_to_text,
 )
-from .verify import DEFAULT_BOUNDS, VerifyBounds, reports_to_json, run_suite
+from .verify import DEFAULT_BOUNDS, SUITES, VerifyBounds, reports_to_json, run_suite
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_REFUSED = 3
 
-GENERATE_TARGETS = ("iniI", "iniA", "iniJ", "N", "betti")
-VERIFY_SUITES = ("colon", "symbolic", "cor412", "counts", "betti", "leads", "witnesses", "all")
+GENERATE_TARGETS = {
+    "iniI": lambda inst: inst.minors_initial,
+    "iniA": lambda inst: inst.sequence_initial,
+    "iniJ": lambda inst: inst.link_initial,
+    "N": lambda inst: inst.staircase_ideal,
+    "betti": betti_table,
+}
+FORMATS = {  # format -> (ideal writer, Betti table writer)
+    "json": (ideal_to_json, betti_to_json),
+    "csv": (ideal_to_csv, betti_to_csv),
+    "text": (ideal_to_text, betti_to_text),
+    "tex": (ideal_to_tex, betti_to_tex),
+}
 COMPARE_OPS = ("colon", "intersect", "product")
-FORMATS = ("json", "csv", "text", "tex")
 
 
 def _write_output(path: str | None, payload: str) -> None:
@@ -77,28 +87,9 @@ class UsageError(Exception):
 
 
 def _cmd_generate(args) -> int:
-    inst = _instance(args)
-    if args.target == "betti":
-        table = betti_table(inst)
-        payload = {
-            "json": betti_to_json,
-            "csv": betti_to_csv,
-            "text": betti_to_text,
-            "tex": betti_to_tex,
-        }[args.format](table)
-    else:
-        target: MonomialIdeal = {
-            "iniI": lambda: inst.minors_initial,
-            "iniA": lambda: inst.sequence_initial,
-            "iniJ": lambda: inst.link_initial,
-            "N": lambda: inst.staircase_ideal,
-        }[args.target]()
-        payload = {
-            "json": ideal_to_json,
-            "csv": ideal_to_csv,
-            "text": ideal_to_text,
-            "tex": ideal_to_tex,
-        }[args.format](target)
+    target = GENERATE_TARGETS[args.target](_instance(args))
+    write_ideal, write_betti = FORMATS[args.format]
+    payload = write_betti(target) if args.target == "betti" else write_ideal(target)
     _write_output(args.out, payload)
     return EXIT_OK
 
@@ -178,13 +169,13 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("generate", help="emit an ideal or Betti table for an instance")
     gen.add_argument("m", type=int)
     gen.add_argument("n", type=int)
-    gen.add_argument("target", choices=GENERATE_TARGETS)
-    gen.add_argument("--format", choices=FORMATS, default="text")
+    gen.add_argument("target", choices=tuple(GENERATE_TARGETS))
+    gen.add_argument("--format", choices=tuple(FORMATS), default="text")
     gen.add_argument("--out", default=None)
     gen.set_defaults(func=_cmd_generate)
 
     ver = sub.add_parser("verify", help="run a verification suite on an instance")
-    ver.add_argument("suite", choices=VERIFY_SUITES)
+    ver.add_argument("suite", choices=(*SUITES, "all"))
     ver.add_argument("m", type=int)
     ver.add_argument("n", type=int)
     ver.add_argument("--Lmax", type=int, default=DEFAULT_BOUNDS.symbolic_upto,

@@ -4,27 +4,28 @@ Ideals are kept as minimal generating sets (divisibility antichains).
 Operations: product, power, bracket power, colon, intersection, membership,
 minimal primes of squarefree ideals (minimal vertex covers of the support
 clutter), symbolic powers (a left fold over the minimal primes that lifts
-each generator into the next prime power), a symbolic-vs-ordinary scan, the
-square-bracket colon criterion certifying symbolic = ordinary for squarefree
-ideals, and a search for height-many pairwise-coprime squarefree generators.
+each generator into the next prime power), a symbolic-vs-ordinary scan, and
+the square-bracket colon criterion certifying symbolic = ordinary for
+squarefree ideals.
 
 An ideal holds its minimal generators once, as dense exponent vectors over
 the universe; their support bitmasks and :class:`Monomial` form are derived
 on first use. Every operation works on the vectors: monomials enter only
 through :func:`ideal`, :meth:`~MonomialIdeal.contains` and
 :meth:`~MonomialIdeal.symbolic_member`. Reduction to minimal generators
-scans small antichains pairwise (squarefree ones by support mask only) and
-switches to a bit-sliced divisor index once the antichain is large; the
-same index, built over an ideal's generators on first use, answers
-membership. All sizes here are desk scale; an explicit candidate cap guards
-against intersection blowup before anything is enumerated.
+scans small antichains pairwise, comparing exponents only where the support
+masks allow division, and switches to a bit-sliced divisor index once the
+antichain is large; the same index, built over an ideal's generators on
+first use, answers membership. All sizes here are desk scale; an explicit
+candidate cap guards against intersection blowup before anything is
+enumerated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations, combinations_with_replacement, groupby
+from itertools import combinations_with_replacement, groupby
 from math import comb
 from operator import itemgetter
 from typing import Iterable, Sequence
@@ -139,17 +140,11 @@ def _minimalize(vecs: Iterable[Vec]) -> list[Vec]:
     added in one batch: distinct vectors of equal degree never divide each
     other, so a degree only needs the kept vectors of lower degree.
     """
-    uniq = set(vecs)
-    squarefree = all(all(e <= 1 for e in v) for v in uniq)
-    items = sorted((sum(v), _mask(v), v) for v in uniq)
+    items = sorted((sum(v), _mask(v), v) for v in set(vecs))
     switch = _INDEX_PER_VARIABLE * len(items[0][2]) if items else 0
     kept: list[tuple[int, Vec]] = []
     for pos, (_, mask, vec) in enumerate(items):
-        if squarefree:
-            dominated = any(km & mask == km for km, _ in kept)
-        else:
-            dominated = any(km & mask == km and _vec_divides(kv, vec) for km, kv in kept)
-        if not dominated:
+        if not any(km & mask == km and _vec_divides(kv, vec) for km, kv in kept):
             kept.append((mask, vec))
             if len(kept) > switch:
                 return _minimalize_indexed([kv for _, kv in kept], items[pos + 1:])
@@ -201,9 +196,6 @@ class MonomialIdeal:
     def is_unit(self) -> bool:
         return len(self.vecs) == 1 and not any(self.vecs[0])
 
-    def is_proper(self) -> bool:
-        return not self.is_unit()
-
     def is_squarefree(self) -> bool:
         return all(e <= 1 for v in self.vecs for e in v)
 
@@ -227,10 +219,6 @@ class MonomialIdeal:
     def _divides_into(self, vec: Vec) -> bool:
         """True iff some minimal generator divides the exponent vector ``vec``."""
         return self._index.divides_some(vec)
-
-    def contains_ideal(self, other: "MonomialIdeal") -> bool:
-        self._same_universe(other)
-        return all(self._divides_into(v) for v in other.vecs)
 
     # -- ring operations --------------------------------------------------
 
@@ -311,11 +299,6 @@ class MonomialIdeal:
         out.sort(key=lambda s: (len(s), sorted(s)))
         return tuple(out)
 
-    def height_and_unmixed(self) -> tuple[int, bool]:
-        primes = self.minimal_primes()
-        sizes = {len(p) for p in primes}
-        return min(sizes), len(sizes) == 1
-
     def symbolic_power(self, level: int, cap: int = DEFAULT_CANDIDATE_CAP) -> "MonomialIdeal":
         """Intersection of the level-th powers of the minimal primes.
 
@@ -340,7 +323,7 @@ class MonomialIdeal:
             deficits = [max(level - sum(u[c] for c in cols), 0) for u in current]
             count = sum(comb(e + len(cols) - 1, e) for e in deficits)
             work = count * len(current)
-            if cap is not None and work > cap:
+            if work > cap:
                 raise SizeGuardExceeded(
                     f"symbolic power step would reduce {count} candidates against "
                     f"{len(current)} generators, about {work} comparisons (cap {cap})",
@@ -442,47 +425,6 @@ def square_colon_scan(
     return next((r for r in range(r_max + 1) if not square_colon_check(W, r, cap)), None)
 
 
-def coprime_generator_witness(W: MonomialIdeal) -> tuple[Monomial, ...] | None:
-    """Search for height(W)-many pairwise-coprime squarefree minimal generators.
-
-    Pairwise-coprime monomials form a regular sequence, so a successful
-    search certifies that the ideal contains a regular sequence of squarefree
-    monomials of maximal length. Returns None if no selection exists.
-    """
-    if W.is_zero() or W.is_unit():
-        raise ValueError("witness search needs a proper nonzero ideal")
-    # Height of W = height of its radical = the size of a smallest cover of
-    # the generators' supports; covers come smallest first.
-    height = bin(_minimal_covers(list(W.masks))[0]).count("1")
-    squarefree = [i for i, v in enumerate(W.vecs) if all(e <= 1 for e in v)]
-    masks = [W.masks[i] for i in squarefree]
-
-    chosen: list[int] = []
-
-    def extend(start: int, used_mask: int) -> bool:
-        if len(chosen) == height:
-            return True
-        for i in range(start, len(masks)):
-            if masks[i] & used_mask:
-                continue
-            chosen.append(i)
-            if extend(i + 1, used_mask | masks[i]):
-                return True
-            chosen.pop()
-        return False
-
-    if not extend(0, 0):
-        return None
-    witness = tuple(W.gens[squarefree[i]] for i in chosen)
-    for g in witness:
-        if not g.is_squarefree():
-            raise AssertionError(f"witness generator {g} is not squarefree")
-    for a, b in combinations(witness, 2):
-        if not a.is_coprime(b):
-            raise AssertionError(f"witness generators {a} and {b} share a variable")
-    return witness
-
-
 # -- internals ---------------------------------------------------------------
 
 
@@ -530,7 +472,7 @@ def _from_vecs(universe: Universe, vecs: Iterable[Vec]) -> MonomialIdeal:
 
 
 def _check_cap(count: int, cap: int, what: str) -> None:
-    if cap is not None and count > cap:
+    if count > cap:
         raise SizeGuardExceeded(
             f"{what} would enumerate about {count} candidate generators "
             f"(cap {cap})", count,

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, permutations
-from math import comb
+from math import comb, prod
 from typing import Mapping, Sequence
 
 from .ideals import MonomialIdeal, ideal
@@ -120,7 +120,7 @@ class LinkInstance:
         """The degree-m antidiagonal monomial starting at column j of the bottom row."""
         if not (1 <= j <= self.g):
             raise ValueError(f"antidiagonal index out of range: {j}")
-        return Monomial.of(*(xvar(self.m - i + 1, j + i - 1) for i in range(1, self.m + 1)))
+        return self.antidiagonal_for_columns(range(j, j + self.m))
 
     def antidiagonal_for_columns(self, cols: Sequence[int]) -> Monomial:
         """The antidiagonal monomial on the given strictly increasing columns."""
@@ -134,6 +134,14 @@ class LinkInstance:
     @cached_property
     def diag_y_product(self) -> Monomial:
         return Monomial.of(*(yvar(j, j) for j in range(1, self.g + 1)))
+
+    def diag_generator(self, j: int) -> Monomial:
+        """Y[j,j] * antidiagonal(j), the lead term of the j-th row combination."""
+        return Monomial.of(yvar(j, j)) * self.antidiagonal(j)
+
+    def staircase_generator(self, A: Selector) -> Monomial:
+        """mu * beta(A), mu the product of the diagonal Y variables."""
+        return self.diag_y_product * self.complement_monomial(A)
 
     @cached_property
     def all_variables_product(self) -> Monomial:
@@ -173,10 +181,7 @@ class LinkInstance:
     @cached_property
     def sequence_initial(self) -> MonomialIdeal:
         """Lead terms of the g generic row combinations: Y[j,j] * antidiagonal(j)."""
-        return ideal(
-            self.universe,
-            [Monomial.of(yvar(j, j)) * self.antidiagonal(j) for j in range(1, self.g + 1)],
-        )
+        return ideal(self.universe, [self.diag_generator(j) for j in range(1, self.g + 1)])
 
     @cached_property
     def staircase_ideal(self) -> MonomialIdeal:
@@ -191,9 +196,8 @@ class LinkInstance:
         For m < n this list is already minimal: g generators of degree m+1
         and C(n-1,m-1) of degree m(n-m)+1. For m = n the single beta is 1 and
         the list collapses to (Y[1,1])."""
-        mu = self.diag_y_product
-        gens = [Monomial.of(yvar(j, j)) * self.antidiagonal(j) for j in range(1, self.g + 1)]
-        gens += [mu * self.complement_monomial(A) for A in self.selectors]
+        gens = [self.diag_generator(j) for j in range(1, self.g + 1)]
+        gens += [self.staircase_generator(A) for A in self.selectors]
         return ideal(self.universe, gens)
 
 
@@ -355,42 +359,30 @@ def square_divisor(
         raise ValueError("diagonal index out of range")
     if any(not leq(x, y) for x, y in zip(chain, chain[1:])):
         raise ValueError("selector chain is not sorted")
-    for A in chain:
-        inst.check_selector(A)
     r = (total - 1) // 2
 
-    mu = inst.diag_y_product
-    nu = inst.all_variables_product
-    diag_gens = [Monomial.of(yvar(i, i)) * inst.antidiagonal(i) for i in diag_indices]
-    beta = [inst.complement_monomial(A) for A in chain]
-    gamma = nu
-    for t in diag_gens:
-        gamma = gamma * t
-    for bm in beta:
-        gamma = gamma * (mu * bm)
+    diag_gens = [inst.diag_generator(i) for i in diag_indices]
+    stair_gens = [inst.staircase_generator(A) for A in chain]
+    gamma = prod(diag_gens + stair_gens, start=inst.all_variables_product)
 
     witness: SquareDivisorWitness
     if a >= 2:
-        delta = Monomial.one()
-        for t in diag_gens:
-            delta = delta * t
-        for k in range(1, (b - 1) // 2 + 1):
-            delta = delta * (mu * beta[2 * k - 1])
+        # the staircase generators at odd positions 1, 3, ... below b - 1
+        delta = prod(diag_gens + stair_gens[1:b - 1:2], start=Monomial.one())
         witness = SquareDivisorWitness(delta, gamma, r, "coprime_block")
     elif a == 1:
         i1 = diag_indices[0]
         extra = tuple(range(i1 + 1, i1 + inst.m))
         sorted_chain = chain_normal_form((*chain, extra))
-        delta = Monomial.of(yvar(i1, i1)) * inst.antidiagonal(i1)
-        for k in range(1, r + 1):
-            delta = delta * (mu * inst.complement_monomial(sorted_chain[2 * k - 1]))
+        delta = prod(
+            (inst.staircase_generator(A) for A in sorted_chain[1::2]),
+            start=inst.diag_generator(i1),
+        )
         witness = SquareDivisorWitness(delta, gamma, r, "single_antidiagonal")
     else:
         found = _interior_cell(inst, chain)
         if found is None:
-            delta = Monomial.one()
-            for k in range(1, r + 2):
-                delta = delta * (mu * beta[2 * k - 2])
+            delta = prod(stair_gens[::2], start=Monomial.one())
             witness = SquareDivisorWitness(delta, gamma, r, "chain_ends")
         else:
             cell, _ = found
@@ -400,10 +392,10 @@ def square_divisor(
                 *(xvar(p, i + j - p) for p in range(1, inst.m + 1) if p < lo or p > hi)
             )
             s = i + j - inst.m
-            delta = Monomial.of(yvar(s, s)) * inst.antidiagonal(s)
-            delta = delta * (mu * inst.complement_monomial(bridge))
-            for h in range(1, r):
-                delta = delta * (mu * beta[2 * h])
+            delta = prod(
+                stair_gens[2:-1:2],
+                start=inst.diag_generator(s) * inst.staircase_generator(bridge),
+            )
             witness = SquareDivisorWitness(
                 delta, gamma, r, "interior_cell",
                 cell=cell, lo=lo, hi=hi, bridge=bridge, off_staircase=off,
@@ -481,7 +473,6 @@ def odd_part_reduction(
         raise ValueError("negative multiplicity")
     if any(e < 0 for e in selector_multiplicities.values()):
         raise ValueError("negative multiplicity")
-    mu = inst.diag_y_product
     product = Monomial.one()
     odd_part = Monomial.one()
     root = Monomial.one()
@@ -489,10 +480,9 @@ def odd_part_reduction(
     root_factors = 0
     items: list[tuple[Monomial, int]] = []
     for k, rk in sorted(diag_multiplicities.items()):
-        items.append((Monomial.of(yvar(k, k)) * inst.antidiagonal(k), rk))
+        items.append((inst.diag_generator(k), rk))
     for A, sA in sorted(selector_multiplicities.items()):
-        inst.check_selector(A)
-        items.append((mu * inst.complement_monomial(A), sA))
+        items.append((inst.staircase_generator(A), sA))
     for gen, mult in items:
         if not mult:
             continue
@@ -528,9 +518,6 @@ class BettiTable:
     entries: dict[tuple[int, int], int]
     d: int
     g: int
-
-    def first_column_total(self) -> int:
-        return sum(v for (i, _), v in self.entries.items() if i == 1)
 
     def degree_counts(self) -> dict[int, int]:
         """Generator degrees with multiplicity: j -> beta_{1,j}."""

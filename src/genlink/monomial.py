@@ -12,7 +12,7 @@ Everything is an immutable value and safe to share between threads.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -95,9 +95,6 @@ class Monomial:
     def items(self) -> tuple[tuple[Variable, int], ...]:
         return self._exps
 
-    def as_dict(self) -> dict[Variable, int]:
-        return dict(self._exps)
-
     def exponent(self, var: Variable) -> int:
         for v, e in self._exps:
             if v == var:
@@ -135,28 +132,6 @@ class Monomial:
 
     def divides(self, other: "Monomial") -> bool:
         return all(other.exponent(v) >= e for v, e in self._exps)
-
-    def exact_div(self, other: "Monomial") -> "Monomial":
-        """Return self / other, raising if the quotient is not a monomial."""
-        if not other.divides(self):
-            raise ValueError(f"{other} does not divide {self}")
-        acc = dict(self._exps)
-        for v, e in other._exps:
-            acc[v] -= e
-        return Monomial._trusted(tuple((v, e) for v, e in acc.items() if e))
-
-    def gcd(self, other: "Monomial") -> "Monomial":
-        pairs = ((v, min(e, other.exponent(v))) for v, e in self._exps)
-        return Monomial._trusted(tuple((v, e) for v, e in pairs if e))
-
-    def lcm(self, other: "Monomial") -> "Monomial":
-        acc = dict(self._exps)
-        for v, e in other._exps:
-            acc[v] = max(acc.get(v, 0), e)
-        return Monomial._trusted(tuple(sorted(acc.items())))
-
-    def is_coprime(self, other: "Monomial") -> bool:
-        return self.support().isdisjoint(other.support())
 
     def canonical_key(self) -> tuple:
         """Universe-independent sort key (not a term order)."""
@@ -251,26 +226,6 @@ class Universe:
     def __contains__(self, var: Variable) -> bool:
         return var in self.index
 
-    def contains_monomial(self, mon: Monomial) -> bool:
-        return all(v in self.index for v, _ in mon.items())
-
     def product_of_variables(self) -> Monomial:
         """The squarefree product of every variable of the universe."""
         return Monomial.of(*self.variables)
-
-    def monomials_upto(self, max_degree: int) -> Iterator[Monomial]:
-        """All monomials over the universe of total degree at most ``max_degree``."""
-        vs = self.variables
-
-        def rec(i: int, budget: int, acc: list[tuple[Variable, int]]) -> Iterator[Monomial]:
-            if i == len(vs):
-                yield Monomial(tuple(acc))
-                return
-            for e in range(budget + 1):
-                if e:
-                    acc.append((vs[i], e))
-                yield from rec(i + 1, budget - e, acc)
-                if e:
-                    acc.pop()
-
-        yield from rec(0, max_degree, [])

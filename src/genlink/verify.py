@@ -51,10 +51,12 @@ class VerifyBounds:
     symbolic_upto: int = 3
     square_colon_rmax: int = 3
     witness_samples: int = 200
-    exhaustive_cap: int = 4000
 
 
 DEFAULT_BOUNDS = VerifyBounds()
+
+# The witness suite enumerates its inputs when there are at most this many.
+EXHAUSTIVE_CAP = 4000
 
 PASS, FAIL, REFUSED = "pass", "fail", "refused"
 
@@ -307,8 +309,7 @@ def verify_lead_terms(inst: LinkInstance, bounds: VerifyBounds = DEFAULT_BOUNDS)
                 for k, cols in enumerate(inst.column_sets, start=1)
                 for t in inst.minor_term_monomials(cols)
             ]
-            expected = Monomial.of(yvar(j, j)) * inst.antidiagonal(j)
-            rows_ok.append(max(candidates, key=key) == expected)
+            rows_ok.append(max(candidates, key=key) == inst.diag_generator(j))
         return all(rows_ok), {"rows": len(rows_ok), "minors": inst.r}
 
     return _run("leads", inst, {}, None, body)
@@ -335,7 +336,7 @@ def verify_witnesses(
         counts = {"antidiagonal": 0, "square": 0, "odd_part": 0}
 
         pairs = inst.r * len(inst.selectors)
-        if pairs <= bounds.exhaustive_cap:
+        if pairs <= EXHAUSTIVE_CAP:
             for cols in inst.column_sets:
                 for A in inst.selectors:
                     antidiagonal_divisor(inst, cols, A)
@@ -347,7 +348,7 @@ def verify_witnesses(
                 antidiagonal_divisor(inst, cols, A)
                 counts["antidiagonal"] += 1
 
-        square_inputs = _square_inputs(inst, r_max, rng, samples, bounds.exhaustive_cap)
+        square_inputs = _square_inputs(inst, r_max, rng, samples, EXHAUSTIVE_CAP)
         for diag, chain in square_inputs:
             square_divisor(inst, diag, chain)
             counts["square"] += 1

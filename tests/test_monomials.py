@@ -49,20 +49,6 @@ def test_mul_degree_and_divisibility(a, b):
     p = a * b
     assert p.degree() == a.degree() + b.degree()
     assert a.divides(p) and b.divides(p)
-    assert p.exact_div(a) == b
-
-
-@given(monomials, monomials)
-def test_gcd_lcm(a, b):
-    g, l = a.gcd(b), a.lcm(b)
-    assert g.divides(a) and g.divides(b)
-    assert a.divides(l) and b.divides(l)
-    assert g * l == a * b
-
-
-def test_exact_div_rejects_nondivisor():
-    with pytest.raises(ValueError):
-        Monomial.of(xvar(1, 1)).exact_div(Monomial.of(xvar(1, 2)))
 
 
 def test_universe_validation():
@@ -77,24 +63,15 @@ def test_universe_validation():
         Universe(2, 3, 0, 0, (yvar(1, 1),))
 
 
-def test_monomials_upto_count():
-    u = Universe.x_grid(1, 3)
-    # monomials of degree <= 2 in 3 variables: C(5,2) = 10
-    assert len(list(u.monomials_upto(2))) == 10
-
-
 @given(monomials, monomials, st.integers(min_value=0, max_value=3))
 def test_arithmetic_matches_validated_constructor(a, b, k):
-    # products, powers, quotients, lcm and gcd skip re-validation; each must
-    # equal the monomial the checking constructor builds from the same map
-    da, db = a.as_dict(), b.as_dict()
+    # products and powers skip re-validation; each must equal the monomial
+    # the checking constructor builds from the same map
+    da, db = dict(a.items()), dict(b.items())
     keys = da.keys() | db.keys()
     cases = [
         (a * b, {v: da.get(v, 0) + db.get(v, 0) for v in keys}),
         (a ** k, {v: e * k for v, e in da.items()}),
-        ((a * b).exact_div(b), da),
-        (a.lcm(b), {v: max(da.get(v, 0), db.get(v, 0)) for v in keys}),
-        (a.gcd(b), {v: min(da.get(v, 0), db.get(v, 0)) for v in keys}),
     ]
     for got, exps in cases:
         want = Monomial(exps)

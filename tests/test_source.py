@@ -1,6 +1,7 @@
 """Checks on the library source itself."""
 
 import ast
+from collections import defaultdict
 from pathlib import Path
 
 import genlink
@@ -15,3 +16,49 @@ def test_no_bare_assert_in_library():
         if isinstance(node, ast.Assert)
     ]
     assert not found, found
+
+
+def _public_definitions(tree):
+    """Module-level functions and classes not named with a leading
+    underscore, and the same kind of methods of those classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node
+            if isinstance(node, ast.ClassDef):
+                yield from (
+                    item for item in node.body
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+                )
+
+
+def _references(tree):
+    """(name, line) of every name, attribute name and imported name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            yield node.name.rpartition(".")[2], node.lineno
+
+
+def test_every_public_name_has_a_caller():
+    # A public name that only its own definition mentions is dead code.
+    root = Path(genlink.__file__).parent
+    repo = Path(__file__).resolve().parent.parent
+    callers = [root, repo / "tests", repo / "scripts", repo / "perfbench"]
+    trees = {
+        path: ast.parse(path.read_text(), filename=str(path))
+        for folder in callers for path in sorted(folder.glob("*.py"))
+    }
+    used = defaultdict(list)
+    for path, tree in trees.items():
+        for name, line in _references(tree):
+            used[name].append((path, line))
+    dead = []
+    for path in sorted(root.glob("*.py")):
+        for node in _public_definitions(trees[path]):
+            own = range(node.lineno, node.end_lineno + 1)
+            if all(where == path and line in own for where, line in used[node.name]):
+                dead.append(f"{path.name}:{node.lineno} {node.name}")
+    assert not dead, dead

@@ -120,6 +120,8 @@ def test_square_divisor_input_validation():
         square_divisor(inst, (2, 1, 3), ())  # not increasing
     with pytest.raises(ValueError):
         square_divisor(inst, (), ((3, 4), (2, 5), (2, 3)))  # unsorted chain
+    with pytest.raises(ValueError):
+        square_divisor(inst, (), ((1, 3),))  # not a selector
 
 
 def test_even_position_squares_divide_odd_chains():
@@ -171,3 +173,5 @@ def test_odd_part_mixed_multiset():
 def test_odd_part_rejects_even_total():
     with pytest.raises(ValueError):
         odd_part_reduction(LinkInstance(2, 4), {1: 2}, {})
+    with pytest.raises(ValueError):
+        odd_part_reduction(LinkInstance(2, 4), {}, {(1,): 1})  # not a selector
