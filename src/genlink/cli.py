@@ -17,6 +17,7 @@ output; verify reports additionally carry elapsed wall time.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import tempfile
@@ -158,7 +159,9 @@ def _cmd_compare(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="genlink",
         description="Exact monomial-ideal computations for the initial ideal "

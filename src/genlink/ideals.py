@@ -4,31 +4,32 @@ Ideals are kept as minimal generating sets (divisibility antichains).
 Operations: product, power, bracket power, colon, intersection, membership,
 minimal primes of squarefree ideals (minimal vertex covers of the support
 clutter), symbolic powers (a left fold over the minimal primes that lifts
-each generator into the next prime power), a symbolic-vs-ordinary scan, and
-the square-bracket colon criterion certifying symbolic = ordinary for
-squarefree ideals.
+each generator into the next prime power and reduces only the lifted
+ones), a symbolic-vs-ordinary scan, and the square-bracket colon criterion
+certifying symbolic = ordinary for squarefree ideals.
 
 An ideal holds its minimal generators once, as dense exponent vectors over
-the universe; their support bitmasks and :class:`Monomial` form are derived
-on first use. Every operation works on the vectors: monomials enter only
-through :func:`ideal`, :meth:`~MonomialIdeal.contains` and
-:meth:`~MonomialIdeal.symbolic_member`. Reduction to minimal generators
-scans small antichains pairwise, comparing exponents only where the support
-masks allow division, and switches to a bit-sliced divisor index once the
-antichain is large; the same index, built over an ideal's generators on
-first use, answers membership. All sizes here are desk scale; an explicit
-candidate cap guards against intersection blowup before anything is
-enumerated.
+the universe; their support bitmasks, :class:`Monomial` form and minimal
+primes are derived on first use. Every operation works on the vectors:
+monomials enter only through :func:`ideal`,
+:meth:`~MonomialIdeal.contains` and :meth:`~MonomialIdeal.symbolic_member`.
+Reduction to minimal generators scans small antichains pairwise on packed
+exponent words, one subtraction and one AND per pair, and switches to a
+bit-sliced divisor index once the antichain is large; the same index,
+built over an ideal's generators on first use, answers membership. All
+sizes here are desk scale; an explicit candidate cap guards against
+intersection blowup before anything is enumerated, and the index refuses
+exponents whose bitsets would not fit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations_with_replacement, groupby
+from itertools import chain, combinations_with_replacement, groupby, repeat
 from math import comb
-from operator import itemgetter
-from typing import Iterable, Sequence
+from operator import add, itemgetter
+from typing import Callable, Iterable, Sequence
 
 from .monomial import Monomial, Universe, Variable
 
@@ -52,6 +53,9 @@ class SizeGuardExceeded(RuntimeError):
 
 
 Vec = tuple[int, ...]
+# a minimal prime: its sorted vector positions, and a getter of the
+# exponents of a vector there
+_Prime = tuple[list[int], Callable[[Vec], Sequence[int]]]
 
 
 def _mask(vec: Vec) -> int:
@@ -62,11 +66,33 @@ def _mask(vec: Vec) -> int:
     return m
 
 
-def _vec_divides(a: Vec, b: Vec) -> bool:
-    for x, y in zip(a, b):
-        if x > y:
-            return False
-    return True
+def _packing(top: int, width: int) -> tuple[Callable[[Iterable[Vec]], list[int]], int]:
+    """Pack vectors with exponents at most ``top`` into ints; return the
+    packer, which packs a list of vectors, and the guard mask.
+
+    Each exponent takes a field of whole bytes, the first exponent the most
+    significant, wide enough to leave the field's top bit clear; a byte for
+    exponents below 128. ``guards`` has every field's top bit set. For
+    packed ``U`` and ``V``, ``v`` divides ``u`` iff
+    ``((U | guards) - V) & guards == guards``: no field of ``U | guards`` is
+    below its guard bit, so each field subtracts without borrowing from the
+    next and keeps its guard bit iff ``u`` is at least ``v`` there. Fields
+    have one width, so packed words order like the vectors.
+    """
+    size = (top.bit_length() + 8) // 8
+    guards = int.from_bytes((b"\x80" + bytes(size - 1)) * width, "big")
+    if size == 1:
+        return lambda vecs: list(map(int.from_bytes, map(bytes, vecs), repeat("big"))), guards
+
+    def pack(vecs: Iterable[Vec]) -> list[int]:
+        return [int.from_bytes(b"".join(e.to_bytes(size, "big") for e in v), "big") for v in vecs]
+    return pack, guards
+
+
+# An index keeps one bitset per variable and exponent up to the largest
+# exponent it holds. Above this exponent it refuses to be built, so its
+# memory does not grow with exponent size; _minimalize scans instead.
+_INDEX_MAX_EXPONENT = 255
 
 
 class _DivisorIndex:
@@ -78,7 +104,9 @@ class _DivisorIndex:
     ``below[k][min(v[k], top)]`` over k and stops once nothing is left, so
     it costs a few big-int ANDs instead of a pass over every vector.
     Vectors are added in batches; each batch's bitsets are built on bit 0
-    and shifted into place once.
+    and shifted into place once. A batch with an exponent above
+    ``_INDEX_MAX_EXPONENT`` raises :class:`SizeGuardExceeded` before
+    anything is allocated.
     """
 
     __slots__ = ("below", "size")
@@ -91,9 +119,16 @@ class _DivisorIndex:
     def add(self, vecs: Sequence[Vec]) -> None:
         if not vecs:
             return
+        tops = [max(exps) for exps in zip(*vecs)]
+        slices = max(tops, default=0) + 1
+        if slices > _INDEX_MAX_EXPONENT + 1:
+            raise SizeGuardExceeded(
+                f"divisor index would hold {slices} exponent slices per variable "
+                f"(cap {_INDEX_MAX_EXPONENT + 1})", slices,
+            )
         shift, old_all = self.size, (1 << self.size) - 1
-        for col, exps in zip(self.below, zip(*vecs)):
-            at = [0] * (max(exps) + 1)
+        for col, exps, top in zip(self.below, zip(*vecs), tops):
+            at = [0] * (top + 1)
             for i, e in enumerate(exps):
                 at[e] |= 1 << i
             acc = 0
@@ -119,45 +154,67 @@ class _DivisorIndex:
 
 # _minimalize switches from the pairwise scan to the index once the kept
 # antichain has more than this many members per variable. Measured on the
-# captured reduction inputs of the benchmark's symbolic-fold (156 calls,
-# median 14 candidates and 10 kept) and square-colon workloads, best of 15
-# interleaved runs, two sweeps, on a 2-core x86-64 VM under Python 3.11:
-#   switch at   1x: 18.3-18.7 / 9.1-9.7 ms    2x: 16.0-16.3 / 9.4-9.6 ms
-#               4x: 15.5-16.4 / 10.3-10.5 ms  8x: 15.4-15.8 / 12.8-12.9 ms
-#   scan only:      15.3-15.6 / 54.5-55.2 ms
+# captured reduction inputs of the benchmark's symbolic-fold (154 calls,
+# median 9 lifted candidates against a seed of 7) and square-colon (5 calls)
+# workloads, best of 15 interleaved runs, two sweeps, on a 2-core x86-64 VM
+# under Python 3.11, with the packed-word scan:
+#   switch at   1x: 14.7-15.1 / 8.3-8.5 ms   2x: 9.9-10.8 / 7.9-8.4 ms
+#               4x: 8.3-8.3 / 9.1-9.2 ms     8x: 8.4-10.0 / 10.2-10.4 ms
+#   scan only:      7.8-9.0 / 33.7-36.3 ms
 # Below the switch, building an index costs more than the scan it saves.
 _INDEX_PER_VARIABLE = 4
 
 
-def _minimalize(vecs: Iterable[Vec]) -> list[Vec]:
-    """Return the divisibility antichain generating the same ideal, sorted.
+def _minimalize(vecs: Iterable[Vec], seed: Sequence[Vec] = ()) -> list[Vec]:
+    """Reduce candidates against an antichain ``seed`` and each other.
 
-    Candidates are taken by degree, then support mask, and a candidate is
-    kept unless a kept vector divides it. While few are kept they are
-    scanned pairwise. Once more than ``_INDEX_PER_VARIABLE`` per variable
-    are kept, the kept vectors go into a :class:`_DivisorIndex` and the rest
-    are tested against it one degree at a time, each degree's survivors
-    added in one batch: distinct vectors of equal degree never divide each
-    other, so a degree only needs the kept vectors of lower degree.
+    ``seed`` must be an antichain that no candidate divides; the result is
+    ``seed`` followed by the candidates that no seed vector and no other
+    candidate divides, in order of degree, then exponents in vector order.
+    Candidates are taken in that order, and a candidate is kept unless a
+    kept vector divides it; while few are kept they are scanned pairwise on
+    packed words (see :func:`_packing`). Once more than
+    ``_INDEX_PER_VARIABLE`` per variable are kept, the kept vectors go into
+    a :class:`_DivisorIndex` and the rest are tested against it one degree
+    at a time, each degree's survivors added in one batch: distinct vectors
+    of equal degree never divide each other, so a degree only needs the
+    kept vectors of lower degree. Exponents above ``_INDEX_MAX_EXPONENT``
+    keep the scan throughout.
     """
-    items = sorted((sum(v), _mask(v), v) for v in set(vecs))
-    switch = _INDEX_PER_VARIABLE * len(items[0][2]) if items else 0
-    kept: list[tuple[int, Vec]] = []
-    for pos, (_, mask, vec) in enumerate(items):
-        if not any(km & mask == km and _vec_divides(kv, vec) for km, kv in kept):
-            kept.append((mask, vec))
+    items = sorted((sum(v), v) for v in set(vecs))
+    kept = list(seed)
+    if not items:
+        return kept
+    candidates = [v for _, v in items]
+    width = len(candidates[0])
+    top = max(items[-1][0], max(map(sum, kept), default=0))  # bounds every exponent
+    switch = _INDEX_PER_VARIABLE * width
+    if top > _INDEX_MAX_EXPONENT and max(map(max, chain(kept, candidates))) > _INDEX_MAX_EXPONENT:
+        switch = len(kept) + len(candidates)  # the index would refuse: scan throughout
+    if len(kept) > switch:
+        return _minimalize_indexed(kept, items)
+    pack, guards = _packing(top, width)
+    words = pack(kept)
+    for pos, (vec, word) in enumerate(zip(candidates, pack(candidates))):
+        guarded = word | guards
+        for k in words:
+            if (guarded - k) & guards == guards:
+                break
+        else:
+            kept.append(vec)
             if len(kept) > switch:
-                return _minimalize_indexed([kv for _, kv in kept], items[pos + 1:])
-    return [vec for _, vec in kept]
+                return _minimalize_indexed(kept, items[pos + 1:])
+            words.append(word)
+    return kept
 
 
-def _minimalize_indexed(kept: list[Vec], items: list[tuple[int, int, Vec]]) -> list[Vec]:
-    """Extend ``kept`` by the vectors of ``items`` that no kept vector and no
-    earlier item divides; ``items`` are sorted by degree, none below the
-    degree of a kept vector."""
+def _minimalize_indexed(kept: list[Vec], items: list[tuple[int, Vec]]) -> list[Vec]:
+    """Extend ``kept`` by the vectors of ``(degree, vector)`` ``items`` that
+    no kept vector and no earlier item divides; ``items`` are sorted by
+    degree, and none divides a kept vector."""
     index = _DivisorIndex(len(kept[0]), kept)
     for _, group in groupby(items, key=itemgetter(0)):
-        survivors = [vec for _, _, vec in group if not index.divides_some(vec)]
+        survivors = [vec for _, vec in group if not index.divides_some(vec)]
         index.add(survivors)
         kept += survivors
     return kept
@@ -306,54 +363,72 @@ class MonomialIdeal:
         (Herzog-Hibi-Trung). The intersection is a left fold from the unit
         ideal over the primes in :meth:`minimal_primes` order. Each step
         lifts the current antichain into ``P^level``: a generator ``u`` of
-        P-degree ``d >= level`` stays, any other ``u`` becomes ``u * w`` for
-        every degree-``(level - d)`` monomial ``w`` in P's variables, which
-        generates ``(u) ∩ P^level``; the candidates are then reduced.
+        P-degree ``d >= level`` is kept as it is, any other ``u`` becomes
+        ``u * w`` for every degree-``(level - d)`` monomial ``w`` in P's
+        variables, which generates ``(u) ∩ P^level``. Only the lifted
+        candidates are reduced, against the kept generators and each other:
+        no lifted ``u * w`` divides a kept ``v``, since then ``u`` would
+        divide ``v`` in the previous antichain.
 
-        Before a step enumerates anything the guard refuses when its
-        candidate count times the current antichain size exceeds ``cap``.
-        That is the cost of a pairwise reduction; above the index switch of
-        :func:`_minimalize` a step costs less, but the bound is kept so that
-        refusals do not depend on how reduction is done.
+        Before a step enumerates anything the guard refuses when its lifted
+        count times the current antichain size exceeds ``cap``: the cost of
+        reducing each lifted candidate pairwise against an antichain of
+        that size. Kept generators are not counted, as they are not
+        reduced. Above the index switch of :func:`_minimalize` a step costs
+        less, but the bound is kept so that refusals do not depend on how
+        reduction is done.
         """
         if level < 1:
             raise ValueError("symbolic power needs level >= 1")
-        current: list[Vec] = [(0,) * len(self.universe)]
-        for cols in self._prime_columns():
-            deficits = [max(level - sum(u[c] for c in cols), 0) for u in current]
-            count = sum(comb(e + len(cols) - 1, e) for e in deficits)
-            work = count * len(current)
+        width = len(self.universe)
+        current: list[Vec] = [(0,) * width]
+        for cols, on_prime in self._prime_columns:
+            kept, short = [], []
+            for u in current:
+                deficit = level - sum(on_prime(u))
+                if deficit > 0:
+                    short.append((u, deficit))
+                else:
+                    kept.append(u)
+            lifted = sum(comb(e + len(cols) - 1, e) for _, e in short)
+            work = lifted * len(current)
             if work > cap:
                 raise SizeGuardExceeded(
-                    f"symbolic power step would reduce {count} candidates against "
-                    f"{len(current)} generators, about {work} comparisons (cap {cap})",
+                    f"symbolic power step would reduce {lifted} lifted candidates "
+                    f"against {len(current)} generators, about {work} comparisons "
+                    f"(cap {cap})",
                     work,
                 )
             # a degree-e monomial in P's variables is a multiset of e columns
-            lifts = {e: list(combinations_with_replacement(cols, e)) for e in set(deficits) if e}
-            candidates = []
-            for u, e in zip(current, deficits):
-                if not e:
-                    candidates.append(u)
-                    continue
-                for w in lifts[e]:
-                    lifted = list(u)
+            lifts = {}
+            for e in {e for _, e in short}:
+                lifts[e] = []
+                for w in combinations_with_replacement(cols, e):
+                    step = [0] * width
                     for c in w:
-                        lifted[c] += 1
-                    candidates.append(tuple(lifted))
-            current = _minimalize(candidates)
+                        step[c] += 1
+                    lifts[e].append(step)
+            candidates = [tuple(map(add, u, step)) for u, e in short for step in lifts[e]]
+            current = _minimalize(candidates, kept)
         return _from_vecs(self.universe, current)
 
     def symbolic_member(self, mon: Monomial, level: int) -> bool:
         """Membership in the level-th symbolic power via per-prime degree sums."""
         if level < 1:
             raise ValueError("symbolic power needs level >= 1")
-        return _in_symbolic_power(_to_vec(self.universe, mon), self._prime_columns(), level)
+        return _in_symbolic_power(_to_vec(self.universe, mon), self._prime_columns, level)
 
-    def _prime_columns(self) -> list[list[int]]:
-        """Each minimal prime as its sorted vector positions."""
+    @cached_property
+    def _prime_columns(self) -> list[_Prime]:
+        """The minimal primes as vector positions and getters, found once."""
         idx = self.universe.index
-        return [sorted(idx[v] for v in prime) for prime in self.minimal_primes()]
+        out = []
+        for prime in self.minimal_primes():
+            cols = sorted(idx[v] for v in prime)
+            # itemgetter of one position returns a bare exponent, a slice a tuple
+            at = itemgetter(*cols) if len(cols) > 1 else itemgetter(slice(cols[0], cols[0] + 1))
+            out.append((cols, at))
+        return out
 
 
 def ideal(universe: Universe, gens: Iterable[Monomial]) -> MonomialIdeal:
@@ -384,7 +459,7 @@ def first_symbolic_gap(
     ordinary generators against the minimal primes, found once, and a
     generator that fails it raises :class:`AssertionError`.
     """
-    columns = W._prime_columns()
+    columns = W._prime_columns
     for level in range(1, upto + 1):
         power = W.power(level, cap=cap)
         for v in power.vecs:
@@ -428,9 +503,9 @@ def square_colon_scan(
 # -- internals ---------------------------------------------------------------
 
 
-def _in_symbolic_power(vec: Vec, columns: Iterable[Sequence[int]], level: int) -> bool:
+def _in_symbolic_power(vec: Vec, columns: Iterable[_Prime], level: int) -> bool:
     """True iff ``vec`` has degree at least ``level`` on every prime's columns."""
-    return all(sum(vec[c] for c in cols) >= level for cols in columns)
+    return all(sum(on_prime(vec)) >= level for _, on_prime in columns)
 
 
 def _to_vec(universe: Universe, mon: Monomial) -> Vec:

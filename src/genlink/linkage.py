@@ -131,17 +131,27 @@ class LinkInstance:
             raise ValueError(f"columns out of range: {cols}")
         return Monomial.of(*(xvar(self.m - i + 1, cols[i - 1]) for i in range(1, self.m + 1)))
 
-    @cached_property
-    def diag_y_product(self) -> Monomial:
-        return Monomial.of(*(yvar(j, j) for j in range(1, self.g + 1)))
-
     def diag_generator(self, j: int) -> Monomial:
         """Y[j,j] * antidiagonal(j), the lead term of the j-th row combination."""
-        return Monomial.of(yvar(j, j)) * self.antidiagonal(j)
+        if not (1 <= j <= self.g):
+            raise ValueError(f"antidiagonal index out of range: {j}")
+        return self._diag_generators[j - 1]
+
+    @cached_property
+    def _diag_generators(self) -> tuple[Monomial, ...]:
+        return tuple(
+            Monomial.of(yvar(j, j)) * self.antidiagonal(j) for j in range(1, self.g + 1)
+        )
 
     def staircase_generator(self, A: Selector) -> Monomial:
         """mu * beta(A), mu the product of the diagonal Y variables."""
-        return self.diag_y_product * self.complement_monomial(A)
+        self.check_selector(A)
+        return self._staircase_generators[A]
+
+    @cached_property
+    def _staircase_generators(self) -> dict[Selector, Monomial]:
+        mu = Monomial.of(*(yvar(j, j) for j in range(1, self.g + 1)))
+        return {A: mu * beta for A, beta in self._complements.items()}
 
     @cached_property
     def all_variables_product(self) -> Monomial:

@@ -18,6 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, islice
 from math import comb, factorial
+from operator import add
 from typing import Callable, Iterable
 
 from .ideals import (
@@ -138,15 +139,15 @@ def verify_colon_link(inst: LinkInstance, bounds: VerifyBounds = DEFAULT_BOUNDS)
         minors = inst.minors_initial
         claimed = inst.link_initial
         computed = seq.colon(minors, cap=bounds.candidate_cap)
-        set_equal = set(computed.gens) == set(claimed.gens)
+        set_equal = set(computed.vecs) == set(claimed.vecs)
         claimed_in_colon = all(
-            all(seq.contains(t * v) for v in minors.gens) for t in claimed.gens
+            seq._divides_into(tuple(map(add, t, v))) for t in claimed.vecs for v in minors.vecs
         )
-        computed_in_claimed = all(claimed.contains(c) for c in computed.gens)
+        computed_in_claimed = all(claimed._divides_into(c) for c in computed.vecs)
         ok = set_equal and claimed_in_colon and computed_in_claimed
         return ok, {
-            "computed_generators": len(computed.gens),
-            "claimed_generators": len(claimed.gens),
+            "computed_generators": len(computed.vecs),
+            "claimed_generators": len(claimed.vecs),
             "set_equal": set_equal,
             "claimed_in_colon": claimed_in_colon,
             "computed_in_claimed": computed_in_claimed,
@@ -302,13 +303,14 @@ def verify_lead_terms(inst: LinkInstance, bounds: VerifyBounds = DEFAULT_BOUNDS)
         if work > 500_000:
             raise SizeGuardExceeded(f"lead-term scan would compare {work} monomials", work)
         key = DiagLexOrder().key
+        terms = [
+            (k, t)
+            for k, cols in enumerate(inst.column_sets, start=1)
+            for t in inst.minor_term_monomials(cols)
+        ]
         rows_ok = []
         for j in range(1, inst.g + 1):
-            candidates = [
-                Monomial.of(yvar(j, k)) * t
-                for k, cols in enumerate(inst.column_sets, start=1)
-                for t in inst.minor_term_monomials(cols)
-            ]
+            candidates = [Monomial.of(yvar(j, k)) * t for k, t in terms]
             rows_ok.append(max(candidates, key=key) == inst.diag_generator(j))
         return all(rows_ok), {"rows": len(rows_ok), "minors": inst.r}
 

@@ -1,4 +1,5 @@
 import json
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -132,3 +133,18 @@ def test_no_partial_file_on_failure(tmp_path, triangle_file):
     assert main(["compare", triangle_file, "--op", "colon", "--out", str(target)]) == 2
     assert not target.exists()
     assert not any(p.name.startswith(".tmp-genlink-") for p in tmp_path.iterdir())
+
+
+def test_compare_product_with_a_huge_exponent(tmp_path, capsys):
+    # 22 generators outgrow the index switch of 4 variables; an index over
+    # the exponent 2^40 would allocate 2^40 bitsets, so the reduction scans
+    u = Universe.x_grid(1, 4)
+    x11 = Monomial.of(xvar(1, 1))
+    gens = [Monomial.of(*c) for c in combinations_with_replacement([xvar(1, j) for j in (1, 2, 3)], 5)]
+    gens.append(Monomial({xvar(1, 4): 2**40}))
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(ideal_to_json(ideal(u, gens)))
+    b.write_text(ideal_to_json(ideal(u, [x11])))
+    assert main(["compare", str(a), str(b), "--op", "product"]) == 0
+    got = {frozenset(g.items()) for g in json.loads(capsys.readouterr().out)["generators"]}
+    assert got == {frozenset((str(v), e) for v, e in (g * x11).items()) for g in gens}

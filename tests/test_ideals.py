@@ -163,11 +163,71 @@ def degree_bands(draw, squarefree):
     return width, vecs
 
 
+def reduction_order(vec):
+    # _minimalize returns its antichain by degree, then exponents in vector
+    # order; the scan reference sorts by degree, then support mask
+    return sum(vec), vec
+
+
+def scan_reference(vecs):
+    return sorted(scan_minimalize(vecs), key=reduction_order)
+
+
 @given(st.booleans().flatmap(degree_bands))
 @settings(max_examples=120, deadline=None)
 def test_minimalize_matches_scan_reference(band):
     _, vecs = band
-    assert _minimalize(vecs) == scan_minimalize(vecs)
+    assert _minimalize(vecs) == scan_reference(vecs)
+
+
+def assert_seeded_matches_scan(vecs, cut):
+    # The seed is the antichain of the first ``cut`` vectors; candidates
+    # dividing a seed vector are dropped, as _minimalize requires.
+    seed = scan_minimalize(vecs[:cut])
+    candidates = [c for c in vecs[cut:] if not any(vec_divides_some([c], s) for s in seed)]
+    got = _minimalize(candidates, seed)
+    assert got[:len(seed)] == seed
+    assert got[len(seed):] == [v for v in scan_reference(seed + candidates) if v not in seed]
+
+
+@given(st.booleans().flatmap(degree_bands), st.integers(min_value=0, max_value=400))
+@settings(max_examples=80, deadline=None)
+def test_minimalize_with_seed_matches_scan_reference(band, cut):
+    _, vecs = band
+    assert_seeded_matches_scan(vecs, cut)
+
+
+# byte fields end at 127; 2^40 would need 2^40 index slices per variable
+WIDE_EXPONENTS = st.sampled_from([0, 1, 2, 127, 128, 255, 256, 2**40])
+
+
+@given(
+    st.integers(min_value=1, max_value=4).flatmap(
+        # at most 4 vectors per variable, so the scan never reaches the index
+        lambda width: st.lists(st.tuples(*[WIDE_EXPONENTS] * width), max_size=4 * width)
+    ),
+    st.integers(min_value=0, max_value=16),
+)
+@settings(max_examples=200)
+def test_minimalize_packs_wide_exponents(vecs, cut):
+    assert _minimalize(vecs) == scan_reference(vecs)
+    assert_seeded_matches_scan(vecs, cut)
+
+
+def test_minimalize_scans_past_the_switch_above_the_index_exponent(monkeypatch):
+    monkeypatch.setattr(ideals, "_minimalize_indexed", None)  # must not be reached
+    level5 = [(a, b, 5 - a - b, 0) for a in range(6) for b in range(6 - a)]  # 21 vectors
+    vecs = level5 + [(0, 0, 0, 2**40), (1, 0, 0, 2**40), (0, 0, 6, 0)]
+    assert _minimalize(vecs) == scan_reference(vecs)
+    assert len(_minimalize(vecs)) == 22
+
+
+def test_divisor_index_refuses_exponents_above_its_cap():
+    W = ideal(U4, [Monomial({xvar(1, 4): 2**40}), mono(X1)])
+    with pytest.raises(SizeGuardExceeded) as refused:
+        W.contains(mono(X2))
+    assert refused.value.estimate == 2**40 + 1
+    assert ideal(U4, [Monomial({xvar(1, 4): 255}), mono(X1)]).contains(Monomial({xvar(1, 4): 256}))
 
 
 def test_minimalize_switches_after_four_kept_per_variable(monkeypatch):
@@ -184,7 +244,7 @@ def test_minimalize_switches_after_four_kept_per_variable(monkeypatch):
     for size, switched in ((12, False), (13, True)):
         entered.clear()
         vecs = level4[:size] + [top]
-        assert _minimalize(vecs) == scan_minimalize(vecs)
+        assert _minimalize(vecs) == scan_reference(vecs)
         assert entered == ([size] if switched else [])
 
 
@@ -194,7 +254,7 @@ def test_minimalize_matches_scan_on_link_powers_3_5():
     for _ in range(2, 6):
         candidates = [tuple(map(add, u, v)) for u in power.vecs for v in W.vecs]
         got = _minimalize(candidates)
-        assert got == scan_minimalize(candidates)
+        assert got == scan_reference(candidates)
         reached += len(got) > 4 * len(W.universe)
         power = power.product(W)
     assert reached >= 2  # W^4 and W^5 reduce through the index
@@ -417,8 +477,9 @@ def test_first_symbolic_gap_finds_primes_once_per_symbolic_power(monkeypatch):
 
     monkeypatch.setattr(MonomialIdeal, "minimal_primes", counting)
     assert first_symbolic_gap(LinkInstance(2, 4).link_initial, 2) is None
-    # one for the ordinary-power check, one per symbolic power built
-    assert len(calls) == 3
+    # once per ideal: the ordinary-power check and both symbolic powers
+    # read the same cached prime columns
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("level", [1, 2, 3])
@@ -431,6 +492,17 @@ def test_symbolic_power_matches_pairwise_reference(level):
                     continue
                 want = pairwise_symbolic_power(W.minimal_primes(), level)
                 assert set(W.symbolic_power(level).gens) == want, (m, n)
+
+
+@pytest.mark.parametrize("m, level", [(2, 2), (3, 2), (2, 3), (3, 3)])
+def test_symbolic_power_matches_pairwise_reference_at_n_6(m, level):
+    inst = LinkInstance(m, 6)
+    subjects = [inst.staircase_ideal]
+    if level == 2:  # at level 3 the pairwise reference needs 5-10 s for iniJ
+        subjects.append(inst.link_initial)
+    for W in subjects:
+        want = pairwise_symbolic_power(W.minimal_primes(), level)
+        assert set(W.symbolic_power(level).gens) == want
 
 
 def test_symbolic_power_matches_pairwise_reference_at_4_6():
@@ -511,11 +583,11 @@ def test_symbolic_power_guard_refuses_quadratic_step():
 
 
 def test_symbolic_power_guard_admits_4_7_at_level_2():
-    # The largest step of iniJ(4,7) at level 2 reduces candidates against the
-    # antichain in 63,244 comparisons, well inside the default cap.
+    # The largest step of iniJ(4,7) at level 2 reduces its lifted candidates
+    # against the antichain in 31,816 comparisons, well inside the default cap.
     W = LinkInstance(4, 7).link_initial
-    assert 63_244 < DEFAULT_CANDIDATE_CAP
-    assert len(W.symbolic_power(2, cap=63_244).gens) == 174
+    assert 31_816 < DEFAULT_CANDIDATE_CAP
+    assert len(W.symbolic_power(2, cap=31_816).gens) == 174
     with pytest.raises(SizeGuardExceeded) as refused:
-        W.symbolic_power(2, cap=63_243)
-    assert refused.value.estimate == 63_244
+        W.symbolic_power(2, cap=31_815)
+    assert refused.value.estimate == 31_816
