@@ -161,7 +161,13 @@ def _cmd_compare(args) -> int:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process; parsing leaves it unchanged."""
+    """The argument parser, built once per process; parsing leaves it unchanged.
+
+    The cache saves about 1 ms per :func:`main` call, so it helps only
+    callers that run :func:`main` many times in one process (the tests,
+    ``perfbench``); a one-shot ``genlink`` run builds the parser once
+    either way.
+    """
     parser = argparse.ArgumentParser(
         prog="genlink",
         description="Exact monomial-ideal computations for the initial ideal "

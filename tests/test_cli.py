@@ -148,3 +148,16 @@ def test_compare_product_with_a_huge_exponent(tmp_path, capsys):
     assert main(["compare", str(a), str(b), "--op", "product"]) == 0
     got = {frozenset(g.items()) for g in json.loads(capsys.readouterr().out)["generators"]}
     assert got == {frozenset((str(v), e) for v, e in (g * x11).items()) for g in gens}
+
+
+def test_compare_refuses_a_large_product_with_a_huge_exponent(tmp_path, capsys):
+    # 301 generators load (301 * 301 pairs scanned), but their product with
+    # (x[1,1], x[1,4]) would scan 602 distinct candidates against up to 602
+    u = Universe.x_grid(1, 4)
+    gens = [Monomial.of(*c) for c in combinations_with_replacement([xvar(1, j) for j in (1, 2, 3)], 23)]
+    gens.append(Monomial({xvar(1, 4): 2**40}))
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(ideal_to_json(ideal(u, gens)))
+    b.write_text(ideal_to_json(ideal(u, [Monomial.of(xvar(1, 1)), Monomial.of(xvar(1, 4))])))
+    assert main(["compare", str(a), str(b), "--op", "product"]) == 3
+    assert "about 362404 comparisons" in capsys.readouterr().err

@@ -222,6 +222,24 @@ def test_minimalize_scans_past_the_switch_above_the_index_exponent(monkeypatch):
     assert len(_minimalize(vecs)) == 22
 
 
+def test_minimalize_refuses_a_long_scan_above_the_index_exponent():
+    # with no index to fall back on, the scan refuses before it starts when
+    # candidates times (seed + candidates) exceeds the cap
+    level5 = [(a, b, 5 - a - b, 0) for a in range(6) for b in range(6 - a)]  # 21 vectors
+    huge = level5 + [(0, 0, 0, 2**40)]
+    with pytest.raises(SizeGuardExceeded) as refused:
+        _minimalize(huge, cap=22 * 22 - 1)
+    assert refused.value.estimate == 22 * 22
+    assert len(_minimalize(huge, cap=22 * 22)) == 22
+    seed, candidates = huge[:10], huge[10:]
+    with pytest.raises(SizeGuardExceeded) as refused:
+        _minimalize(candidates, seed, cap=12 * 22 - 1)
+    assert refused.value.estimate == 12 * 22
+    assert _minimalize(candidates, seed, cap=12 * 22) == seed + scan_reference(candidates)
+    # up to the index exponent the index takes over and the cap is not consulted
+    assert len(_minimalize(level5 + [(0, 0, 0, 255)], cap=1)) == 22
+
+
 def test_divisor_index_refuses_exponents_above_its_cap():
     W = ideal(U4, [Monomial({xvar(1, 4): 2**40}), mono(X1)])
     with pytest.raises(SizeGuardExceeded) as refused:
@@ -583,8 +601,8 @@ def test_symbolic_power_guard_refuses_quadratic_step():
 
 
 def test_symbolic_power_guard_admits_4_7_at_level_2():
-    # The largest step of iniJ(4,7) at level 2 reduces its lifted candidates
-    # against the antichain in 31,816 comparisons, well inside the default cap.
+    # The largest step of iniJ(4,7) at level 2 has lifted candidates times
+    # antichain size 31,816, well inside the default cap.
     W = LinkInstance(4, 7).link_initial
     assert 31_816 < DEFAULT_CANDIDATE_CAP
     assert len(W.symbolic_power(2, cap=31_816).gens) == 174
