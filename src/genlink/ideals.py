@@ -10,16 +10,19 @@ certifying symbolic = ordinary for squarefree ideals.
 
 An ideal holds its minimal generators once, as dense exponent vectors over
 the universe; their support bitmasks, :class:`Monomial` form and minimal
-primes are derived on first use. Every operation works on the vectors:
-monomials enter only through :func:`ideal`,
-:meth:`~MonomialIdeal.contains` and :meth:`~MonomialIdeal.symbolic_member`.
-Reduction to minimal generators scans small antichains pairwise on packed
-exponent words, one subtraction and one AND per pair, and switches to a
-bit-sliced divisor index once the antichain is large; the same index,
-built over an ideal's generators on first use, answers membership. All
-sizes here are desk scale; an explicit candidate cap guards against
-intersection blowup before anything is enumerated, and the index refuses
-exponents whose bitsets would not fit.
+primes are derived on first use. Monomials enter only through
+:func:`ideal`, :meth:`~MonomialIdeal.contains` and
+:meth:`~MonomialIdeal.symbolic_member`. The pairwise kernels work on packed
+exponent words (see :func:`_packing`): product, intersection and the
+quotients of a colon combine each pair of generators in a few big-int
+operations and unpack only the distinct results. Reduction to minimal
+generators scans small antichains pairwise on the same words, one
+subtraction and one AND per pair, and switches to a bit-sliced divisor
+index once the antichain is large; the same index, built over an ideal's
+generators on first use, answers membership. All sizes here are desk
+scale; an explicit candidate cap guards against intersection blowup before
+anything is enumerated, and the index refuses exponents whose bitsets
+would not fit.
 """
 
 from __future__ import annotations
@@ -63,32 +66,61 @@ def _mask(vec: Vec) -> int:
     return m
 
 
-def _packing(top: int, width: int) -> tuple[Callable[[Iterable[Vec]], list[int]], int]:
-    """Pack vectors with exponents at most ``top`` into ints; return the
-    packer, which packs a list of vectors, and the guard mask.
+def _packing(top: int, width: int) -> tuple[
+    Callable[[Iterable[Vec]], list[int]], Callable[[Iterable[int]], list[Vec]], int, int
+]:
+    """The word format for vectors with exponents at most ``top``: return
+    the packer, which packs vectors into ints, its inverse, the guard mask
+    ``G`` and the shift ``s`` from a field's guard bit to its lowest bit.
 
-    Each exponent takes a field of whole bytes, the first exponent the most
-    significant, wide enough to leave the field's top bit clear; a byte for
-    exponents below 128. ``guards`` has every field's top bit set. For
-    packed ``U`` and ``V``, ``v`` divides ``u`` iff
-    ``((U | guards) - V) & guards == guards``: no field of ``U | guards`` is
-    below its guard bit, so each field subtracts without borrowing from the
-    next and keeps its guard bit iff ``u`` is at least ``v`` there. Fields
-    have one width, so packed words order like the vectors.
+    Each exponent takes a field of whole bytes, ``size`` of them, the first
+    exponent the most significant, wide enough to leave the field's top
+    bit clear; a byte for exponents below 128. ``G`` has every field's top
+    bit set and ``s = 8 * size - 1``. For packed ``U`` and ``V``, no field
+    of ``U | G`` is below its guard bit, so ``(U | G) - V`` subtracts each
+    field without borrowing from the next and keeps its guard bit iff
+    ``u >= v`` there. Hence, with ``ge = ((U | G) - V) & G`` and
+    ``fill = ge - (ge >> s)``, the value bits of the fields where
+    ``u >= v``:
+
+    - ``v`` divides ``u`` iff ``ge == G``;
+    - ``U + V`` packs ``u * v``, if ``top`` bounds its exponents too;
+    - ``V ^ ((U ^ V) & fill)`` packs ``lcm(u, v)``;
+    - ``((U | G) - V) & fill`` packs ``max(u - v, 0)``.
+
+    Fields have one width, so packed words order like the vectors.
     """
     size = (top.bit_length() + 8) // 8
     guards = int.from_bytes((b"\x80" + bytes(size - 1)) * width, "big")
+    shift = 8 * size - 1
     # One-byte fields pack through bytes(), about 6x faster per vector than
     # the general packer. With the general packer alone the benchmark's
     # wall_s rose from 0.0133 to 0.0203 s on symbolic-fold and from 0.0197
     # to 0.0233 s on square-colon (medians of 5 alternating pairs each,
     # every pair slower; 2-core x86-64 VM, Python 3.11).
     if size == 1:
-        return lambda vecs: list(map(int.from_bytes, map(bytes, vecs), repeat("big"))), guards
+        def pack(vecs: Iterable[Vec]) -> list[int]:
+            return list(map(int.from_bytes, map(bytes, vecs), repeat("big")))
+
+        def unpack(words: Iterable[int]) -> list[Vec]:
+            return [tuple(w.to_bytes(width, "big")) for w in words]
+        return pack, unpack, guards, shift
 
     def pack(vecs: Iterable[Vec]) -> list[int]:
         return [int.from_bytes(b"".join(e.to_bytes(size, "big") for e in v), "big") for v in vecs]
-    return pack, guards
+
+    def unpack(words: Iterable[int]) -> list[Vec]:
+        out = []
+        for w in words:
+            raw = w.to_bytes(size * width, "big")
+            out.append(tuple(int.from_bytes(raw[i:i + size], "big") for i in range(0, len(raw), size)))
+        return out
+    return pack, unpack, guards, shift
+
+
+def _top(vecs: Iterable[Vec]) -> int:
+    """The largest exponent in ``vecs``, 0 if there is none."""
+    return max(chain.from_iterable(vecs), default=0)
 
 
 # An index keeps one bitset per variable and exponent up to the largest
@@ -207,7 +239,7 @@ def _minimalize(
             )
     if len(kept) > switch:
         return _minimalize_indexed(kept, items)
-    pack, guards = _packing(top, width)
+    pack, _, guards, _ = _packing(top, width)
     words = pack(kept)
     for pos, (vec, word) in enumerate(zip(candidates, pack(candidates))):
         guarded = word | guards
@@ -297,7 +329,9 @@ class MonomialIdeal:
         self._same_universe(other)
         a, b = self.vecs, other.vecs
         _check_cap(len(a) * len(b), cap, "product")
-        candidates = [tuple(x + y for x, y in zip(u, v)) for u in a for v in b]
+        pack, unpack, _, _ = _packing(_top(a) + _top(b), len(self.universe))
+        words = pack(b)
+        candidates = unpack({u + v for u in pack(a) for v in words})
         return _from_vecs(self.universe, _minimalize(candidates, cap=cap))
 
     def power(self, s: int, cap: int = DEFAULT_CANDIDATE_CAP) -> "MonomialIdeal":
@@ -338,11 +372,16 @@ class MonomialIdeal:
         self._same_universe(other)
         if other.is_zero():
             raise ValueError("colon by the zero ideal")
+        pack, unpack, guards, shift = _packing(
+            max(_top(self.vecs), _top(other.vecs)), len(self.universe)
+        )
+        guarded = [u | guards for u in pack(self.vecs)]
         pieces = []
-        for v in other.vecs:
-            pieces.append(_minimalize(
-                (tuple(max(x - y, 0) for x, y in zip(u, v)) for u in self.vecs), cap=cap
-            ))
+        for v in pack(other.vecs):
+            diffs = [g - v for g in guarded]
+            # max(u - v, 0) for every u, see _packing
+            quotients = {d & ((ge := d & guards) - (ge >> shift)) for d in diffs}
+            pieces.append(_minimalize(unpack(quotients), cap=cap))
         folded = _tree_fold_intersect(pieces, cap)
         return _from_vecs(self.universe, folded)
 
@@ -565,17 +604,26 @@ def _check_cap(count: int, cap: int, what: str) -> None:
 
 def _intersect_vecs(a: Sequence[Vec], b: Sequence[Vec], cap: int) -> list[Vec]:
     _check_cap(len(a) * len(b), cap, "intersection")
-    candidates = [tuple(max(x, y) for x, y in zip(u, v)) for u in a for v in b]
-    return _minimalize(candidates, cap=cap)
+    if not a or not b:
+        return []
+    pack, unpack, guards, shift = _packing(max(_top(a), _top(b)), len(a[0]))
+    words = pack(b)
+    # lcm(u, v) for every pair, see _packing
+    lcms = {
+        v ^ ((u ^ v) & ((ge := ((u | guards) - v) & guards) - (ge >> shift)))
+        for u in pack(a) for v in words
+    }
+    return _minimalize(unpack(lcms), cap=cap)
 
 
 def _tree_fold_intersect(pieces: list[list[Vec]], cap: int) -> list[Vec]:
     """Intersect many generator lists pairwise in a balanced tree.
 
     Used by :meth:`MonomialIdeal.colon` only. There it measured faster than
-    a left fold: 0.171 s against 0.288 s, summed over the 26 link colons
-    (iniA : iniI) of the benchmark's ``breadth`` workload. Symbolic powers
-    use per-prime lifting instead, which needs no pairwise enumeration.
+    a left fold: 53-63 ms against 97-99 ms, summed over the 26 link colons
+    (iniA : iniI) of the benchmark's ``breadth`` workload (best of 15, two
+    runs, 2-core x86-64 VM, Python 3.11). Symbolic powers use per-prime
+    lifting instead, which needs no pairwise enumeration.
     """
     if not pieces:
         raise ValueError("nothing to intersect")
@@ -602,7 +650,16 @@ def _minimal_covers(edges: list[int]) -> list[int]:
 
     def rec(remaining: list[int], included: int, excluded: int) -> None:
         if not remaining:
-            results.add(included)
+            # Irredundant branching can still reach non-minimal covers. A
+            # cover is minimal iff each of its vertices is the only one it
+            # has on some edge.
+            private = 0
+            for e in edges:
+                hit = e & included
+                if not hit & (hit - 1):
+                    private |= hit
+            if private == included:
+                results.add(included)
             return
         edge = remaining[0]
         if edge & excluded == edge and not edge & included:
@@ -615,9 +672,4 @@ def _minimal_covers(edges: list[int]) -> list[int]:
             banned |= v
 
     rec(edges, 0, 0)
-    # Irredundant branching can still emit non-minimal covers; keep the antichain.
-    out = []
-    for c in sorted(results, key=lambda c: (bin(c).count("1"), c)):
-        if not any(prev & c == prev for prev in out):
-            out.append(c)
-    return out
+    return sorted(results, key=lambda c: (bin(c).count("1"), c))

@@ -4,11 +4,12 @@ These deliberately avoid the library's own algorithms: covers come from
 enumerating every subset of the support, memberships from raw divisibility,
 symbolic powers from pairwise intersection of the prime powers, term orders
 from comparators that walk the sorted joint support of two monomials,
-minimal generators from a pairwise scan over the kept vectors.
+minimal generators from a pairwise scan over the kept vectors, products,
+intersections and colons from tuple arithmetic on every pair of generators.
 """
 
 from itertools import combinations, combinations_with_replacement
-from operator import le
+from operator import add, le
 
 from genlink import Monomial
 from genlink.monomial import X_FAMILY, Y_FAMILY
@@ -68,6 +69,27 @@ def scan_minimalize(vecs):
         if not any(km & mask == km and all(map(le, kv, vec)) for km, kv in kept):
             kept.append((mask, vec))
     return [vec for _, vec in kept]
+
+
+def pairwise_product(a, b):
+    """Minimal generators of ``(a) * (b)``: the sum of every pair, reduced."""
+    return scan_minimalize([tuple(map(add, u, v)) for u in a for v in b])
+
+
+def pairwise_intersect(a, b):
+    """Minimal generators of ``(a) ∩ (b)``: the lcm of every pair, reduced."""
+    return scan_minimalize([tuple(map(max, u, v)) for u in a for v in b])
+
+
+def pairwise_colon(a, b):
+    """Minimal generators of ``(a) : (b)`` for nonempty ``b``: a left fold of
+    :func:`pairwise_intersect` over ``(a) : v`` for each ``v`` in ``b``,
+    which ``max(u - v, 0)`` for every ``u`` in ``a`` generates."""
+    pieces = [scan_minimalize([tuple(max(x - y, 0) for x, y in zip(u, v)) for u in a]) for v in b]
+    current = pieces[0]
+    for piece in pieces[1:]:
+        current = pairwise_intersect(current, piece)
+    return current
 
 
 def vec_divides_some(gens, vec):

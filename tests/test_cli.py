@@ -5,7 +5,7 @@ import pytest
 
 from genlink.cli import main
 from genlink.serialize import ideal_to_json
-from genlink import Monomial, Universe, ideal, xvar
+from genlink import Monomial, Universe, ideal, unit_ideal, xvar, zero_ideal
 
 
 @pytest.fixture
@@ -161,3 +161,37 @@ def test_compare_refuses_a_large_product_with_a_huge_exponent(tmp_path, capsys):
     b.write_text(ideal_to_json(ideal(u, [Monomial.of(xvar(1, 1)), Monomial.of(xvar(1, 4))])))
     assert main(["compare", str(a), str(b), "--op", "product"]) == 3
     assert "about 362404 comparisons" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "first, second, op, generators",
+    [
+        ("unit", "unit", "product", [{}]),
+        ("unit", "unit", "intersect", [{}]),
+        ("unit", "unit", "colon", [{}]),
+        ("unit", "zero", "product", []),
+        ("zero", "unit", "intersect", []),
+        ("zero", "unit", "colon", []),
+        ("zero", "zero", "product", []),
+    ],
+)
+def test_compare_over_the_empty_universe(tmp_path, capsys, first, second, op, generators):
+    # no variables: the only ideals are the zero and the unit ideal
+    empty = Universe(1, 1, 0, 0, ())
+    for name, W in (("unit", unit_ideal(empty)), ("zero", zero_ideal(empty))):
+        (tmp_path / f"{name}.json").write_text(ideal_to_json(W))
+    assert '"variables": []' in (tmp_path / "unit.json").read_text()
+    argv = ["compare", str(tmp_path / f"{first}.json"), str(tmp_path / f"{second}.json"), "--op", op]
+    assert main(argv) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["generators"] == generators
+    assert data["universe"]["variables"] == []
+
+
+def test_compare_colon_by_the_zero_ideal_is_a_usage_error(tmp_path, capsys):
+    empty = Universe(1, 1, 0, 0, ())
+    unit, zero = tmp_path / "unit.json", tmp_path / "zero.json"
+    unit.write_text(ideal_to_json(unit_ideal(empty)))
+    zero.write_text(ideal_to_json(zero_ideal(empty)))
+    assert main(["compare", str(unit), str(zero), "--op", "colon"]) == 2
+    assert "colon by the zero ideal" in capsys.readouterr().err

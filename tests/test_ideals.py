@@ -1,3 +1,4 @@
+from itertools import chain
 from operator import add
 from random import Random
 
@@ -7,6 +8,9 @@ from hypothesis import given, settings, strategies as st
 from bruteforce import (
     all_monomials,
     brute_minimal_covers,
+    pairwise_colon,
+    pairwise_intersect,
+    pairwise_product,
     pairwise_symbolic_power,
     scan_minimalize,
     vec_divides_some,
@@ -399,6 +403,49 @@ def test_colon_intersect_galois(W, V):
     meet_ = W.intersect(V)
     assert contained(meet_, W)
     assert contained(meet_, V)
+
+
+# one-byte fields end at 127, two-byte at 32767, three-byte at 8388607; the
+# divisor index ends at 255, so above it reduction scans under its own cap
+KERNEL_EXPONENTS = st.sampled_from([0, 1, 2, 127, 128, 255, 256, 65535, 65536, 2**40])
+
+
+@st.composite
+def kernel_operands(draw):
+    """Two ideals of at most 5 generators over 0 to 4 variables, exponents
+    from ``KERNEL_EXPONENTS``; either may be zero or the unit ideal."""
+    width = draw(st.integers(min_value=0, max_value=4))
+    U = Universe.x_grid(1, width) if width else Universe(1, 1, 0, 0, ())
+    vecs = st.lists(st.tuples(*[KERNEL_EXPONENTS] * width), max_size=5)
+    A, B = (ideal(U, [Monomial(zip(U.variables, v)) for v in draw(vecs)]) for _ in range(2))
+    return A, B
+
+
+@given(kernel_operands(), st.one_of(st.just(DEFAULT_CANDIDATE_CAP), st.integers(min_value=1, max_value=40)))
+@settings(max_examples=300, deadline=None)
+def test_product_and_intersect_match_pairwise_oracles(operands, cap):
+    A, B = operands
+    for op, combine, oracle in (("product", add, pairwise_product), ("intersect", max, pairwise_intersect)):
+        pairs = [tuple(map(combine, u, v)) for u in A.vecs for v in B.vecs]
+        # above the index exponent, reduction scans distinct candidates pairwise
+        scan = len(set(pairs)) ** 2 if max(chain(*pairs), default=0) > 255 else 0
+        if len(pairs) > cap or scan > cap:
+            with pytest.raises(SizeGuardExceeded):
+                getattr(A, op)(B, cap=cap)
+        else:
+            assert sorted(getattr(A, op)(B, cap=cap).vecs) == sorted(oracle(A.vecs, B.vecs))
+
+
+@given(kernel_operands())
+@settings(max_examples=300, deadline=None)
+def test_colon_matches_pairwise_oracle(operands):
+    # at most 5 generators a side keep every step far below the default cap
+    A, B = operands
+    if B.is_zero():
+        with pytest.raises(ValueError):
+            A.colon(B)
+    else:
+        assert sorted(A.colon(B).vecs) == sorted(pairwise_colon(A.vecs, B.vecs))
 
 
 # -- membership -------------------------------------------------------------------
