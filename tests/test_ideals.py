@@ -405,8 +405,9 @@ def test_colon_intersect_galois(W, V):
     assert contained(meet_, V)
 
 
-# one-byte fields end at 127, two-byte at 32767, three-byte at 8388607; the
-# divisor index ends at 255, so above it reduction scans under its own cap
+# 127/128 cross from one-byte to two-byte fields, 65535/65536 a byte inside
+# a three-byte field, and 2^40 needs six; the divisor index ends at 255, so
+# above it reduction scans under its own cap
 KERNEL_EXPONENTS = st.sampled_from([0, 1, 2, 127, 128, 255, 256, 65535, 65536, 2**40])
 
 
