@@ -32,7 +32,7 @@ from functools import cached_property, lru_cache
 from itertools import chain, combinations_with_replacement, groupby, repeat
 from math import comb
 from operator import add, itemgetter
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .monomial import Monomial, Universe, Variable
 
@@ -396,18 +396,21 @@ class MonomialIdeal:
         """Minimal transversals of the support clutter of a squarefree ideal.
 
         Each returned variable set is a minimal prime; none contains another.
+        They come by size, then by their sorted variables.
         """
         if self.is_zero() or self.is_unit():
             raise ValueError("minimal primes need a proper nonzero ideal")
         if not self.is_squarefree():
             raise NotSquarefree("minimal primes implemented for squarefree ideals only")
-        covers = _minimal_covers(list(self.masks))
+        rank = _variable_rank(self.universe)
+        covers = [
+            [b.bit_length() - 1 for b in _bits(cover)]
+            for cover in _minimal_covers(list(self.masks))
+        ]
+        # sorted ranks order like the sorted variables
+        covers.sort(key=lambda cols: (len(cols), sorted(map(rank.__getitem__, cols))))
         vars_ = self.universe.variables
-        out = []
-        for cover in covers:
-            out.append(frozenset(vars_[i] for i in range(len(vars_)) if cover >> i & 1))
-        out.sort(key=lambda s: (len(s), sorted(s)))
-        return tuple(out)
+        return tuple(frozenset(map(vars_.__getitem__, cols)) for cols in covers)
 
     def symbolic_power(self, level: int, cap: int = DEFAULT_CANDIDATE_CAP) -> "MonomialIdeal":
         """Intersection of the level-th powers of the minimal primes.
@@ -578,6 +581,23 @@ def _variable_order(universe: Universe) -> tuple[int, ...]:
     return tuple(sorted(range(len(universe)), key=universe.variables.__getitem__))
 
 
+@lru_cache(maxsize=64)
+def _variable_rank(universe: Universe) -> tuple[int, ...]:
+    """Each vector position's place in :func:`_variable_order`."""
+    rank = [0] * len(universe)
+    for place, pos in enumerate(_variable_order(universe)):
+        rank[pos] = place
+    return tuple(rank)
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The set bits of ``mask`` as one-bit masks, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
+
+
 _ABSENT = float("inf")
 
 
@@ -642,12 +662,6 @@ def _minimal_covers(edges: list[int]) -> list[int]:
     """All minimal vertex covers (as bitmasks) of a clutter of edge bitmasks."""
     results: set[int] = set()
 
-    def bits(mask: int):
-        while mask:
-            low = mask & -mask
-            yield low
-            mask ^= low
-
     def rec(remaining: list[int], included: int, excluded: int) -> None:
         if not remaining:
             # Irredundant branching can still reach non-minimal covers. A
@@ -665,7 +679,7 @@ def _minimal_covers(edges: list[int]) -> list[int]:
         if edge & excluded == edge and not edge & included:
             return  # every vertex of this edge is forbidden
         banned = excluded
-        for v in bits(edge):
+        for v in _bits(edge):
             if v & banned:
                 continue
             rec([e for e in remaining if not e & v], included | v, banned)

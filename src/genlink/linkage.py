@@ -19,6 +19,13 @@ ideal generated by the beta(A), the lattice operations and straightening of
 selectors, the closed-form graded Betti table of the link quotient, and the
 explicit divisor witnesses used to certify, power by power, that symbolic
 and ordinary powers of the link's initial ideal agree.
+
+The generators are kept once per instance as exponent vectors over the
+universe, their monomials made from those. The witnesses compute on the
+vectors: a product is a sum of vectors, a square divides where every
+doubled exponent fits, and membership in a power is a query on its divisor
+index. Monomials are made only for what a witness returns and for the
+message of a failed check.
 """
 
 from __future__ import annotations
@@ -27,11 +34,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, permutations
-from math import comb, prod
-from typing import Mapping, Sequence
+from math import comb
+from operator import add, le
+from typing import Iterable, Mapping, Sequence
 
-from .ideals import MonomialIdeal, ideal
-from .monomial import Monomial, Universe, xvar, yvar
+from .ideals import MonomialIdeal, Vec, _to_monomial, ideal
+from .monomial import Monomial, Universe, Variable, xvar, yvar
 
 Cell = tuple[int, int]
 Selector = tuple[int, ...]
@@ -104,54 +112,82 @@ class LinkInstance:
             if a[self.m - i] <= j < a[self.m - i + 1]
         )
 
+    @cached_property
+    def _staircases(self) -> dict[Selector, frozenset[Cell]]:
+        return {A: self.staircase(A) for A in self.selectors}
+
+    # The generators are kept once, as exponent vectors over the universe,
+    # which the witnesses compute on; the monomial accessors build from
+    # them. Each accessor checks its argument before it looks anything up.
+
+    def _indicator(self, variables: Iterable[Variable]) -> Vec:
+        """The exponent vector of a product of distinct variables."""
+        vec = [0] * len(self.universe)
+        for v in variables:
+            vec[self.universe.index[v]] = 1
+        return tuple(vec)
+
     def complement_monomial(self, A: Selector) -> Monomial:
         """Product of the band variables outside the staircase of A."""
         self.check_selector(A)
-        return self._complements[A]
+        return _to_monomial(self.universe, self._complement_vecs[A])
 
     @cached_property
-    def _complements(self) -> dict[Selector, Monomial]:
+    def _complement_vecs(self) -> dict[Selector, Vec]:
         return {
-            A: Monomial.of(*(xvar(i, j) for i, j in self.band - self.staircase(A)))
-            for A in self.selectors
+            A: self._indicator(xvar(i, j) for i, j in self.band - cells)
+            for A, cells in self._staircases.items()
         }
+
+    def _check_diag_index(self, j: int) -> None:
+        if not (1 <= j <= self.g):
+            raise ValueError(f"antidiagonal index out of range: {j}")
 
     def antidiagonal(self, j: int) -> Monomial:
         """The degree-m antidiagonal monomial starting at column j of the bottom row."""
-        if not (1 <= j <= self.g):
-            raise ValueError(f"antidiagonal index out of range: {j}")
+        self._check_diag_index(j)
         return self.antidiagonal_for_columns(range(j, j + self.m))
 
     def antidiagonal_for_columns(self, cols: Sequence[int]) -> Monomial:
         """The antidiagonal monomial on the given strictly increasing columns."""
+        return _to_monomial(self.universe, self._antidiagonal_vec(cols))
+
+    def _antidiagonal_vec(self, cols: Sequence[int]) -> Vec:
         cols = tuple(cols)
         if len(cols) != self.m or any(b <= a for a, b in zip(cols, cols[1:])):
             raise ValueError(f"need {self.m} strictly increasing columns, got {cols}")
         if not (1 <= cols[0] and cols[-1] <= self.n):
             raise ValueError(f"columns out of range: {cols}")
-        return Monomial.of(*(xvar(self.m - i + 1, cols[i - 1]) for i in range(1, self.m + 1)))
+        return self._indicator(xvar(self.m - i, col) for i, col in enumerate(cols))
 
     def diag_generator(self, j: int) -> Monomial:
         """Y[j,j] * antidiagonal(j), the lead term of the j-th row combination."""
-        if not (1 <= j <= self.g):
-            raise ValueError(f"antidiagonal index out of range: {j}")
-        return self._diag_generators[j - 1]
+        return _to_monomial(self.universe, self._diag_vec(j))
+
+    def _diag_vec(self, j: int) -> Vec:
+        self._check_diag_index(j)
+        return self._diag_vecs[j - 1]
 
     @cached_property
-    def _diag_generators(self) -> tuple[Monomial, ...]:
+    def _diag_vecs(self) -> tuple[Vec, ...]:
+        m = self.m
         return tuple(
-            Monomial.of(yvar(j, j)) * self.antidiagonal(j) for j in range(1, self.g + 1)
+            tuple(map(add, self._indicator([yvar(j, j)]), self._antidiagonal_vec(range(j, j + m))))
+            for j in range(1, self.g + 1)
         )
 
     def staircase_generator(self, A: Selector) -> Monomial:
         """mu * beta(A), mu the product of the diagonal Y variables."""
+        return _to_monomial(self.universe, self._staircase_vec(A))
+
+    def _staircase_vec(self, A: Selector) -> Vec:
         self.check_selector(A)
-        return self._staircase_generators[A]
+        return self._staircase_vecs[A]
 
     @cached_property
-    def _staircase_generators(self) -> dict[Selector, Monomial]:
-        mu = Monomial.of(*(yvar(j, j) for j in range(1, self.g + 1)))
-        return {A: mu * beta for A, beta in self._complements.items()}
+    def _staircase_vecs(self) -> dict[Selector, Vec]:
+        mu = self._indicator(yvar(j, j) for j in range(1, self.g + 1))
+        return {A: tuple(map(add, mu, beta)) for A, beta in self._complement_vecs.items()}
 
     @cached_property
     def all_variables_product(self) -> Monomial:
@@ -298,17 +334,29 @@ def chain_exponent(inst: LinkInstance, chain: Sequence[Selector], cell: Cell) ->
 # -- divisor witnesses ----------------------------------------------------------
 
 
+def _vec_product(start: Vec, factors: Iterable[Vec]) -> Vec:
+    """The exponent vector of ``start`` times the monomials of ``factors``."""
+    for vec in factors:
+        start = tuple(map(add, start, vec))
+    return start
+
+
+def _repr_with(obj: object, names: Sequence[str]) -> str:
+    """``Name(a=..., b=...)`` over the given attributes, monomials included."""
+    return f"{type(obj).__name__}({', '.join(f'{k}={getattr(obj, k)!r}' for k in names)})"
+
+
 def antidiagonal_divisor(inst: LinkInstance, cols: Sequence[int], A: Selector) -> int:
     """Index j with antidiagonal(j) dividing (antidiagonal on cols) * beta(A).
 
     The index is produced by the scan rule: take the least row position i
     whose column satisfies cols[i] + 1 < a_i (the selector entry; the
     condition is vacuously true at i = m), and set j = cols[i] - i + 1.
-    Divisibility is checked before returning.
+    Divisibility is checked on exponent vectors before returning.
     """
     cols = tuple(cols)
     inst.check_selector(A)
-    gen = inst.antidiagonal_for_columns(cols)
+    gen = inst._antidiagonal_vec(cols)
     eps = None
     for i in range(1, inst.m + 1):
         if i == inst.m or cols[i - 1] + 1 < A[i - 1]:
@@ -319,27 +367,55 @@ def antidiagonal_divisor(inst: LinkInstance, cols: Sequence[int], A: Selector) -
     j = cols[eps - 1] - eps + 1
     if not (1 <= j <= inst.g):
         raise AssertionError(f"witness index out of range: {j}")
-    target = gen * inst.complement_monomial(A)
-    if not inst.antidiagonal(j).divides(target):
+    target = tuple(map(add, gen, inst._complement_vecs[A]))
+    if not all(map(le, inst._antidiagonal_vec(range(j, j + inst.m)), target)):
         raise AssertionError(
-            f"antidiagonal({j}) does not divide {target} for cols={cols}, A={A}"
+            f"antidiagonal({j}) does not divide {_to_monomial(inst.universe, target)} "
+            f"for cols={cols}, A={A}"
         )
     return j
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class SquareDivisorWitness:
-    """Certificate that delta in link_initial^(r+1) has delta^2 | gamma."""
+    """Certificate that delta in link_initial^(r+1) has delta^2 | gamma.
 
-    delta: Monomial
-    gamma: Monomial
+    delta and gamma are kept as exponent vectors over ``universe``; the
+    monomial properties build them on access, as does ``off_staircase`` in
+    the interior-cell case: the variables of the cell's antidiagonal in the
+    rows p < lo and p > hi.
+    """
+
+    universe: Universe
+    delta_vec: Vec
+    gamma_vec: Vec
     r: int
     case: str
     cell: Cell | None = None
     lo: int | None = None
     hi: int | None = None
     bridge: Selector | None = None
-    off_staircase: Monomial | None = None
+
+    @property
+    def delta(self) -> Monomial:
+        return _to_monomial(self.universe, self.delta_vec)
+
+    @property
+    def gamma(self) -> Monomial:
+        return _to_monomial(self.universe, self.gamma_vec)
+
+    @property
+    def off_staircase(self) -> Monomial | None:
+        if self.cell is None:
+            return None
+        i, j = self.cell
+        rows = range(1, self.universe.m + 1)
+        return Monomial.of(*(xvar(p, i + j - p) for p in rows if p < self.lo or p > self.hi))
+
+    def __repr__(self) -> str:
+        return _repr_with(
+            self, ("delta", "gamma", "r", "case", "cell", "lo", "hi", "bridge", "off_staircase")
+        )
 
 
 def square_divisor(
@@ -355,7 +431,7 @@ def square_divisor(
     A_1 <= ... <= A_b, a + b = 2r+1 odd, nu the product of all variables and
     mu the product of the diagonal Y. Three constructions apply depending on
     a; the returned witness records which, and both postconditions are
-    verified by direct division before returning.
+    verified on exponent vectors before returning.
     """
     diag_indices = tuple(diag_indices)
     chain = tuple(chain)
@@ -371,49 +447,43 @@ def square_divisor(
         raise ValueError("selector chain is not sorted")
     r = (total - 1) // 2
 
-    diag_gens = [inst.diag_generator(i) for i in diag_indices]
-    stair_gens = [inst.staircase_generator(A) for A in chain]
-    gamma = prod(diag_gens + stair_gens, start=inst.all_variables_product)
+    diag_vecs = [inst._diag_vec(i) for i in diag_indices]
+    stair_vecs = [inst._staircase_vec(A) for A in chain]
+    width = len(inst.universe)
+    unit = (0,) * width
+    gamma = _vec_product((1,) * width, diag_vecs + stair_vecs)
 
     witness: SquareDivisorWitness
     if a >= 2:
         # the staircase generators at odd positions 1, 3, ... below b - 1
-        delta = prod(diag_gens + stair_gens[1:b - 1:2], start=Monomial.one())
-        witness = SquareDivisorWitness(delta, gamma, r, "coprime_block")
+        delta = _vec_product(unit, diag_vecs + stair_vecs[1:b - 1:2])
+        witness = SquareDivisorWitness(inst.universe, delta, gamma, r, "coprime_block")
     elif a == 1:
         i1 = diag_indices[0]
         extra = tuple(range(i1 + 1, i1 + inst.m))
         sorted_chain = chain_normal_form((*chain, extra))
-        delta = prod(
-            (inst.staircase_generator(A) for A in sorted_chain[1::2]),
-            start=inst.diag_generator(i1),
-        )
-        witness = SquareDivisorWitness(delta, gamma, r, "single_antidiagonal")
+        delta = _vec_product(diag_vecs[0], map(inst._staircase_vec, sorted_chain[1::2]))
+        witness = SquareDivisorWitness(inst.universe, delta, gamma, r, "single_antidiagonal")
     else:
         found = _interior_cell(inst, chain)
         if found is None:
-            delta = prod(stair_gens[::2], start=Monomial.one())
-            witness = SquareDivisorWitness(delta, gamma, r, "chain_ends")
+            delta = _vec_product(unit, stair_vecs[::2])
+            witness = SquareDivisorWitness(inst.universe, delta, gamma, r, "chain_ends")
         else:
             cell, _ = found
             i, j = cell
             lo, hi, bridge = _bridge_selector(inst, chain[0], chain[-1], cell)
-            off = Monomial.of(
-                *(xvar(p, i + j - p) for p in range(1, inst.m + 1) if p < lo or p > hi)
-            )
             s = i + j - inst.m
-            delta = prod(
-                stair_gens[2:-1:2],
-                start=inst.diag_generator(s) * inst.staircase_generator(bridge),
-            )
+            start = tuple(map(add, inst._diag_vec(s), inst._staircase_vec(bridge)))
+            delta = _vec_product(start, stair_vecs[2:-1:2])
             witness = SquareDivisorWitness(
-                delta, gamma, r, "interior_cell",
-                cell=cell, lo=lo, hi=hi, bridge=bridge, off_staircase=off,
+                inst.universe, delta, gamma, r, "interior_cell",
+                cell=cell, lo=lo, hi=hi, bridge=bridge,
             )
 
-    if not inst.link_initial.power(r + 1).contains(witness.delta):
+    if not inst.link_initial.power(r + 1)._divides_into(delta):
         raise AssertionError(f"delta not in the (r+1)-st power: {witness}")
-    if not (witness.delta ** 2).divides(witness.gamma):
+    if not all(2 * d <= c for d, c in zip(delta, gamma)):
         raise AssertionError(f"delta^2 does not divide gamma: {witness}")
     return witness
 
@@ -421,11 +491,12 @@ def square_divisor(
 def _interior_cell(
     inst: LinkInstance, chain: Sequence[Selector]
 ) -> tuple[Cell, int] | None:
-    """First band cell lying in a middle staircase but in neither end one."""
-    first, last = inst.staircase(chain[0]), inst.staircase(chain[-1])
+    """First band cell lying in a middle staircase but in neither end one;
+    the chain's selectors must be valid."""
+    stairs = inst._staircases
+    ends = stairs[chain[0]] | stairs[chain[-1]]
     for k in range(2, len(chain)):
-        middle = inst.staircase(chain[k - 1])
-        hits = sorted(middle - first - last)
+        hits = sorted(stairs[chain[k - 1]] - ends)
         if hits:
             return hits[0], k
     return None
@@ -453,14 +524,34 @@ def _bridge_selector(
     return lo, hi, bridge
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class OddPartReduction:
-    """Split of a generator power product into its odd part and a square."""
+    """Split of a generator power product into its odd part and a square.
 
-    product: Monomial
-    odd_part: Monomial
-    square_root: Monomial
+    The three parts are kept as exponent vectors over ``universe``; the
+    monomial properties build them on access.
+    """
+
+    universe: Universe
+    product_vec: Vec
+    odd_part_vec: Vec
+    square_root_vec: Vec
     odd_count: int  # |P| + |Q| = 2s+1; the square root lies in power r-s
+
+    @property
+    def product(self) -> Monomial:
+        return _to_monomial(self.universe, self.product_vec)
+
+    @property
+    def odd_part(self) -> Monomial:
+        return _to_monomial(self.universe, self.odd_part_vec)
+
+    @property
+    def square_root(self) -> Monomial:
+        return _to_monomial(self.universe, self.square_root_vec)
+
+    def __repr__(self) -> str:
+        return _repr_with(self, ("product", "odd_part", "square_root", "odd_count"))
 
 
 def odd_part_reduction(
@@ -474,7 +565,8 @@ def odd_part_reduction(
     s_A on the staircase generators factors as (odd part) * (square), where
     the odd part takes one copy of each odd-multiplicity generator and the
     square's root is a product of (r - s) generators, 2r+1 the total and
-    2s+1 the number of odd multiplicities. Both facts are verified.
+    2s+1 the number of odd multiplicities. Both facts are verified on
+    exponent vectors.
     """
     total = sum(diag_multiplicities.values()) + sum(selector_multiplicities.values())
     if total % 2 == 0 or total < 1:
@@ -483,35 +575,37 @@ def odd_part_reduction(
         raise ValueError("negative multiplicity")
     if any(e < 0 for e in selector_multiplicities.values()):
         raise ValueError("negative multiplicity")
-    product = Monomial.one()
-    odd_part = Monomial.one()
-    root = Monomial.one()
+    product = odd_part = root = (0,) * len(inst.universe)
     odd_count = 0
     root_factors = 0
-    items: list[tuple[Monomial, int]] = []
+    items: list[tuple[Vec, int]] = []
     for k, rk in sorted(diag_multiplicities.items()):
-        items.append((inst.diag_generator(k), rk))
+        items.append((inst._diag_vec(k), rk))
     for A, sA in sorted(selector_multiplicities.items()):
-        items.append((inst.staircase_generator(A), sA))
-    for gen, mult in items:
+        items.append((inst._staircase_vec(A), sA))
+    for vec, mult in items:
         if not mult:
             continue
-        product = product * gen ** mult
+        product = tuple(p + mult * e for p, e in zip(product, vec))
         if mult % 2:
-            odd_part = odd_part * gen
+            odd_part = tuple(map(add, odd_part, vec))
             odd_count += 1
         half = mult // 2
-        root = root * gen ** half
+        root = tuple(q + half * e for q, e in zip(root, vec))
         root_factors += half
     r = (total - 1) // 2
     s = (odd_count - 1) // 2
-    if odd_part * root ** 2 != product:
-        raise AssertionError(f"{odd_part} * ({root})^2 is not the product {product}")
+    reduction = OddPartReduction(inst.universe, product, odd_part, root, odd_count)
+    if any(o + 2 * q != p for o, q, p in zip(odd_part, root, product)):
+        raise AssertionError(
+            f"{reduction.odd_part} * ({reduction.square_root})^2 is not the product "
+            f"{reduction.product}"
+        )
     if root_factors != r - s:
         raise AssertionError(f"square root has {root_factors} factors, expected {r - s}")
-    if not inst.link_initial.power(r - s).contains(root):
-        raise AssertionError("square root escaped the expected power")
-    return OddPartReduction(product, odd_part, root, odd_count)
+    if not inst.link_initial.power(r - s)._divides_into(root):
+        raise AssertionError(f"square root {reduction.square_root} escaped power {r - s}")
+    return reduction
 
 
 # -- Betti table ------------------------------------------------------------------

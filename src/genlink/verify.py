@@ -18,12 +18,13 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, islice
 from math import comb, factorial
-from operator import add
 from typing import Callable, Iterable
 
 from .ideals import (
     DEFAULT_CANDIDATE_CAP,
     SizeGuardExceeded,
+    _packing,
+    _top,
     first_symbolic_gap,
     square_colon_scan,
 )
@@ -140,8 +141,15 @@ def verify_colon_link(inst: LinkInstance, bounds: VerifyBounds = DEFAULT_BOUNDS)
         claimed = inst.link_initial
         computed = seq.colon(minors, cap=bounds.candidate_cap)
         set_equal = set(computed.vecs) == set(claimed.vecs)
+        # every product t * v against the few sequence generators, on packed
+        # words: s divides w iff ((w | G) - s) & G == G (see _packing)
+        top = max(_top(seq.vecs), _top(claimed.vecs) + _top(minors.vecs))
+        pack, _, guards, _ = _packing(top, len(inst.universe))
+        seq_words = pack(seq.vecs)
+        minor_words = pack(minors.vecs)
         claimed_in_colon = all(
-            seq._divides_into(tuple(map(add, t, v))) for t in claimed.vecs for v in minors.vecs
+            any((w - s) & guards == guards for s in seq_words)
+            for w in {(t + v) | guards for t in pack(claimed.vecs) for v in minor_words}
         )
         computed_in_claimed = all(claimed._divides_into(c) for c in computed.vecs)
         ok = set_equal and claimed_in_colon and computed_in_claimed
@@ -217,11 +225,9 @@ def resolve_staircase_powers(
         if inst.m > 2 and inst.n > inst.m + 1:
             nu = inst.all_variables_product
             nu_in_symbolic = N.symbolic_member(nu, 2)
-            column3 = [xvar(i, 3) for i in range(max(1, inst.m - 2), inst.m + 1)]
-            pairs_share_column3 = all(
-                any(v in a.support() and v in b.support() for v in column3)
-                for a in N.gens for b in N.gens
-            )
+            index = inst.universe.index
+            column3 = sum(1 << index[xvar(i, 3)] for i in range(max(1, inst.m - 2), inst.m + 1))
+            pairs_share_column3 = all(a & b & column3 for a in N.masks for b in N.masks)
             nu_in_square = square.contains(nu)
             witnesses["nu_witness"] = {
                 "nu_in_symbolic": nu_in_symbolic,
@@ -244,16 +250,18 @@ def verify_counts_and_degrees(inst: LinkInstance, bounds: VerifyBounds = DEFAULT
         _guard_universe(inst, bounds)
         W = inst.link_initial
         m, n, g = inst.m, inst.n, inst.g
-        witnesses: dict = {"generators": len(W.gens)}
+        witnesses: dict = {"generators": len(W.vecs)}
         checks = []
-        checks.append(all(t.is_squarefree() for t in W.gens))
-        # antichain, checked directly rather than via the reducer
+        checks.append(W.is_squarefree())
+        # antichain, checked pairwise on packed words rather than via the
+        # reducer: a divides b iff ((b | G) - a) & G == G (see _packing)
+        pack, _, guards, _ = _packing(_top(W.vecs), len(inst.universe))
+        words = pack(W.vecs)
         checks.append(not any(
-            a != b and a.divides(b) for a in W.gens for b in W.gens
+            a != b and ((b | guards) - a) & guards == guards for a in words for b in words
         ))
-        checks.append(all(
-            not inst.minors_initial.contains(inst.complement_monomial(A))
-            for A in inst.selectors
+        checks.append(not any(
+            map(inst.minors_initial._divides_into, inst._complement_vecs.values())
         ))
         if m < n:
             # for n = m+1 both families share the degree m+1, so accumulate
@@ -297,24 +305,35 @@ def verify_betti(inst: LinkInstance, bounds: VerifyBounds = DEFAULT_BOUNDS) -> R
 
 def verify_lead_terms(inst: LinkInstance, bounds: VerifyBounds = DEFAULT_BOUNDS) -> Report:
     """For each generic row j, the largest monomial Y[j,k] * (term of the k-th
-    minor) under the diagonal-lex order is Y[j,j] * antidiagonal(j)."""
+    minor) under the diagonal-lex order is Y[j,j] * antidiagonal(j).
+
+    The guard counts every product, r * m! * g; the scan itself compares
+    r * m! + g * r keys (see :func:`_row_leads`), so the guard is an upper
+    bound on it.
+    """
     def body():
         work = inst.r * factorial(inst.m) * inst.g
         if work > 500_000:
             raise SizeGuardExceeded(f"lead-term scan would compare {work} monomials", work)
-        key = DiagLexOrder().key
-        terms = [
-            (k, t)
-            for k, cols in enumerate(inst.column_sets, start=1)
-            for t in inst.minor_term_monomials(cols)
-        ]
-        rows_ok = []
-        for j in range(1, inst.g + 1):
-            candidates = [Monomial.of(yvar(j, k)) * t for k, t in terms]
-            rows_ok.append(max(candidates, key=key) == inst.diag_generator(j))
+        leads = _row_leads(inst)
+        rows_ok = [lead == inst.diag_generator(j) for j, lead in enumerate(leads, start=1)]
         return all(rows_ok), {"rows": len(rows_ok), "minors": inst.r}
 
     return _run("leads", inst, {}, None, body)
+
+
+def _row_leads(inst: LinkInstance) -> list[Monomial]:
+    """For each row j, the largest Y[j,k] * t over the minors k and their
+    terms t under the diagonal-lex order. The order is multiplicative, so
+    for every row that product is largest at the largest term of minor k:
+    each minor is scanned once, then each row takes the largest of its r
+    products."""
+    key = DiagLexOrder().key
+    minor_leads = [max(inst.minor_term_monomials(cols), key=key) for cols in inst.column_sets]
+    return [
+        max((Monomial.of(yvar(j, k)) * t for k, t in enumerate(minor_leads, start=1)), key=key)
+        for j in range(1, inst.g + 1)
+    ]
 
 
 def verify_witnesses(

@@ -5,13 +5,14 @@ enumerating every subset of the support, memberships from raw divisibility,
 symbolic powers from pairwise intersection of the prime powers, term orders
 from comparators that walk the sorted joint support of two monomials,
 minimal generators from a pairwise scan over the kept vectors, products,
-intersections and colons from tuple arithmetic on every pair of generators.
+intersections and colons from tuple arithmetic on every pair of generators,
+the lead terms of the link rows from a scan over every term of every minor.
 """
 
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, permutations
 from operator import add, le
 
-from genlink import Monomial
+from genlink import Monomial, xvar, yvar
 from genlink.monomial import X_FAMILY, Y_FAMILY
 
 
@@ -161,3 +162,20 @@ def diaglex_compare(u, v):
     ux = Monomial((w, e) for w, e in u.items() if w.family == X_FAMILY)
     vx = Monomial((w, e) for w, e in v.items() if w.family == X_FAMILY)
     return revlex_compare(ux, vx)
+
+
+def scan_row_leads(inst):
+    """For each row j of a link instance, the diagonal-lex largest
+    ``Y[j,k] * t`` over every minor k and every term t of it, by a full scan
+    with :func:`diaglex_compare`. Terms are the products one-per-row over
+    the minor's columns, in every order."""
+    leads = []
+    for j in range(1, inst.g + 1):
+        best = None
+        for k, cols in enumerate(inst.column_sets, start=1):
+            for perm in permutations(cols):
+                term = Monomial.of(yvar(j, k), *(xvar(i + 1, c) for i, c in enumerate(perm)))
+                if best is None or diaglex_compare(term, best) > 0:
+                    best = term
+        leads.append(best)
+    return leads

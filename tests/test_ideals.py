@@ -496,6 +496,26 @@ def test_minimal_primes_vs_bruteforce_link_instances():
         assert set(W.minimal_primes()) == brute_minimal_covers(W)
 
 
+@given(squarefree_ideals)
+@settings(max_examples=80)
+def test_minimal_primes_come_by_size_then_sorted_variables(W):
+    if W.is_zero() or W.is_unit():
+        return
+    primes = W.minimal_primes()
+    assert list(primes) == sorted(primes, key=lambda p: (len(p), sorted(p)))
+    index = W.universe.index
+    assert W._prime_columns == [sorted(index[v] for v in p) for p in primes]
+
+
+def test_minimal_primes_order_on_link_instances():
+    # the universe lists x before Y, sorted variables put Y first
+    for m, n in [(2, 4), (3, 5), (3, 6)]:
+        inst = LinkInstance(m, n)
+        for W in (inst.link_initial, inst.staircase_ideal, inst.minors_initial):
+            primes = W.minimal_primes()
+            assert list(primes) == sorted(primes, key=lambda p: (len(p), sorted(p)))
+
+
 # -- symbolic powers ---------------------------------------------------------------
 
 

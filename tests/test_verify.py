@@ -7,10 +7,12 @@ from random import Random
 
 import pytest
 
-from genlink import LinkInstance, VerifyBounds
+from bruteforce import scan_row_leads
+from genlink import LinkInstance, Monomial, VerifyBounds, xvar
 from genlink.cli import main
-from genlink.ideals import DEFAULT_CANDIDATE_CAP, MonomialIdeal
+from genlink.ideals import DEFAULT_CANDIDATE_CAP, MonomialIdeal, ideal
 from genlink.verify import (
+    _row_leads,
     _square_inputs,
     resolve_staircase_powers,
     run_suite,
@@ -87,6 +89,80 @@ def test_lead_terms_small():
     assert verify_lead_terms(LinkInstance(2, 3)).passed
 
 
+@pytest.mark.parametrize("m, n", [(1, 3), (2, 3), (2, 4), (3, 4), (3, 5)])
+def test_row_leads_match_the_full_scan(m, n):
+    # one scan per minor, then one product per (row, minor), against the
+    # comparator over every product of every term
+    inst = LinkInstance(m, n)
+    assert _row_leads(inst) == scan_row_leads(inst)
+
+
+def test_lead_terms_refusal_keeps_the_full_scan_estimate():
+    rep = verify_lead_terms(LinkInstance(6, 12))
+    assert rep.status == "refused"
+    assert rep.witnesses["estimate"] == 924 * 720 * 7
+
+
+def test_suites_compute_on_exponent_vectors(monkeypatch):
+    calls = []
+    for name in ("__mul__", "__pow__", "divides"):
+        original = getattr(Monomial, name)
+
+        def counting(self, other, _name=name, _original=original):
+            calls.append(_name)
+            return _original(self, other)
+
+        monkeypatch.setattr(Monomial, name, counting)
+    assert (Monomial.of(xvar(1, 1)) ** 2).divides(Monomial.of(xvar(1, 1)) * Monomial.of(xvar(1, 1)))
+    assert calls == ["__pow__", "__mul__", "divides"]  # the counters are live
+    calls.clear()
+    witnesses = verify_witnesses(LinkInstance(3, 5), VerifyBounds(square_colon_rmax=2))
+    colon = verify_colon_link(LinkInstance(3, 5))
+    counts = verify_counts_and_degrees(LinkInstance(3, 5))
+    assert witnesses.passed and colon.passed and counts.passed
+    assert witnesses.witnesses == {"antidiagonal": 60, "square": 819, "odd_part": 200}
+    assert calls == []
+
+
+def test_failed_witness_postcondition_names_monomials(monkeypatch):
+    monkeypatch.setattr(MonomialIdeal, "_divides_into", lambda self, vec: False)
+    rep = verify_witnesses(LinkInstance(2, 3), VerifyBounds(square_colon_rmax=1))
+    assert rep.status == "fail"
+    error = rep.witnesses["error"]
+    assert error.startswith("delta not in the (r+1)-st power: SquareDivisorWitness(delta=Monomial(")
+    assert "Y[" in error
+    assert "(0, " not in error and "_vec" not in error
+
+
+def test_counts_reject_generators_that_are_not_an_antichain():
+    # swap one staircase generator of iniJ(2,4) for a multiple of Y[1,1]*x[2,1]*x[1,2]
+    # of the same degree, 5: squarefree, same degree counts, but one generator divides
+    # another, which only the antichain test sees
+    inst = LinkInstance(2, 4)
+    W = inst.link_initial
+    index = inst.universe.index
+    multiple = list(W.vecs[0])
+    for v in (xvar(1, 1), xvar(2, 4)):
+        multiple[index[v]] = 1
+    assert sum(multiple) == 5 and sum(W.vecs[-1]) == 5
+    inst.__dict__["link_initial"] = MonomialIdeal(W.universe, W.vecs[:-1] + (tuple(multiple),))
+    rep = verify_counts_and_degrees(inst)
+    assert rep.status == "fail"
+    assert rep.witnesses["degree_counts"] == {"3": 3, "5": 3}
+
+
+def test_colon_link_flags_a_claim_outside_the_colon():
+    inst = LinkInstance(2, 3)
+    W = inst.link_initial
+    outside = [0] * len(inst.universe)
+    outside[inst.universe.index[xvar(1, 1)]] = 1
+    inst.__dict__["link_initial"] = MonomialIdeal(W.universe, W.vecs + (tuple(outside),))
+    rep = verify_colon_link(inst)
+    assert rep.status == "fail"
+    assert rep.witnesses["claimed_in_colon"] is False
+    assert rep.witnesses["computed_in_claimed"] is True
+
+
 def test_staircase_resolution_flags_disagreement():
     rep = resolve_staircase_powers(LinkInstance(3, 5))
     assert rep.passed  # internally consistent
@@ -94,6 +170,15 @@ def test_staircase_resolution_flags_disagreement():
     assert rep.witnesses["supported_conditions"] == ["m<=2 or n<=m+1"]
     nu = rep.witnesses["nu_witness"]
     assert nu["nu_in_symbolic"] and nu["pairs_share_column3"] and not nu["nu_in_square"]
+
+
+def test_staircase_resolution_sees_a_pair_off_column_3():
+    # a stand-in staircase ideal whose second generator has no column-3 variable
+    inst = LinkInstance(3, 5)
+    gens = [Monomial.of(xvar(1, 1), xvar(2, 2), xvar(3, 3)), Monomial.of(xvar(1, 4), xvar(2, 5))]
+    inst.__dict__["staircase_ideal"] = ideal(inst.universe, gens)
+    rep = resolve_staircase_powers(inst)
+    assert rep.witnesses["nu_witness"]["pairs_share_column3"] is False
 
 
 def test_staircase_resolution_boundary():

@@ -10,6 +10,7 @@ from genlink import (
     chain_normal_form,
     odd_part_reduction,
     square_divisor,
+    xvar,
     yvar,
 )
 from genlink.verify import _multichains
@@ -82,6 +83,36 @@ def test_square_divisor_exhaustive_small_instances():
                         square_divisor(inst, diag, chain)
 
 
+def test_square_divisor_gamma_is_nu_times_the_generators():
+    # the witness keeps exponent vectors; its monomials must be the products
+    # the docstring names, multiplied here as monomials
+    for m, n in [(2, 3), (2, 4), (3, 4)]:
+        inst = LinkInstance(m, n)
+        for r in (0, 1):
+            total = 2 * r + 1
+            for a in range(min(total, inst.g) + 1):
+                for diag in combinations(range(1, inst.g + 1), a):
+                    for chain in _multichains(inst.selectors, total - a):
+                        w = square_divisor(inst, diag, chain)
+                        gamma = inst.all_variables_product
+                        for i in diag:
+                            gamma = gamma * inst.diag_generator(i)
+                        for A in chain:
+                            gamma = gamma * inst.staircase_generator(A)
+                        assert w.gamma == gamma, (m, n, diag, chain)
+                        assert (w.delta ** 2).divides(gamma)
+                        assert inst.link_initial.power(r + 1).contains(w.delta)
+                        assert w.r == r
+
+
+def test_interior_cell_witness_names_its_off_staircase_variables():
+    inst = LinkInstance(4, 7)
+    w = square_divisor(inst, (), ((2, 4, 5), (2, 5, 7), (2, 6, 7)))
+    # cell (2,5), cuts lo = 2 and hi = 3: the rows 1 and 4 of antidiagonal 7
+    assert w.off_staircase == Monomial.of(xvar(1, 6), xvar(4, 3))
+    assert square_divisor(inst, (1,), ()).off_staircase is None
+
+
 def test_square_divisor_sampled_35():
     inst = LinkInstance(3, 5)
     rng = random.Random(11)
@@ -110,6 +141,18 @@ def test_square_divisor_sampled_47():
         ) if total - a else ()
         w = square_divisor(inst, diag, chain)
         assert (w.delta ** 2).divides(w.gamma)
+
+
+def test_square_divisor_checks_the_square_on_vectors():
+    # double an exponent of Y[1,1]*antidiagonal(1) after the link ideal is
+    # built: delta stays in the power, but delta^2 no longer divides gamma
+    inst = LinkInstance(3, 5)
+    inst.link_initial.power(2)
+    first = list(inst._diag_vecs[0])
+    first[inst.universe.index[yvar(1, 1)]] = 2
+    inst.__dict__["_diag_vecs"] = (tuple(first), *inst._diag_vecs[1:])
+    with pytest.raises(AssertionError, match=r"delta\^2 does not divide gamma: .*Y\[1,1\]\^2"):
+        square_divisor(inst, (1, 2, 3), ())
 
 
 def test_square_divisor_input_validation():
@@ -168,6 +211,39 @@ def test_odd_part_mixed_multiset():
     red = odd_part_reduction(inst, {1: 2}, {(2,): 2, (3,): 1})
     assert red.odd_count == 1
     assert red.odd_part * red.square_root ** 2 == red.product
+
+
+def test_odd_part_parts_match_monomial_products():
+    rng = random.Random(17)
+    for inst in (LinkInstance(2, 4), LinkInstance(3, 5)):
+        for _ in range(100):
+            diag = {k: rng.randrange(4) for k in rng.sample(range(1, inst.g + 1), 2)}
+            sel = {A: rng.randrange(4) for A in rng.sample(inst.selectors, 2)}
+            if (sum(diag.values()) + sum(sel.values())) % 2 == 0:
+                diag[1] = diag.get(1, 0) + 1
+            factors = [(inst.diag_generator(k), e) for k, e in diag.items()]
+            factors += [(inst.staircase_generator(A), e) for A, e in sel.items()]
+            red = odd_part_reduction(inst, diag, sel)
+            product = odd = root = Monomial.one()
+            for gen, e in factors:
+                product = product * gen ** e
+                odd = odd * gen ** (e % 2)
+                root = root * gen ** (e // 2)
+            assert (red.product, red.odd_part, red.square_root) == (product, odd, root)
+            assert red.odd_count == sum(e % 2 for _, e in factors)
+
+
+def test_witness_indices_do_not_wrap_around():
+    # the generators are looked up at [k - 1]; k = 0 must not reach the last one
+    inst = LinkInstance(2, 4)
+    with pytest.raises(ValueError):
+        square_divisor(inst, (0,), ())
+    with pytest.raises(ValueError):
+        odd_part_reduction(inst, {0: 1}, {})
+    with pytest.raises(ValueError):
+        odd_part_reduction(inst, {0: 0, 1: 1}, {})
+    with pytest.raises(ValueError):
+        odd_part_reduction(inst, {inst.g + 1: 1}, {})
 
 
 def test_odd_part_rejects_even_total():
