@@ -12,17 +12,18 @@ An ideal holds its minimal generators once, as dense exponent vectors over
 the universe; their support bitmasks, :class:`Monomial` form and minimal
 primes are derived on first use. Monomials enter only through
 :func:`ideal`, :meth:`~MonomialIdeal.contains` and
-:meth:`~MonomialIdeal.symbolic_member`. The pairwise kernels work on packed
+:meth:`~MonomialIdeal.symbolic_member`. The kernels work on packed
 exponent words (see :func:`_packing`): product, intersection and the
 quotients of a colon combine each pair of generators in a few big-int
-operations and unpack only the distinct results. Reduction to minimal
-generators scans small antichains pairwise on the same words, one
-subtraction and one AND per pair, and switches to a bit-sliced divisor
-index once the antichain is large; the same index, built over an ideal's
-generators on first use, answers membership. All sizes here are desk
-scale; an explicit candidate cap guards against intersection blowup before
-anything is enumerated, and the index refuses exponents whose bitsets
-would not fit.
+operations, the symbolic fold lifts and tests prime degrees on words, and
+all of them reduce their distinct results with one word-level reducer
+(:func:`_minimalize_words`), unpacking only the minimal generators. The
+reducer scans small antichains pairwise, one subtraction and one AND per
+pair, and switches to a bit-sliced divisor index once the antichain is
+large; the same index, built over an ideal's generators on first use,
+answers membership. All sizes here are desk scale; an explicit candidate
+cap guards against intersection blowup before anything is enumerated, and
+the index refuses exponents whose bitsets would not fit.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, combinations_with_replacement, groupby, repeat
 from math import comb
-from operator import add, itemgetter
-from typing import Callable, Iterable, Iterator, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .monomial import Monomial, Universe, Variable
 
@@ -66,12 +67,23 @@ def _mask(vec: Vec) -> int:
     return m
 
 
-def _packing(top: int, width: int) -> tuple[
-    Callable[[Iterable[Vec]], list[int]], Callable[[Iterable[int]], list[Vec]], int, int
-]:
-    """The word format for vectors with exponents at most ``top``: return
-    the packer, which packs vectors into ints, its inverse, the guard mask
-    ``G`` and the shift ``s`` from a field's guard bit to its lowest bit.
+class _Codec(NamedTuple):
+    """A word format, made by :func:`_packing`."""
+
+    pack: Callable[[Iterable[Vec]], list[int]]
+    unpack: Callable[[Iterable[int]], list[Vec]]
+    total: Callable[[int], int]  # the sum of a word's fields: its degree
+    guards: int
+    shift: int
+    top: int
+    width: int
+
+
+def _packing(top: int, width: int) -> _Codec:
+    """The word format for ``width``-long vectors with exponents at most
+    ``top``: the packer, which packs vectors into ints, its inverse, the
+    field sum, the guard mask ``G`` and the shift ``s`` from a field's
+    guard bit to its lowest bit, with ``top`` and ``width``.
 
     Each exponent takes a field of whole bytes, ``size`` of them, the first
     exponent the most significant, wide enough to leave the field's top
@@ -86,7 +98,9 @@ def _packing(top: int, width: int) -> tuple[
     - ``v`` divides ``u`` iff ``ge == G``;
     - ``U + V`` packs ``u * v``, if ``top`` bounds its exponents too;
     - ``V ^ ((U ^ V) & fill)`` packs ``lcm(u, v)``;
-    - ``((U | G) - V) & fill`` packs ``max(u - v, 0)``.
+    - ``((U | G) - V) & fill`` packs ``max(u - v, 0)``;
+    - ``U & M``, for ``M`` the value bits of some fields, packs ``u`` on
+      those fields alone, and the field sum of that is u's degree there.
 
     Fields have one width, so packed words order like the vectors.
     """
@@ -104,18 +118,24 @@ def _packing(top: int, width: int) -> tuple[
 
         def unpack(words: Iterable[int]) -> list[Vec]:
             return [tuple(w.to_bytes(width, "big")) for w in words]
-        return pack, unpack, guards, shift
+
+        def total(word: int) -> int:
+            return sum(word.to_bytes(width, "big"))
+        return _Codec(pack, unpack, total, guards, shift, top, width)
 
     def pack(vecs: Iterable[Vec]) -> list[int]:
         return [int.from_bytes(b"".join(e.to_bytes(size, "big") for e in v), "big") for v in vecs]
 
+    def fields(word: int) -> list[int]:
+        raw = word.to_bytes(size * width, "big")
+        return [int.from_bytes(raw[i:i + size], "big") for i in range(0, len(raw), size)]
+
     def unpack(words: Iterable[int]) -> list[Vec]:
-        out = []
-        for w in words:
-            raw = w.to_bytes(size * width, "big")
-            out.append(tuple(int.from_bytes(raw[i:i + size], "big") for i in range(0, len(raw), size)))
-        return out
-    return pack, unpack, guards, shift
+        return [tuple(fields(w)) for w in words]
+
+    def total(word: int) -> int:
+        return sum(fields(word))
+    return _Codec(pack, unpack, total, guards, shift, top, width)
 
 
 def _top(vecs: Iterable[Vec]) -> int:
@@ -161,19 +181,18 @@ class _DivisorIndex:
                 f"(cap {_INDEX_MAX_EXPONENT + 1})", slices,
             )
         shift, old_all = self.size, (1 << self.size) - 1
+        new_all = ((1 << len(vecs)) - 1) << shift
         for col, exps, top in zip(self.below, zip(*vecs), tops):
-            at = [0] * (top + 1)
-            for i, e in enumerate(exps):
-                at[e] |= 1 << i
-            acc = 0
-            for e, bits in enumerate(at):
-                acc |= bits
+            # one digit per vector, the last one first, so that vector i is bit i
+            raw = bytes(exps)[::-1]
+            for e in range(top + 1):
+                bits = int(raw.translate(_at_most(e)), 2) << shift if e < top else new_all
                 if e < len(col):
-                    col[e] |= acc << shift
+                    col[e] |= bits
                 else:
-                    col.append(old_all | acc << shift)
-            for e in range(len(at), len(col)):
-                col[e] |= acc << shift
+                    col.append(old_all | bits)
+            for e in range(top + 1, len(col)):
+                col[e] |= new_all
         self.size += len(vecs)
 
     def divides_some(self, vec: Vec) -> bool:
@@ -186,16 +205,29 @@ class _DivisorIndex:
         return hits != 0
 
 
-# _minimalize switches from the pairwise scan to the index once the kept
-# antichain has more than this many members per variable. Measured on the
-# captured reduction inputs of the benchmark's symbolic-fold (154 calls,
-# median 9 lifted candidates against a seed of 7) and square-colon (5 calls)
-# workloads, best of 15 interleaved runs, two sweeps, on a 2-core x86-64 VM
-# under Python 3.11, with the packed-word scan:
-#   switch at   1x: 14.7-15.1 / 8.3-8.5 ms   2x: 9.9-10.8 / 7.9-8.4 ms
-#               4x: 8.3-8.3 / 9.1-9.2 ms     8x: 8.4-10.0 / 10.2-10.4 ms
-#   scan only:      7.8-9.0 / 33.7-36.3 ms
-# Below the switch, building an index costs more than the scan it saves.
+@lru_cache(maxsize=_INDEX_MAX_EXPONENT)
+def _at_most(e: int) -> bytes:
+    """The ``bytes.translate`` table taking a byte to ``b"1"`` if it is at
+    most ``e``, else to ``b"0"``."""
+    return b"1" * (e + 1) + b"0" * (255 - e)
+
+
+# _minimalize_words switches from the pairwise scan to the index once the
+# kept antichain has more than this many members per variable. Measured on
+# the reducer's captured inputs, ms summed over the calls, for the
+# benchmark's symbolic-fold (155 calls, median 10 candidates against 7 kept
+# words) / square-colon (59 calls) workloads / symbolic_power(2) of
+# iniJ(3,8) (4,068 calls, median 75 against 53); best of 5 to 15
+# interleaved runs, ranges over four sweeps (two for iniJ(3,8)), on a
+# 2-core x86-64 VM under Python 3.11:
+#   switch at  1x: 8.7-10.8 / 4.0-4.8 / 1893-2873
+#              2x: 4.2-5.1 / 4.0-5.4 / 1576-2064
+#              4x: 3.2-3.5 / 4.2-5.0 / 988-1250
+#              8x: 3.1-3.6 / 5.2-6.6 / 953-1346
+#             16x: 3.2-4.4 / 10.2-14.1 / 968-1306
+#   scan only:     3.2-4.2 / 25.2-36.1 / 1015-1453
+# Below the switch, building an index costs more than the scan it saves;
+# 4x is within the spread of the best on all three.
 _INDEX_PER_VARIABLE = 4
 
 
@@ -207,62 +239,82 @@ def _minimalize(
     ``seed`` must be an antichain that no candidate divides; the result is
     ``seed`` followed by the candidates that no seed vector and no other
     candidate divides, in order of degree, then exponents in vector order.
-    Candidates are taken in that order, and a candidate is kept unless a
-    kept vector divides it; while few are kept they are scanned pairwise on
-    packed words (see :func:`_packing`). Once more than
-    ``_INDEX_PER_VARIABLE`` per variable are kept, the kept vectors go into
-    a :class:`_DivisorIndex` and the rest are tested against it one degree
-    at a time, each degree's survivors added in one batch: distinct vectors
-    of equal degree never divide each other, so a degree only needs the
-    kept vectors of lower degree. Exponents above ``_INDEX_MAX_EXPONENT``
-    keep the scan throughout; then :class:`SizeGuardExceeded` is raised
-    first if the candidates times the seed and candidates, a bound on the
-    pairs scanned, exceed ``cap``.
+    The vectors are packed (see :func:`_packing`), reduced by
+    :func:`_minimalize_words` and unpacked.
     """
-    items = sorted((sum(v), v) for v in set(vecs))
-    kept = list(seed)
+    distinct = list(set(vecs))
+    if not distinct:
+        return list(seed)
+    degrees = list(map(sum, distinct))
+    # the largest degree bounds every exponent
+    codec = _packing(max(max(degrees), max(map(sum, seed), default=0)), len(distinct[0]))
+    items = sorted(zip(degrees, codec.pack(distinct)))
+    return codec.unpack(_minimalize_words(codec.pack(seed), items, codec, cap))
+
+
+def _minimalize_words(
+    kept: list[int], items: list[tuple[int, int]], codec: _Codec, cap: int
+) -> list[int]:
+    """Extend the packed antichain ``kept`` by the candidates that no kept
+    word and no other candidate divides, and return it.
+
+    ``items`` are distinct ``(degree, word)`` candidates in ``codec``'s
+    format, sorted, and none divides a kept word. Candidates are taken in
+    that order, and a candidate is kept unless a kept word divides it;
+    while few are kept they are scanned pairwise, one subtraction and one
+    AND per pair. Once more than ``_INDEX_PER_VARIABLE`` per variable are
+    kept, the rest go to :func:`_minimalize_indexed`. Exponents above
+    ``_INDEX_MAX_EXPONENT`` keep the scan throughout; then
+    :class:`SizeGuardExceeded` is raised first if the candidates times the
+    kept words and candidates, a bound on the pairs scanned, exceed ``cap``.
+    """
     if not items:
         return kept
-    candidates = [v for _, v in items]
-    width = len(candidates[0])
-    top = max(items[-1][0], max(map(sum, kept), default=0))  # bounds every exponent
-    switch = _INDEX_PER_VARIABLE * width
-    if top > _INDEX_MAX_EXPONENT and max(map(max, chain(kept, candidates))) > _INDEX_MAX_EXPONENT:
-        switch = len(kept) + len(candidates)  # the index would refuse: scan throughout
-        work = len(candidates) * switch
+    switch = _INDEX_PER_VARIABLE * codec.width
+    if codec.top > _INDEX_MAX_EXPONENT and _top(
+        codec.unpack(chain(kept, map(itemgetter(1), items)))
+    ) > _INDEX_MAX_EXPONENT:
+        switch = len(kept) + len(items)  # the index would refuse: scan throughout
+        work = len(items) * switch
         if work > cap:
             raise SizeGuardExceeded(
-                f"reduction would scan {len(candidates)} candidates with exponents above "
+                f"reduction would scan {len(items)} candidates with exponents above "
                 f"{_INDEX_MAX_EXPONENT} against up to {switch} vectors, about {work} "
                 f"comparisons (cap {cap})",
                 work,
             )
     if len(kept) > switch:
-        return _minimalize_indexed(kept, items)
-    pack, _, guards, _ = _packing(top, width)
-    words = pack(kept)
-    for pos, (vec, word) in enumerate(zip(candidates, pack(candidates))):
+        return _minimalize_indexed(kept, items, codec)
+    guards = codec.guards
+    for pos, (_, word) in enumerate(items):
         guarded = word | guards
-        for k in words:
+        for k in kept:
             if (guarded - k) & guards == guards:
                 break
         else:
-            kept.append(vec)
+            kept.append(word)
             if len(kept) > switch:
-                return _minimalize_indexed(kept, items[pos + 1:])
-            words.append(word)
+                return _minimalize_indexed(kept, items[pos + 1:], codec)
     return kept
 
 
-def _minimalize_indexed(kept: list[Vec], items: list[tuple[int, Vec]]) -> list[Vec]:
-    """Extend ``kept`` by the vectors of ``(degree, vector)`` ``items`` that
-    no kept vector and no earlier item divides; ``items`` are sorted by
-    degree, and none divides a kept vector."""
-    index = _DivisorIndex(len(kept[0]), kept)
+def _minimalize_indexed(
+    kept: list[int], items: list[tuple[int, int]], codec: _Codec
+) -> list[int]:
+    """Extend ``kept`` by the words of ``(degree, word)`` ``items`` that no
+    kept word and no earlier item divides, through a :class:`_DivisorIndex`
+    grown one degree at a time: distinct vectors of equal degree never
+    divide each other, so a degree only needs the kept vectors of lower
+    degree. ``items`` are sorted by degree, and none divides a kept word."""
+    index = _DivisorIndex(codec.width, codec.unpack(kept))
     for _, group in groupby(items, key=itemgetter(0)):
-        survivors = [vec for _, vec in group if not index.divides_some(vec)]
-        index.add(survivors)
-        kept += survivors
+        words = [word for _, word in group]
+        survivors = [
+            (word, vec) for word, vec in zip(words, codec.unpack(words))
+            if not index.divides_some(vec)
+        ]
+        index.add([vec for _, vec in survivors])
+        kept += [word for word, _ in survivors]
     return kept
 
 
@@ -329,10 +381,11 @@ class MonomialIdeal:
         self._same_universe(other)
         a, b = self.vecs, other.vecs
         _check_cap(len(a) * len(b), cap, "product")
-        pack, unpack, _, _ = _packing(_top(a) + _top(b), len(self.universe))
-        words = pack(b)
-        candidates = unpack({u + v for u in pack(a) for v in words})
-        return _from_vecs(self.universe, _minimalize(candidates, cap=cap))
+        codec = _packing(_top(a) + _top(b), len(self.universe))
+        words = codec.pack(b)
+        candidates = {u + v for u in codec.pack(a) for v in words}
+        reduced = _minimalize_words([], _by_degree(candidates, codec), codec, cap)
+        return _from_vecs(self.universe, codec.unpack(reduced))
 
     def power(self, s: int, cap: int = DEFAULT_CANDIDATE_CAP) -> "MonomialIdeal":
         """W^s; W^0 is the unit ideal and W^1 the ideal itself.
@@ -372,23 +425,24 @@ class MonomialIdeal:
         self._same_universe(other)
         if other.is_zero():
             raise ValueError("colon by the zero ideal")
-        pack, unpack, guards, shift = _packing(
-            max(_top(self.vecs), _top(other.vecs)), len(self.universe)
-        )
-        guarded = [u | guards for u in pack(self.vecs)]
+        codec = _packing(max(_top(self.vecs), _top(other.vecs)), len(self.universe))
+        guards, shift = codec.guards, codec.shift
+        guarded = [u | guards for u in codec.pack(self.vecs)]
         pieces = []
-        for v in pack(other.vecs):
+        for v in codec.pack(other.vecs):
             diffs = [g - v for g in guarded]
             # max(u - v, 0) for every u, see _packing
             quotients = {d & ((ge := d & guards) - (ge >> shift)) for d in diffs}
-            pieces.append(_minimalize(unpack(quotients), cap=cap))
-        folded = _tree_fold_intersect(pieces, cap)
-        return _from_vecs(self.universe, folded)
+            pieces.append(_minimalize_words([], _by_degree(quotients, codec), codec, cap))
+        folded = _tree_fold_intersect(pieces, codec, cap)
+        return _from_vecs(self.universe, codec.unpack(folded))
 
     def intersect(self, other: "MonomialIdeal", cap: int = DEFAULT_CANDIDATE_CAP) -> "MonomialIdeal":
         self._same_universe(other)
-        folded = _intersect_vecs(self.vecs, other.vecs, cap)
-        return _from_vecs(self.universe, folded)
+        a, b = self.vecs, other.vecs
+        codec = _packing(max(_top(a), _top(b)), len(self.universe))
+        folded = _intersect_words(codec.pack(a), codec.pack(b), codec, cap)
+        return _from_vecs(self.universe, codec.unpack(folded))
 
     # -- squarefree combinatorics ------------------------------------------
 
@@ -422,9 +476,16 @@ class MonomialIdeal:
         P-degree ``d >= level`` is kept as it is, any other ``u`` becomes
         ``u * w`` for every degree-``(level - d)`` monomial ``w`` in P's
         variables, which generates ``(u) ∩ P^level``. Only the lifted
-        candidates are reduced, against the kept generators and each other:
-        no lifted ``u * w`` divides a kept ``v``, since then ``u`` would
-        divide ``v`` in the previous antichain.
+        candidates are reduced, against the kept generators and each other
+        (:func:`_minimalize_words`): no lifted ``u * w`` divides a kept
+        ``v``, since then ``u`` would divide ``v`` in the previous antichain.
+
+        The antichain stays packed (see :func:`_packing`) from the first
+        prime to the last and is unpacked once, at the end: every ``u * w``
+        has exponents at most ``level``, so one word format fits the whole
+        fold. A prime is a mask of its fields, a P-degree the field sum of
+        ``u`` under that mask, and a lift ``u * w`` the sum ``u + w`` of
+        words, whose degree is u's degree plus ``level - d``.
 
         Before a step enumerates anything the guard refuses when its lifted
         count times the current antichain size exceeds ``cap``. This bounds
@@ -432,23 +493,25 @@ class MonomialIdeal:
         reduced against; it is not a count of comparisons, since the lifted
         candidates are also reduced against each other and the antichain
         grows as they are kept. Kept generators are not counted, as they
-        are not reduced. Above the index switch of :func:`_minimalize` a
-        step costs less, but the bound is kept so that refusals do not
+        are not reduced. Above the index switch of :func:`_minimalize_words`
+        a step costs less, but the bound is kept so that refusals do not
         depend on how reduction is done.
         """
         if level < 1:
             raise ValueError("symbolic power needs level >= 1")
         width = len(self.universe)
-        current: list[Vec] = [(0,) * width]
-        for cols in self._prime_columns:
+        codec = _packing(level, width)
+        units, masks = _prime_words(codec, self._prime_columns)
+        current = codec.pack([(0,) * width])
+        for cols, mask in zip(self._prime_columns, masks):
             kept, short = [], []
             for u in current:
-                deficit = level - sum(u[c] for c in cols)
+                deficit = level - codec.total(u & mask)
                 if deficit > 0:
-                    short.append((u, deficit))
+                    short.append((u, deficit, codec.total(u) + deficit))
                 else:
                     kept.append(u)
-            lifted = sum(comb(e + len(cols) - 1, e) for _, e in short)
+            lifted = sum(comb(e + len(cols) - 1, e) for _, e, _ in short)
             work = lifted * len(current)
             if work > cap:
                 raise SizeGuardExceeded(
@@ -457,23 +520,24 @@ class MonomialIdeal:
                     work,
                 )
             # a degree-e monomial in P's variables is a multiset of e columns
-            lifts = {}
-            for e in {e for _, e in short}:
-                lifts[e] = []
-                for w in combinations_with_replacement(cols, e):
-                    step = [0] * width
-                    for c in w:
-                        step[c] += 1
-                    lifts[e].append(step)
-            candidates = [tuple(map(add, u, step)) for u, e in short for step in lifts[e]]
-            current = _minimalize(candidates, kept, cap)
-        return _from_vecs(self.universe, current)
+            lifts = {
+                e: [sum(map(units.__getitem__, w)) for w in combinations_with_replacement(cols, e)]
+                for e in {e for _, e, _ in short}
+            }
+            # deduplicated as words, each with its degree
+            lifted_words = {u + w: degree for u, e, degree in short for w in lifts[e]}
+            items = sorted(zip(lifted_words.values(), lifted_words))
+            current = _minimalize_words(kept, items, codec, cap)
+        return _from_vecs(self.universe, codec.unpack(current))
 
     def symbolic_member(self, mon: Monomial, level: int) -> bool:
         """Membership in the level-th symbolic power via per-prime degree sums."""
         if level < 1:
             raise ValueError("symbolic power needs level >= 1")
-        return _in_symbolic_power(_to_vec(self.universe, mon), self._prime_columns, level)
+        vec = _to_vec(self.universe, mon)
+        codec = _packing(max(vec, default=0), len(vec))
+        _, masks = _prime_words(codec, self._prime_columns)
+        return _in_symbolic_power(codec.pack([vec])[0], masks, level, codec)
 
     @cached_property
     def _prime_columns(self) -> list[list[int]]:
@@ -510,11 +574,12 @@ def first_symbolic_gap(
     ordinary generators against the minimal primes, found once, and a
     generator that fails it raises :class:`AssertionError`.
     """
-    columns = W._prime_columns
     for level in range(1, upto + 1):
         power = W.power(level, cap=cap)
-        for v in power.vecs:
-            if not _in_symbolic_power(v, columns, level):
+        codec = _packing(_top(power.vecs), len(W.universe))
+        _, masks = _prime_words(codec, W._prime_columns)
+        for v, word in zip(power.vecs, codec.pack(power.vecs)):
+            if not _in_symbolic_power(word, masks, level, codec):
                 raise AssertionError(
                     f"ordinary power generator {_to_monomial(W.universe, v)} "
                     f"escaped symbolic power {level}"
@@ -554,9 +619,19 @@ def square_colon_scan(
 # -- internals ---------------------------------------------------------------
 
 
-def _in_symbolic_power(vec: Vec, columns: Iterable[Sequence[int]], level: int) -> bool:
-    """True iff ``vec`` has degree at least ``level`` on every prime's columns."""
-    return all(sum(vec[c] for c in cols) >= level for cols in columns)
+def _prime_words(codec: _Codec, columns: Iterable[Sequence[int]]) -> tuple[list[int], list[int]]:
+    """The packed unit vectors, the i-th one at position i, and for each
+    prime, given by its columns, the mask of every value bit of its fields."""
+    width = codec.width
+    units = codec.pack(tuple(int(i == c) for i in range(width)) for c in range(width))
+    fill = (1 << codec.shift) - 1  # a field's value bits
+    return units, [sum(map(units.__getitem__, cols)) * fill for cols in columns]
+
+
+def _in_symbolic_power(word: int, masks: Iterable[int], level: int, codec: _Codec) -> bool:
+    """True iff the packed ``word`` has degree at least ``level`` on every
+    prime, given by its mask from :func:`_prime_words`."""
+    return all(codec.total(word & mask) >= level for mask in masks)
 
 
 def _to_vec(universe: Universe, mon: Monomial) -> Vec:
@@ -622,22 +697,26 @@ def _check_cap(count: int, cap: int, what: str) -> None:
         )
 
 
-def _intersect_vecs(a: Sequence[Vec], b: Sequence[Vec], cap: int) -> list[Vec]:
+def _by_degree(words: set[int], codec: _Codec) -> list[tuple[int, int]]:
+    """``words`` as sorted ``(degree, word)`` items, the input of
+    :func:`_minimalize_words`."""
+    return sorted(zip(map(codec.total, words), words))
+
+
+def _intersect_words(a: list[int], b: list[int], codec: _Codec, cap: int) -> list[int]:
+    """Minimal generators of the intersection of two packed antichains."""
     _check_cap(len(a) * len(b), cap, "intersection")
-    if not a or not b:
-        return []
-    pack, unpack, guards, shift = _packing(max(_top(a), _top(b)), len(a[0]))
-    words = pack(b)
+    guards, shift = codec.guards, codec.shift
     # lcm(u, v) for every pair, see _packing
     lcms = {
         v ^ ((u ^ v) & ((ge := ((u | guards) - v) & guards) - (ge >> shift)))
-        for u in pack(a) for v in words
+        for u in a for v in b
     }
-    return _minimalize(unpack(lcms), cap=cap)
+    return _minimalize_words([], _by_degree(lcms, codec), codec, cap)
 
 
-def _tree_fold_intersect(pieces: list[list[Vec]], cap: int) -> list[Vec]:
-    """Intersect many generator lists pairwise in a balanced tree.
+def _tree_fold_intersect(pieces: list[list[int]], codec: _Codec, cap: int) -> list[int]:
+    """Intersect many packed generator lists pairwise in a balanced tree.
 
     Used by :meth:`MonomialIdeal.colon` only. There it measured faster than
     a left fold: 53-63 ms against 97-99 ms, summed over the 26 link colons
@@ -651,7 +730,7 @@ def _tree_fold_intersect(pieces: list[list[Vec]], cap: int) -> list[Vec]:
     while len(level) > 1:
         nxt = []
         for i in range(0, len(level) - 1, 2):
-            nxt.append(_intersect_vecs(level[i], level[i + 1], cap))
+            nxt.append(_intersect_words(level[i], level[i + 1], codec, cap))
         if len(level) % 2:
             nxt.append(level[-1])
         level = nxt

@@ -144,12 +144,13 @@ def verify_colon_link(inst: LinkInstance, bounds: VerifyBounds = DEFAULT_BOUNDS)
         # every product t * v against the few sequence generators, on packed
         # words: s divides w iff ((w | G) - s) & G == G (see _packing)
         top = max(_top(seq.vecs), _top(claimed.vecs) + _top(minors.vecs))
-        pack, _, guards, _ = _packing(top, len(inst.universe))
-        seq_words = pack(seq.vecs)
-        minor_words = pack(minors.vecs)
+        codec = _packing(top, len(inst.universe))
+        guards = codec.guards
+        seq_words = codec.pack(seq.vecs)
+        minor_words = codec.pack(minors.vecs)
         claimed_in_colon = all(
             any((w - s) & guards == guards for s in seq_words)
-            for w in {(t + v) | guards for t in pack(claimed.vecs) for v in minor_words}
+            for w in {(t + v) | guards for t in codec.pack(claimed.vecs) for v in minor_words}
         )
         computed_in_claimed = all(claimed._divides_into(c) for c in computed.vecs)
         ok = set_equal and claimed_in_colon and computed_in_claimed
@@ -255,8 +256,9 @@ def verify_counts_and_degrees(inst: LinkInstance, bounds: VerifyBounds = DEFAULT
         checks.append(W.is_squarefree())
         # antichain, checked pairwise on packed words rather than via the
         # reducer: a divides b iff ((b | G) - a) & G == G (see _packing)
-        pack, _, guards, _ = _packing(_top(W.vecs), len(inst.universe))
-        words = pack(W.vecs)
+        codec = _packing(_top(W.vecs), len(inst.universe))
+        guards = codec.guards
+        words = codec.pack(W.vecs)
         checks.append(not any(
             a != b and ((b | guards) - a) & guards == guards for a in words for b in words
         ))

@@ -256,9 +256,9 @@ def test_minimalize_switches_after_four_kept_per_variable(monkeypatch):
     entered = []
     original = ideals._minimalize_indexed
 
-    def spy(kept, items):
+    def spy(kept, items, codec):
         entered.append(len(kept))
-        return original(kept, items)
+        return original(kept, items, codec)
 
     monkeypatch.setattr(ideals, "_minimalize_indexed", spy)
     level4 = [(a, b, 4 - a - b) for a in range(5) for b in range(5 - a)]  # 15 vectors
@@ -298,6 +298,28 @@ def test_divisor_index_batches_match_raw_divisibility(batches, queries):
         added += batch
         for q in queries:
             assert index.divides_some(q) == vec_divides_some(added, q)
+
+
+# each exponent is a boundary of the one-byte translate tables: 0 and 255
+# the ends, 127/128 where fields widen, 254/255 the last two slices
+INDEX_EXPONENTS = st.sampled_from([0, 1, 127, 128, 254, 255])
+
+
+@given(st.lists(st.lists(st.tuples(*[INDEX_EXPONENTS] * 3), max_size=10), max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_divisor_index_slices_match_their_definition(batches):
+    # bit i of below[k][e] is set iff vector i has exponent at most e at k,
+    # for e up to the largest exponent indexed at k
+    index = _DivisorIndex(3)
+    added = []
+    for batch in batches:
+        index.add(batch)
+        added += batch
+        assert index.size == len(added)
+        for k, col in enumerate(index.below):
+            assert len(col) == max((v[k] for v in added), default=0) + 1
+            for e, bits in enumerate(col):
+                assert bits == sum(1 << i for i, v in enumerate(added) if v[k] <= e), (k, e)
 
 
 @given(st.booleans().flatmap(degree_bands), seeds)
@@ -603,6 +625,52 @@ def test_symbolic_power_matches_pairwise_reference_hypothesis(W, level):
         return
     want = pairwise_symbolic_power(brute_minimal_covers(W), level)
     assert set(W.symbolic_power(level).gens) == want
+
+
+@pytest.mark.parametrize("level", [127, 128, 255, 256, 300])
+def test_symbolic_power_across_field_widths(level):
+    # one word format holds the whole fold: one-byte fields up to 127, two
+    # bytes from 128; above 255 reduction scans instead of indexing
+    assert ideal(U3, [mono(X1, X2)]).symbolic_power(level).vecs == ((level, level, 0),)
+    W = ideal(U3, [mono(X1, X2), mono(X2, X3)])  # primes (x2) and (x1, x3)
+    want = pairwise_symbolic_power(W.minimal_primes(), level)
+    assert set(W.symbolic_power(level).gens) == want
+    assert len(want) == level + 1
+    square = Monomial({X1: level, X2: level})
+    assert ideal(U3, [mono(X1, X2)]).symbolic_member(square, level)
+    assert not ideal(U3, [mono(X1, X2)]).symbolic_member(square, level + 1)
+
+
+@pytest.mark.parametrize("level, estimate", [(127, 1_056_640), (128, 1_081_536), (255, 8_421_120)])
+def test_symbolic_power_refusal_across_field_widths(level, estimate):
+    # primes (x1, x3) and (x2, x3): the second step lifts x1^a x3^(level-a)
+    # by every degree-a monomial in x2, x3, for a = 1..level
+    with pytest.raises(SizeGuardExceeded) as refused:
+        ideal(U3, [mono(X1, X2), mono(X3)]).symbolic_power(level)
+    assert refused.value.estimate == estimate
+
+
+def test_symbolic_power_packs_no_generator_twice(monkeypatch):
+    # The fold packs the unit start and the lift monomials, of degree at
+    # most the level, and carries every generator from step to step packed.
+    packed = []
+    original = ideals._packing
+
+    def recording(top, width):
+        codec = original(top, width)
+
+        def pack(vecs):
+            vecs = list(vecs)
+            packed.extend(vecs)
+            return codec.pack(vecs)
+        return codec._replace(pack=pack)
+
+    W = LinkInstance(2, 5).link_initial
+    want = W.symbolic_power(2)
+    monkeypatch.setattr(ideals, "_packing", recording)
+    assert W.symbolic_power(2) == want
+    assert packed and max(map(sum, packed)) <= 2
+    assert min(map(sum, want.vecs)) >= 3
 
 
 # -- the square-bracket colon criterion ------------------------------------------------
