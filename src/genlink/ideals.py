@@ -145,7 +145,7 @@ def _top(vecs: Iterable[Vec]) -> int:
 
 # An index keeps one bitset per variable and exponent up to the largest
 # exponent it holds. Above this exponent it refuses to be built, so its
-# memory does not grow with exponent size; _minimalize scans instead.
+# memory does not grow with exponent size; _minimalize_words scans instead.
 _INDEX_MAX_EXPONENT = 255
 
 
