@@ -5,8 +5,10 @@ Operations: product, power, bracket power, colon, intersection, membership,
 minimal primes of squarefree ideals (minimal vertex covers of the support
 clutter), symbolic powers (a left fold over the minimal primes that lifts
 each generator into the next prime power and reduces only the lifted
-ones), a symbolic-vs-ordinary scan, and the square-bracket colon criterion
-certifying symbolic = ordinary for squarefree ideals.
+ones, or at level 2, when there are many primes per variable, a fold over
+the variables by the Zariski-Nagata test), a symbolic-vs-ordinary scan,
+and the square-bracket colon criterion certifying symbolic = ordinary for
+squarefree ideals.
 
 An ideal holds its minimal generators once, as dense exponent vectors over
 the universe; their support bitmasks, :class:`Monomial` form and minimal
@@ -15,7 +17,7 @@ primes are derived on first use. Monomials enter only through
 :meth:`~MonomialIdeal.symbolic_member`. The kernels work on packed
 exponent words (see :func:`_packing`): product, intersection and the
 quotients of a colon combine each pair of generators in a few big-int
-operations, the symbolic fold lifts and tests prime degrees on words, and
+operations, the symbolic folds lift and test generators on words, and
 all of them reduce their distinct results with one word-level reducer
 (:func:`_minimalize_words`), unpacking only the minimal generators. The
 reducer scans small antichains pairwise, one subtraction and one AND per
@@ -153,20 +155,22 @@ class _DivisorIndex:
     """Bit-sliced index answering "does some indexed vector divide v?".
 
     Vector i of the index is bit i. ``below[k][e]`` is the bitset of the
-    vectors whose exponent at position k is at most e, for e up to the
-    largest exponent indexed at k, where every bit is set. A query ANDs
-    ``below[k][min(v[k], top)]`` over k and stops once nothing is left, so
-    it costs a few big-int ANDs instead of a pass over every vector.
+    vectors whose exponent at position k is at most e, for e up to
+    ``tops[k]``, the largest exponent indexed at k, where every bit is set.
+    A query ANDs ``below[k][v[k]]`` over the k with ``v[k] < tops[k]`` and
+    stops once nothing is left, so it costs a few big-int ANDs instead of a
+    pass over every vector.
     Vectors are added in batches; each batch's bitsets are built on bit 0
     and shifted into place once. A batch with an exponent above
     ``_INDEX_MAX_EXPONENT`` raises :class:`SizeGuardExceeded` before
     anything is allocated.
     """
 
-    __slots__ = ("below", "size")
+    __slots__ = ("below", "tops", "size")
 
     def __init__(self, width: int, vecs: Sequence[Vec] = ()):
         self.below: list[list[int]] = [[0] for _ in range(width)]
+        self.tops = [0] * width
         self.size = 0
         self.add(vecs)
 
@@ -193,12 +197,13 @@ class _DivisorIndex:
                     col.append(old_all | bits)
             for e in range(top + 1, len(col)):
                 col[e] |= new_all
+        self.tops = list(map(max, self.tops, tops))
         self.size += len(vecs)
 
     def divides_some(self, vec: Vec) -> bool:
         hits = (1 << self.size) - 1
-        for col, e in zip(self.below, vec):
-            if e < len(col):  # above the top, below[k][top] is every vector
+        for col, top, e in zip(self.below, self.tops, vec):
+            if e < top:  # from the top up, below[k][e] is every vector
                 hits &= col[e]
                 if not hits:
                     return False
@@ -229,6 +234,20 @@ def _at_most(e: int) -> bytes:
 # Below the switch, building an index costs more than the scan it saves;
 # 4x is within the spread of the best on all three.
 _INDEX_PER_VARIABLE = 4
+
+# symbolic_power takes the variable fold at level 2 when the ideal has more
+# than this many minimal primes per variable in its support. Level-2 times,
+# finding the primes included, prime fold / variable fold, best of 15 (5 for
+# iniJ(3,8)), 2-core x86-64 VM, Python 3.11, with primes/variables:
+#   iniJ(2,4)  23/9:   0.6 / 0.4 ms     N(4,8)   60/18: 10.6 / 14.7 ms
+#   iniJ(2,5)  76/12:  3.8 / 0.8 ms     N(3,8)   45/16:  4.1 / 5.3 ms
+#   iniJ(3,5)  54/12:  1.9 / 0.9 ms     N(3,7)   30/13:  1.4 / 2.2 ms
+#   iniJ(4,6) 105/15:  6.0 / 2.3 ms     iniI(3,6) 15/12: 2.7 / 3.9 ms
+#   iniJ(4,7) 590/20: 81 / 12 ms        iniI(2,7)  7/12: 1.6 / 3.4 ms
+#   iniJ(3,8) 4068/24: 903 / 36 ms
+# The variable fold loses on ideals with many generators and few primes;
+# every staircase ideal cor412 reaches has at most 3.3 primes per variable.
+_PRIMES_PER_VARIABLE = 4
 
 
 def _minimalize(
@@ -470,13 +489,28 @@ class MonomialIdeal:
         """Intersection of the level-th powers of the minimal primes.
 
         For a squarefree ideal this is the level-th symbolic power
-        (Herzog-Hibi-Trung). The intersection is a left fold from the unit
-        ideal over the primes in :meth:`minimal_primes` order. Each step
-        lifts the current antichain into ``P^level``: a generator ``u`` of
-        P-degree ``d >= level`` is kept as it is, any other ``u`` becomes
-        ``u * w`` for every degree-``(level - d)`` monomial ``w`` in P's
-        variables, which generates ``(u) ∩ P^level``. Only the lifted
-        candidates are reduced, against the kept generators and each other
+        (Herzog-Hibi-Trung). It is computed by :meth:`_prime_fold`, one
+        step per minimal prime, or at level 2 by :meth:`_variable_fold`,
+        one step per variable, when the ideal has more than
+        ``_PRIMES_PER_VARIABLE`` minimal primes per variable in its support.
+        Both give the same generators; each refuses with
+        :class:`SizeGuardExceeded` before a step would exceed ``cap``.
+        """
+        if level < 1:
+            raise ValueError("symbolic power needs level >= 1")
+        primes, variables = len(self._prime_columns), len(self._support_columns)
+        if level == 2 and primes > _PRIMES_PER_VARIABLE * variables:
+            return self._variable_fold(cap)
+        return self._prime_fold(level, cap)
+
+    def _prime_fold(self, level: int, cap: int) -> "MonomialIdeal":
+        """The level-th symbolic power as a left fold from the unit ideal
+        over the primes in :meth:`minimal_primes` order. Each step lifts the
+        current antichain into ``P^level``: a generator ``u`` of P-degree
+        ``d >= level`` is kept as it is, any other ``u`` becomes ``u * w``
+        for every degree-``(level - d)`` monomial ``w`` in P's variables,
+        which generates ``(u) ∩ P^level``. Only the lifted candidates are
+        reduced, against the kept generators and each other
         (:func:`_minimalize_words`): no lifted ``u * w`` divides a kept
         ``v``, since then ``u`` would divide ``v`` in the previous antichain.
 
@@ -497,8 +531,6 @@ class MonomialIdeal:
         a step costs less, but the bound is kept so that refusals do not
         depend on how reduction is done.
         """
-        if level < 1:
-            raise ValueError("symbolic power needs level >= 1")
         width = len(self.universe)
         codec = _packing(level, width)
         units, masks = _prime_words(codec, self._prime_columns)
@@ -512,13 +544,7 @@ class MonomialIdeal:
                 else:
                     kept.append(u)
             lifted = sum(comb(e + len(cols) - 1, e) for _, e, _ in short)
-            work = lifted * len(current)
-            if work > cap:
-                raise SizeGuardExceeded(
-                    f"symbolic power step would reduce {lifted} lifted candidates "
-                    f"against {len(current)} generators, estimate {work} (cap {cap})",
-                    work,
-                )
+            _check_step(lifted, len(current), cap)
             # a degree-e monomial in P's variables is a multiset of e columns
             lifts = {
                 e: [sum(map(units.__getitem__, w)) for w in combinations_with_replacement(cols, e)]
@@ -526,6 +552,75 @@ class MonomialIdeal:
             }
             # deduplicated as words, each with its degree
             lifted_words = {u + w: degree for u, e, degree in short for w in lifts[e]}
+            items = sorted(zip(lifted_words.values(), lifted_words))
+            current = _minimalize_words(kept, items, codec, cap)
+        return _from_vecs(self.universe, codec.unpack(current))
+
+    def _variable_fold(self, cap: int) -> "MonomialIdeal":
+        """The second symbolic power as a left fold from the ideal ``I``
+        itself over the variables of its support, one step per variable.
+
+        By the monomial form of Zariski-Nagata, ``u`` lies in ``I^(2)`` iff
+        ``u`` and ``u / x_i``, for every ``x_i`` dividing ``u``, lie in
+        ``I``. The step for ``x_i`` intersects the current antichain with
+        ``x_i * I + I_i``, where ``I_i`` is generated by the generators of
+        ``I`` free of ``x_i``. A generator ``u`` is kept if ``x_i`` does not
+        divide it or ``q = u / x_i`` lies in ``I``, which the ideal's divisor
+        index tells. Any other ``u`` becomes ``x_i * lcm(q, v)`` for every
+        generator ``v`` of ``I``, which generates ``(u) ∩ (x_i * I + I_i)``.
+        As ``v`` is squarefree, that is ``u`` times the part of ``v`` off
+        the support of ``q``; only the minimal parts are kept, reduced per
+        ``u`` (:func:`_minimalize_words`). The lifted candidates are then
+        reduced against the kept generators and each other; no lifted word
+        divides a kept one, by the antichain argument of :meth:`_prime_fold`.
+
+        The variables come in :attr:`_support_columns` order, those in the
+        most generators first, which keeps the early antichains small: on
+        iniJ(3,8) the fold takes 12 ms in that order and 30 ms in universe
+        order. Every exponent stays at most 2, so one word format (see
+        :func:`_packing`) serves the whole fold, and the antichain is
+        unpacked once, at the end.
+
+        Before a step reduces its lifted candidates against the antichain,
+        the guard refuses when their number times the current antichain
+        size exceeds ``cap``, the count :meth:`_prime_fold` makes. The
+        candidates are counted distinct and after the per-``u`` reduction,
+        which is cheap: at most the short generators times the generators
+        of ``I``, one AND each. Counted before it, as short generators
+        times generators of ``I``, the estimate would refuse iniJ(4,8) and
+        iniJ(3,9) at level 2 (631,960 and 226,625), which the prime fold
+        computes.
+        """
+        codec = _packing(2, len(self.universe))
+        columns = self._support_columns
+        units, fields = _prime_words(codec, [[col] for col in columns])
+        guards, shift = codec.guards, codec.shift
+        ones, values = sum(units), sum(fields)
+        gens = codec.pack(self.vecs)
+        index = self._index
+        current = gens
+        for col, field in zip(columns, fields):
+            unit = units[col]
+            kept = [u for u in current if not u & field]
+            divisible = [u for u in current if u & field]
+            short = []
+            for u, q in zip(divisible, codec.unpack([u - unit for u in divisible])):
+                if index.divides_some(q):
+                    kept.append(u)
+                else:
+                    short.append(u)
+            lifted_words = {}
+            for u in short:
+                # the fields where q = u / x_i is 0, see _packing
+                ge = (((u - unit) | guards) - ones) & guards
+                off = values ^ (ge - (ge >> shift))
+                # one bit per field of v, so a part's degree is its bit count
+                parts = {v & off for v in gens}
+                items = sorted(zip(map(int.bit_count, parts), parts))
+                degree = codec.total(u)
+                for w in _minimalize_words([], items, codec, cap):
+                    lifted_words[u + w] = degree + w.bit_count()
+            _check_step(len(lifted_words), len(current), cap)
             items = sorted(zip(lifted_words.values(), lifted_words))
             current = _minimalize_words(kept, items, codec, cap)
         return _from_vecs(self.universe, codec.unpack(current))
@@ -538,6 +633,13 @@ class MonomialIdeal:
         codec = _packing(max(vec, default=0), len(vec))
         _, masks = _prime_words(codec, self._prime_columns)
         return _in_symbolic_power(codec.pack([vec])[0], masks, level, codec)
+
+    @cached_property
+    def _support_columns(self) -> list[int]:
+        """The vector positions some generator uses, those used by the most
+        generators first."""
+        counts = [sum(map(bool, exps)) for exps in zip(*self.vecs)]
+        return sorted((i for i, c in enumerate(counts) if c), key=lambda i: -counts[i])
 
     @cached_property
     def _prime_columns(self) -> list[list[int]]:
@@ -697,6 +799,18 @@ def _check_cap(count: int, cap: int, what: str) -> None:
         )
 
 
+def _check_step(lifted: int, current: int, cap: int) -> None:
+    """The symbolic folds' guard: refuse a step whose lifted candidates
+    times the current antichain size exceed ``cap``."""
+    work = lifted * current
+    if work > cap:
+        raise SizeGuardExceeded(
+            f"symbolic power step would reduce {lifted} lifted candidates "
+            f"against {current} generators, estimate {work} (cap {cap})",
+            work,
+        )
+
+
 def _by_degree(words: set[int], codec: _Codec) -> list[tuple[int, int]]:
     """``words`` as sorted ``(degree, word)`` items, the input of
     :func:`_minimalize_words`."""
@@ -721,8 +835,9 @@ def _tree_fold_intersect(pieces: list[list[int]], codec: _Codec, cap: int) -> li
     Used by :meth:`MonomialIdeal.colon` only. There it measured faster than
     a left fold: 53-63 ms against 97-99 ms, summed over the 26 link colons
     (iniA : iniI) of the benchmark's ``breadth`` workload (best of 15, two
-    runs, 2-core x86-64 VM, Python 3.11). Symbolic powers use per-prime
-    lifting instead, which needs no pairwise enumeration.
+    runs, 2-core x86-64 VM, Python 3.11). The symbolic folds intersect
+    with one prime power or one ``x_i * I + I_i`` at a time by lifting each
+    generator that is not in it, and need no pairwise enumeration.
     """
     if not pieces:
         raise ValueError("nothing to intersect")

@@ -262,20 +262,33 @@ def _masked(text):
     return data
 
 
-def test_suites_run_the_same_under_optimization(tmp_path):
-    # the checks raise explicitly, so -O, which strips asserts, changes nothing
+def _assert_same_under_optimization(tmp_path, argv):
+    """``genlink argv`` under ``python -O`` writes the report that an
+    in-process run writes, up to elapsed times."""
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     optimized = tmp_path / "optimized.json"
     subprocess.run(
-        [sys.executable, "-O", "-m", "genlink", "verify", "all", "2", "4",
-         "--Lmax", "2", "--rmax", "1", "--out", str(optimized)],
+        [sys.executable, "-O", "-m", "genlink", *argv, "--out", str(optimized)],
         check=True, env=env, capture_output=True,
     )
     plain = tmp_path / "plain.json"
-    assert main(["verify", "all", "2", "4", "--Lmax", "2", "--rmax", "1",
-                 "--out", str(plain)]) == 0
+    assert main([*argv, "--out", str(plain)]) == 0
     assert _masked(optimized.read_text()) == _masked(plain.read_text())
+
+
+def test_suites_run_the_same_under_optimization(tmp_path):
+    # the checks raise explicitly, so -O, which strips asserts, changes nothing
+    _assert_same_under_optimization(
+        tmp_path, ["verify", "all", "2", "4", "--Lmax", "2", "--rmax", "1"]
+    )
+
+
+def test_variable_fold_runs_the_same_under_optimization(tmp_path):
+    # iniJ(2,5) takes the variable fold at level 2
+    _assert_same_under_optimization(
+        tmp_path, ["verify", "symbolic", "2", "5", "--Lmax", "2", "--rmax", "1"]
+    )
 
 
 def test_grid_script_writes_the_cli_report(tmp_path):
