@@ -356,7 +356,7 @@ class MonomialIdeal:
 
     @cached_property
     def gens(self) -> tuple[Monomial, ...]:
-        return tuple(_to_monomial(self.universe, v) for v in self.vecs)
+        return tuple(_to_monomials(self.universe, self.vecs))
 
     @cached_property
     def masks(self) -> tuple[int, ...]:
@@ -748,8 +748,18 @@ def _to_vec(universe: Universe, mon: Monomial) -> Vec:
 
 
 def _to_monomial(universe: Universe, vec: Vec) -> Monomial:
-    vars_ = universe.variables
-    return Monomial((vars_[i], e) for i, e in enumerate(vec) if e)
+    return _to_monomials(universe, [vec])[0]
+
+
+def _to_monomials(universe: Universe, vecs: Iterable[Vec]) -> list[Monomial]:
+    """The monomials of exponent vectors, their pairs listed in variable
+    order as :class:`Monomial` keeps them, so none is sorted again."""
+    variables = universe.variables
+    ordered = [(p, variables[p]) for p in _variable_order(universe)]
+    return [
+        Monomial._trusted(tuple([(v, e) for p, v in ordered if (e := vec[p])]))
+        for vec in vecs
+    ]
 
 
 @lru_cache(maxsize=64)

@@ -33,13 +33,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, permutations
+from itertools import combinations
 from math import comb
 from operator import add, le
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from .ideals import MonomialIdeal, Vec, _to_monomial, ideal
-from .monomial import Monomial, Universe, Variable, xvar, yvar
+from .ideals import MonomialIdeal, Vec, _from_vecs, _minimalize, _to_monomial
+from .monomial import Monomial, Universe, xvar, yvar
 
 Cell = tuple[int, int]
 Selector = tuple[int, ...]
@@ -119,13 +119,23 @@ class LinkInstance:
     # The generators are kept once, as exponent vectors over the universe,
     # which the witnesses compute on; the monomial accessors build from
     # them. Each accessor checks its argument before it looks anything up.
+    # The universe lists the x grid row-major, so x[i,j] sits at grid
+    # position (i-1)*n + j-1, and then Y[1,1], ..., Y[g,g]; the two
+    # position helpers below are the only code that knows this layout.
 
-    def _indicator(self, variables: Iterable[Variable]) -> Vec:
-        """The exponent vector of a product of distinct variables."""
+    def _indicator(self, positions: Iterable[int]) -> Vec:
+        """The exponent vector of the product of the variables at distinct positions."""
         vec = [0] * len(self.universe)
-        for v in variables:
-            vec[self.universe.index[v]] = 1
+        for p in positions:
+            vec[p] = 1
         return tuple(vec)
+
+    def _cell_positions(self, cells: Iterable[Cell]) -> Iterator[int]:
+        n = self.n
+        return ((i - 1) * n + j - 1 for i, j in cells)
+
+    def _diag_y_position(self, j: int) -> int:
+        return self.m * self.n + j - 1
 
     def complement_monomial(self, A: Selector) -> Monomial:
         """Product of the band variables outside the staircase of A."""
@@ -135,7 +145,7 @@ class LinkInstance:
     @cached_property
     def _complement_vecs(self) -> dict[Selector, Vec]:
         return {
-            A: self._indicator(xvar(i, j) for i, j in self.band - cells)
+            A: self._indicator(self._cell_positions(self.band - cells))
             for A, cells in self._staircases.items()
         }
 
@@ -158,7 +168,9 @@ class LinkInstance:
             raise ValueError(f"need {self.m} strictly increasing columns, got {cols}")
         if not (1 <= cols[0] and cols[-1] <= self.n):
             raise ValueError(f"columns out of range: {cols}")
-        return self._indicator(xvar(self.m - i, col) for i, col in enumerate(cols))
+        return self._indicator(
+            self._cell_positions((self.m - i, col) for i, col in enumerate(cols))
+        )
 
     def diag_generator(self, j: int) -> Monomial:
         """Y[j,j] * antidiagonal(j), the lead term of the j-th row combination."""
@@ -170,9 +182,12 @@ class LinkInstance:
 
     @cached_property
     def _diag_vecs(self) -> tuple[Vec, ...]:
-        m = self.m
         return tuple(
-            tuple(map(add, self._indicator([yvar(j, j)]), self._antidiagonal_vec(range(j, j + m))))
+            tuple(map(
+                add,
+                self._indicator([self._diag_y_position(j)]),
+                self._antidiagonal_vec(range(j, j + self.m)),
+            ))
             for j in range(1, self.g + 1)
         )
 
@@ -186,14 +201,14 @@ class LinkInstance:
 
     @cached_property
     def _staircase_vecs(self) -> dict[Selector, Vec]:
-        mu = self._indicator(yvar(j, j) for j in range(1, self.g + 1))
+        mu = self._indicator(map(self._diag_y_position, range(1, self.g + 1)))
         return {A: tuple(map(add, mu, beta)) for A, beta in self._complement_vecs.items()}
 
     @cached_property
     def all_variables_product(self) -> Monomial:
         return self.universe.product_of_variables()
 
-    # -- minors and their term monomials ------------------------------------
+    # -- the minors ----------------------------------------------------------
 
     @cached_property
     def column_sets(self) -> tuple[tuple[int, ...], ...]:
@@ -207,32 +222,25 @@ class LinkInstance:
         )
         return tuple(consecutive + rest)
 
-    def minor_term_monomials(self, cols: Sequence[int]) -> tuple[Monomial, ...]:
-        """The m! products one-per-row over the given columns (signs dropped)."""
-        cols = tuple(cols)
-        return tuple(
-            Monomial.of(*(xvar(i + 1, perm[i]) for i in range(self.m)))
-            for perm in permutations(cols)
-        )
-
     # -- the ideals ----------------------------------------------------------
+
+    def _reduced(self, vecs: Iterable[Vec]) -> MonomialIdeal:
+        return _from_vecs(self.universe, _minimalize(vecs))
 
     @cached_property
     def minors_initial(self) -> MonomialIdeal:
         """Lead terms of the m-minors: all antidiagonals, C(n,m) generators."""
-        return ideal(
-            self.universe, [self.antidiagonal_for_columns(c) for c in self.column_sets]
-        )
+        return self._reduced(map(self._antidiagonal_vec, self.column_sets))
 
     @cached_property
     def sequence_initial(self) -> MonomialIdeal:
         """Lead terms of the g generic row combinations: Y[j,j] * antidiagonal(j)."""
-        return ideal(self.universe, [self.diag_generator(j) for j in range(1, self.g + 1)])
+        return self._reduced(self._diag_vecs)
 
     @cached_property
     def staircase_ideal(self) -> MonomialIdeal:
         """The ideal generated by the complement monomials beta(A)."""
-        return ideal(self.universe, [self.complement_monomial(A) for A in self.selectors])
+        return self._reduced(self._complement_vecs.values())
 
     @cached_property
     def link_initial(self) -> MonomialIdeal:
@@ -242,9 +250,7 @@ class LinkInstance:
         For m < n this list is already minimal: g generators of degree m+1
         and C(n-1,m-1) of degree m(n-m)+1. For m = n the single beta is 1 and
         the list collapses to (Y[1,1])."""
-        gens = [self.diag_generator(j) for j in range(1, self.g + 1)]
-        gens += [self.staircase_generator(A) for A in self.selectors]
-        return ideal(self.universe, gens)
+        return self._reduced([*self._diag_vecs, *self._staircase_vecs.values()])
 
 
 # -- selector lattice ---------------------------------------------------------

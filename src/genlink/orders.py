@@ -20,13 +20,20 @@ sorting by ``key`` computes each key once. Both orders are total,
 multiplicative, and have the unit monomial as unique minimum. Keys are
 rule-based on (family, row, col), so monomials need not belong to a declared
 universe.
+
+``diaglex_vector_key(universe)`` is ``DiagLexOrder.key`` on exponent vectors
+over a universe: it ranks the positions once per call and returns a key
+that gives each vector the tuple ``DiagLexOrder.key`` gives its monomial,
+so generators are sorted with no monomial built. ``DiagLexOrder.key``
+stays the reference it is tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
-from .monomial import Monomial, Variable, X_FAMILY, Y_FAMILY
+from .monomial import Monomial, Universe, Variable, X_FAMILY, Y_FAMILY
 
 
 def _ascending_rank(v: Variable) -> tuple:
@@ -73,3 +80,29 @@ class DiagLexOrder(_KeyedOrder):
         y_part = [(_negated_y_rank(v), e) for v, e in items if v.family == Y_FAMILY]
         x_part = [(v, e) for v, e in items if v.family == X_FAMILY]
         return (tuple(sorted(y_part, reverse=True)), _revlex_key(x_part))
+
+
+def diaglex_vector_key(universe: Universe) -> Callable[[Sequence[int]], tuple]:
+    """The key of :class:`DiagLexOrder` on exponent vectors over ``universe``.
+
+    The positions are ranked here, once; the key then reads a vector's Y
+    positions highest variable first and its x positions lowest first, and
+    builds the tuple ``DiagLexOrder().key`` builds for its monomial.
+    """
+    variables = universe.variables
+    y_ranked = sorted(
+        ((_negated_y_rank(v), p) for p, v in enumerate(variables) if v.family == Y_FAMILY),
+        reverse=True,
+    )
+    x_ranked = sorted(
+        (_ascending_rank(v), p) for p, v in enumerate(variables) if v.family == X_FAMILY
+    )
+
+    def key(vec: Sequence[int]) -> tuple:
+        x_part = tuple([(rank, -e) for rank, p in x_ranked if (e := vec[p])])
+        return (
+            tuple([(rank, e) for rank, p in y_ranked if (e := vec[p])]),
+            (-sum([neg_e for _, neg_e in x_part]), x_part),
+        )
+
+    return key

@@ -5,6 +5,8 @@ bounds ``m``, ``n``, ``family_sizes`` and the ordered variable list, plus a
 ``generators`` array of exponent maps keyed by the canonical variable text
 ``x[i,j]`` / ``Y[i,j]``. Generators are emitted sorted descending under the
 diagonal-lex order, so serialized output is byte-identical across runs.
+They are sorted as exponent vectors; JSON is written from the vectors, and
+the text, CSV and TeX formats build one monomial per generator to print.
 
 Betti tables serialize as CSV rows ``i,j,value``, as JSON, as TeX, and as a
 text pretty print with row index j - i in the style of computer-algebra
@@ -18,10 +20,10 @@ import io
 import json
 from typing import Any
 
-from .ideals import MonomialIdeal, ideal
+from .ideals import MonomialIdeal, Vec, _to_monomials, ideal
 from .linkage import BettiTable
 from .monomial import Monomial, Universe, Variable, parse_variable
-from .orders import DiagLexOrder
+from .orders import diaglex_vector_key
 
 SCHEMA_VERSION = 1
 
@@ -34,9 +36,14 @@ class SchemaError(ValueError):
         self.location = location
 
 
+def _sorted_vecs(W: MonomialIdeal) -> list[Vec]:
+    """Generator vectors sorted descending under the diagonal-lex order."""
+    return sorted(W.vecs, key=diaglex_vector_key(W.universe), reverse=True)
+
+
 def sorted_generators(W: MonomialIdeal) -> list[Monomial]:
     """Generators sorted descending under the diagonal-lex order."""
-    return sorted(W.gens, key=DiagLexOrder().key, reverse=True)
+    return _to_monomials(W.universe, _sorted_vecs(W))
 
 
 # -- ideal formats ---------------------------------------------------------
@@ -44,16 +51,17 @@ def sorted_generators(W: MonomialIdeal) -> list[Monomial]:
 
 def ideal_to_dict(W: MonomialIdeal) -> dict:
     u = W.universe
+    names = [str(v) for v in u.variables]
     return {
         "schema_version": SCHEMA_VERSION,
         "universe": {
             "m": u.m,
             "n": u.n,
             "family_sizes": {"X": [u.m, u.n], "Y": [u.y_rows, u.y_cols]},
-            "variables": [str(v) for v in u.variables],
+            "variables": names,
         },
         "generators": [
-            {str(v): e for v, e in g.items()} for g in sorted_generators(W)
+            {names[p]: e for p, e in enumerate(vec) if e} for vec in _sorted_vecs(W)
         ],
     }
 

@@ -16,8 +16,9 @@ import random
 import time
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import combinations, islice, permutations
 from math import comb, factorial
+from operator import getitem
 from typing import Callable, Iterable
 
 from .ideals import (
@@ -40,8 +41,8 @@ from .linkage import (
     square_divisor,
     staircase_power_conditions,
 )
-from .monomial import Monomial, xvar, yvar
-from .orders import DiagLexOrder
+from .monomial import xvar, yvar
+from .orders import _ascending_rank, _negated_y_rank
 
 
 @dataclass(frozen=True)
@@ -274,7 +275,7 @@ def verify_counts_and_degrees(inst: LinkInstance, bounds: VerifyBounds = DEFAULT
             checks.append(actual == expected)
             witnesses["degree_counts"] = {str(k): v for k, v in sorted(actual.items())}
         else:
-            collapsed = W.gens == (Monomial.of(yvar(1, 1)),)
+            collapsed = W.vecs == (inst._indicator([inst._diag_y_position(1)]),)
             checks.append(collapsed)
             witnesses["degenerate_collapse"] = collapsed
         return all(checks), witnesses
@@ -318,24 +319,49 @@ def verify_lead_terms(inst: LinkInstance, bounds: VerifyBounds = DEFAULT_BOUNDS)
         if work > 500_000:
             raise SizeGuardExceeded(f"lead-term scan would compare {work} monomials", work)
         leads = _row_leads(inst)
-        rows_ok = [lead == inst.diag_generator(j) for j, lead in enumerate(leads, start=1)]
+        # Y[j,k] is in the universe only for k = j
+        rows_ok = [
+            k == j and inst._indicator((*term, inst._diag_y_position(j))) == inst._diag_vec(j)
+            for j, (k, term) in enumerate(leads, start=1)
+        ]
         return all(rows_ok), {"rows": len(rows_ok), "minors": inst.r}
 
     return _run("leads", inst, {}, None, body)
 
 
-def _row_leads(inst: LinkInstance) -> list[Monomial]:
+def _row_leads(inst: LinkInstance) -> list[tuple[int, tuple[int, ...]]]:
     """For each row j, the largest Y[j,k] * t over the minors k and their
-    terms t under the diagonal-lex order. The order is multiplicative, so
-    for every row that product is largest at the largest term of minor k:
-    each minor is scanned once, then each row takes the largest of its r
-    products."""
-    key = DiagLexOrder().key
-    minor_leads = [max(inst.minor_term_monomials(cols), key=key) for cols in inst.column_sets]
-    return [
-        max((Monomial.of(yvar(j, k)) * t for k, t in enumerate(minor_leads, start=1)), key=key)
-        for j in range(1, inst.g + 1)
+    terms t under the diagonal-lex order, as k and the grid positions of t.
+
+    A term of the minor on ``cols`` takes x[i, perm[i-1]] from each row i,
+    for a permutation ``perm`` of ``cols``. Each product is keyed by the
+    tuple ``DiagLexOrder.key`` gives its monomial, built from a rank per
+    cell, and no monomial is made. The order is multiplicative, so for
+    every row the product is largest at the largest term of minor k: each
+    minor is scanned once, then each row takes the largest of its r
+    products. A winning term is returned as the grid positions of its cells
+    in the universe."""
+    m = inst.m
+    # ranked[i-1][c]: the key's (rank, -exponent) pair for x[i, c]
+    ranked = [
+        [None, *((_ascending_rank(xvar(i, c)), -1) for c in range(1, inst.n + 1))]
+        for i in range(1, m + 1)
     ]
+
+    def x_key(perm: tuple[int, ...]) -> tuple:  # the x part: degree, then pairs by rank
+        return (m, tuple(sorted(map(getitem, ranked, perm))))
+
+    minor_leads = [max(permutations(cols), key=x_key) for cols in inst.column_sets]
+    x_keys = list(map(x_key, minor_leads))
+    leads = []
+    for j in range(1, inst.g + 1):
+        # the key of Y[j,k] * (lead of minor k)
+        k = max(
+            range(1, inst.r + 1),
+            key=lambda k: (((_negated_y_rank(yvar(j, k)), 1),), x_keys[k - 1]),
+        )
+        leads.append((k, tuple(inst._cell_positions(enumerate(minor_leads[k - 1], start=1)))))
+    return leads
 
 
 def verify_witnesses(
@@ -386,21 +412,19 @@ def verify_witnesses(
 
 
 def _multichains(elements: tuple[Selector, ...], length: int) -> Iterable[tuple[Selector, ...]]:
-    """All sorted chains of the given length from a selector lattice."""
-    if length == 0:
-        yield ()
-        return
+    """All sorted chains of the given length from a selector lattice; each
+    selector's successors, the B with A <= B, are found once per call."""
     ordered = sorted(elements)
+    successors = {A: [B for B in ordered if leq(A, B)] for A in ordered}
 
-    def rec(prefix: tuple[Selector, ...]) -> Iterable[tuple[Selector, ...]]:
+    def rec(prefix: tuple[Selector, ...], after: list[Selector]) -> Iterable[tuple[Selector, ...]]:
         if len(prefix) == length:
             yield prefix
             return
-        for e in ordered:
-            if not prefix or leq(prefix[-1], e):
-                yield from rec(prefix + (e,))
+        for e in after:
+            yield from rec(prefix + (e,), successors[e])
 
-    yield from rec(())
+    yield from rec((), ordered)
 
 
 def _square_inputs(inst, r_max, rng, samples, exhaustive_cap):

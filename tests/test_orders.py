@@ -4,12 +4,15 @@ from hypothesis import given, settings, strategies as st
 
 from bruteforce import all_monomials, diaglex_compare, revlex_compare
 from genlink import DiagLexOrder, GradedRevLex, Monomial, Universe, xvar, yvar
+from genlink.ideals import _to_monomial
+from genlink.orders import diaglex_vector_key
 
 REVLEX = GradedRevLex()
 DIAGLEX = DiagLexOrder()
 
 SMALL = Universe.full(2, 2, 0, 0)  # 4 variables
 TEN = Universe.full(2, 3, 2, 2)  # 6 x-vars + 4 Y-vars
+WIDE = Universe.full(2, 3, 3, 3)  # 6 x-vars + 3 diagonal and 6 off-diagonal Y-vars
 
 small_monomials = st.builds(
     Monomial,
@@ -93,3 +96,33 @@ def test_sorting_by_key_matches_reference_comparators():
     mons = list(all_monomials(TEN.variables, 2))
     for order, reference in ((REVLEX, revlex_compare), (DIAGLEX, diaglex_compare)):
         assert sorted(mons, key=order.key) == sorted(mons, key=cmp_to_key(reference))
+
+
+@st.composite
+def vector_pairs(draw):
+    """A universe listing WIDE's variables in any order, and two exponent
+    vectors over it that share a random part, so that Y parts often tie."""
+    variables = tuple(draw(st.permutations(WIDE.variables)))
+    universe = Universe(WIDE.m, WIDE.n, WIDE.y_rows, WIDE.y_cols, variables)
+    sparse = st.dictionaries(
+        st.integers(0, len(variables) - 1), st.integers(min_value=1, max_value=3), max_size=4
+    )
+    shared = draw(sparse)
+
+    def vec(own):
+        exps = {**shared, **own}
+        return tuple(exps.get(p, 0) for p in range(len(variables)))
+
+    return universe, vec(draw(sparse)), vec(draw(sparse))
+
+
+@given(vector_pairs())
+@settings(max_examples=300)
+def test_vector_key_is_the_monomial_key(pair):
+    universe, u, v = pair
+    key = diaglex_vector_key(universe)
+    mu, mv = _to_monomial(universe, u), _to_monomial(universe, v)
+    assert key(u) == DIAGLEX.key(mu)
+    assert key(v) == DIAGLEX.key(mv)
+    ku, kv = key(u), key(v)
+    assert (ku > kv) - (ku < kv) == diaglex_compare(mu, mv)

@@ -8,7 +8,7 @@ from random import Random
 import pytest
 
 from bruteforce import scan_row_leads
-from genlink import LinkInstance, Monomial, VerifyBounds, xvar
+from genlink import LinkInstance, Monomial, VerifyBounds, xvar, yvar
 from genlink.cli import main
 from genlink.ideals import DEFAULT_CANDIDATE_CAP, MonomialIdeal, ideal
 from genlink.verify import (
@@ -89,12 +89,19 @@ def test_lead_terms_small():
     assert verify_lead_terms(LinkInstance(2, 3)).passed
 
 
-@pytest.mark.parametrize("m, n", [(1, 3), (2, 3), (2, 4), (3, 4), (3, 5)])
+@pytest.mark.parametrize(
+    "m, n", [(1, 1), (1, 3), (2, 3), (2, 4), (3, 4), (3, 5), (4, 4), (2, 6), (4, 6)]
+)
 def test_row_leads_match_the_full_scan(m, n):
     # one scan per minor, then one product per (row, minor), against the
     # comparator over every product of every term
     inst = LinkInstance(m, n)
-    assert _row_leads(inst) == scan_row_leads(inst)
+    variables = inst.universe.variables
+    leads = [
+        Monomial.of(yvar(j, k), *(variables[p] for p in term))
+        for j, (k, term) in enumerate(_row_leads(inst), start=1)
+    ]
+    assert leads == scan_row_leads(inst)
 
 
 def test_lead_terms_refusal_keeps_the_full_scan_estimate():
