@@ -1,14 +1,15 @@
 """Exact arithmetic on monomial ideals over a finite variable universe.
 
 Ideals are kept as minimal generating sets (divisibility antichains).
-Operations: product, power, bracket power, colon, intersection, membership,
+Operations: product, power, colon, intersection, membership,
 minimal primes of squarefree ideals (minimal vertex covers of the support
 clutter), symbolic powers (a left fold over the minimal primes that lifts
 each generator into the next prime power and reduces only the lifted
 ones, or at level 2, when there are many primes per variable, a fold over
 the variables by the Zariski-Nagata test), a symbolic-vs-ordinary scan,
 and the square-bracket colon criterion certifying symbolic = ordinary for
-squarefree ideals.
+squarefree ideals, asked of the ordinary power's own index with no
+bracket power built.
 
 An ideal holds its minimal generators once, as dense exponent vectors over
 the universe; their support bitmasks, :class:`Monomial` form and minimal
@@ -432,13 +433,6 @@ class MonomialIdeal:
         to itself."""
         return []
 
-    def bracket_power(self, q: int) -> "MonomialIdeal":
-        """The ideal generated by the q-th powers of the minimal generators;
-        scaling keeps divisibility and the generator order, so no reduction."""
-        if q < 1:
-            raise ValueError("bracket power needs q >= 1")
-        return MonomialIdeal(self.universe, tuple(tuple(q * e for e in v) for v in self.vecs))
-
     def colon(self, other: "MonomialIdeal", cap: int = DEFAULT_CANDIDATE_CAP) -> "MonomialIdeal":
         """W : V, the ideal of monomials multiplying V into W."""
         self._same_universe(other)
@@ -699,14 +693,16 @@ def square_colon_check(W: MonomialIdeal, r: int, cap: int = DEFAULT_CANDIDATE_CA
     For a squarefree proper ideal, this holding for every r >= 0 is
     equivalent to the equality of all symbolic and ordinary powers; a single
     r is checked here and callers scan r up to a bound. Membership in the
-    colon is decided generator by generator, which is the definition.
+    colon is decided generator by generator, which is the definition: for
+    each generator t of W^(2r+1), some s^2 with s in W^(r+1) must divide
+    nu * t = t + 1. As 2s <= t + 1 iff s <= (t + 1) // 2, that is
+    membership of ceil(t / 2) in W^(r+1), asked through its own index.
     """
     if r < 0:
         raise ValueError("r must be nonnegative")
-    bracket = W.power(r + 1, cap=cap).bracket_power(2)
-    # nu * t is t + 1 everywhere
+    power = W.power(r + 1, cap=cap)
     return all(
-        bracket._divides_into(tuple(e + 1 for e in t))
+        power._divides_into(tuple((e + 1) >> 1 for e in t))
         for t in W.power(2 * r + 1, cap=cap).vecs
     )
 

@@ -21,11 +21,13 @@ explicit divisor witnesses used to certify, power by power, that symbolic
 and ordinary powers of the link's initial ideal agree.
 
 The generators are kept once per instance as exponent vectors over the
-universe, their monomials made from those. The witnesses compute on the
-vectors: a product is a sum of vectors, a square divides where every
-doubled exponent fits, and membership in a power is a query on its divisor
-index. Monomials are made only for what a witness returns and for the
-message of a failed check.
+universe, and the four ideals are wrapped around them unreduced: each
+family is a list of distinct monomials of one degree, and no antidiagonal
+divides a beta(A), so each list is minimal except the link's at m = n.
+The witnesses compute on the vectors: a product is a sum of vectors, a
+square divides where every doubled exponent fits, and membership in a
+power is a query on its divisor index. Monomials are made only for what a
+witness returns and for the message of a failed check.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from math import comb
 from operator import add, le
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .ideals import MonomialIdeal, Vec, _from_vecs, _minimalize, _to_monomial
+from .ideals import MonomialIdeal, Vec, _from_vecs, _to_monomial
 from .monomial import Monomial, Universe, xvar, yvar
 
 Cell = tuple[int, int]
@@ -117,8 +119,8 @@ class LinkInstance:
         return {A: self.staircase(A) for A in self.selectors}
 
     # The generators are kept once, as exponent vectors over the universe,
-    # which the witnesses compute on; the monomial accessors build from
-    # them. Each accessor checks its argument before it looks anything up.
+    # which the ideals and the witnesses are built from. Each lookup by
+    # index or selector checks its argument first.
     # The universe lists the x grid row-major, so x[i,j] sits at grid
     # position (i-1)*n + j-1, and then Y[1,1], ..., Y[g,g]; the two
     # position helpers below are the only code that knows this layout.
@@ -137,32 +139,17 @@ class LinkInstance:
     def _diag_y_position(self, j: int) -> int:
         return self.m * self.n + j - 1
 
-    def complement_monomial(self, A: Selector) -> Monomial:
-        """Product of the band variables outside the staircase of A."""
-        self.check_selector(A)
-        return _to_monomial(self.universe, self._complement_vecs[A])
-
     @cached_property
     def _complement_vecs(self) -> dict[Selector, Vec]:
+        """beta(A) for every selector A: the band variables outside its staircase."""
         return {
             A: self._indicator(self._cell_positions(self.band - cells))
             for A, cells in self._staircases.items()
         }
 
-    def _check_diag_index(self, j: int) -> None:
-        if not (1 <= j <= self.g):
-            raise ValueError(f"antidiagonal index out of range: {j}")
-
-    def antidiagonal(self, j: int) -> Monomial:
-        """The degree-m antidiagonal monomial starting at column j of the bottom row."""
-        self._check_diag_index(j)
-        return self.antidiagonal_for_columns(range(j, j + self.m))
-
-    def antidiagonal_for_columns(self, cols: Sequence[int]) -> Monomial:
-        """The antidiagonal monomial on the given strictly increasing columns."""
-        return _to_monomial(self.universe, self._antidiagonal_vec(cols))
-
     def _antidiagonal_vec(self, cols: Sequence[int]) -> Vec:
+        """The antidiagonal on strictly increasing columns: x[m, cols[0]],
+        x[m-1, cols[1]], ..., x[1, cols[-1]]."""
         cols = tuple(cols)
         if len(cols) != self.m or any(b <= a for a, b in zip(cols, cols[1:])):
             raise ValueError(f"need {self.m} strictly increasing columns, got {cols}")
@@ -172,16 +159,14 @@ class LinkInstance:
             self._cell_positions((self.m - i, col) for i, col in enumerate(cols))
         )
 
-    def diag_generator(self, j: int) -> Monomial:
-        """Y[j,j] * antidiagonal(j), the lead term of the j-th row combination."""
-        return _to_monomial(self.universe, self._diag_vec(j))
-
     def _diag_vec(self, j: int) -> Vec:
-        self._check_diag_index(j)
+        if not (1 <= j <= self.g):
+            raise ValueError(f"antidiagonal index out of range: {j}")
         return self._diag_vecs[j - 1]
 
     @cached_property
     def _diag_vecs(self) -> tuple[Vec, ...]:
+        """Y[j,j] * antidiagonal(j), the lead term of row combination j = 1..g."""
         return tuple(
             tuple(map(
                 add,
@@ -191,22 +176,15 @@ class LinkInstance:
             for j in range(1, self.g + 1)
         )
 
-    def staircase_generator(self, A: Selector) -> Monomial:
-        """mu * beta(A), mu the product of the diagonal Y variables."""
-        return _to_monomial(self.universe, self._staircase_vec(A))
-
     def _staircase_vec(self, A: Selector) -> Vec:
         self.check_selector(A)
         return self._staircase_vecs[A]
 
     @cached_property
     def _staircase_vecs(self) -> dict[Selector, Vec]:
+        """mu * beta(A) for every selector A, mu the product of the diagonal Y."""
         mu = self._indicator(map(self._diag_y_position, range(1, self.g + 1)))
         return {A: tuple(map(add, mu, beta)) for A, beta in self._complement_vecs.items()}
-
-    @cached_property
-    def all_variables_product(self) -> Monomial:
-        return self.universe.product_of_variables()
 
     # -- the minors ----------------------------------------------------------
 
@@ -224,23 +202,20 @@ class LinkInstance:
 
     # -- the ideals ----------------------------------------------------------
 
-    def _reduced(self, vecs: Iterable[Vec]) -> MonomialIdeal:
-        return _from_vecs(self.universe, _minimalize(vecs))
-
     @cached_property
     def minors_initial(self) -> MonomialIdeal:
         """Lead terms of the m-minors: all antidiagonals, C(n,m) generators."""
-        return self._reduced(map(self._antidiagonal_vec, self.column_sets))
+        return _from_vecs(self.universe, map(self._antidiagonal_vec, self.column_sets))
 
     @cached_property
     def sequence_initial(self) -> MonomialIdeal:
         """Lead terms of the g generic row combinations: Y[j,j] * antidiagonal(j)."""
-        return self._reduced(self._diag_vecs)
+        return _from_vecs(self.universe, self._diag_vecs)
 
     @cached_property
     def staircase_ideal(self) -> MonomialIdeal:
         """The ideal generated by the complement monomials beta(A)."""
-        return self._reduced(self._complement_vecs.values())
+        return _from_vecs(self.universe, self._complement_vecs.values())
 
     @cached_property
     def link_initial(self) -> MonomialIdeal:
@@ -248,9 +223,12 @@ class LinkInstance:
         with (product of diagonal Y) * beta(A) for every selector A.
 
         For m < n this list is already minimal: g generators of degree m+1
-        and C(n-1,m-1) of degree m(n-m)+1. For m = n the single beta is 1 and
-        the list collapses to (Y[1,1])."""
-        return self._reduced([*self._diag_vecs, *self._staircase_vecs.values()])
+        and C(n-1,m-1) of degree m(n-m)+1, and no antidiagonal divides a
+        beta(A). For m = n the single beta is 1 and the list collapses to
+        (Y[1,1])."""
+        if self.m == self.n:
+            return _from_vecs(self.universe, self._staircase_vecs.values())
+        return _from_vecs(self.universe, [*self._diag_vecs, *self._staircase_vecs.values()])
 
 
 # -- selector lattice ---------------------------------------------------------
@@ -273,10 +251,12 @@ def leq(A: Selector, B: Selector) -> bool:
 
 
 def straighten_holds(inst: LinkInstance, A: Selector, B: Selector) -> bool:
-    """beta(A) * beta(B) == beta(meet) * beta(join), checked by multiplication."""
-    lhs = inst.complement_monomial(A) * inst.complement_monomial(B)
-    rhs = inst.complement_monomial(meet(A, B)) * inst.complement_monomial(join(A, B))
-    return lhs == rhs
+    """beta(A) * beta(B) == beta(meet) * beta(join), checked on exponent vectors."""
+    inst.check_selector(A)
+    inst.check_selector(B)
+    beta = inst._complement_vecs
+    lhs = tuple(map(add, beta[A], beta[B]))
+    return lhs == tuple(map(add, beta[meet(A, B)], beta[join(A, B)]))
 
 
 def chain_normal_form(selectors: Sequence[Selector]) -> tuple[Selector, ...]:

@@ -225,7 +225,3 @@ class Universe:
 
     def __contains__(self, var: Variable) -> bool:
         return var in self.index
-
-    def product_of_variables(self) -> Monomial:
-        """The squarefree product of every variable of the universe."""
-        return Monomial.of(*self.variables)

@@ -47,9 +47,9 @@ from .orders import _ascending_rank, _negated_y_rank
 
 @dataclass(frozen=True)
 class VerifyBounds:
-    """Size guards and scan bounds shared by the verification checks."""
+    """The candidate cap and the scan bounds shared by the verification
+    checks; the universe guard is ``MAX_UNIVERSE_VARS``."""
 
-    max_universe_vars: int = 40
     candidate_cap: int = DEFAULT_CANDIDATE_CAP
     symbolic_upto: int = 3
     square_colon_rmax: int = 3
@@ -60,6 +60,10 @@ DEFAULT_BOUNDS = VerifyBounds()
 
 # The witness suite enumerates its inputs when there are at most this many.
 EXHAUSTIVE_CAP = 4000
+
+# Every suite but leads refuses an instance whose universe has more
+# variables than this, before it builds any ideal.
+MAX_UNIVERSE_VARS = 40
 
 PASS, FAIL, REFUSED = "pass", "fail", "refused"
 
@@ -115,11 +119,11 @@ def _run(check: str, inst: LinkInstance, params: dict, seed: int | None,
     return Report(check, (inst.m, inst.n), params, status, witnesses, seed, elapsed)
 
 
-def _guard_universe(inst: LinkInstance, bounds: VerifyBounds) -> None:
+def _guard_universe(inst: LinkInstance) -> None:
     size = len(inst.universe)
-    if size > bounds.max_universe_vars:
+    if size > MAX_UNIVERSE_VARS:
         raise SizeGuardExceeded(
-            f"universe has {size} variables (guard {bounds.max_universe_vars})", size
+            f"universe has {size} variables (guard {MAX_UNIVERSE_VARS})", size
         )
 
 
@@ -136,7 +140,7 @@ def verify_colon_link(inst: LinkInstance, bounds: VerifyBounds = DEFAULT_BOUNDS)
     sequence ideal), and membership of every computed generator in the claim.
     """
     def body():
-        _guard_universe(inst, bounds)
+        _guard_universe(inst)
         seq = inst.sequence_initial
         minors = inst.minors_initial
         claimed = inst.link_initial
@@ -173,7 +177,7 @@ def verify_symbolic_scan(inst: LinkInstance, bounds: VerifyBounds = DEFAULT_BOUN
     upto, r_max = bounds.symbolic_upto, bounds.square_colon_rmax
 
     def body():
-        _guard_universe(inst, bounds)
+        _guard_universe(inst)
         W = inst.link_initial
         gap = first_symbolic_gap(W, upto, cap=bounds.candidate_cap)
         failed_r = square_colon_scan(W, r_max, cap=bounds.candidate_cap)
@@ -202,7 +206,7 @@ def resolve_staircase_powers(
     only on internal inconsistency, not on inequality.
     """
     def body():
-        _guard_universe(inst, bounds)
+        _guard_universe(inst)
         N = inst.staircase_ideal
         witnesses: dict = {}
         if N.is_unit():
@@ -225,12 +229,13 @@ def resolve_staircase_powers(
         ]
         ok = True
         if inst.m > 2 and inst.n > inst.m + 1:
-            nu = inst.all_variables_product
-            nu_in_symbolic = N.symbolic_member(nu, 2)
+            # nu, the product of all variables, has exponent 1 everywhere and
+            # degree |P| on each minimal prime P (found by symbolic_power)
+            nu_in_symbolic = all(len(P) >= 2 for P in N._prime_columns)
             index = inst.universe.index
             column3 = sum(1 << index[xvar(i, 3)] for i in range(max(1, inst.m - 2), inst.m + 1))
             pairs_share_column3 = all(a & b & column3 for a in N.masks for b in N.masks)
-            nu_in_square = square.contains(nu)
+            nu_in_square = square._divides_into((1,) * len(inst.universe))
             witnesses["nu_witness"] = {
                 "nu_in_symbolic": nu_in_symbolic,
                 "pairs_share_column3": pairs_share_column3,
@@ -249,7 +254,7 @@ def verify_counts_and_degrees(inst: LinkInstance, bounds: VerifyBounds = DEFAULT
     of the link initial ideal; the staircase complements avoid the minors
     ideal. For m = n the two generator families collapse onto (Y[1,1])."""
     def body():
-        _guard_universe(inst, bounds)
+        _guard_universe(inst)
         W = inst.link_initial
         m, n, g = inst.m, inst.n, inst.g
         witnesses: dict = {"generators": len(W.vecs)}
@@ -287,7 +292,7 @@ def verify_betti(inst: LinkInstance, bounds: VerifyBounds = DEFAULT_BOUNDS) -> R
     """Betti table is integral, carries b_g = C(n-1, m-1), and its first
     column reproduces the generator degrees of the link initial ideal."""
     def body():
-        _guard_universe(inst, bounds)
+        _guard_universe(inst)
         table = betti_table(inst)
         ranks = resolution_ranks(inst.m, inst.g)
         checks = []
@@ -380,7 +385,7 @@ def verify_witnesses(
     r_max, samples = bounds.square_colon_rmax, bounds.witness_samples
 
     def body():
-        _guard_universe(inst, bounds)
+        _guard_universe(inst)
         rng = random.Random(seed)
         counts = {"antidiagonal": 0, "square": 0, "odd_part": 0}
 

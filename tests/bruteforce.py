@@ -6,7 +6,10 @@ symbolic powers from pairwise intersection of the prime powers, term orders
 from comparators that walk the sorted joint support of two monomials,
 minimal generators from a pairwise scan over the kept vectors, products,
 intersections and colons from tuple arithmetic on every pair of generators,
-the lead terms of the link rows from a scan over every term of every minor.
+the square-bracket colon criterion from squaring every generator of a
+pairwise power, the lead terms of the link rows from a scan over every term
+of every minor, and the link generator families as monomials straight from
+the band and staircase definitions of ``genlink.linkage``.
 """
 
 from itertools import combinations, combinations_with_replacement, permutations
@@ -98,6 +101,18 @@ def vec_divides_some(gens, vec):
     return any(all(map(le, g, vec)) for g in gens)
 
 
+def square_colon_holds(gens, r):
+    """nu in (W^(r+1))^[2] : W^(2r+1), nu the product of all variables, by
+    the definition: the powers of W from pairwise products, every generator
+    of W^(r+1) squared, and for every generator t of W^(2r+1) some square
+    dividing nu * t = t + 1. ``gens`` are W's exponent vectors."""
+    powers = [list(gens)]  # powers[k] generates W^(k+1)
+    for _ in range(2 * r):
+        powers.append(pairwise_product(powers[-1], gens))
+    squares = [tuple(2 * e for e in s) for s in powers[r]]
+    return all(vec_divides_some(squares, tuple(e + 1 for e in t)) for t in powers[2 * r])
+
+
 def pairwise_symbolic_power(primes, level):
     """Generators of the intersection of the level-th powers of the primes.
 
@@ -179,3 +194,36 @@ def scan_row_leads(inst):
                     best = term
         leads.append(best)
     return leads
+
+
+# -- the link generator families, from the definitions --------------------------
+
+
+def band(m, n):
+    """The band {(i,j) : m-i < j <= n-i+1} of the m-by-n grid."""
+    return [(i, j) for i in range(1, m + 1) for j in range(1, n + 1) if m - i < j <= n - i + 1]
+
+
+def antidiagonal_monomial(m, cols):
+    """The lead term of the m-minor on columns c_1 < ... < c_m: its
+    antidiagonal x[m,c_1] * x[m-1,c_2] * ... * x[1,c_m]."""
+    return Monomial.of(*(xvar(m - k, c) for k, c in enumerate(cols)))
+
+
+def complement_monomial(m, n, A):
+    """beta(A): the product of the band variables outside the staircase
+    D(A) = {(i,j) in band : a_{m-i} <= j < a_{m-i+1}}, where a_0 = 1,
+    a_1, ..., a_{m-1} is the selector A and a_m = n+1."""
+    a = (1, *A, n + 1)
+    return Monomial.of(*(xvar(i, j) for i, j in band(m, n) if not a[m - i] <= j < a[m - i + 1]))
+
+
+def diag_generator(m, j):
+    """Y[j,j] times the antidiagonal on the window of columns j, ..., j+m-1."""
+    return Monomial.of(yvar(j, j)) * antidiagonal_monomial(m, range(j, j + m))
+
+
+def staircase_generator(m, n, A):
+    """mu * beta(A), mu = Y[1,1] * ... * Y[g,g] with g = n-m+1."""
+    mu = Monomial.of(*(yvar(k, k) for k in range(1, n - m + 2)))
+    return mu * complement_monomial(m, n, A)

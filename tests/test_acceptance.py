@@ -7,7 +7,7 @@ import random
 import time
 from math import comb
 
-from bruteforce import all_monomials, brute_minimal_covers
+from bruteforce import all_monomials, brute_minimal_covers, complement_monomial
 from genlink import (
     DiagLexOrder,
     GradedRevLex,
@@ -142,10 +142,10 @@ def test_criterion_07_straightening_and_chains():
         )
         even = Monomial.one()
         for k in range(1, r + 1):
-            even = even * inst.complement_monomial(chain[2 * k - 1])
+            even = even * complement_monomial(inst.m, inst.n, chain[2 * k - 1])
         full = Monomial.one()
         for A in chain:
-            full = full * inst.complement_monomial(A)
+            full = full * complement_monomial(inst.m, inst.n, A)
         assert (even ** 2).divides(full)
         checked += 1
     _line(7, f"straightening on all pairs at (3,5) and (4,6); even-position square "

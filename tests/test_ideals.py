@@ -13,6 +13,7 @@ from bruteforce import (
     pairwise_product,
     pairwise_symbolic_power,
     scan_minimalize,
+    square_colon_holds,
     vec_divides_some,
 )
 from genlink import (
@@ -370,26 +371,6 @@ def test_product_commutative(A, B):
 @settings(max_examples=40)
 def test_product_associative(A, B, C):
     assert A.product(B).product(C) == A.product(B.product(C))
-
-
-def test_bracket_power():
-    W = ideal(U3, [mono(X1), mono(X2)])
-    assert set(W.bracket_power(2).gens) == {Monomial({X1: 2}), Monomial({X2: 2})}
-    assert W.bracket_power(1) == W
-    V = ideal(U3, [mono(X1, X2), mono(X3)])
-    assert set(V.bracket_power(2).gens) == {
-        Monomial({X1: 2, X2: 2}),
-        Monomial({X3: 2}),
-    }
-    with pytest.raises(ValueError):
-        W.bracket_power(0)
-
-
-@given(mixed_ideals, st.integers(min_value=1, max_value=3))
-@settings(max_examples=60)
-def test_bracket_power_needs_no_reduction(W, q):
-    # the scaled generators, left unreduced, equal the reduced ideal
-    assert W.bracket_power(q) == ideal(MIXED, [g ** q for g in W.gens])
 
 
 # -- colon / intersect -----------------------------------------------------------
@@ -780,6 +761,27 @@ def test_square_colon_scan_agrees_with_check():
     for W in subjects:
         want = next((r for r in range(3) if not square_colon_check(W, r)), None)
         assert square_colon_scan(W, 2) == want
+
+
+@given(
+    st.one_of(small_ideals, mixed_ideals, squarefree_ideals),
+    st.integers(min_value=0, max_value=2),
+)
+@settings(max_examples=80, deadline=None)
+def test_square_colon_check_matches_bracket_power_oracle(W, r):
+    # non-squarefree ideals too: the check must hold to the definition
+    # whatever the exponents
+    assert square_colon_check(W, r) == square_colon_holds(W.vecs, r)
+
+
+def test_square_colon_check_matches_bracket_power_oracle_on_link_ideals():
+    for m in range(1, 4):
+        for n in range(m, 6):
+            inst = LinkInstance(m, n)
+            for W in (inst.minors_initial, inst.sequence_initial,
+                      inst.staircase_ideal, inst.link_initial):
+                for r in range(3):
+                    assert square_colon_check(W, r) == square_colon_holds(W.vecs, r), (m, n, r)
 
 
 def test_square_colon_scan_builds_each_power_once(monkeypatch):

@@ -3,15 +3,24 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bruteforce import (
+    antidiagonal_monomial,
+    complement_monomial,
+    diag_generator,
+    scan_minimalize,
+    staircase_generator,
+)
 from genlink import (
     LinkInstance,
     Monomial,
+    antidiagonal_divisor,
     betti_table,
     chain_exponent,
     chain_normal_form,
     join,
     leq,
     meet,
+    odd_part_reduction,
     resolution_ranks,
     side_of,
     staircase_power_conditions,
@@ -20,11 +29,11 @@ from genlink import (
     xvar,
     yvar,
 )
-from genlink.ideals import DEFAULT_CANDIDATE_CAP, MonomialIdeal
+from genlink.ideals import DEFAULT_CANDIDATE_CAP, MonomialIdeal, _to_monomial, _to_monomials
 
 
 def beta(inst, A):
-    return inst.complement_monomial(A)
+    return complement_monomial(inst.m, inst.n, A)
 
 
 # -- band and staircases ------------------------------------------------------
@@ -70,22 +79,32 @@ def test_staircase_rejects_bad_selector():
     with pytest.raises(ValueError):
         LinkInstance(3, 5).staircase((2,))
     with pytest.raises(ValueError):
-        LinkInstance(3, 5).complement_monomial((1, 3))
+        straighten_holds(LinkInstance(3, 5), (1, 3), (2, 3))
     with pytest.raises(ValueError):
-        LinkInstance(3, 5).staircase_generator((1, 3))
+        straighten_holds(LinkInstance(3, 5), (2, 3), (2,))
+    with pytest.raises(ValueError):
+        odd_part_reduction(LinkInstance(3, 5), {}, {(1, 3): 1})
 
 
 # -- antidiagonals and complements ----------------------------------------------
 
 
 def test_antidiagonal_examples():
-    assert LinkInstance(3, 5).antidiagonal(1) == Monomial.of(xvar(1, 3), xvar(2, 2), xvar(3, 1))
-    assert LinkInstance(1, 4).antidiagonal(3) == Monomial.of(xvar(1, 3))
-    assert LinkInstance(2, 3).antidiagonal(2) == Monomial.of(xvar(2, 2), xvar(1, 3))
+    def antidiagonal(inst, cols):
+        return _to_monomial(inst.universe, inst._antidiagonal_vec(cols))
+
+    first = Monomial.of(xvar(1, 3), xvar(2, 2), xvar(3, 1))
+    assert antidiagonal(LinkInstance(3, 5), (1, 2, 3)) == first
+    assert antidiagonal_monomial(3, (1, 2, 3)) == first
+    assert antidiagonal(LinkInstance(1, 4), (3,)) == Monomial.of(xvar(1, 3))
+    assert antidiagonal(LinkInstance(2, 3), (2, 3)) == Monomial.of(xvar(2, 2), xvar(1, 3))
+    inst = LinkInstance(2, 3)
+    for cols in [(3, 2), (2, 2), (0, 1), (2, 4), (1,)]:
+        with pytest.raises(ValueError):
+            antidiagonal_divisor(inst, cols, (2,))
+    # diagonal generator indices run over 1..g
     with pytest.raises(ValueError):
-        LinkInstance(2, 3).antidiagonal(3)
-    with pytest.raises(ValueError):
-        LinkInstance(2, 3).diag_generator(3)
+        odd_part_reduction(inst, {3: 1}, {})
 
 
 def test_complement_examples():
@@ -128,7 +147,9 @@ def test_minors_initial_35_consecutive_windows_first():
     for j in range(1, 4):
         cols = inst.column_sets[j - 1]
         assert cols == tuple(range(j, j + 3))
-        assert inst.antidiagonal_for_columns(cols) == inst.antidiagonal(j)
+        assert _to_monomial(inst.universe, inst._diag_vecs[j - 1]) == (
+            Monomial.of(yvar(j, j)) * antidiagonal_monomial(3, cols)
+        )
 
 
 def test_link_initial_single_row():
@@ -163,6 +184,50 @@ def test_link_initial_degenerate_square():
     for m in (1, 2, 3):
         inst = LinkInstance(m, m)
         assert inst.link_initial.gens == (Monomial.of(yvar(1, 1)),)
+
+
+def test_generator_vectors_match_the_definitions():
+    for m in range(1, 5):
+        for n in range(m, 8):
+            inst = LinkInstance(m, n)
+
+            def gens(vecs):
+                return _to_monomials(inst.universe, vecs)
+
+            cols = inst.column_sets
+            assert gens(map(inst._antidiagonal_vec, cols)) == [
+                antidiagonal_monomial(m, c) for c in cols
+            ]
+            assert gens(inst._diag_vecs) == [diag_generator(m, j) for j in range(1, inst.g + 1)]
+            assert gens(inst._complement_vecs.values()) == [
+                complement_monomial(m, n, A) for A in inst._complement_vecs
+            ]
+            assert gens(inst._staircase_vecs.values()) == [
+                staircase_generator(m, n, A) for A in inst._staircase_vecs
+            ]
+
+
+def test_closed_form_families_are_minimal():
+    # the ideals wrap these lists unreduced, so each must be its own
+    # minimalization; for m = n the link families collapse onto Y[1,1]
+    for m in range(1, 6):
+        for n in range(m, 9):
+            inst = LinkInstance(m, n)
+            families = [
+                (inst.minors_initial, list(map(inst._antidiagonal_vec, inst.column_sets))),
+                (inst.sequence_initial, list(inst._diag_vecs)),
+                (inst.staircase_ideal, list(inst._complement_vecs.values())),
+            ]
+            link = [*inst._diag_vecs, *inst._staircase_vecs.values()]
+            if m < n:
+                families.append((inst.link_initial, link))
+            for W, vecs in families:
+                assert sorted(vecs) == sorted(scan_minimalize(vecs)), (m, n)
+                assert sorted(W.vecs) == sorted(vecs), (m, n)
+            if m == n:
+                y11 = tuple(int(v == yvar(1, 1)) for v in inst.universe.variables)
+                assert scan_minimalize(link) == [y11]
+                assert inst.link_initial.vecs == (y11,)
 
 
 def test_link_initial_power_builds_each_power_once(monkeypatch):

@@ -54,7 +54,6 @@ def test_mul_degree_and_divisibility(a, b):
 def test_universe_validation():
     u = Universe.x_grid(2, 3)
     assert len(u) == 6
-    assert u.product_of_variables().degree() == 6
     with pytest.raises(ValueError):
         Universe(2, 3, 0, 0, (xvar(3, 1),))
     with pytest.raises(ValueError):

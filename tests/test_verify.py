@@ -12,6 +12,8 @@ from genlink import LinkInstance, Monomial, VerifyBounds, xvar, yvar
 from genlink.cli import main
 from genlink.ideals import DEFAULT_CANDIDATE_CAP, MonomialIdeal, ideal
 from genlink.verify import (
+    MAX_UNIVERSE_VARS,
+    SUITES,
     _row_leads,
     _square_inputs,
     resolve_staircase_powers,
@@ -218,10 +220,17 @@ def test_square_inputs_are_exhaustive_up_to_the_cap():
 
 
 def test_size_guard_refusal():
-    bounds = VerifyBounds(max_universe_vars=5)
-    rep = verify_colon_link(LinkInstance(3, 5), bounds)
-    assert rep.status == "refused"
-    assert "estimate" in rep.witnesses
+    # the universe guard refuses (5,8), with 40 x variables and 4 diagonal Y
+    # variables, before any ideal is built
+    assert len(LinkInstance(5, 8).universe) == 44 > MAX_UNIVERSE_VARS
+    ideals = {"minors_initial", "sequence_initial", "staircase_ideal", "link_initial"}
+    guarded = [suite for suite in SUITES if suite != "leads"]  # leads guards its own work
+    assert len(guarded) == 6
+    for suite in guarded:
+        inst = LinkInstance(5, 8)
+        (rep,) = run_suite(suite, inst)
+        assert (rep.status, rep.witnesses["estimate"]) == ("refused", 44), suite
+        assert not ideals & inst.__dict__.keys(), suite
 
 
 def test_candidate_cap_refusal():

@@ -1,0 +1,72 @@
+"""Golden digests of `genlink verify` reports.
+
+``verify_digests.json`` holds, for each command below, its exit code and
+the sha256 of its report file (``--out``) with every ``elapsed_ms``
+removed, the one field that varies between runs. The digests were recorded
+before the square-colon check dropped the bracket power and the link
+ideals stopped being reduced again, so a change that alters a status, a
+witness or a refusal estimate fails here. To print the digests of the
+current tree:
+
+    PYTHONPATH=src python tests/test_verify_golden.py
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from genlink.cli import main
+
+COMMANDS = (
+    *(
+        f"verify all {m} {n} --Lmax 2 --rmax 2 --seed 0"
+        for m, n in ((1, 3), (2, 4), (3, 5), (4, 4), (3, 6))
+    ),
+    # refused while it builds the square-colon powers
+    "verify symbolic 3 5 --Lmax 1 --rmax 2 --max-gens 2000",
+)
+DIGESTS = Path(__file__).resolve().parent / "verify_digests.json"
+
+
+def _run(command):
+    """The exit code and the report file, ``elapsed_ms`` removed, of one command."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "report.json"
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main([*command.split(), "--out", str(out)])
+        doc = json.loads(out.read_text())
+    for report in doc["reports"]:
+        del report["elapsed_ms"]
+    return code, doc
+
+
+def _digest(command):
+    code, doc = _run(command)
+    text = json.dumps(doc, indent=2, sort_keys=True)
+    return {"exit": code, "sha256": hashlib.sha256(text.encode()).hexdigest()}
+
+
+@pytest.mark.parametrize(
+    "command", COMMANDS, ids=[c.split(" --")[0].replace(" ", "_") for c in COMMANDS]
+)
+def test_verify_report_matches_the_recorded_digest(command):
+    assert _digest(command) == json.loads(DIGESTS.read_text())[command]
+
+
+def test_every_command_is_recorded():
+    assert set(json.loads(DIGESTS.read_text())) == set(COMMANDS)
+
+
+def test_square_colon_refusal_estimate():
+    code, doc = _run(COMMANDS[-1])
+    (report,) = doc["reports"]
+    assert (code, report["status"], report["witnesses"]["estimate"]) == (3, "refused", 2646)
+
+
+if __name__ == "__main__":
+    print(json.dumps({command: _digest(command) for command in COMMANDS}, indent=2, sort_keys=True))

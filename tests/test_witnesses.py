@@ -3,6 +3,12 @@ from itertools import combinations
 
 import pytest
 
+from bruteforce import (
+    antidiagonal_monomial,
+    complement_monomial,
+    diag_generator,
+    staircase_generator,
+)
 from genlink import (
     LinkInstance,
     Monomial,
@@ -29,15 +35,15 @@ def test_antidiagonal_divisor_exhaustive_small():
             for A in inst.selectors:
                 j = antidiagonal_divisor(inst, cols, A)
                 assert 1 <= j <= inst.g
-                target = inst.antidiagonal_for_columns(cols) * inst.complement_monomial(A)
-                assert inst.antidiagonal(j).divides(target)
+                target = antidiagonal_monomial(m, cols) * complement_monomial(m, n, A)
+                assert antidiagonal_monomial(m, range(j, j + m)).divides(target)
 
 
 def test_antidiagonal_divisor_smallest_columns():
     inst = LinkInstance(3, 5)
     j = antidiagonal_divisor(inst, (1, 2, 3), (2, 3))
-    assert inst.antidiagonal(j).divides(
-        inst.antidiagonal_for_columns((1, 2, 3)) * inst.complement_monomial((2, 3))
+    assert antidiagonal_monomial(3, range(j, j + 3)).divides(
+        antidiagonal_monomial(3, (1, 2, 3)) * complement_monomial(3, 5, (2, 3))
     )
 
 
@@ -48,7 +54,7 @@ def test_square_divisor_r0_single_generator():
     inst = LinkInstance(2, 4)
     w = square_divisor(inst, (2,), ())
     assert w.case == "coprime_block" or w.case == "single_antidiagonal"
-    assert w.delta == Monomial.of(yvar(2, 2)) * inst.antidiagonal(2)
+    assert w.delta == diag_generator(2, 2)
     assert (w.delta ** 2).divides(w.gamma)
 
 
@@ -68,7 +74,7 @@ def test_square_divisor_all_antidiagonals_35():
     assert w.r == 1
     expected = Monomial.one()
     for j in (1, 2, 3):
-        expected = expected * Monomial.of(yvar(j, j)) * inst.antidiagonal(j)
+        expected = expected * diag_generator(3, j)
     assert w.delta == expected
 
 
@@ -94,11 +100,11 @@ def test_square_divisor_gamma_is_nu_times_the_generators():
                 for diag in combinations(range(1, inst.g + 1), a):
                     for chain in _multichains(inst.selectors, total - a):
                         w = square_divisor(inst, diag, chain)
-                        gamma = inst.all_variables_product
+                        gamma = Monomial.of(*inst.universe.variables)
                         for i in diag:
-                            gamma = gamma * inst.diag_generator(i)
+                            gamma = gamma * diag_generator(m, i)
                         for A in chain:
-                            gamma = gamma * inst.staircase_generator(A)
+                            gamma = gamma * staircase_generator(m, n, A)
                         assert w.gamma == gamma, (m, n, diag, chain)
                         assert (w.delta ** 2).divides(gamma)
                         assert inst.link_initial.power(r + 1).contains(w.delta)
@@ -179,10 +185,10 @@ def test_even_position_squares_divide_odd_chains():
             )
             even = Monomial.one()
             for k in range(1, r + 1):
-                even = even * inst.complement_monomial(chain[2 * k - 1])
+                even = even * complement_monomial(inst.m, inst.n, chain[2 * k - 1])
             full = Monomial.one()
             for A in chain:
-                full = full * inst.complement_monomial(A)
+                full = full * complement_monomial(inst.m, inst.n, A)
             assert (even ** 2).divides(full)
 
 
@@ -199,7 +205,7 @@ def test_odd_part_all_multiplicity_one():
 
 def test_odd_part_single_generator_cubed():
     inst = LinkInstance(2, 4)
-    gen = Monomial.of(yvar(1, 1)) * inst.antidiagonal(1)
+    gen = diag_generator(2, 1)
     red = odd_part_reduction(inst, {1: 3}, {})
     assert red.odd_part == gen
     assert red.square_root == gen
@@ -221,8 +227,8 @@ def test_odd_part_parts_match_monomial_products():
             sel = {A: rng.randrange(4) for A in rng.sample(inst.selectors, 2)}
             if (sum(diag.values()) + sum(sel.values())) % 2 == 0:
                 diag[1] = diag.get(1, 0) + 1
-            factors = [(inst.diag_generator(k), e) for k, e in diag.items()]
-            factors += [(inst.staircase_generator(A), e) for A, e in sel.items()]
+            factors = [(diag_generator(inst.m, k), e) for k, e in diag.items()]
+            factors += [(staircase_generator(inst.m, inst.n, A), e) for A, e in sel.items()]
             red = odd_part_reduction(inst, diag, sel)
             product = odd = root = Monomial.one()
             for gen, e in factors:
