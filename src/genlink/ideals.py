@@ -6,10 +6,11 @@ minimal primes of squarefree ideals (minimal vertex covers of the support
 clutter), symbolic powers (a left fold over the minimal primes that lifts
 each generator into the next prime power and reduces only the lifted
 ones, or at level 2, when there are many primes per variable, a fold over
-the variables by the Zariski-Nagata test), a symbolic-vs-ordinary scan,
-and the square-bracket colon criterion certifying symbolic = ordinary for
-squarefree ideals, asked of the ordinary power's own index with no
-bracket power built.
+the variables by the Zariski-Nagata test), a symbolic-vs-ordinary scan
+that certifies ordinary <= symbolic with one bit-sliced pass per prime
+over the ordinary power's index, and the square-bracket colon criterion
+certifying symbolic = ordinary for squarefree ideals, asked of the
+ordinary power's own index with no bracket power built.
 
 An ideal holds its minimal generators once, as dense exponent vectors over
 the universe; their support bitmasks, :class:`Monomial` form and minimal
@@ -24,9 +25,10 @@ all of them reduce their distinct results with one word-level reducer
 reducer scans small antichains pairwise, one subtraction and one AND per
 pair, and switches to a bit-sliced divisor index once the antichain is
 large; the same index, built over an ideal's generators on first use,
-answers membership. All sizes here are desk scale; an explicit candidate
-cap guards against intersection blowup before anything is enumerated, and
-the index refuses exponents whose bitsets would not fit.
+answers membership and counts the generators' degrees on a prime. All
+sizes here are desk scale; an explicit candidate cap guards against
+intersection blowup before anything is enumerated, and the index refuses
+exponents whose bitsets would not fit.
 """
 
 from __future__ import annotations
@@ -625,8 +627,9 @@ class MonomialIdeal:
             raise ValueError("symbolic power needs level >= 1")
         vec = _to_vec(self.universe, mon)
         codec = _packing(max(vec, default=0), len(vec))
+        (word,) = codec.pack([vec])
         _, masks = _prime_words(codec, self._prime_columns)
-        return _in_symbolic_power(codec.pack([vec])[0], masks, level, codec)
+        return all(codec.total(word & mask) >= level for mask in masks)
 
     @cached_property
     def _support_columns(self) -> list[int]:
@@ -666,25 +669,59 @@ def first_symbolic_gap(
 
     Returns ``(level, witness)`` with a witness generator of the symbolic
     power missing from the ordinary power, or ``None`` if all levels pass.
-    The containment ordinary <= symbolic holds always; it is checked on the
-    ordinary generators against the minimal primes, found once, and a
-    generator that fails it raises :class:`AssertionError`.
+    The containment ordinary <= symbolic holds always; at every level it is
+    checked on the ordinary power's divisor index against the minimal
+    primes, found once (:func:`_escaped`), and the first generator that
+    fails it raises :class:`AssertionError`. Level 1 passes once that check
+    does: a squarefree ideal is radical, so W^(1) = W.
     """
     for level in range(1, upto + 1):
         power = W.power(level, cap=cap)
-        codec = _packing(_top(power.vecs), len(W.universe))
-        _, masks = _prime_words(codec, W._prime_columns)
-        for v, word in zip(power.vecs, codec.pack(power.vecs)):
-            if not _in_symbolic_power(word, masks, level, codec):
-                raise AssertionError(
-                    f"ordinary power generator {_to_monomial(W.universe, v)} "
-                    f"escaped symbolic power {level}"
-                )
+        primes = W._prime_columns  # raises for zero, unit and non-squarefree W
+        escaped = _escaped(power._index, primes, level)
+        if escaped:
+            v = power.vecs[(escaped & -escaped).bit_length() - 1]
+            raise AssertionError(
+                f"ordinary power generator {_to_monomial(W.universe, v)} "
+                f"escaped symbolic power {level}"
+            )
+        if level == 1:
+            continue
         symbolic = W.symbolic_power(level, cap=cap)
         for v in symbolic.vecs:
             if not power._divides_into(v):
                 return level, _to_monomial(W.universe, v)
     return None
+
+
+def _escaped(index: _DivisorIndex, primes: Iterable[Sequence[int]], level: int) -> int:
+    """The bitset of the indexed vectors whose degree on some prime, given
+    by its columns, is below ``level``.
+
+    ``everyone ^ below[c][e - 1]`` holds the vectors with exponent at least
+    ``e`` at column ``c``. Each prime runs a saturating counter over its
+    columns: ``reach[j]`` holds the vectors whose degree on the columns so
+    far is at least ``j``, for ``j <= level``. A column adds to ``reach[j]``
+    the vectors of ``reach[j - e]`` with exponent at least ``e`` there, for
+    every ``e <= j``; taking ``j`` downwards, ``reach[j - e]`` still holds
+    the count before that column. So a prime costs a few big-int operations
+    per column, whatever the number of vectors.
+    """
+    everyone = (1 << index.size) - 1
+    steps = []  # per column, the (j, j - e, at least e there) updates in order
+    for below, top in zip(index.below, index.tops):
+        at_least = [everyone] + [everyone ^ below[e - 1] for e in range(1, min(level, top) + 1)]
+        steps.append([
+            (j, j - e, at_least[e]) for j in range(level, 0, -1) for e in range(1, min(j, top) + 1)
+        ])
+    escaped = 0
+    for cols in primes:
+        reach = [everyone] + [0] * level
+        for col in cols:
+            for j, i, bits in steps[col]:
+                reach[j] |= reach[i] & bits
+        escaped |= everyone ^ reach[level]
+    return escaped
 
 
 def square_colon_check(W: MonomialIdeal, r: int, cap: int = DEFAULT_CANDIDATE_CAP) -> bool:
@@ -724,12 +761,6 @@ def _prime_words(codec: _Codec, columns: Iterable[Sequence[int]]) -> tuple[list[
     units = codec.pack(tuple(int(i == c) for i in range(width)) for c in range(width))
     fill = (1 << codec.shift) - 1  # a field's value bits
     return units, [sum(map(units.__getitem__, cols)) * fill for cols in columns]
-
-
-def _in_symbolic_power(word: int, masks: Iterable[int], level: int, codec: _Codec) -> bool:
-    """True iff the packed ``word`` has degree at least ``level`` on every
-    prime, given by its mask from :func:`_prime_words`."""
-    return all(codec.total(word & mask) >= level for mask in masks)
 
 
 def _to_vec(universe: Universe, mon: Monomial) -> Vec:

@@ -57,6 +57,20 @@ squarefree_ideals = st.builds(
     ),
 )
 
+U6 = Universe.x_grid(1, 6)
+
+# up to 6 generators of degree 1 to 4 over 6 variables, so that some
+# variables are often unused
+sparse_squarefree_ideals = st.builds(
+    lambda gens: ideal(U6, [Monomial.of(*g) for g in gens]),
+    st.lists(
+        st.sets(st.sampled_from(U6.variables), min_size=1, max_size=4),
+        min_size=1,
+        max_size=6,
+    ),
+)
+
+
 small_ideals = st.builds(
     lambda gens: ideal(U3, gens),
     st.lists(
@@ -567,9 +581,87 @@ def test_first_symbolic_gap_finds_primes_once_per_symbolic_power(monkeypatch):
 
     monkeypatch.setattr(MonomialIdeal, "minimal_primes", counting)
     assert first_symbolic_gap(LinkInstance(2, 4).link_initial, 2) is None
-    # once per ideal: the ordinary-power check and both symbolic powers
-    # read the same cached prime columns
+    # once per ideal: the ordinary-in-symbolic checks at both levels and
+    # the level-2 symbolic power read the same cached prime columns
     assert len(calls) == 1
+
+
+def test_first_symbolic_gap_takes_no_prime_fold_at_level_1(monkeypatch):
+    levels = []
+    original = MonomialIdeal._prime_fold
+
+    def spy(self, level, cap):
+        levels.append(level)
+        return original(self, level, cap)
+
+    monkeypatch.setattr(MonomialIdeal, "_prime_fold", spy)
+    assert first_symbolic_gap(triangle(), 1) is None
+    assert first_symbolic_gap(triangle(), 3) == (2, mono(X1, X2, X3))
+    # the triangle's gap at level 2, then levels 2 and 3 of iniJ(2,4),
+    # which has too few primes per variable for the variable fold
+    assert first_symbolic_gap(LinkInstance(2, 4).link_initial, 3) is None
+    assert levels == [2, 2, 3]
+
+
+@pytest.mark.parametrize("W", [ideal(U3, []), unit_ideal(U3), ideal(U3, [mono(X1, X1)])])
+def test_first_symbolic_gap_still_needs_the_primes_at_level_1(W):
+    with pytest.raises(ValueError):
+        first_symbolic_gap(W, 1)
+
+
+@given(squarefree_ideals)
+@settings(max_examples=40, deadline=None)
+def test_symbolic_power_1_is_the_ideal(W):
+    if W.is_zero() or W.is_unit():
+        return
+    assert W.symbolic_power(1) == W
+    assert pairwise_symbolic_power(brute_minimal_covers(W), 1) == set(W.gens)
+
+
+def escaped_reference(vecs, primes, level):
+    """The positions of the vectors whose degree on some prime, given by
+    its columns, is below ``level``, one vector and prime at a time."""
+    return [
+        i for i, v in enumerate(vecs)
+        if any(sum(v[c] for c in cols) < level for cols in primes)
+    ]
+
+
+@given(
+    sparse_squarefree_ideals,
+    st.integers(min_value=1, max_value=3),
+    st.none() | st.tuples(st.sets(st.integers(min_value=0, max_value=5)), st.integers(min_value=0)),
+)
+@settings(max_examples=80, deadline=None)
+def test_escaped_matches_the_per_generator_reference(W, level, planted):
+    if W.is_unit():
+        return
+    primes = list(W._prime_columns)
+    if planted is not None:  # any column set, at any place among the primes
+        cols, at = planted
+        primes.insert(at % (len(primes) + 1), sorted(cols))
+    power = W.power(level)
+    want = escaped_reference(power.vecs, primes, level)
+    escaped = ideals._escaped(power._index, primes, level)
+    assert [i for i in range(len(power.vecs)) if escaped >> i & 1] == want
+    if planted is None:
+        assert want == []
+    # first_symbolic_gap names the first escaped generator of the first
+    # level that has one
+    W.__dict__["_prime_columns"] = primes
+    first = next((
+        (k, ideals._to_monomial(U6, W.power(k).vecs[bad[0]]))
+        for k in range(1, level + 1)
+        if (bad := escaped_reference(W.power(k).vecs, primes, k))
+    ), None)
+    if first is None:
+        first_symbolic_gap(W, level)
+    else:
+        with pytest.raises(AssertionError) as failed:
+            first_symbolic_gap(W, level)
+        assert str(failed.value) == (
+            f"ordinary power generator {first[1]} escaped symbolic power {first[0]}"
+        )
 
 
 @pytest.mark.parametrize("level", [1, 2, 3])
@@ -691,20 +783,6 @@ def test_variable_fold_matches_prime_fold(m, n):
         # which symbolic_power does not pick for them
         cap = 10 * DEFAULT_CANDIDATE_CAP
         assert W._variable_fold(cap) == W._prime_fold(2, cap), (name, m, n)
-
-
-U6 = Universe.x_grid(1, 6)
-
-# up to 6 generators of degree 1 to 4 over 6 variables, so that some
-# variables are often unused
-sparse_squarefree_ideals = st.builds(
-    lambda gens: ideal(U6, [Monomial.of(*g) for g in gens]),
-    st.lists(
-        st.sets(st.sampled_from(U6.variables), min_size=1, max_size=4),
-        min_size=1,
-        max_size=6,
-    ),
-)
 
 
 @given(sparse_squarefree_ideals)

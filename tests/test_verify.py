@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,7 @@ from random import Random
 import pytest
 
 from bruteforce import scan_row_leads
-from genlink import LinkInstance, Monomial, VerifyBounds, xvar, yvar
+from genlink import LinkInstance, Monomial, VerifyBounds, first_symbolic_gap, xvar, yvar
 from genlink.cli import main
 from genlink.ideals import DEFAULT_CANDIDATE_CAP, MonomialIdeal, ideal
 from genlink.verify import (
@@ -305,6 +306,56 @@ def test_variable_fold_runs_the_same_under_optimization(tmp_path):
     _assert_same_under_optimization(
         tmp_path, ["verify", "symbolic", "2", "5", "--Lmax", "2", "--rmax", "1"]
     )
+
+
+# Gives every ideal one more "prime": its first minimal prime less the first
+# column, which some generator meets in that column alone.
+PLANT_A_BAD_PRIME = """
+from genlink.ideals import MonomialIdeal
+
+found = MonomialIdeal._prime_columns
+
+
+def planted(self):
+    primes = found.__get__(self)
+    return [*primes, primes[0][1:]]
+"""
+
+
+def test_escaped_generator_becomes_fail_report(monkeypatch, tmp_path):
+    scope = {}
+    exec(PLANT_A_BAD_PRIME, scope)
+    monkeypatch.setattr(MonomialIdeal, "_prime_columns", property(scope["planted"]))
+    inst = LinkInstance(2, 4)
+    W = inst.link_initial
+    # the per-generator scan over the prime masks names the first generator
+    bad = next(g for g in W.gens if not W.symbolic_member(g, 1))
+    message = f"ordinary power generator {bad} escaped symbolic power 1"
+    with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
+        first_symbolic_gap(W, 2)
+    rep = verify_symbolic_scan(inst, VerifyBounds(symbolic_upto=2, square_colon_rmax=1))
+    assert (rep.status, rep.witnesses["error"]) == ("fail", message)
+
+    # the same under python -O, which strips asserts
+    argv = ["verify", "symbolic", "2", "4", "--Lmax", "2", "--rmax", "1"]
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    optimized = tmp_path / "optimized.json"
+    script = PLANT_A_BAD_PRIME + (
+        "MonomialIdeal._prime_columns = property(planted)\n"
+        "import sys\n"
+        "from genlink.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script, *argv, "--out", str(optimized)],
+        env=env, capture_output=True,
+    )
+    plain = tmp_path / "plain.json"
+    assert done.returncode == main([*argv, "--out", str(plain)]) == 1
+    assert _masked(optimized.read_text()) == _masked(plain.read_text())
+    (report,) = json.loads(optimized.read_text())["reports"]
+    assert (report["status"], report["witnesses"]["error"]) == ("fail", message)
 
 
 def test_grid_script_writes_the_cli_report(tmp_path):

@@ -4,8 +4,9 @@
 the sha256 of its report file (``--out``) with every ``elapsed_ms``
 removed, the one field that varies between runs. The digests were recorded
 before the square-colon check dropped the bracket power and the link
-ideals stopped being reduced again, so a change that alters a status, a
-witness or a refusal estimate fails here. To print the digests of the
+ideals stopped being reduced again, and the two symbolic-only commands
+before the ordinary-in-symbolic check became bit-sliced, so a change that
+alters a status, a witness or a refusal estimate fails here. To print the digests of the
 current tree:
 
     PYTHONPATH=src python tests/test_verify_golden.py
@@ -27,6 +28,9 @@ COMMANDS = (
         f"verify all {m} {n} --Lmax 2 --rmax 2 --seed 0"
         for m, n in ((1, 3), (2, 4), (3, 5), (4, 4), (3, 6))
     ),
+    # levels 1-3 of the symbolic check; iniJ(4,6) takes the variable fold
+    "verify symbolic 2 5 --Lmax 3 --rmax 1",
+    "verify symbolic 4 6 --Lmax 2 --rmax 1",
     # refused while it builds the square-colon powers
     "verify symbolic 3 5 --Lmax 1 --rmax 2 --max-gens 2000",
 )
