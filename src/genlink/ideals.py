@@ -9,8 +9,10 @@ ones, or at level 2, when there are many primes per variable, a fold over
 the variables by the Zariski-Nagata test), a symbolic-vs-ordinary scan
 that certifies ordinary <= symbolic with one bit-sliced pass per prime
 over the ordinary power's index, and the square-bracket colon criterion
-certifying symbolic = ordinary for squarefree ideals, asked of the
-ordinary power's own index with no bracket power built.
+certifying symbolic = ordinary for squarefree ideals. That criterion
+builds W^r and W^(r+1) only: it bit-slices the sums of their generators,
+in chunks bounded by the cap, and covers them with one pass over
+W^(r+1), with no W^(2r+1) or bracket power built.
 
 An ideal holds its minimal generators once, as dense exponent vectors over
 the universe; their support bitmasks, :class:`Monomial` form and minimal
@@ -181,12 +183,7 @@ class _DivisorIndex:
         if not vecs:
             return
         tops = [max(exps) for exps in zip(*vecs)]
-        slices = max(tops, default=0) + 1
-        if slices > _INDEX_MAX_EXPONENT + 1:
-            raise SizeGuardExceeded(
-                f"divisor index would hold {slices} exponent slices per variable "
-                f"(cap {_INDEX_MAX_EXPONENT + 1})", slices,
-            )
+        _check_slices(max(tops, default=0))
         shift, old_all = self.size, (1 << self.size) - 1
         new_all = ((1 << len(vecs)) - 1) << shift
         for col, exps, top in zip(self.below, zip(*vecs), tops):
@@ -211,6 +208,15 @@ class _DivisorIndex:
                 if not hits:
                     return False
         return hits != 0
+
+
+def _check_slices(top: int) -> None:
+    """Refuse exponent bitsets up to ``top`` past ``_INDEX_MAX_EXPONENT``."""
+    if top > _INDEX_MAX_EXPONENT:
+        raise SizeGuardExceeded(
+            f"divisor index would hold {top + 1} exponent slices per variable "
+            f"(cap {_INDEX_MAX_EXPONENT + 1})", top + 1,
+        )
 
 
 @lru_cache(maxsize=_INDEX_MAX_EXPONENT)
@@ -465,21 +471,11 @@ class MonomialIdeal:
         """Minimal transversals of the support clutter of a squarefree ideal.
 
         Each returned variable set is a minimal prime; none contains another.
-        They come by size, then by their sorted variables.
+        They come by size, then by their sorted variables, as
+        :attr:`_prime_columns` lists them.
         """
-        if self.is_zero() or self.is_unit():
-            raise ValueError("minimal primes need a proper nonzero ideal")
-        if not self.is_squarefree():
-            raise NotSquarefree("minimal primes implemented for squarefree ideals only")
-        rank = _variable_rank(self.universe)
-        covers = [
-            [b.bit_length() - 1 for b in _bits(cover)]
-            for cover in _minimal_covers(list(self.masks))
-        ]
-        # sorted ranks order like the sorted variables
-        covers.sort(key=lambda cols: (len(cols), sorted(map(rank.__getitem__, cols))))
         vars_ = self.universe.variables
-        return tuple(frozenset(map(vars_.__getitem__, cols)) for cols in covers)
+        return tuple(frozenset(map(vars_.__getitem__, cols)) for cols in self._prime_columns)
 
     def symbolic_power(self, level: int, cap: int = DEFAULT_CANDIDATE_CAP) -> "MonomialIdeal":
         """Intersection of the level-th powers of the minimal primes.
@@ -640,9 +636,22 @@ class MonomialIdeal:
 
     @cached_property
     def _prime_columns(self) -> list[list[int]]:
-        """Each minimal prime as its sorted vector positions, found once per ideal."""
-        idx = self.universe.index
-        return [sorted(idx[v] for v in prime) for prime in self.minimal_primes()]
+        """Each minimal prime as its sorted vector positions, found once per
+        ideal from the cover bitmasks (see :meth:`minimal_primes`), by size,
+        then by sorted variables."""
+        if self.is_zero() or self.is_unit():
+            raise ValueError("minimal primes need a proper nonzero ideal")
+        if not self.is_squarefree():
+            raise NotSquarefree("minimal primes implemented for squarefree ideals only")
+        rank = _variable_rank(self.universe)
+        # a cover's bits come lowest first, so its positions are sorted
+        covers = [
+            [b.bit_length() - 1 for b in _bits(cover)]
+            for cover in _minimal_covers(list(self.masks))
+        ]
+        # sorted ranks order like the sorted variables
+        covers.sort(key=lambda cols: (len(cols), sorted(map(rank.__getitem__, cols))))
+        return covers
 
 
 def ideal(universe: Universe, gens: Iterable[Monomial]) -> MonomialIdeal:
@@ -729,19 +738,81 @@ def square_colon_check(W: MonomialIdeal, r: int, cap: int = DEFAULT_CANDIDATE_CA
 
     For a squarefree proper ideal, this holding for every r >= 0 is
     equivalent to the equality of all symbolic and ordinary powers; a single
-    r is checked here and callers scan r up to a bound. Membership in the
-    colon is decided generator by generator, which is the definition: for
-    each generator t of W^(2r+1), some s^2 with s in W^(r+1) must divide
-    nu * t = t + 1. As 2s <= t + 1 iff s <= (t + 1) // 2, that is
-    membership of ceil(t / 2) in W^(r+1), asked through its own index.
+    r is checked here and callers scan r up to a bound. For a monomial t,
+    some s^2 with s in W^(r+1) divides nu * t = t + 1 iff 2s <= t + 1, that
+    is ``s <= ceil(t / 2)``, so t passes iff ceil(t / 2) lies in W^(r+1).
+    Only W^r and W^(r+1) are built, and every sum ``t = x + y`` of a
+    generator x of W^r and a generator y of W^(r+1) is checked instead of
+    the generators of W^(2r+1). That is exact for any monomial ideal:
+
+    - every minimal generator t of W^(2r+1) is such a sum: split its 2r+1
+      factors into r and r+1; were the r-part x not minimal, x = x' + z
+      with z != 0, and x' + y would properly divide t;
+    - whether t passes is upward closed in t.
+
+    The sums are taken ``max(1, cap // |W^(r+1)|)`` rows of W^r at a time,
+    so no chunk enumerates more than ``cap`` of them (the product guard has
+    already held ``|W^(r+1)|`` to ``cap``), and each chunk is tested at once
+    by :func:`_all_covered`. Exponents of W^(r+1) above
+    ``_INDEX_MAX_EXPONENT`` raise :class:`SizeGuardExceeded` first, as the
+    divisor index does.
     """
     if r < 0:
         raise ValueError("r must be nonnegative")
-    power = W.power(r + 1, cap=cap)
+    rows = W.power(r, cap=cap).vecs
+    power = W.power(r + 1, cap=cap).vecs
+    top = _top(power)
+    _check_slices(top)
+    width = len(W.universe)
+    codec = _packing(_top(rows) + top, width)
+    (ones,) = codec.pack([(1,) * width])
+    values = ones * ((1 << codec.shift) - 1)  # every field's value bits
+    # ceil(t / 2) = (t + 1) >> 1 fieldwise: the rows carry the + 1, which
+    # may reach a field's guard bit but not carry past it, and the low bit
+    # each field shifts into the guard bit of the field below is masked off
+    xs = [x + ones for x in codec.pack(rows)]
+    ys = codec.pack(power)
+    supports = [[(k, e) for k, e in enumerate(s) if e] for s in power]
+    step = max(1, cap // max(1, len(ys)))
     return all(
-        power._divides_into(tuple((e + 1) >> 1 for e in t))
-        for t in W.power(2 * r + 1, cap=cap).vecs
+        _all_covered({((x + y) >> 1) & values for x in xs[i:i + step] for y in ys}, supports, codec)
+        for i in range(0, len(xs), step)
     )
+
+
+def _all_covered(halves: set[int], supports: Sequence[Sequence[tuple[int, int]]], codec: _Codec) -> bool:
+    """True iff every packed word of ``halves`` is at least, fieldwise, some
+    vector given by its support ``(column, exponent)`` pairs.
+
+    The words are bit-sliced, one bit per word, and the bitset of the
+    words at least ``e`` at column ``k`` is read straight from their bytes,
+    one ``bytes.translate`` of the column's low field bytes, or-ed with the
+    words whose field there exceeds 255. A vector covers the AND of its
+    pairs' bitsets. Vectors are taken in turn against the words not yet
+    covered, until none is left.
+    """
+    size = (codec.shift + 1) // 8
+    stride = size * codec.width
+    raw = b"".join(map(int.to_bytes, halves, repeat(stride), repeat("big")))
+    everyone = (1 << len(halves)) - 1
+    at_least = {}
+    for k, e in {pair for pairs in supports for pair in pairs}:
+        low = raw[k * size + size - 1::stride]
+        bits = everyone ^ int(low.translate(_at_most(e - 1)), 2)
+        for b in range(k * size, k * size + size - 1):  # the field's higher bytes
+            bits |= everyone ^ int(raw[b::stride].translate(_at_most(0)), 2)
+        at_least[k, e] = bits
+    uncovered = everyone
+    for pairs in supports:
+        bits = uncovered
+        for pair in pairs:
+            bits &= at_least[pair]
+            if not bits:
+                break
+        uncovered ^= bits
+        if not uncovered:
+            break
+    return not uncovered
 
 
 def square_colon_scan(

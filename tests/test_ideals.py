@@ -1,3 +1,5 @@
+import hashlib
+from functools import lru_cache
 from itertools import chain
 from operator import add
 from random import Random
@@ -525,6 +527,26 @@ def test_minimal_primes_come_by_size_then_sorted_variables(W):
     assert W._prime_columns == [sorted(index[v] for v in p) for p in primes]
 
 
+# sha256 of the minimal primes, as sorted variable names, and of the prime
+# columns of iniJ, N and iniI at every m <= 4, n <= 7 (6,977 primes in all),
+# recorded while the columns were still derived from the variable sets
+PRIMES_ON_LINK_IDEALS = "89e0b7c42d52ef64951f6eae8dff350aa274aab222d1706b734b15f67b577de5"
+
+
+def test_prime_columns_and_minimal_primes_match_the_recorded_digest():
+    digest = hashlib.sha256()
+    for m in range(1, 5):
+        for n in range(m, 8):
+            inst = LinkInstance(m, n)
+            for W in (inst.link_initial, inst.staircase_ideal, inst.sequence_initial):
+                if W.is_unit():
+                    continue
+                primes = W.minimal_primes()
+                digest.update(repr([sorted(map(str, p)) for p in primes]).encode())
+                digest.update(repr(W._prime_columns).encode())
+    assert digest.hexdigest() == PRIMES_ON_LINK_IDEALS
+
+
 def test_minimal_primes_order_on_link_instances():
     # the universe lists x before Y, sorted variables put Y first
     for m, n in [(2, 4), (3, 5), (3, 6)]:
@@ -573,16 +595,16 @@ def test_first_symbolic_gap():
 
 def test_first_symbolic_gap_finds_primes_once_per_symbolic_power(monkeypatch):
     calls = []
-    original = MonomialIdeal.minimal_primes
+    original = ideals._minimal_covers
 
-    def counting(self):
-        calls.append(self)
-        return original(self)
+    def counting(edges):
+        calls.append(edges)
+        return original(edges)
 
-    monkeypatch.setattr(MonomialIdeal, "minimal_primes", counting)
+    monkeypatch.setattr(ideals, "_minimal_covers", counting)
     assert first_symbolic_gap(LinkInstance(2, 4).link_initial, 2) is None
-    # once per ideal: the ordinary-in-symbolic checks at both levels and
-    # the level-2 symbolic power read the same cached prime columns
+    # one cover search per ideal: the ordinary-in-symbolic checks at both
+    # levels and the level-2 symbolic power read the same cached prime columns
     assert len(calls) == 1
 
 
@@ -841,25 +863,134 @@ def test_square_colon_scan_agrees_with_check():
         assert square_colon_scan(W, 2) == want
 
 
+def admitted_cap(W, r):
+    """The least cap under which the square-colon check at r builds W^r and
+    W^(r+1): the largest count of the product guard on the way."""
+    return max([len(W.vecs)] + [len(W.power(k).vecs) * len(W.vecs) for k in range(1, r + 1)])
+
+
+def spy_on_chunks(monkeypatch):
+    """Each chunk's distinct halved sums and its verdict, as the check makes them."""
+    chunks = []
+    original = ideals._all_covered
+
+    def spy(halves, supports, codec):
+        chunks.append((len(halves), original(halves, supports, codec)))
+        return chunks[-1][1]
+
+    monkeypatch.setattr(ideals, "_all_covered", spy)
+    return chunks
+
+
 @given(
     st.one_of(small_ideals, mixed_ideals, squarefree_ideals),
     st.integers(min_value=0, max_value=2),
+    st.integers(min_value=1, max_value=400),
 )
 @settings(max_examples=80, deadline=None)
-def test_square_colon_check_matches_bracket_power_oracle(W, r):
+def test_square_colon_check_matches_bracket_power_oracle(W, r, cap):
     # non-squarefree ideals too: the check must hold to the definition
-    # whatever the exponents
-    assert square_colon_check(W, r) == square_colon_holds(W.vecs, r)
+    # whatever the exponents, and in chunks at any cap the powers pass
+    want = square_colon_holds(W.vecs, r)
+    assert square_colon_check(W, r) == want
+    if cap < admitted_cap(W, r):
+        with pytest.raises(SizeGuardExceeded):
+            square_colon_check(W, r, cap=cap)
+    else:
+        assert square_colon_check(W, r, cap=cap) == want
 
 
-def test_square_colon_check_matches_bracket_power_oracle_on_link_ideals():
+def link_ideals_up_to_3_5():
     for m in range(1, 4):
         for n in range(m, 6):
             inst = LinkInstance(m, n)
             for W in (inst.minors_initial, inst.sequence_initial,
                       inst.staircase_ideal, inst.link_initial):
-                for r in range(3):
-                    assert square_colon_check(W, r) == square_colon_holds(W.vecs, r), (m, n, r)
+                yield (m, n), W
+
+
+@lru_cache(maxsize=1)
+def square_colon_oracle_on_link_ideals():
+    return [
+        (label, W, r, square_colon_holds(W.vecs, r))
+        for label, W in link_ideals_up_to_3_5() for r in range(3)
+    ]
+
+
+def test_square_colon_check_matches_bracket_power_oracle_on_link_ideals():
+    for label, W, r, want in square_colon_oracle_on_link_ideals():
+        assert square_colon_check(W, r) == want, (label, r)
+
+
+def test_square_colon_check_in_chunks_matches_the_oracle_on_link_ideals(monkeypatch):
+    chunks = spy_on_chunks(monkeypatch)
+    for label, W, r, want in square_colon_oracle_on_link_ideals():
+        chunks.clear()
+        cap = admitted_cap(W, r)
+        assert square_colon_check(W, r, cap=cap) == want, (label, r)
+        if want and len(W.power(r).vecs) >= 3:
+            # the least cap splits every W^r of at least 3 rows
+            assert len(chunks) >= 3, (label, r, chunks)
+
+
+def test_square_colon_check_fails_beyond_the_first_chunk(monkeypatch):
+    # x3 and a triangle on x1, x2, x4: the rows of W = W^1 come by degree,
+    # so the first chunk holds x3's sums alone, and only the triangle fails
+    W = ideal(U4, [mono(xvar(1, 3)), mono(X1, X2), mono(X1, xvar(1, 4)), mono(X2, xvar(1, 4))])
+    chunks = spy_on_chunks(monkeypatch)
+    assert not square_colon_holds(W.vecs, 1)
+    assert not square_colon_check(W, 1, cap=16)
+    assert [verdict for _, verdict in chunks] == [True, False]
+
+
+def test_square_colon_check_on_zero_and_unit_ideals():
+    for W in (zero_ideal(U3), unit_ideal(U3)):
+        for r in range(3):
+            assert square_colon_check(W, r, cap=1)
+        assert square_colon_scan(W, 2) is None
+
+
+def test_square_colon_chunks_hold_at_most_cap_sums(monkeypatch):
+    chunks = spy_on_chunks(monkeypatch)
+    W = LinkInstance(3, 5).link_initial  # 39 rows of W^2, 119 of W^3
+    for cap in (351, 500, 1000, 5000):
+        chunks.clear()
+        assert square_colon_check(W, 2, cap=cap)
+        step = max(1, cap // 119)
+        assert len(chunks) == -(-39 // step)
+        assert all(size <= cap for size, _ in chunks)
+
+
+def test_square_colon_check_refuses_exponents_above_the_index():
+    W = ideal(U4, [Monomial({xvar(1, 4): 256}), mono(X1)])
+    with pytest.raises(SizeGuardExceeded) as refused:
+        square_colon_check(W, 0)
+    assert refused.value.estimate == 257
+    W = ideal(U4, [Monomial({xvar(1, 4): 255}), mono(X1)])
+    assert square_colon_check(W, 0) == square_colon_holds(W.vecs, 0)
+
+
+# halves above 255 take a second byte: 256 and 300 are covered at every
+# exponent a generator of W^(r+1) may have
+HALF_EXPONENTS = st.sampled_from([0, 1, 2, 127, 128, 254, 255, 256, 300, 511])
+
+
+@given(
+    # the check hands over no words only when W^(r+1) is zero, with no supports
+    st.lists(st.tuples(*[HALF_EXPONENTS] * 3), min_size=1, max_size=12),
+    st.lists(
+        st.lists(st.tuples(st.integers(0, 2), st.integers(1, 255)), max_size=3),
+        max_size=4,
+    ),
+)
+@settings(max_examples=100)
+def test_all_covered_matches_its_definition(halves, supports):
+    codec = ideals._packing(511, 3)
+    words = set(codec.pack(halves))
+    want = all(
+        any(all(h[k] >= e for k, e in pairs) for pairs in supports) for h in set(halves)
+    )
+    assert ideals._all_covered(words, supports, codec) == want
 
 
 def test_square_colon_scan_builds_each_power_once(monkeypatch):
@@ -873,8 +1004,9 @@ def test_square_colon_scan_builds_each_power_once(monkeypatch):
     monkeypatch.setattr(MonomialIdeal, "product", counting)
     W = LinkInstance(2, 4).link_initial
     assert square_colon_scan(W, 2) is None
-    # W^2, ..., W^5, each one product with W
-    assert len(calls) == 4 and all(V is W for V in calls)
+    # W^2 and W^3, each one product with W: r = 2 checks the sums of W^2
+    # and W^3, and no W^4 or W^5 is built
+    assert len(calls) == 2 and all(V is W for V in calls)
 
 
 # -- size guard --------------------------------------------------------------------------

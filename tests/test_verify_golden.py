@@ -6,8 +6,10 @@ removed, the one field that varies between runs. The digests were recorded
 before the square-colon check dropped the bracket power and the link
 ideals stopped being reduced again, and the two symbolic-only commands
 before the ordinary-in-symbolic check became bit-sliced, so a change that
-alters a status, a witness or a refusal estimate fails here. To print the digests of the
-current tree:
+alters a status, a witness or a refusal estimate fails here. The refused
+command's digest is the same whether or not the square-colon check builds
+W^(2r+1): the product guard on W^3 refuses it first.
+To print the digests of the current tree:
 
     PYTHONPATH=src python tests/test_verify_golden.py
 """
@@ -31,8 +33,9 @@ COMMANDS = (
     # levels 1-3 of the symbolic check; iniJ(4,6) takes the variable fold
     "verify symbolic 2 5 --Lmax 3 --rmax 1",
     "verify symbolic 4 6 --Lmax 2 --rmax 1",
-    # refused while it builds the square-colon powers
-    "verify symbolic 3 5 --Lmax 1 --rmax 2 --max-gens 2000",
+    # refused while it builds the square-colon powers: W^3 = W^2 * W at r = 2
+    # counts 39 * 9 = 351 candidates
+    "verify symbolic 3 5 --Lmax 1 --rmax 2 --max-gens 350",
 )
 DIGESTS = Path(__file__).resolve().parent / "verify_digests.json"
 
@@ -69,7 +72,7 @@ def test_every_command_is_recorded():
 def test_square_colon_refusal_estimate():
     code, doc = _run(COMMANDS[-1])
     (report,) = doc["reports"]
-    assert (code, report["status"], report["witnesses"]["estimate"]) == (3, "refused", 2646)
+    assert (code, report["status"], report["witnesses"]["estimate"]) == (3, "refused", 351)
 
 
 if __name__ == "__main__":
