@@ -4,9 +4,11 @@
 the sha256 of its report file (``--out``) with every ``elapsed_ms``
 removed, the one field that varies between runs. The digests were recorded
 before the square-colon check dropped the bracket power and the link
-ideals stopped being reduced again, and the two symbolic-only commands
-before the ordinary-in-symbolic check became bit-sliced, so a change that
-alters a status, a witness or a refusal estimate fails here. The refused
+ideals stopped being reduced again, the first two symbolic-only commands
+before the ordinary-in-symbolic check became bit-sliced, and the two
+level-3 commands at (3,6) and (4,6) while level 3 still folded over the
+minimal primes, so a change that alters a status, a witness or a refusal
+estimate fails here. The refused
 command's digest is the same whether or not the square-colon check builds
 W^(2r+1): the product guard on W^3 refuses it first.
 To print the digests of the current tree:
@@ -33,6 +35,8 @@ COMMANDS = (
     # levels 1-3 of the symbolic check; iniJ(4,6) takes the variable fold
     "verify symbolic 2 5 --Lmax 3 --rmax 1",
     "verify symbolic 4 6 --Lmax 2 --rmax 1",
+    "verify symbolic 3 6 --Lmax 3 --rmax 1",
+    "verify symbolic 4 6 --Lmax 3 --rmax 1",
     # refused while it builds the square-colon powers: W^3 = W^2 * W at r = 2
     # counts 39 * 9 = 351 candidates
     "verify symbolic 3 5 --Lmax 1 --rmax 2 --max-gens 350",
