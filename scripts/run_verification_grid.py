@@ -3,7 +3,8 @@
 
 Writes one JSON report file per instance into the output directory and
 prints a summary table. Instances where a check trips a size guard show as
-'refused' rather than failing.
+'refused' rather than failing. The bounds default to those of
+`genlink verify`, so each report is the one the CLI writes.
 
     python scripts/run_verification_grid.py --max-m 3 --max-n 5 --out-dir reports
 """
@@ -14,17 +15,17 @@ import sys
 
 from genlink import LinkInstance
 from genlink.cli import _write_output
-from genlink.verify import VerifyBounds, reports_to_json, run_suite
+from genlink.verify import DEFAULT_BOUNDS, VerifyBounds, reports_to_json, run_suite
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-m", type=int, default=3)
     parser.add_argument("--max-n", type=int, default=5)
-    parser.add_argument("--Lmax", type=int, default=2)
-    parser.add_argument("--rmax", type=int, default=2)
+    parser.add_argument("--Lmax", type=int, default=DEFAULT_BOUNDS.symbolic_upto)
+    parser.add_argument("--rmax", type=int, default=DEFAULT_BOUNDS.square_colon_rmax)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--samples", type=int, default=100)
+    parser.add_argument("--samples", type=int, default=DEFAULT_BOUNDS.witness_samples)
     parser.add_argument("--out-dir", default=None)
     args = parser.parse_args()
 

@@ -7,8 +7,10 @@ clutter), symbolic powers (a left fold over the minimal primes that lifts
 each generator into the next prime power and reduces only the lifted
 ones, or at level 2, when there are many primes per variable, a fold over
 the variables by the Zariski-Nagata test), a symbolic-vs-ordinary scan
-that certifies ordinary <= symbolic with one bit-sliced pass per prime
-over the ordinary power's index, and the square-bracket colon criterion
+that computes no prime: it builds each W^(k) by the Zariski-Nagata fold
+over the variables, seeded from the ordinary power W^(k-1), which equals
+W^(k-1) once the level below has passed, and checks ordinary <= symbolic
+in one bit-sliced pass. Last, the square-bracket colon criterion
 certifying symbolic = ordinary for squarefree ideals. That criterion
 builds W^r and W^(r+1) only: it bit-slices the sums of their generators,
 in chunks bounded by the cap, and covers them with one pass over
@@ -27,8 +29,8 @@ all of them reduce their distinct results with one word-level reducer
 reducer scans small antichains pairwise, one subtraction and one AND per
 pair, and switches to a bit-sliced divisor index once the antichain is
 large; the same index, built over an ideal's generators on first use,
-answers membership and counts the generators' degrees on a prime. All
-sizes here are desk scale; an explicit candidate cap guards against
+answers membership and tells the variable fold which generators to lift.
+All sizes here are desk scale; an explicit candidate cap guards against
 intersection blowup before anything is enumerated, and the index refuses
 exponents whose bitsets would not fit.
 """
@@ -549,50 +551,65 @@ class MonomialIdeal:
         return _from_vecs(self.universe, codec.unpack(current))
 
     def _variable_fold(self, cap: int) -> "MonomialIdeal":
-        """The second symbolic power as a left fold from the ideal ``I``
-        itself over the variables of its support, one step per variable.
+        """The Zariski-Nagata step of this ideal ``K``: the ideal of the
+        ``u`` in ``K`` with ``u / x_i`` in ``K`` for every variable ``x_i``
+        of K's support that divides ``u``. It is a left fold from ``K`` over
+        those variables, one step per variable.
 
-        By the monomial form of Zariski-Nagata, ``u`` lies in ``I^(2)`` iff
-        ``u`` and ``u / x_i``, for every ``x_i`` dividing ``u``, lie in
-        ``I``. The step for ``x_i`` intersects the current antichain with
-        ``x_i * I + I_i``, where ``I_i`` is generated by the generators of
-        ``I`` free of ``x_i``. A generator ``u`` is kept if ``x_i`` does not
-        divide it or ``q = u / x_i`` lies in ``I``, which the ideal's divisor
-        index tells. Any other ``u`` becomes ``x_i * lcm(q, v)`` for every
-        generator ``v`` of ``I``, which generates ``(u) ∩ (x_i * I + I_i)``.
-        As ``v`` is squarefree, that is ``u`` times the part of ``v`` off
-        the support of ``q``; only the minimal parts are kept, reduced per
-        ``u`` (:func:`_minimalize_words`). The lifted candidates are then
-        reduced against the kept generators and each other; no lifted word
-        divides a kept one, by the antichain argument of :meth:`_prime_fold`.
+        For a squarefree ``I`` and ``k >= 2``, ``u`` lies in ``I^(k)`` iff
+        ``u`` and every such ``u / x_i`` lie in ``I^(k-1)``: on a prime P
+        with ``deg_P(u) >= k - 1 >= 1`` some ``x_i`` of P divides ``u``, and
+        ``u / x_i`` has P-degree one less. This is the monomial form of
+        Zariski-Nagata. So the step of ``K = I`` is ``I^(2)``, and the step
+        of ``K = I^(k-1)`` is ``I^(k)``.
+
+        The step for ``x_i`` intersects the current antichain with
+        ``K_i + x_i * K``, the ``u`` of ``K`` that ``x_i`` does not divide
+        or with ``u / x_i`` in ``K``, where ``K_i`` is generated by the
+        generators of ``K`` free of ``x_i``. A generator ``u`` is kept if
+        ``x_i`` does not divide it or ``q = u / x_i`` lies in ``K``, which
+        K's divisor index tells. Any other ``u`` becomes
+        ``x_i * lcm(q, v) = u + max(v - q, 0)`` for every generator ``v`` of
+        ``K``, which generates ``(u) ∩ (K_i + x_i * K)``. A generator of
+        ``K`` that divides ``u`` but not ``q`` has the part
+        ``max(v - q, 0) = x_i``, which divides the part of every ``v`` with
+        more ``x_i`` than ``q``. So ``u`` becomes ``u * x_i``, and ``u``
+        times the parts of the ``v`` with at most q's exponent of ``x_i``;
+        for squarefree ``K`` such a part is ``v`` off the support of ``q``.
+        Only the minimal parts are kept, reduced per ``u``
+        (:func:`_minimalize_words`). The lifted candidates are then reduced
+        against the kept generators and each other; no lifted word divides a
+        kept one, by the antichain argument of :meth:`_prime_fold`.
 
         The variables come in :attr:`_support_columns` order, those in the
         most generators first, which keeps the early antichains small: on
-        iniJ(3,8) the fold takes 12 ms in that order and 30 ms in universe
-        order. Every exponent stays at most 2, so one word format (see
-        :func:`_packing`) serves the whole fold, and the antichain is
-        unpacked once, at the end.
+        iniJ(3,8) the step of ``iniJ`` takes 12 ms in that order and 30 ms
+        in universe order. Every exponent stays at most one above K's
+        largest, so one word format (see :func:`_packing`) serves the whole
+        fold, and the antichain is unpacked once, at the end.
 
-        Before a step reduces its lifted candidates against the antichain,
-        the guard refuses when their number times the current antichain
-        size exceeds ``cap``, the count :meth:`_prime_fold` makes. The
-        candidates are counted distinct and after the per-``u`` reduction,
-        which is cheap: at most the short generators times the generators
-        of ``I``, one AND each. Counted before it, as short generators
-        times generators of ``I``, the estimate would refuse iniJ(4,8) and
-        iniJ(3,9) at level 2 (631,960 and 226,625), which the prime fold
-        computes.
+        The guard counts one word per pair of a short generator and a
+        generator of ``K`` it is lifted by, and one index query (or a scan
+        of at most the index switch) per distinct lifted candidate. It
+        refuses with :class:`SizeGuardExceeded` when the pairs exceed
+        ``cap``, before they are enumerated, and when the pairs and lifted
+        candidates do, before those are reduced.
         """
-        codec = _packing(2, len(self.universe))
+        top = _top(self.vecs)
+        codec = _packing(top + 1, len(self.universe))
         columns = self._support_columns
         units, fields = _prime_words(codec, [[col] for col in columns])
         guards, shift = codec.guards, codec.shift
         ones, values = sum(units), sum(fields)
         gens = codec.pack(self.vecs)
+        # one bit per field of a squarefree part, so its degree is its bit count
+        weigh = int.bit_count if top == 1 else codec.total
         index = self._index
         current = gens
         for col, field in zip(columns, fields):
             unit = units[col]
+            # the generators of K with exponent at most e at col, e <= top
+            at_most = [[v for v, vec in zip(gens, self.vecs) if vec[col] <= e] for e in range(top + 1)]
             kept = [u for u in current if not u & field]
             divisible = [u for u in current if u & field]
             short = []
@@ -600,21 +617,22 @@ class MonomialIdeal:
                 if index.divides_some(q):
                     kept.append(u)
                 else:
-                    short.append(u)
-            lifted_words = {}
-            for u in short:
-                # the fields where q = u / x_i is 0, see _packing
-                ge = (((u - unit) | guards) - ones) & guards
-                off = values ^ (ge - (ge >> shift))
-                # one bit per field of v, so a part's degree is its bit count
-                parts = {v & off for v in gens}
-                items = sorted(zip(map(int.bit_count, parts), parts))
-                degree = codec.total(u)
-                for w in _minimalize_words([], items, codec, cap):
-                    lifted_words[u + w] = degree + w.bit_count()
-            _check_step(len(lifted_words), len(current), cap)
-            items = sorted(zip(lifted_words.values(), lifted_words))
-            current = _minimalize_words(kept, items, codec, cap)
+                    short.append((u, at_most[q[col]]))
+            pairs = sum(len(vs) for _, vs in short)
+            _check_cap(pairs, cap, "symbolic power step")
+            lifted = {u + unit for u, _ in short}
+            for u, vs in short:
+                q = u - unit
+                if top == 1:  # the fields where q is 0, see _packing
+                    ge = ((q | guards) - ones) & guards
+                    off = values ^ (ge - (ge >> shift))
+                    parts = {v & off for v in vs}
+                else:  # max(v - q, 0), see _packing
+                    parts = {d & ((ge := d & guards) - (ge >> shift)) for d in [(v | guards) - q for v in vs]}
+                items = sorted(zip(map(weigh, parts), parts))
+                lifted.update([u + w for w in _minimalize_words([], items, codec, cap)])
+            _check_cap(pairs + len(lifted), cap, "symbolic power step")
+            current = _minimalize_words(kept, _by_degree(lifted, codec), codec, cap)
         return _from_vecs(self.universe, codec.unpack(current))
 
     def symbolic_member(self, mon: Monomial, level: int) -> bool:
@@ -626,6 +644,14 @@ class MonomialIdeal:
         (word,) = codec.pack([vec])
         _, masks = _prime_words(codec, self._prime_columns)
         return all(codec.total(word & mask) >= level for mask in masks)
+
+    def _require_squarefree(self) -> None:
+        """Raise unless this is a proper nonzero squarefree ideal, the
+        ideals whose minimal primes and symbolic powers are computed here."""
+        if self.is_zero() or self.is_unit():
+            raise ValueError("minimal primes need a proper nonzero ideal")
+        if not self.is_squarefree():
+            raise NotSquarefree("minimal primes implemented for squarefree ideals only")
 
     @cached_property
     def _support_columns(self) -> list[int]:
@@ -639,10 +665,7 @@ class MonomialIdeal:
         """Each minimal prime as its sorted vector positions, found once per
         ideal from the cover bitmasks (see :meth:`minimal_primes`), by size,
         then by sorted variables."""
-        if self.is_zero() or self.is_unit():
-            raise ValueError("minimal primes need a proper nonzero ideal")
-        if not self.is_squarefree():
-            raise NotSquarefree("minimal primes implemented for squarefree ideals only")
+        self._require_squarefree()
         rank = _variable_rank(self.universe)
         # a cover's bits come lowest first, so its positions are sorted
         covers = [
@@ -664,7 +687,9 @@ def zero_ideal(universe: Universe) -> MonomialIdeal:
     return MonomialIdeal(universe, ())
 
 
+@lru_cache(maxsize=64)
 def unit_ideal(universe: Universe) -> MonomialIdeal:
+    """The unit ideal, one per universe, so its divisor index is built once."""
     return MonomialIdeal(universe, ((0,) * len(universe),))
 
 
@@ -678,59 +703,34 @@ def first_symbolic_gap(
 
     Returns ``(level, witness)`` with a witness generator of the symbolic
     power missing from the ordinary power, or ``None`` if all levels pass.
-    The containment ordinary <= symbolic holds always; at every level it is
-    checked on the ordinary power's divisor index against the minimal
-    primes, found once (:func:`_escaped`), and the first generator that
-    fails it raises :class:`AssertionError`. Level 1 passes once that check
-    does: a squarefree ideal is radical, so W^(1) = W.
+    No minimal prime is computed. Level 1 passes once W is a proper nonzero
+    squarefree ideal, else :class:`ValueError` (:class:`NotSquarefree`) is
+    raised: a squarefree ideal is radical, so W^(1) = W. Each level k >= 2
+    builds W^(k) as the Zariski-Nagata step
+    (:meth:`~MonomialIdeal._variable_fold`) of ``W.power(k - 1)``, which
+    equals W^(k-1) since level k - 1 passed both inclusions.
+    The containment ordinary <= symbolic holds always; it is checked in one
+    bit-sliced pass (:func:`_all_covered`) of the generators of W^k against
+    those of the computed W^(k), and the first generator that fails it
+    raises :class:`AssertionError`.
     """
     for level in range(1, upto + 1):
         power = W.power(level, cap=cap)
-        primes = W._prime_columns  # raises for zero, unit and non-squarefree W
-        escaped = _escaped(power._index, primes, level)
-        if escaped:
-            v = power.vecs[(escaped & -escaped).bit_length() - 1]
+        if level == 1:
+            W._require_squarefree()
+            continue
+        symbolic = W.power(level - 1, cap=cap)._variable_fold(cap)
+        codec = _packing(level, len(W.universe))
+        if not _all_covered(set(codec.pack(power.vecs)), _supports(symbolic.vecs), codec):
+            v = next(v for v in power.vecs if not symbolic._divides_into(v))
             raise AssertionError(
                 f"ordinary power generator {_to_monomial(W.universe, v)} "
                 f"escaped symbolic power {level}"
             )
-        if level == 1:
-            continue
-        symbolic = W.symbolic_power(level, cap=cap)
         for v in symbolic.vecs:
             if not power._divides_into(v):
                 return level, _to_monomial(W.universe, v)
     return None
-
-
-def _escaped(index: _DivisorIndex, primes: Iterable[Sequence[int]], level: int) -> int:
-    """The bitset of the indexed vectors whose degree on some prime, given
-    by its columns, is below ``level``.
-
-    ``everyone ^ below[c][e - 1]`` holds the vectors with exponent at least
-    ``e`` at column ``c``. Each prime runs a saturating counter over its
-    columns: ``reach[j]`` holds the vectors whose degree on the columns so
-    far is at least ``j``, for ``j <= level``. A column adds to ``reach[j]``
-    the vectors of ``reach[j - e]`` with exponent at least ``e`` there, for
-    every ``e <= j``; taking ``j`` downwards, ``reach[j - e]`` still holds
-    the count before that column. So a prime costs a few big-int operations
-    per column, whatever the number of vectors.
-    """
-    everyone = (1 << index.size) - 1
-    steps = []  # per column, the (j, j - e, at least e there) updates in order
-    for below, top in zip(index.below, index.tops):
-        at_least = [everyone] + [everyone ^ below[e - 1] for e in range(1, min(level, top) + 1)]
-        steps.append([
-            (j, j - e, at_least[e]) for j in range(level, 0, -1) for e in range(1, min(j, top) + 1)
-        ])
-    escaped = 0
-    for cols in primes:
-        reach = [everyone] + [0] * level
-        for col in cols:
-            for j, i, bits in steps[col]:
-                reach[j] |= reach[i] & bits
-        escaped |= everyone ^ reach[level]
-    return escaped
 
 
 def square_colon_check(W: MonomialIdeal, r: int, cap: int = DEFAULT_CANDIDATE_CAP) -> bool:
@@ -772,12 +772,17 @@ def square_colon_check(W: MonomialIdeal, r: int, cap: int = DEFAULT_CANDIDATE_CA
     # each field shifts into the guard bit of the field below is masked off
     xs = [x + ones for x in codec.pack(rows)]
     ys = codec.pack(power)
-    supports = [[(k, e) for k, e in enumerate(s) if e] for s in power]
+    supports = _supports(power)
     step = max(1, cap // max(1, len(ys)))
     return all(
         _all_covered({((x + y) >> 1) & values for x in xs[i:i + step] for y in ys}, supports, codec)
         for i in range(0, len(xs), step)
     )
+
+
+def _supports(vecs: Iterable[Vec]) -> list[list[tuple[int, int]]]:
+    """Each vector as its support ``(column, exponent)`` pairs."""
+    return [[(k, e) for k, e in enumerate(v) if e] for v in vecs]
 
 
 def _all_covered(halves: set[int], supports: Sequence[Sequence[tuple[int, int]]], codec: _Codec) -> bool:
@@ -908,8 +913,8 @@ def _check_cap(count: int, cap: int, what: str) -> None:
 
 
 def _check_step(lifted: int, current: int, cap: int) -> None:
-    """The symbolic folds' guard: refuse a step whose lifted candidates
-    times the current antichain size exceed ``cap``."""
+    """The prime fold's guard: refuse a step whose lifted candidates times
+    the current antichain size exceed ``cap``."""
     work = lifted * current
     if work > cap:
         raise SizeGuardExceeded(

@@ -260,23 +260,26 @@ def straighten_holds(inst: LinkInstance, A: Selector, B: Selector) -> bool:
 
 
 def chain_normal_form(selectors: Sequence[Selector]) -> tuple[Selector, ...]:
-    """Rewrite a list of selectors into a componentwise-sorted chain.
+    """Rewrite a list of selectors into a componentwise-sorted chain by
+    sorting each coordinate.
 
-    Repeated meet/join exchanges on out-of-order adjacent pairs terminate and
-    keep the multiset of values in every coordinate, hence the product of the
-    complement monomials.
+    This is the chain that meet/join exchanges on out-of-order adjacent
+    pairs reach, so it keeps the product of the complement monomials, as
+    each exchange does (see :func:`straighten_holds`). The proof has two
+    steps. First, an exchange keeps the multiset of values in every
+    coordinate, and a chain is sorted in every coordinate, so only one
+    chain has given multisets: each coordinate sorted. Second, sorting each
+    coordinate keeps every selector strictly increasing: if the k-th
+    smallest values of coordinates i and i + 1 are a and b, then at least
+    k selectors have coordinate i + 1 at most b, and their coordinate i is
+    below b, so a < b. For m = 1 the selectors are empty, the sort gives
+    no selector at all, and they are returned as they are.
     """
     if not selectors:
         raise ValueError("empty selector list")
-    arr = list(selectors)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(arr) - 1):
-            if not leq(arr[i], arr[i + 1]):
-                arr[i], arr[i + 1] = meet(arr[i], arr[i + 1]), join(arr[i], arr[i + 1])
-                changed = True
-    return tuple(arr)
+    if len(set(map(len, selectors))) > 1:
+        raise ValueError("selector size mismatch")
+    return tuple(zip(*map(sorted, zip(*selectors)))) or tuple(selectors)
 
 
 # -- sides and exponents -------------------------------------------------------

@@ -7,7 +7,8 @@ from comparators that walk the sorted joint support of two monomials,
 minimal generators from a pairwise scan over the kept vectors, products,
 intersections and colons from tuple arithmetic on every pair of generators,
 the square-bracket colon criterion from squaring every generator of a
-pairwise power, the lead terms of the link rows from a scan over every term
+pairwise power, the chain normal form of selectors from meet/join
+exchanges, the lead terms of the link rows from a scan over every term
 of every minor, and the link generator families as monomials straight from
 the band and staircase definitions of ``genlink.linkage``.
 """
@@ -141,6 +142,21 @@ def pairwise_symbolic_power(primes, level):
                 kept.append((support, u))
         current = [u for _, u in kept]
     return {Monomial(zip(order, u)) for u in current}
+
+
+def bubble_chain_normal_form(selectors):
+    """The componentwise-sorted chain of a list of selectors, by repeated
+    meet/join exchanges on out-of-order adjacent pairs until none is left."""
+    arr = list(selectors)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(arr) - 1):
+            a, b = arr[i], arr[i + 1]
+            if not all(map(le, a, b)):
+                arr[i], arr[i + 1] = tuple(map(min, a, b)), tuple(map(max, a, b))
+                changed = True
+    return tuple(arr)
 
 
 def _ascending_rank(v):

@@ -593,36 +593,16 @@ def test_first_symbolic_gap():
     assert first_symbolic_gap(prime, 3) is None
 
 
-def test_first_symbolic_gap_finds_primes_once_per_symbolic_power(monkeypatch):
-    calls = []
-    original = ideals._minimal_covers
+def test_first_symbolic_gap_computes_no_prime(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a minimal prime was computed")
 
-    def counting(edges):
-        calls.append(edges)
-        return original(edges)
-
-    monkeypatch.setattr(ideals, "_minimal_covers", counting)
-    assert first_symbolic_gap(LinkInstance(2, 4).link_initial, 2) is None
-    # one cover search per ideal: the ordinary-in-symbolic checks at both
-    # levels and the level-2 symbolic power read the same cached prime columns
-    assert len(calls) == 1
-
-
-def test_first_symbolic_gap_takes_no_prime_fold_at_level_1(monkeypatch):
-    levels = []
-    original = MonomialIdeal._prime_fold
-
-    def spy(self, level, cap):
-        levels.append(level)
-        return original(self, level, cap)
-
-    monkeypatch.setattr(MonomialIdeal, "_prime_fold", spy)
+    monkeypatch.setattr(ideals, "_minimal_covers", refuse)
+    monkeypatch.setattr(MonomialIdeal, "_prime_fold", refuse)
     assert first_symbolic_gap(triangle(), 1) is None
     assert first_symbolic_gap(triangle(), 3) == (2, mono(X1, X2, X3))
-    # the triangle's gap at level 2, then levels 2 and 3 of iniJ(2,4),
-    # which has too few primes per variable for the variable fold
     assert first_symbolic_gap(LinkInstance(2, 4).link_initial, 3) is None
-    assert levels == [2, 2, 3]
+    assert "_prime_columns" not in triangle().__dict__
 
 
 @pytest.mark.parametrize("W", [ideal(U3, []), unit_ideal(U3), ideal(U3, [mono(X1, X1)])])
@@ -638,52 +618,6 @@ def test_symbolic_power_1_is_the_ideal(W):
         return
     assert W.symbolic_power(1) == W
     assert pairwise_symbolic_power(brute_minimal_covers(W), 1) == set(W.gens)
-
-
-def escaped_reference(vecs, primes, level):
-    """The positions of the vectors whose degree on some prime, given by
-    its columns, is below ``level``, one vector and prime at a time."""
-    return [
-        i for i, v in enumerate(vecs)
-        if any(sum(v[c] for c in cols) < level for cols in primes)
-    ]
-
-
-@given(
-    sparse_squarefree_ideals,
-    st.integers(min_value=1, max_value=3),
-    st.none() | st.tuples(st.sets(st.integers(min_value=0, max_value=5)), st.integers(min_value=0)),
-)
-@settings(max_examples=80, deadline=None)
-def test_escaped_matches_the_per_generator_reference(W, level, planted):
-    if W.is_unit():
-        return
-    primes = list(W._prime_columns)
-    if planted is not None:  # any column set, at any place among the primes
-        cols, at = planted
-        primes.insert(at % (len(primes) + 1), sorted(cols))
-    power = W.power(level)
-    want = escaped_reference(power.vecs, primes, level)
-    escaped = ideals._escaped(power._index, primes, level)
-    assert [i for i in range(len(power.vecs)) if escaped >> i & 1] == want
-    if planted is None:
-        assert want == []
-    # first_symbolic_gap names the first escaped generator of the first
-    # level that has one
-    W.__dict__["_prime_columns"] = primes
-    first = next((
-        (k, ideals._to_monomial(U6, W.power(k).vecs[bad[0]]))
-        for k in range(1, level + 1)
-        if (bad := escaped_reference(W.power(k).vecs, primes, k))
-    ), None)
-    if first is None:
-        first_symbolic_gap(W, level)
-    else:
-        with pytest.raises(AssertionError) as failed:
-            first_symbolic_gap(W, level)
-        assert str(failed.value) == (
-            f"ordinary power generator {first[1]} escaped symbolic power {first[0]}"
-        )
 
 
 @pytest.mark.parametrize("level", [1, 2, 3])
@@ -822,6 +756,24 @@ def test_variable_fold_with_a_linear_generator_and_unused_variables():
     want = pairwise_symbolic_power(W.minimal_primes(), 2)
     assert set(W._variable_fold(DEFAULT_CANDIDATE_CAP).gens) == want
     assert len(W._support_columns) == 3
+
+
+@given(sparse_squarefree_ideals, st.integers(min_value=3, max_value=4))
+@settings(max_examples=60, deadline=None)
+def test_seeded_variable_fold_matches_pairwise_reference_hypothesis(W, level):
+    # the Zariski-Nagata step of I^(k-1) is I^(k)
+    if W.is_unit():
+        return
+    want = pairwise_symbolic_power(brute_minimal_covers(W), level)
+    seed = W.symbolic_power(level - 1)
+    assert set(seed._variable_fold(DEFAULT_CANDIDATE_CAP).gens) == want
+
+
+@pytest.mark.parametrize("m, n", [(m, n) for m in range(1, 5) for n in range(m + 1, 7)])
+def test_variable_fold_of_the_square_matches_prime_fold_at_level_3(m, n):
+    # iniJ^(2) = iniJ^2, so the step of the ordinary square is iniJ^(3)
+    W = LinkInstance(m, n).link_initial
+    assert W.power(2)._variable_fold(DEFAULT_CANDIDATE_CAP) == W._prime_fold(3, DEFAULT_CANDIDATE_CAP)
 
 
 def test_symbolic_power_picks_the_fold_by_primes_per_variable(monkeypatch):
@@ -1049,17 +1001,40 @@ def test_symbolic_power_guard_admits_4_7_at_level_2():
 
 
 def test_variable_fold_guard_at_4_7():
-    # The largest step of the variable fold of iniJ(4,7) reduces 107
-    # distinct lifted candidates against 133 generators: 14,231.
+    # The largest step of the variable fold of iniJ(4,7) lifts its short
+    # generators by 390 generators of iniJ in all and reduces 107 distinct
+    # lifted candidates: 497.
     W = LinkInstance(4, 7).link_initial
-    assert len(W._variable_fold(cap=14_231).gens) == 174
+    assert len(W._variable_fold(cap=497).gens) == 174
     with pytest.raises(SizeGuardExceeded) as refused:
-        W._variable_fold(cap=14_230)
-    assert refused.value.estimate == 14_231
+        W._variable_fold(cap=496)
+    assert refused.value.estimate == 497
+
+
+def test_variable_fold_guard_refuses_before_the_lift(monkeypatch):
+    # The step of iniJ(4,7)^2, that is iniJ^(3): its largest step pairs its
+    # short generators with 14,464 generators of iniJ^2 and reduces 663
+    # lifted candidates; its first step makes 7,623 pairs.
+    K = LinkInstance(4, 7).link_initial.power(2)
+    assert len(K._variable_fold(cap=15_127).gens) == 776
+    with pytest.raises(SizeGuardExceeded) as refused:
+        K._variable_fold(cap=15_126)
+    assert refused.value.estimate == 15_127
+    reduced = []
+    original = ideals._minimalize_words
+
+    def spy(*args):
+        reduced.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(ideals, "_minimalize_words", spy)
+    with pytest.raises(SizeGuardExceeded) as refused:
+        K._variable_fold(cap=7_622)
+    # refused on the pairs alone, before a single part is made
+    assert (refused.value.estimate, reduced) == (7_623, [])
 
 
 @pytest.mark.parametrize("m, n, gens", [(4, 8, 355), (3, 9, 315)])
 def test_variable_fold_admits_what_the_prime_fold_computes(m, n, gens):
-    # Counted before the per-generator reduction, as short generators times
-    # generators of iniJ, the estimate would be 631,960 and 226,625 here.
+    # The largest steps count 1,779 and 1,024 pairs and lifted candidates.
     assert len(LinkInstance(m, n).link_initial.symbolic_power(2).gens) == gens

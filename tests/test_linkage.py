@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from bruteforce import (
     antidiagonal_monomial,
+    bubble_chain_normal_form,
     complement_monomial,
     diag_generator,
     scan_minimalize,
@@ -325,6 +326,27 @@ def test_chain_normal_form_examples():
     for A in after:
         prod2 = prod2 * beta(inst, A)
     assert prod == prod2
+
+
+@given(
+    st.integers(min_value=1, max_value=5).flatmap(
+        lambda m: st.lists(
+            st.sets(st.integers(min_value=2, max_value=9), min_size=m - 1, max_size=m - 1)
+            .map(sorted).map(tuple),
+            min_size=1, max_size=8,
+        )
+    )
+)
+@settings(max_examples=200)
+def test_chain_normal_form_matches_the_exchange_oracle(selectors):
+    # strictly increasing selectors of one size m - 1, m from 1 to 5
+    assert chain_normal_form(selectors) == bubble_chain_normal_form(selectors)
+
+
+def test_chain_normal_form_keeps_one_empty_selector_per_input():
+    assert chain_normal_form([(), (), ()]) == ((), (), ())
+    with pytest.raises(ValueError):
+        chain_normal_form([(2, 3), (2,)])
 
 
 @given(st.data())

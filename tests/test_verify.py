@@ -10,6 +10,7 @@ import pytest
 
 from bruteforce import scan_row_leads
 from genlink import LinkInstance, Monomial, VerifyBounds, first_symbolic_gap, xvar, yvar
+from genlink import ideals
 from genlink.cli import main
 from genlink.ideals import DEFAULT_CANDIDATE_CAP, MonomialIdeal, ideal
 from genlink.verify import (
@@ -309,29 +310,43 @@ def test_variable_fold_runs_the_same_under_optimization(tmp_path):
     )
 
 
-# Gives every ideal one more "prime": its first minimal prime less the first
-# column, which some generator meets in that column alone.
-PLANT_A_BAD_PRIME = """
-from genlink.ideals import MonomialIdeal
+def test_verify_symbolic_computes_no_prime(monkeypatch):
+    calls = []
+    original = ideals._minimal_covers
 
-found = MonomialIdeal._prime_columns
+    def spy(edges):
+        calls.append(edges)
+        return original(edges)
+
+    monkeypatch.setattr(ideals, "_minimal_covers", spy)
+    assert main(["verify", "symbolic", "2", "5", "--Lmax", "3", "--rmax", "1"]) == 0
+    assert calls == []
 
 
-def planted(self):
-    primes = found.__get__(self)
-    return [*primes, primes[0][1:]]
+# Drops the last generator of every computed symbolic power, so that the
+# same generator of the ordinary power lies outside it.
+PLANT_A_GENERATOR = """
+from genlink.ideals import MonomialIdeal, _from_vecs
+
+computed = MonomialIdeal._variable_fold
+
+
+def planted(self, cap):
+    symbolic = computed(self, cap)
+    return _from_vecs(symbolic.universe, symbolic.vecs[:-1])
 """
 
 
-def test_escaped_generator_becomes_fail_report(monkeypatch, tmp_path):
+def test_generator_outside_the_symbolic_power_becomes_fail_report(monkeypatch, tmp_path):
     scope = {}
-    exec(PLANT_A_BAD_PRIME, scope)
-    monkeypatch.setattr(MonomialIdeal, "_prime_columns", property(scope["planted"]))
+    exec(PLANT_A_GENERATOR, scope)
+    monkeypatch.setattr(MonomialIdeal, "_variable_fold", scope["planted"])
     inst = LinkInstance(2, 4)
     W = inst.link_initial
-    # the per-generator scan over the prime masks names the first generator
-    bad = next(g for g in W.gens if not W.symbolic_member(g, 1))
-    message = f"ordinary power generator {bad} escaped symbolic power 1"
+    # W^(2) = W^2, so the dropped generator is the last of W^2, and no
+    # other generator of the antichain W^2 divides it
+    bad = W.power(2).gens[-1]
+    message = f"ordinary power generator {bad} escaped symbolic power 2"
     with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
         first_symbolic_gap(W, 2)
     rep = verify_symbolic_scan(inst, VerifyBounds(symbolic_upto=2, square_colon_rmax=1))
@@ -342,8 +357,8 @@ def test_escaped_generator_becomes_fail_report(monkeypatch, tmp_path):
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     optimized = tmp_path / "optimized.json"
-    script = PLANT_A_BAD_PRIME + (
-        "MonomialIdeal._prime_columns = property(planted)\n"
+    script = PLANT_A_GENERATOR + (
+        "MonomialIdeal._variable_fold = planted\n"
         "import sys\n"
         "from genlink.cli import main\n"
         "sys.exit(main(sys.argv[1:]))\n"
@@ -369,8 +384,8 @@ def test_grid_script_writes_the_cli_report(tmp_path):
         check=True, env=env, capture_output=True,
     )
     cli_out = tmp_path / "cli.json"
-    assert main(["verify", "all", "2", "3", "--Lmax", "2", "--rmax", "2",
-                 "--samples", "100", "--out", str(cli_out)]) == 0
+    # the script's bounds are the CLI's defaults
+    assert main(["verify", "all", "2", "3", "--out", str(cli_out)]) == 0
     grid = _masked((out_dir / "verify_2_3.json").read_text())
     assert grid == _masked(cli_out.read_text())
     assert [r["status"] for r in grid["reports"]] == ["pass"] * 7
