@@ -62,9 +62,17 @@ def _digest(command):
     return {"exit": code, "sha256": hashlib.sha256(text.encode()).hexdigest()}
 
 
-@pytest.mark.parametrize(
-    "command", COMMANDS, ids=[c.split(" --")[0].replace(" ", "_") for c in COMMANDS]
-)
+def _ids(commands):
+    """Each command's test id: its words before the first option, or all of
+    its words where an earlier command has the same first ones."""
+    ids = []
+    for command in commands:
+        short = command.split(" --")[0].replace(" ", "_")
+        ids.append(command.replace(" ", "_") if short in {i.split("_--")[0] for i in ids} else short)
+    return ids
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=_ids(COMMANDS))
 def test_verify_report_matches_the_recorded_digest(command):
     assert _digest(command) == json.loads(DIGESTS.read_text())[command]
 
