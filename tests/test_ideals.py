@@ -605,6 +605,27 @@ def test_first_symbolic_gap_computes_no_prime(monkeypatch):
     assert first_symbolic_gap(LinkInstance(2, 4).link_initial, 3) is None
 
 
+@given(sparse_squarefree_ideals)
+@settings(max_examples=60, deadline=None)
+def test_first_symbolic_gap_matches_pairwise_reference_hypothesis(W):
+    # the first level whose symbolic power, from the pairwise prime-power
+    # intersection, has a generator outside the pairwise ordinary power
+    if W.is_unit():
+        return
+    primes = brute_minimal_covers(W)
+    power, want = list(W.vecs), None
+    for level in range(2, 4):
+        power = pairwise_product(power, W.vecs)
+        missing = [
+            g for g in pairwise_symbolic_power(primes, level)
+            if not vec_divides_some(power, ideals._to_vec(U6, g))
+        ]
+        if missing:
+            want = (level, min(missing, key=Monomial.canonical_key))
+            break
+    assert first_symbolic_gap(W, 3) == want
+
+
 @pytest.mark.parametrize("W", [ideal(U3, []), unit_ideal(U3), ideal(U3, [mono(X1, X1)])])
 def test_first_symbolic_gap_still_needs_the_primes_at_level_1(W):
     with pytest.raises(ValueError):
