@@ -538,7 +538,12 @@ class MonomialIdeal:
                 else:
                     kept.append(u)
             lifted = sum(comb(e + len(cols) - 1, e) for _, e, _ in short)
-            _check_step(lifted, len(current), cap)
+            if (work := lifted * len(current)) > cap:
+                raise SizeGuardExceeded(
+                    f"symbolic power step would reduce {lifted} lifted candidates "
+                    f"against {len(current)} generators, estimate {work} (cap {cap})",
+                    work,
+                )
             # a degree-e monomial in P's variables is a multiset of e columns
             lifts = {
                 e: [sum(map(units.__getitem__, w)) for w in combinations_with_replacement(cols, e)]
@@ -909,18 +914,6 @@ def _check_cap(count: int, cap: int, what: str) -> None:
         raise SizeGuardExceeded(
             f"{what} would enumerate about {count} candidate generators "
             f"(cap {cap})", count,
-        )
-
-
-def _check_step(lifted: int, current: int, cap: int) -> None:
-    """The prime fold's guard: refuse a step whose lifted candidates times
-    the current antichain size exceed ``cap``."""
-    work = lifted * current
-    if work > cap:
-        raise SizeGuardExceeded(
-            f"symbolic power step would reduce {lifted} lifted candidates "
-            f"against {current} generators, estimate {work} (cap {cap})",
-            work,
         )
 
 
