@@ -7,7 +7,8 @@ before the square-colon check dropped the bracket power and the link
 ideals stopped being reduced again, the first two symbolic-only commands
 before the ordinary-in-symbolic check became bit-sliced, and the two
 level-3 commands at (3,6) and (4,6) while level 3 still folded over the
-minimal primes, so a change that alters a status, a witness or a refusal
+minimal primes, and the two cor412 commands while N^(2) and nu's place in
+it were still read from the minimal primes of N, so a change that alters a status, a witness or a refusal
 estimate fails here. The refused
 command's digest is the same whether or not the square-colon check builds
 W^(2r+1): the product guard on W^3 refuses it first.
@@ -40,6 +41,10 @@ COMMANDS = (
     # refused while it builds the square-colon powers: W^3 = W^2 * W at r = 2
     # counts 39 * 9 = 351 candidates
     "verify symbolic 3 5 --Lmax 1 --rmax 2 --max-gens 350",
+    # N^(2) and the nu witness; N(4,8) has the most primes per variable
+    # (60 over 18) of the staircase ideals up to n = 8
+    "verify cor412 4 7",
+    "verify cor412 4 8",
 )
 DIGESTS = Path(__file__).resolve().parent / "verify_digests.json"
 
@@ -76,6 +81,8 @@ def _digest(command):
         "verify_symbolic_3_6",
         "verify_symbolic_4_6_--Lmax_3_--rmax_1",
         "verify_symbolic_3_5",
+        "verify_cor412_4_7",
+        "verify_cor412_4_8",
     ],
 )
 def test_verify_report_matches_the_recorded_digest(command):
@@ -87,7 +94,7 @@ def test_every_command_is_recorded():
 
 
 def test_square_colon_refusal_estimate():
-    code, doc = _run(COMMANDS[-1])
+    code, doc = _run("verify symbolic 3 5 --Lmax 1 --rmax 2 --max-gens 350")
     (report,) = doc["reports"]
     assert (code, report["status"], report["witnesses"]["estimate"]) == (3, "refused", 351)
 
