@@ -3,24 +3,23 @@
 Ideals are kept as minimal generating sets (divisibility antichains).
 Operations: product, power, colon, intersection, membership,
 minimal primes of squarefree ideals (minimal vertex covers of the support
-clutter), symbolic powers (a left fold over the minimal primes that lifts
-each generator into the next prime power and reduces only the lifted
-ones, or at level 2, when there are many primes per variable, a fold over
-the variables by the Zariski-Nagata test), a symbolic-vs-ordinary scan
-that computes no prime: it builds each W^(k) by the Zariski-Nagata fold
-over the variables, seeded from the ordinary power W^(k-1), which equals
-W^(k-1) once the level below has passed, and checks ordinary <= symbolic
-in one bit-sliced pass. Last, the square-bracket colon criterion
-certifying symbolic = ordinary for squarefree ideals. That criterion
-builds W^r and W^(r+1) only: it bit-slices the sums of their generators,
-in chunks bounded by the cap, and covers them with one pass over
-W^(r+1), with no W^(2r+1) or bracket power built.
+clutter), symbolic powers of squarefree ideals (the ideal itself at level
+1, a fold over the variables by the Zariski-Nagata test at level 2, and
+above that a left fold over the minimal primes that lifts each generator
+into the next prime power and reduces only the lifted ones), a
+symbolic-vs-ordinary scan that computes no prime: it builds each W^(k) by
+the Zariski-Nagata fold over the variables, seeded from the ordinary power
+W^(k-1), which equals W^(k-1) once the level below has passed, and checks
+ordinary <= symbolic in one bit-sliced pass. Last, the square-bracket
+colon criterion certifying symbolic = ordinary for squarefree ideals.
+That criterion builds W^r and W^(r+1) only: it bit-slices the sums of
+their generators, in chunks bounded by the cap, and covers them with one
+pass over W^(r+1), with no W^(2r+1) or bracket power built.
 
 An ideal holds its minimal generators once, as dense exponent vectors over
 the universe; their support bitmasks, :class:`Monomial` form and minimal
 primes are derived on first use. Monomials enter only through
-:func:`ideal`, :meth:`~MonomialIdeal.contains` and
-:meth:`~MonomialIdeal.symbolic_member`. The kernels work on packed
+:func:`ideal` and :meth:`~MonomialIdeal.contains`. The kernels work on packed
 exponent words (see :func:`_packing`): product, intersection and the
 quotients of a colon combine each pair of generators in a few big-int
 operations, the symbolic folds lift and test generators on words, and
@@ -246,21 +245,6 @@ def _at_most(e: int) -> bytes:
 # 4x is within the spread of the best on all three.
 _INDEX_PER_VARIABLE = 4
 
-# symbolic_power takes the variable fold at level 2 when the ideal has more
-# than this many minimal primes per variable in its support. Level-2 times,
-# finding the primes included, prime fold / variable fold, best of 15 (5 for
-# iniJ(3,8)), 2-core x86-64 VM, Python 3.11, with primes/variables:
-#   iniJ(2,4)  23/9:   0.6 / 0.4 ms     N(4,8)   60/18: 10.6 / 14.7 ms
-#   iniJ(2,5)  76/12:  3.8 / 0.8 ms     N(3,8)   45/16:  4.1 / 5.3 ms
-#   iniJ(3,5)  54/12:  1.9 / 0.9 ms     N(3,7)   30/13:  1.4 / 2.2 ms
-#   iniJ(4,6) 105/15:  6.0 / 2.3 ms     iniI(3,6) 15/12: 2.7 / 3.9 ms
-#   iniJ(4,7) 590/20: 81 / 12 ms        iniI(2,7)  7/12: 1.6 / 3.4 ms
-#   iniJ(3,8) 4068/24: 903 / 36 ms
-# The variable fold loses on ideals with many generators and few primes;
-# every staircase ideal cor412 reaches has at most 3.3 primes per variable.
-_PRIMES_PER_VARIABLE = 4
-
-
 def _minimalize(
     vecs: Iterable[Vec], seed: Sequence[Vec] = (), cap: int = DEFAULT_CANDIDATE_CAP
 ) -> list[Vec]:
@@ -480,20 +464,25 @@ class MonomialIdeal:
         return tuple(frozenset(map(vars_.__getitem__, cols)) for cols in self._prime_columns)
 
     def symbolic_power(self, level: int, cap: int = DEFAULT_CANDIDATE_CAP) -> "MonomialIdeal":
-        """Intersection of the level-th powers of the minimal primes.
+        """The level-th symbolic power of a proper nonzero squarefree ideal:
+        the intersection of the level-th powers of its minimal primes
+        (Herzog-Hibi-Trung).
 
-        For a squarefree ideal this is the level-th symbolic power
-        (Herzog-Hibi-Trung). It is computed by :meth:`_prime_fold`, one
-        step per minimal prime, or at level 2 by :meth:`_variable_fold`,
-        one step per variable, when the ideal has more than
-        ``_PRIMES_PER_VARIABLE`` minimal primes per variable in its support.
-        Both give the same generators; each refuses with
-        :class:`SizeGuardExceeded` before a step would exceed ``cap``.
+        The level alone picks the computation. Level 1 is the ideal itself,
+        as a squarefree ideal is radical. Level 2 is the Zariski-Nagata step
+        of the ideal (:meth:`_variable_fold`), one step per variable, and
+        needs no prime. Higher levels fold over the minimal primes
+        (:meth:`_prime_fold`). Each fold refuses with
+        :class:`SizeGuardExceeded` before a step would exceed ``cap``. The
+        zero and unit ideals raise :class:`ValueError`, any other ideal that
+        is not squarefree :class:`NotSquarefree`.
         """
         if level < 1:
             raise ValueError("symbolic power needs level >= 1")
-        primes, variables = len(self._prime_columns), len(self._support_columns)
-        if level == 2 and primes > _PRIMES_PER_VARIABLE * variables:
+        self._require_squarefree()
+        if level == 1:
+            return self
+        if level == 2:
             return self._variable_fold(cap)
         return self._prime_fold(level, cap)
 
@@ -643,23 +632,13 @@ class MonomialIdeal:
             current = _minimalize_words(kept, _by_degree(lifted, codec), codec, cap)
         return _from_vecs(self.universe, codec.unpack(current))
 
-    def symbolic_member(self, mon: Monomial, level: int) -> bool:
-        """Membership in the level-th symbolic power via per-prime degree sums."""
-        if level < 1:
-            raise ValueError("symbolic power needs level >= 1")
-        vec = _to_vec(self.universe, mon)
-        codec = _packing(max(vec, default=0), len(vec))
-        (word,) = codec.pack([vec])
-        _, masks = _prime_words(codec, self._prime_columns)
-        return all(codec.total(word & mask) >= level for mask in masks)
-
     def _require_squarefree(self) -> None:
         """Raise unless this is a proper nonzero squarefree ideal, the
-        ideals whose minimal primes and symbolic powers are computed here."""
+        ideals whose symbolic powers and minimal primes are computed here."""
         if self.is_zero() or self.is_unit():
-            raise ValueError("minimal primes need a proper nonzero ideal")
+            raise ValueError("squarefree symbolic powers need a proper nonzero ideal")
         if not self.is_squarefree():
-            raise NotSquarefree("minimal primes implemented for squarefree ideals only")
+            raise NotSquarefree("symbolic powers implemented for squarefree ideals only")
 
     @cached_property
     def _support_columns(self) -> list[int]:

@@ -16,9 +16,10 @@ import random
 import time
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations, islice, permutations
 from math import comb, factorial
-from operator import getitem
+from operator import and_, getitem
 from typing import Callable, Iterable
 
 from .ideals import (
@@ -229,9 +230,10 @@ def resolve_staircase_powers(
         ]
         ok = True
         if inst.m > 2 and inst.n > inst.m + 1:
-            # nu, the product of all variables, has exponent 1 everywhere and
-            # degree |P| on each minimal prime P (found by symbolic_power)
-            nu_in_symbolic = all(len(P) >= 2 for P in N._prime_columns)
+            # nu, the product of all variables, has degree |P| on each
+            # minimal prime P, so it lies in N^(2) iff no prime is a single
+            # variable, that is, iff no variable divides every generator
+            nu_in_symbolic = not reduce(and_, N.masks)
             index = inst.universe.index
             column3 = sum(1 << index[xvar(i, 3)] for i in range(max(1, inst.m - 2), inst.m + 1))
             pairs_share_column3 = all(a & b & column3 for a in N.masks for b in N.masks)

@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's own algorithms: covers come from
 enumerating every subset of the support, memberships from raw divisibility,
-symbolic powers from pairwise intersection of the prime powers, term orders
+symbolic powers from pairwise intersection of the prime powers and
+membership in them from the degree on each prime, term orders
 from comparators that walk the sorted joint support of two monomials,
 minimal generators from a pairwise scan over the kept vectors, products,
 intersections and colons from tuple arithmetic on every pair of generators,
@@ -40,6 +41,13 @@ def brute_minimal_covers(ideal):
 
 def brute_is_cover(subset, ideal):
     return all(set(subset) & g.support() for g in ideal.gens)
+
+
+def prime_degree_member(primes, mon, level):
+    """Membership of ``mon`` in the level-th symbolic power of a squarefree
+    ideal with minimal primes ``primes`` (variable sets): its degree on every
+    prime is at least ``level``."""
+    return all(sum(mon.exponent(v) for v in prime) >= level for prime in primes)
 
 
 def all_monomials(variables, max_degree):

@@ -118,6 +118,14 @@ def test_compare_schema_violation(tmp_path, capsys):
     assert "schema_version" in err
 
 
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_compare_symbolic_of_a_non_squarefree_ideal(tmp_path, capsys, level):
+    square = tmp_path / "square.json"
+    square.write_text(ideal_to_json(ideal(Universe.x_grid(1, 3), [Monomial({xvar(1, 1): 2})])))
+    assert main(["compare", str(square), "--op", f"symbolic:{level}"]) == 2
+    assert "squarefree" in capsys.readouterr().err
+
+
 def test_compare_missing_second_file(triangle_file):
     assert main(["compare", triangle_file, "--op", "colon"]) == 2
 

@@ -1,7 +1,7 @@
 import hashlib
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import chain
-from operator import add
+from operator import add, and_
 from random import Random
 
 import pytest
@@ -14,6 +14,7 @@ from bruteforce import (
     pairwise_intersect,
     pairwise_product,
     pairwise_symbolic_power,
+    prime_degree_member,
     scan_minimalize,
     square_colon_holds,
     vec_divides_some,
@@ -569,12 +570,13 @@ def test_symbolic_power_examples():
     assert prime.symbolic_power(3) == prime.power(3)
 
 
-def test_symbolic_member_matches_symbolic_power_exhaustively():
+def test_prime_degree_oracle_matches_symbolic_power_exhaustively():
     for W in (triangle(), ideal(U3, [mono(X1, X2)]), ideal(U3, [mono(X1), mono(X2, X3)])):
+        primes = brute_minimal_covers(W)
         for level in (1, 2, 3):
             S = W.symbolic_power(level)
             for u in all_monomials(sorted(U3.variables), 4):
-                assert W.symbolic_member(u, level) == S.contains(u)
+                assert prime_degree_member(primes, u, level) == S.contains(u)
 
 
 @given(squarefree_ideals, st.integers(min_value=1, max_value=4))
@@ -582,9 +584,10 @@ def test_symbolic_member_matches_symbolic_power_exhaustively():
 def test_power_inside_symbolic(W, level):
     if W.is_zero() or W.is_unit():
         return
+    primes = brute_minimal_covers(W)
     P = W.power(level)
     for g in P.gens:
-        assert W.symbolic_member(g, level)
+        assert prime_degree_member(primes, g, level)
 
 
 def test_first_symbolic_gap():
@@ -688,8 +691,9 @@ def test_symbolic_power_across_field_widths(level):
     assert set(W.symbolic_power(level).gens) == want
     assert len(want) == level + 1
     square = Monomial({X1: level, X2: level})
-    assert ideal(U3, [mono(X1, X2)]).symbolic_member(square, level)
-    assert not ideal(U3, [mono(X1, X2)]).symbolic_member(square, level + 1)
+    primes = [{X1}, {X2}]
+    assert prime_degree_member(primes, square, level)
+    assert not prime_degree_member(primes, square, level + 1)
 
 
 @pytest.mark.parametrize("level, estimate", [(127, 1_056_640), (128, 1_081_536), (255, 8_421_120)])
@@ -756,10 +760,7 @@ def test_variable_fold_matches_prime_fold(m, n):
         W = subject(inst)
         if W.is_unit():
             continue
-        # iniI(3,7) and iniI(4,7) exceed the default cap on this kernel,
-        # which symbolic_power does not pick for them
-        cap = 10 * DEFAULT_CANDIDATE_CAP
-        assert W._variable_fold(cap) == W._prime_fold(2, cap), (name, m, n)
+        assert W._variable_fold(DEFAULT_CANDIDATE_CAP) == W._prime_fold(2, DEFAULT_CANDIDATE_CAP), (name, m, n)
 
 
 @given(sparse_squarefree_ideals)
@@ -797,7 +798,7 @@ def test_variable_fold_of_the_square_matches_prime_fold_at_level_3(m, n):
     assert W.power(2)._variable_fold(DEFAULT_CANDIDATE_CAP) == W._prime_fold(3, DEFAULT_CANDIDATE_CAP)
 
 
-def test_symbolic_power_picks_the_fold_by_primes_per_variable(monkeypatch):
+def test_symbolic_power_picks_the_fold_by_level(monkeypatch):
     taken = []
     for name in ("_prime_fold", "_variable_fold"):
         original = getattr(MonomialIdeal, name)
@@ -806,14 +807,55 @@ def test_symbolic_power_picks_the_fold_by_primes_per_variable(monkeypatch):
             taken.append(name)
             return original(self, *args)
         monkeypatch.setattr(MonomialIdeal, name, spy)
-    # iniJ(2,5): 76 primes over 12 variables; N(4,8): 60 over 18
-    LinkInstance(2, 5).link_initial.symbolic_power(2)
-    assert taken == ["_variable_fold"]
-    LinkInstance(4, 8).staircase_ideal.symbolic_power(2)
-    assert taken == ["_variable_fold", "_prime_fold"]
-    # other levels always take the prime fold
+    covers = ideals._minimal_covers
+
+    def spy_covers(edges):
+        taken.append("_minimal_covers")
+        return covers(edges)
+    monkeypatch.setattr(ideals, "_minimal_covers", spy_covers)
+    # iniJ(2,5) has 76 primes over 12 variables and N(4,8) 60 over 18: level
+    # 2 takes the variable fold however many primes there are per variable
+    for W in (LinkInstance(2, 5).link_initial, LinkInstance(4, 8).staircase_ideal):
+        taken.clear()
+        assert W.symbolic_power(1) is W
+        assert taken == []
+        W.symbolic_power(2)
+        assert taken == ["_variable_fold"]
+    # level 3 folds over the minimal primes
+    taken.clear()
     LinkInstance(2, 5).link_initial.symbolic_power(3)
-    assert taken[-1] == "_prime_fold"
+    assert taken == ["_prime_fold", "_minimal_covers"]
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_symbolic_power_needs_a_proper_nonzero_squarefree_ideal(level):
+    with pytest.raises(NotSquarefree):
+        ideal(U3, [Monomial({X1: 2})]).symbolic_power(level)
+    for W in (zero_ideal(U3), unit_ideal(U3)):
+        with pytest.raises(ValueError):
+            W.symbolic_power(level)
+
+
+def test_nu_in_the_symbolic_square_three_ways():
+    # nu, the product of all variables, lies in W^(2) iff no minimal prime of
+    # W is a single variable, that is, iff no variable divides every generator.
+    # It lies in N^(2) for every proper staircase ideal N here; the cone
+    # (x1*x2, x1*x3) has the prime (x1).
+    subjects = [triangle(), ideal(U3, [mono(X1, X2), mono(X1, X3)])]
+    for m in range(1, 5):
+        for n in range(m, 9):
+            subjects.append(LinkInstance(m, n).staircase_ideal)
+    seen = set()
+    for W in subjects:
+        if W.is_unit():
+            continue
+        by_masks = not reduce(and_, W.masks)
+        nu = (1,) * len(W.universe)
+        assert by_masks == W.symbolic_power(2)._divides_into(nu), W.gens
+        if len(W._support_columns) <= 14:
+            assert by_masks == all(len(P) >= 2 for P in brute_minimal_covers(W)), W.gens
+        seen.add(by_masks)
+    assert seen == {False, True}
 
 
 # -- the square-bracket colon criterion ------------------------------------------------

@@ -320,6 +320,8 @@ def test_verify_symbolic_computes_no_prime(monkeypatch):
 
     monkeypatch.setattr(ideals, "_minimal_covers", spy)
     assert main(["verify", "symbolic", "2", "5", "--Lmax", "3", "--rmax", "1"]) == 0
+    # every suite; cor412 takes N^(2) and nu's place in it without a prime
+    assert main(["verify", "all", "4", "7", "--Lmax", "2", "--rmax", "2"]) == 0
     assert calls == []
 
 
