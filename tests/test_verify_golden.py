@@ -8,8 +8,10 @@ ideals stopped being reduced again, the first two symbolic-only commands
 before the ordinary-in-symbolic check became bit-sliced, and the two
 level-3 commands at (3,6) and (4,6) while level 3 still folded over the
 minimal primes, and the two cor412 commands while N^(2) and nu's place in
-it were still read from the minimal primes of N, so a change that alters a status, a witness or a refusal
-estimate fails here. The refused
+it were still read from the minimal primes of N, and the three commands at
+the CLI defaults (``--Lmax 3 --rmax 3``) while the square-colon scan still
+checked every sum of generators of W^r and W^(r+1), so a change that
+alters a status, a witness or a refusal estimate fails here. The refused
 command's digest is the same whether or not the square-colon check builds
 W^(2r+1): the product guard on W^3 refuses it first.
 To print the digests of the current tree:
@@ -45,6 +47,10 @@ COMMANDS = (
     # (60 over 18) of the staircase ideals up to n = 8
     "verify cor412 4 7",
     "verify cor412 4 8",
+    # the CLI defaults, --Lmax 3 --rmax 3: the square-colon scan up to r = 3
+    "verify symbolic 3 6",
+    "verify symbolic 4 6",
+    "verify symbolic 4 7",
 )
 DIGESTS = Path(__file__).resolve().parent / "verify_digests.json"
 
@@ -83,6 +89,9 @@ def _digest(command):
         "verify_symbolic_3_5",
         "verify_cor412_4_7",
         "verify_cor412_4_8",
+        "verify_symbolic_3_6_defaults",
+        "verify_symbolic_4_6_defaults",
+        "verify_symbolic_4_7_defaults",
     ],
 )
 def test_verify_report_matches_the_recorded_digest(command):
