@@ -12,9 +12,12 @@ the Zariski-Nagata fold over the variables, seeded from the ordinary power
 W^(k-1), which equals W^(k-1) once the level below has passed, and checks
 ordinary <= symbolic in one bit-sliced pass. Last, the square-bracket
 colon criterion certifying symbolic = ordinary for squarefree ideals.
-That criterion builds W^r and W^(r+1) only: it bit-slices the sums of
-their generators, in chunks bounded by the cap, and covers them with one
-pass over W^(r+1), with no W^(2r+1) or bracket power built.
+Checked for one r, it builds W^r and W^(r+1) only: it bit-slices the sums
+of their generators, in chunks bounded by the cap, and covers them with
+one pass over W^(r+1), with no W^(2r+1) or bracket power built. The scan
+over r checks, at each level s, only the sums of the odd cliques: the
+sets of 2s+1 distinct generators whose pairs all give a minimal generator
+of W^2, each its least pair.
 
 An ideal holds its minimal generators once, as dense exponent vectors over
 the universe; their support bitmasks, :class:`Monomial` form and minimal
@@ -38,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain, combinations_with_replacement, groupby, repeat
+from itertools import chain, combinations, combinations_with_replacement, groupby, repeat
 from math import comb
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -742,7 +745,9 @@ def square_colon_check(W: MonomialIdeal, r: int, cap: int = DEFAULT_CANDIDATE_CA
     already held ``|W^(r+1)|`` to ``cap``), and each chunk is tested at once
     by :func:`_all_covered`. Exponents of W^(r+1) above
     ``_INDEX_MAX_EXPONENT`` raise :class:`SizeGuardExceeded` first, as the
-    divisor index does.
+    divisor index does. :func:`square_colon_scan` checks every r up to a
+    bound on far fewer sums; its docstring proves it finds the same first
+    failing r.
     """
     if r < 0:
         raise ValueError("r must be nonnegative")
@@ -810,8 +815,103 @@ def _all_covered(halves: set[int], supports: Sequence[Sequence[tuple[int, int]]]
 def square_colon_scan(
     W: MonomialIdeal, r_max: int, cap: int = DEFAULT_CANDIDATE_CAP
 ) -> int | None:
-    """First r <= r_max failing :func:`square_colon_check`, or None."""
-    return next((r for r in range(r_max + 1) if not square_colon_check(W, r, cap)), None)
+    """First r <= r_max failing :func:`square_colon_check`, or None.
+
+    Level s = 0, 1, ... checks ``ceil(sum(D) / 2)`` in W^(s+1) only for the
+    sets D of 2s+1 distinct minimal generators of W that are cliques of the
+    good-pair graph (:func:`_good_pairs`): a < b, in the order of
+    ``W.vecs``, is good when a + b is a minimal generator of W^2, equals no
+    square 2c of a generator, and (a, b) is the lexicographically least
+    pair with that sum. Say D (or a multiset) fails when that half is not
+    in W^(s+1). The first failing s is the first failing r:
+
+    (i) a multiset M of 2r+1 generators is D + 2E, D its generators of odd
+        multiplicity, 2s+1 of them for some s <= r, and
+        ``ceil(sum(M) / 2) = ceil(sum(D) / 2) + sum(E)`` with sum(E) in
+        W^(r-s); so if M fails, D fails at level s. The check at r fails
+        iff some M fails (see :func:`square_colon_check`), so at the first
+        failing r some D fails with s = r: a repeated generator never fails
+        first;
+    (ii) a failing D at level s makes the check at s fail, since sum(D)
+        lies in W^(2s+1) and the test is upward closed;
+    (iii) at the first failing s, take the failing D that is least by
+        sum(D) under divisibility, then by its sorted index tuple. Were a
+        pair a < b in D not good, swap it for (c, d): a pair whose sum
+        properly divides a + b, the square (c, c) with 2c = a + b, or the
+        least pair with the sum a + b. The half does not grow, so the new
+        multiset fails; with a repeat, its odd part would fail at a lower
+        level by (i), which (ii) rules out; without one, it has a smaller
+        sum, or the same sum and a smaller sorted index tuple (c < a, or
+        c = a and d < b, and c, d are not in D). Either way D was not
+        least, so D is a clique.
+
+    The same powers as in :func:`square_colon_check` are built, in the same
+    order, with the same guards, so a refusal has the same message and
+    estimate. The halves ``(sum(D) + 1) >> 1`` are tested at most ``cap``
+    distinct ones at a time, each chunk by one :func:`_all_covered` pass.
+    """
+    gens = W.vecs
+    width = len(W.universe)
+    above: list[int] = []
+    for s in range(r_max + 1):
+        power = W.power(s + 1, cap=cap).vecs
+        _check_slices(_top(power))
+        codec = _packing((2 * s + 1) * _top(gens), width)
+        words = codec.pack(gens)
+        if s == 1:
+            above = _good_pairs(words, codec.pack(power))
+        (ones,) = codec.pack([(1,) * width])
+        values = ones * ((1 << codec.shift) - 1)  # as in square_colon_check
+        sums = _clique_sums(words, above, 2 * s + 1, ones, (1 << len(words)) - 1)
+        supports = _supports(power)
+        halves = ((t >> 1) & values for t in sums)
+        if not all(_all_covered(c, supports, codec) for c in _distinct_chunks(halves, max(1, cap))):
+            return s
+    return None
+
+
+def _good_pairs(words: list[int], square: list[int]) -> list[int]:
+    """The good pairs of :func:`square_colon_scan`: for each index a of the
+    packed generators ``words``, the bitmask of the b > a with (a, b) good.
+    ``square`` holds the packed minimal generators of W^2."""
+    least: dict[int, tuple[int, int]] = {}
+    for a, b in combinations(range(len(words)), 2):
+        least.setdefault(words[a] + words[b], (a, b))
+    for w in words:
+        least.pop(w + w, None)
+    above = [0] * len(words)
+    for t in square:
+        if t in least:
+            a, b = least[t]
+            above[a] |= 1 << b
+    return above
+
+
+def _clique_sums(words: list[int], above: list[int], size: int, total: int, among: int) -> Iterator[int]:
+    """``total`` plus the words of each clique of ``size`` vertices in the
+    bitmask ``among``, for the graph whose vertex j has the neighbours
+    ``above[j]``, all above j."""
+    while among:
+        low = among & -among
+        among ^= low
+        j = low.bit_length() - 1
+        if size == 1:
+            yield total + words[j]
+        elif (rest := among & above[j]).bit_count() >= size - 1:
+            yield from _clique_sums(words, above, size - 1, total + words[j], rest)
+
+
+def _distinct_chunks(items: Iterable[int], size: int) -> Iterator[set[int]]:
+    """``items`` in sets of at most ``size`` distinct ones, the last one
+    not empty."""
+    chunk: set[int] = set()
+    for item in items:
+        chunk.add(item)
+        if len(chunk) == size:
+            yield chunk
+            chunk = set()
+    if chunk:
+        yield chunk
 
 
 # -- internals ---------------------------------------------------------------

@@ -25,7 +25,9 @@ from typing import Callable, Iterable
 from .ideals import (
     DEFAULT_CANDIDATE_CAP,
     SizeGuardExceeded,
+    _all_covered,
     _packing,
+    _supports,
     _top,
     first_symbolic_gap,
     square_colon_scan,
@@ -147,17 +149,11 @@ def verify_colon_link(inst: LinkInstance, bounds: VerifyBounds = DEFAULT_BOUNDS)
         claimed = inst.link_initial
         computed = seq.colon(minors, cap=bounds.candidate_cap)
         set_equal = set(computed.vecs) == set(claimed.vecs)
-        # every product t * v against the few sequence generators, on packed
-        # words: s divides w iff ((w | G) - s) & G == G (see _packing)
-        top = max(_top(seq.vecs), _top(claimed.vecs) + _top(minors.vecs))
-        codec = _packing(top, len(inst.universe))
-        guards = codec.guards
-        seq_words = codec.pack(seq.vecs)
+        # every product t * v, bit-sliced, against the sequence generators
+        codec = _packing(_top(claimed.vecs) + _top(minors.vecs), len(inst.universe))
         minor_words = codec.pack(minors.vecs)
-        claimed_in_colon = all(
-            any((w - s) & guards == guards for s in seq_words)
-            for w in {(t + v) | guards for t in codec.pack(claimed.vecs) for v in minor_words}
-        )
+        products = {t + v for t in codec.pack(claimed.vecs) for v in minor_words}
+        claimed_in_colon = _all_covered(products, _supports(seq.vecs), codec)
         computed_in_claimed = all(claimed._divides_into(c) for c in computed.vecs)
         ok = set_equal and claimed_in_colon and computed_in_claimed
         return ok, {

@@ -1024,6 +1024,69 @@ def test_square_colon_scan_builds_each_power_once(monkeypatch):
     assert len(calls) == 2 and all(V is W for V in calls)
 
 
+def first_failing_check(W, r_max, cap):
+    """The first r <= r_max failing the single-r check, or the refusal's
+    estimate."""
+    try:
+        return next((r for r in range(r_max + 1) if not square_colon_check(W, r, cap=cap)), None)
+    except SizeGuardExceeded as refused:
+        return "refused", refused.estimate
+
+
+@given(
+    st.one_of(small_ideals, mixed_ideals, squarefree_ideals, sparse_squarefree_ideals),
+    st.integers(min_value=1, max_value=400),
+)
+@settings(max_examples=120, deadline=None)
+def test_square_colon_scan_matches_the_check_and_the_oracle(W, cap):
+    # an ideal that is not squarefree fails at r = 0, as ceil(t/2) properly
+    # divides a generator t; the squarefree ones here pass or fail at r = 1
+    want = next((r for r in range(3) if not square_colon_holds(W.vecs, r)), None)
+    assert square_colon_scan(W, 2) == want
+    try:
+        got = square_colon_scan(W, 2, cap=cap)
+    except SizeGuardExceeded as refused:
+        got = "refused", refused.estimate
+    assert got == first_failing_check(W, 2, cap)
+
+
+def test_square_colon_scan_fails_first_at_the_odd_cycle():
+    # the edge ideal of a (2k+1)-cycle first fails at r = k
+    for k in (1, 2, 3):
+        U = Universe.x_grid(1, 2 * k + 1)
+        W = ideal(U, [mono(a, b) for a, b in zip(U.variables, U.variables[1:] + U.variables[:1])])
+        assert square_colon_scan(W, 3) == k == first_failing_check(W, 3, DEFAULT_CANDIDATE_CAP)
+
+
+def test_square_colon_scan_fails_beyond_the_first_chunk(monkeypatch):
+    # seven variables, then a triangle on x1, x2, x3: the generators come
+    # by degree, so the triangle is the last of the 120 triples of level 1,
+    # and the only one failing; 100 is the least cap that builds W^2
+    W = ideal(Universe.x_grid(1, 10), [
+        *(mono(xvar(1, j)) for j in range(4, 11)), mono(X1, X2), mono(X1, X3), mono(X2, X3),
+    ])
+    chunks = spy_on_chunks(monkeypatch)
+    assert square_colon_scan(W, 1, cap=100) == 1
+    assert [verdict for _, verdict in chunks] == [True, True, False]
+    assert square_colon_scan(W, 1) == 1 == first_failing_check(W, 1, DEFAULT_CANDIDATE_CAP)
+
+
+def test_square_colon_scan_checks_few_halves_in_chunks_of_at_most_cap(monkeypatch):
+    chunks = spy_on_chunks(monkeypatch)
+    assert square_colon_scan(LinkInstance(3, 5).link_initial, 2) is None
+    # one chunk per level: the 9 generators, then the distinct halves of
+    # the 50 good triangles and of the 21 good 5-sets, against 9 * 39 and
+    # 39 * 119 sums for the single-r check
+    assert chunks == [(9, True), (33, True), (21, True)]
+    # every triple of twelve variables is a clique, with its own half; at
+    # r = 1 the cap must admit 12 * 12 candidates for W^2
+    W = ideal(Universe.x_grid(1, 12), [mono(xvar(1, j)) for j in range(1, 13)])
+    for cap in (144, 150, 219, 220):
+        chunks.clear()
+        assert square_colon_scan(W, 1, cap=cap) is None
+        assert [size for size, _ in chunks] == [12, *[cap] * (220 // cap), *[220 % cap] * (220 % cap > 0)]
+
+
 # -- size guard --------------------------------------------------------------------------
 
 
