@@ -29,11 +29,14 @@ def main() -> int:
     parser.add_argument("--out-dir", default=None)
     args = parser.parse_args()
 
-    bounds = VerifyBounds(
-        symbolic_upto=args.Lmax,
-        square_colon_rmax=args.rmax,
-        witness_samples=args.samples,
-    )
+    try:
+        bounds = VerifyBounds(
+            symbolic_upto=args.Lmax,
+            square_colon_rmax=args.rmax,
+            witness_samples=args.samples,
+        )
+    except ValueError as e:
+        parser.error(str(e))
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)
 

@@ -9,8 +9,8 @@ above that a left fold over the minimal primes that lifts each generator
 into the next prime power and reduces only the lifted ones), a
 symbolic-vs-ordinary scan that computes no prime: it builds each W^(k) by
 the Zariski-Nagata fold over the variables, seeded from the ordinary power
-W^(k-1), which equals W^(k-1) once the level below has passed, and checks
-ordinary <= symbolic in one bit-sliced pass. Last, the square-bracket
+W^(k-1), which equals W^(k-1) once the level below has passed, and passes
+a level whose W^(k) and W^k have equal generators. Last, the square-bracket
 colon criterion certifying symbolic = ordinary for squarefree ideals.
 Checked for one r, it builds W^r and W^(r+1) only: it bit-slices the sums
 of their generators, in chunks bounded by the cap, and covers them with
@@ -88,6 +88,14 @@ class _Codec(NamedTuple):
     shift: int
     top: int
     width: int
+
+    @property
+    def ones(self) -> int:  # every field 1
+        return self.guards >> self.shift
+
+    @property
+    def values(self) -> int:  # every field's value bits
+        return self.guards - self.ones
 
 
 def _packing(top: int, width: int) -> _Codec:
@@ -596,8 +604,7 @@ class MonomialIdeal:
         codec = _packing(top + 1, len(self.universe))
         columns = self._support_columns
         units, fields = _prime_words(codec, [[col] for col in columns])
-        guards, shift = codec.guards, codec.shift
-        ones, values = sum(units), sum(fields)
+        guards, shift, ones, values = codec.guards, codec.shift, codec.ones, codec.values
         gens = codec.pack(self.vecs)
         # Squarefree K: a part is v off q's support, its degree its bit count.
         # The general max(v - q, 0) and field sum alone raised symbolic-fold
@@ -699,10 +706,11 @@ def first_symbolic_gap(
     builds W^(k) as the Zariski-Nagata step
     (:meth:`~MonomialIdeal._variable_fold`) of ``W.power(k - 1)``, which
     equals W^(k-1) since level k - 1 passed both inclusions.
-    The containment ordinary <= symbolic holds always; it is checked in one
-    bit-sliced pass (:func:`_all_covered`) of the generators of W^k against
-    those of the computed W^(k), and the first generator that fails it
-    raises :class:`AssertionError`.
+    W^(k) and W^k both come as minimal generators in :func:`_from_vecs`
+    order, so equal ``vecs`` pass the level. Otherwise ordinary <= symbolic,
+    which holds always, is tested first: a generator of W^k outside W^(k)
+    raises :class:`AssertionError`. Then the witness is the first generator
+    of W^(k) outside W^k.
     """
     for level in range(1, upto + 1):
         power = W.power(level, cap=cap)
@@ -710,13 +718,14 @@ def first_symbolic_gap(
             W._require_squarefree()
             continue
         symbolic = W.power(level - 1, cap=cap)._variable_fold(cap)
-        codec = _packing(level, len(W.universe))
-        if not _all_covered(set(codec.pack(power.vecs)), _supports(symbolic.vecs), codec):
-            v = next(v for v in power.vecs if not symbolic._divides_into(v))
-            raise AssertionError(
-                f"ordinary power generator {_to_monomial(W.universe, v)} "
-                f"escaped symbolic power {level}"
-            )
+        if symbolic.vecs == power.vecs:
+            continue
+        for v in power.vecs:
+            if not symbolic._divides_into(v):
+                raise AssertionError(
+                    f"ordinary power generator {_to_monomial(W.universe, v)} "
+                    f"escaped symbolic power {level}"
+                )
         for v in symbolic.vecs:
             if not power._divides_into(v):
                 return level, _to_monomial(W.universe, v)
@@ -742,10 +751,9 @@ def square_colon_check(W: MonomialIdeal, r: int, cap: int = DEFAULT_CANDIDATE_CA
 
     The sums are taken ``max(1, cap // |W^(r+1)|)`` rows of W^r at a time,
     so no chunk enumerates more than ``cap`` of them (the product guard has
-    already held ``|W^(r+1)|`` to ``cap``), and each chunk is tested at once
-    by :func:`_all_covered`. Exponents of W^(r+1) above
-    ``_INDEX_MAX_EXPONENT`` raise :class:`SizeGuardExceeded` first, as the
-    divisor index does. :func:`square_colon_scan` checks every r up to a
+    already held ``|W^(r+1)|`` to ``cap``), and :func:`_all_covered` tests
+    each chunk at once; it refuses exponents of W^(r+1) above
+    ``_INDEX_MAX_EXPONENT`` first, as the divisor index does. :func:`square_colon_scan` checks every r up to a
     bound on far fewer sums; its docstring proves it finds the same first
     failing r.
     """
@@ -753,63 +761,78 @@ def square_colon_check(W: MonomialIdeal, r: int, cap: int = DEFAULT_CANDIDATE_CA
         raise ValueError("r must be nonnegative")
     rows = W.power(r, cap=cap).vecs
     power = W.power(r + 1, cap=cap).vecs
-    top = _top(power)
-    _check_slices(top)
-    width = len(W.universe)
-    codec = _packing(_top(rows) + top, width)
-    (ones,) = codec.pack([(1,) * width])
-    values = ones * ((1 << codec.shift) - 1)  # every field's value bits
+    codec = _packing(_top(rows) + _top(power), len(W.universe))
+    values = codec.values
     # ceil(t / 2) = (t + 1) >> 1 fieldwise: the rows carry the + 1, which
     # may reach a field's guard bit but not carry past it, and the low bit
     # each field shifts into the guard bit of the field below is masked off
-    xs = [x + ones for x in codec.pack(rows)]
+    xs = [x + codec.ones for x in codec.pack(rows)]
     ys = codec.pack(power)
-    supports = _supports(power)
     step = max(1, cap // max(1, len(ys)))
-    return all(
-        _all_covered({((x + y) >> 1) & values for x in xs[i:i + step] for y in ys}, supports, codec)
+    chunks = (
+        {((x + y) >> 1) & values for x in xs[i:i + step] for y in ys}
         for i in range(0, len(xs), step)
     )
+    return _all_covered(power, chunks, codec)
 
 
-def _supports(vecs: Iterable[Vec]) -> list[list[tuple[int, int]]]:
-    """Each vector as its support ``(column, exponent)`` pairs."""
-    return [[(k, e) for k, e in enumerate(v) if e] for v in vecs]
+def _all_covered(vecs: Sequence[Vec], chunks: Iterable[set[int]], codec: _Codec) -> bool:
+    """True iff every packed word of every chunk is at least, fieldwise,
+    some vector of ``vecs``; the first chunk that is not ends the test.
 
-
-def _all_covered(halves: set[int], supports: Sequence[Sequence[tuple[int, int]]], codec: _Codec) -> bool:
-    """True iff every packed word of ``halves`` is at least, fieldwise, some
-    vector given by its support ``(column, exponent)`` pairs.
-
-    The words are bit-sliced, one bit per word, and the bitset of the
-    words at least ``e`` at column ``k`` is read straight from their bytes,
-    one ``bytes.translate`` of the column's low field bytes, or-ed with the
-    words whose field there exceeds 255. A vector covers the AND of its
-    pairs' bitsets. Vectors are taken in turn against the words not yet
-    covered, until none is left.
+    Each chunk's words are bit-sliced, one bit per word, and the bitset of
+    the words at least ``e`` at column ``k`` is read straight from their
+    bytes, one ``bytes.translate`` of the column's low field bytes, or-ed
+    with the words whose field there exceeds 255. A vector, taken once as
+    its support ``(column, exponent)`` pairs, covers the AND of its pairs'
+    bitsets. Vectors are taken in turn against the words not yet covered,
+    until none is left. Exponents above ``_INDEX_MAX_EXPONENT`` in ``vecs``
+    raise :class:`SizeGuardExceeded` before any chunk is drawn.
     """
+    _check_slices(_top(vecs))
+    supports = [[(k, e) for k, e in enumerate(v) if e] for v in vecs]
+    pairs_used = {pair for pairs in supports for pair in pairs}
     size = (codec.shift + 1) // 8
     stride = size * codec.width
-    raw = b"".join(map(int.to_bytes, halves, repeat(stride), repeat("big")))
-    everyone = (1 << len(halves)) - 1
-    at_least = {}
-    for k, e in {pair for pairs in supports for pair in pairs}:
-        low = raw[k * size + size - 1::stride]
-        bits = everyone ^ int(low.translate(_at_most(e - 1)), 2)
-        for b in range(k * size, k * size + size - 1):  # the field's higher bytes
-            bits |= everyone ^ int(raw[b::stride].translate(_at_most(0)), 2)
-        at_least[k, e] = bits
-    uncovered = everyone
-    for pairs in supports:
-        bits = uncovered
-        for pair in pairs:
-            bits &= at_least[pair]
-            if not bits:
+    for words in chunks:
+        raw = b"".join(map(int.to_bytes, words, repeat(stride), repeat("big")))
+        everyone = (1 << len(words)) - 1
+        at_least = {}
+        for k, e in pairs_used:
+            low = raw[k * size + size - 1::stride]
+            bits = everyone ^ int(low.translate(_at_most(e - 1)), 2)
+            for b in range(k * size, k * size + size - 1):  # the field's higher bytes
+                bits |= everyone ^ int(raw[b::stride].translate(_at_most(0)), 2)
+            at_least[k, e] = bits
+        uncovered = everyone
+        for pairs in supports:
+            bits = uncovered
+            for pair in pairs:
+                bits &= at_least[pair]
+                if not bits:
+                    break
+            uncovered ^= bits
+            if not uncovered:
                 break
-        uncovered ^= bits
-        if not uncovered:
-            break
-    return not uncovered
+        if uncovered:
+            return False
+    return True
+
+
+def _products_covered(a: MonomialIdeal, b: MonomialIdeal, into: MonomialIdeal) -> bool:
+    """True iff ``into`` holds every product of a generator of ``a`` and one
+    of ``b``, in one :func:`_all_covered` pass with no reducer."""
+    codec = _packing(_top(a.vecs) + _top(b.vecs), len(a.universe))
+    words = codec.pack(b.vecs)
+    return _all_covered(into.vecs, [{t + v for t in codec.pack(a.vecs) for v in words}], codec)
+
+
+def _is_antichain(W: MonomialIdeal) -> bool:
+    """True iff no generator of ``W`` divides another, tested pairwise on
+    packed words with no reducer (see :func:`_packing`)."""
+    codec = _packing(_top(W.vecs), len(W.universe))
+    guards, words = codec.guards, codec.pack(W.vecs)
+    return not any(a != b and ((b | guards) - a) & guards == guards for a in words for b in words)
 
 
 def square_colon_scan(
@@ -848,24 +871,21 @@ def square_colon_scan(
     The same powers as in :func:`square_colon_check` are built, in the same
     order, with the same guards, so a refusal has the same message and
     estimate. The halves ``(sum(D) + 1) >> 1`` are tested at most ``cap``
-    distinct ones at a time, each chunk by one :func:`_all_covered` pass.
+    distinct ones at a time, in one :func:`_all_covered` pass per level.
     """
     gens = W.vecs
     width = len(W.universe)
     above: list[int] = []
     for s in range(r_max + 1):
         power = W.power(s + 1, cap=cap).vecs
-        _check_slices(_top(power))
         codec = _packing((2 * s + 1) * _top(gens), width)
         words = codec.pack(gens)
         if s == 1:
             above = _good_pairs(words, codec.pack(power))
-        (ones,) = codec.pack([(1,) * width])
-        values = ones * ((1 << codec.shift) - 1)  # as in square_colon_check
-        sums = _clique_sums(words, above, 2 * s + 1, ones, (1 << len(words)) - 1)
-        supports = _supports(power)
+        values = codec.values  # as in square_colon_check
+        sums = _clique_sums(words, above, 2 * s + 1, codec.ones, (1 << len(words)) - 1)
         halves = ((t >> 1) & values for t in sums)
-        if not all(_all_covered(c, supports, codec) for c in _distinct_chunks(halves, max(1, cap))):
+        if not _all_covered(power, _distinct_chunks(halves, max(1, cap)), codec):
             return s
     return None
 

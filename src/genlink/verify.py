@@ -25,10 +25,8 @@ from typing import Callable, Iterable
 from .ideals import (
     DEFAULT_CANDIDATE_CAP,
     SizeGuardExceeded,
-    _all_covered,
-    _packing,
-    _supports,
-    _top,
+    _is_antichain,
+    _products_covered,
     first_symbolic_gap,
     square_colon_scan,
 )
@@ -57,6 +55,13 @@ class VerifyBounds:
     symbolic_upto: int = 3
     square_colon_rmax: int = 3
     witness_samples: int = 200
+
+    def __post_init__(self) -> None:
+        # below these a check checks nothing, or the cap refuses every input
+        for name, least in (("candidate_cap", 1), ("symbolic_upto", 1),
+                            ("square_colon_rmax", 0), ("witness_samples", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
 
 
 DEFAULT_BOUNDS = VerifyBounds()
@@ -149,11 +154,7 @@ def verify_colon_link(inst: LinkInstance, bounds: VerifyBounds = DEFAULT_BOUNDS)
         claimed = inst.link_initial
         computed = seq.colon(minors, cap=bounds.candidate_cap)
         set_equal = set(computed.vecs) == set(claimed.vecs)
-        # every product t * v, bit-sliced, against the sequence generators
-        codec = _packing(_top(claimed.vecs) + _top(minors.vecs), len(inst.universe))
-        minor_words = codec.pack(minors.vecs)
-        products = {t + v for t in codec.pack(claimed.vecs) for v in minor_words}
-        claimed_in_colon = _all_covered(products, _supports(seq.vecs), codec)
+        claimed_in_colon = _products_covered(claimed, minors, seq)
         computed_in_claimed = all(claimed._divides_into(c) for c in computed.vecs)
         ok = set_equal and claimed_in_colon and computed_in_claimed
         return ok, {
@@ -258,14 +259,7 @@ def verify_counts_and_degrees(inst: LinkInstance, bounds: VerifyBounds = DEFAULT
         witnesses: dict = {"generators": len(W.vecs)}
         checks = []
         checks.append(W.is_squarefree())
-        # antichain, checked pairwise on packed words rather than via the
-        # reducer: a divides b iff ((b | G) - a) & G == G (see _packing)
-        codec = _packing(_top(W.vecs), len(inst.universe))
-        guards = codec.guards
-        words = codec.pack(W.vecs)
-        checks.append(not any(
-            a != b and ((b | guards) - a) & guards == guards for a in words for b in words
-        ))
+        checks.append(_is_antichain(W))  # pairwise, not via the reducer
         checks.append(not any(
             map(inst.minors_initial._divides_into, inst._complement_vecs.values())
         ))

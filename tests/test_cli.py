@@ -91,6 +91,28 @@ def test_verify_refusal_exit_code(tmp_path):
     assert json.loads(out.read_text())["reports"][0]["status"] == "refused"
 
 
+@pytest.mark.parametrize(
+    "suite, flag, value, field",
+    [
+        ("symbolic", "--Lmax", "0", "symbolic_upto"),
+        ("symbolic", "--rmax", "-1", "square_colon_rmax"),
+        ("witnesses", "--samples", "0", "witness_samples"),
+        ("symbolic", "--max-gens", "0", "candidate_cap"),
+    ],
+)
+def test_verify_refuses_a_bound_that_checks_nothing(capsys, tmp_path, suite, flag, value, field):
+    out = tmp_path / "report.json"
+    assert main(["verify", suite, "2", "4", flag, value, "--out", str(out)]) == 2
+    assert f"{field} must be at least" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_takes_the_least_meaningful_bounds():
+    # the benchmark's square-colon workload runs at --Lmax 1
+    assert main(["verify", "symbolic", "2", "4", "--Lmax", "1", "--rmax", "0"]) == 0
+    assert main(["verify", "witnesses", "2", "4", "--rmax", "0", "--samples", "1"]) == 0
+
+
 def test_compare_symbolic_includes_full_product(triangle_file, capsys):
     assert main(["compare", triangle_file, "--op", "symbolic:2"]) == 0
     data = json.loads(capsys.readouterr().out)

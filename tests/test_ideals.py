@@ -608,6 +608,26 @@ def test_first_symbolic_gap_computes_no_prime(monkeypatch):
     assert first_symbolic_gap(LinkInstance(2, 4).link_initial, 3) is None
 
 
+def test_first_symbolic_gap_passes_equal_generator_tuples_on_sight(monkeypatch):
+    # W^(k) and W^k come as minimal generators in one order, so equal
+    # tuples prove both inclusions: no generator is tested by itself
+    calls = []
+
+    def spy(original):
+        def counted(*args):
+            calls.append(original.__name__)
+            return original(*args)
+        return counted
+
+    monkeypatch.setattr(ideals, "_all_covered", spy(ideals._all_covered))
+    monkeypatch.setattr(MonomialIdeal, "_divides_into", spy(MonomialIdeal._divides_into))
+    assert first_symbolic_gap(LinkInstance(2, 5).link_initial, 3) is None
+    assert calls == []
+    # where the tuples differ, the spies see the generator-by-generator test
+    assert first_symbolic_gap(triangle(), 2) == (2, mono(X1, X2, X3))
+    assert set(calls) == {"_divides_into"}
+
+
 @given(sparse_squarefree_ideals)
 @settings(max_examples=60, deadline=None)
 def test_first_symbolic_gap_matches_pairwise_reference_hypothesis(W):
@@ -630,7 +650,7 @@ def test_first_symbolic_gap_matches_pairwise_reference_hypothesis(W):
 
 
 @pytest.mark.parametrize("W", [ideal(U3, []), unit_ideal(U3), ideal(U3, [mono(X1, X1)])])
-def test_first_symbolic_gap_still_needs_the_primes_at_level_1(W):
+def test_first_symbolic_gap_needs_a_proper_nonzero_squarefree_ideal(W):
     with pytest.raises(ValueError):
         first_symbolic_gap(W, 1)
 
@@ -885,13 +905,17 @@ def admitted_cap(W, r):
 
 
 def spy_on_chunks(monkeypatch):
-    """Each chunk's distinct halved sums and its verdict, as the check makes them."""
+    """Each chunk's distinct halved sums and its verdict, as the check makes
+    them; as in _all_covered, the first failing chunk ends the test."""
     chunks = []
     original = ideals._all_covered
 
-    def spy(halves, supports, codec):
-        chunks.append((len(halves), original(halves, supports, codec)))
-        return chunks[-1][1]
+    def spy(vecs, halves, codec):
+        for chunk in halves:
+            chunks.append((len(chunk), original(vecs, [chunk], codec)))
+            if not chunks[-1][1]:
+                return False
+        return True
 
     monkeypatch.setattr(ideals, "_all_covered", spy)
     return chunks
@@ -993,19 +1017,16 @@ HALF_EXPONENTS = st.sampled_from([0, 1, 2, 127, 128, 254, 255, 256, 300, 511])
 @given(
     # the check hands over no words only when W^(r+1) is zero, with no supports
     st.lists(st.tuples(*[HALF_EXPONENTS] * 3), min_size=1, max_size=12),
-    st.lists(
-        st.lists(st.tuples(st.integers(0, 2), st.integers(1, 255)), max_size=3),
-        max_size=4,
-    ),
+    st.lists(st.tuples(*[st.integers(0, 255)] * 3), max_size=4),
+    st.integers(min_value=1, max_value=12),
 )
 @settings(max_examples=100)
-def test_all_covered_matches_its_definition(halves, supports):
+def test_all_covered_matches_its_definition(halves, vecs, size):
     codec = ideals._packing(511, 3)
-    words = set(codec.pack(halves))
-    want = all(
-        any(all(h[k] >= e for k, e in pairs) for pairs in supports) for h in set(halves)
-    )
-    assert ideals._all_covered(words, supports, codec) == want
+    words = codec.pack(halves)
+    chunks = [set(words[i:i + size]) for i in range(0, len(words), size)]
+    want = all(any(all(h[k] >= e for k, e in enumerate(v)) for v in vecs) for h in halves)
+    assert ideals._all_covered(vecs, chunks, codec) == want
 
 
 def test_square_colon_scan_builds_each_power_once(monkeypatch):

@@ -62,3 +62,17 @@ def test_every_public_name_has_a_caller():
             if all(where == path and line in own for where, line in used[node.name]):
                 dead.append(f"{path.name}:{node.lineno} {node.name}")
     assert not dead, dead
+
+
+def test_only_ideals_knows_the_word_format():
+    # The packed-word format and its cover test have one owner; the other
+    # modules call the named checks ideals.py builds on them.
+    private = {"_packing", "_Codec", "_all_covered", "_supports", "_top"}
+    root = Path(genlink.__file__).parent
+    found = [
+        f"{path.name}:{line} {name}"
+        for path in sorted(root.glob("*.py")) if path.name != "ideals.py"
+        for name, line in _references(ast.parse(path.read_text(), filename=str(path)))
+        if name in private
+    ]
+    assert not found, found

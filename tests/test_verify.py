@@ -376,6 +376,40 @@ def test_generator_outside_the_symbolic_power_becomes_fail_report(monkeypatch, t
     assert (report["status"], report["witnesses"]["error"]) == ("fail", message)
 
 
+def plant_in_each_fold(monkeypatch, extra):
+    """Make every computed symbolic power W^(k) carry one more generator,
+    ``extra(K, W^(k))`` for the seed K, unreduced, as PLANT_A_GENERATOR
+    drops one."""
+    computed = MonomialIdeal._variable_fold
+
+    def planted(self, cap):
+        symbolic = computed(self, cap)
+        return ideals._from_vecs(symbolic.universe, [*symbolic.vecs, extra(self, symbolic)])
+
+    monkeypatch.setattr(MonomialIdeal, "_variable_fold", planted)
+
+
+def test_a_non_minimal_symbolic_generator_changes_no_verdict(monkeypatch):
+    # a multiple of the first generator: the tuples differ from those of
+    # W^k, the ideals do not, so both inclusions are tested and hold
+    plant_in_each_fold(monkeypatch, lambda K, symbolic: (symbolic.vecs[0][0] + 1, *symbolic.vecs[0][1:]))
+    inst = LinkInstance(2, 4)
+    assert first_symbolic_gap(inst.link_initial, 3) is None
+    assert verify_symbolic_scan(inst, VerifyBounds(symbolic_upto=3, square_colon_rmax=1)).passed
+
+
+def test_a_symbolic_generator_outside_the_ordinary_power_is_the_gap(monkeypatch):
+    # the seed's first generator: at level 2 a generator of W, of degree 3,
+    # while W^2 starts at degree 6
+    plant_in_each_fold(monkeypatch, lambda K, symbolic: K.vecs[0])
+    inst = LinkInstance(2, 4)
+    W = inst.link_initial
+    assert first_symbolic_gap(W, 3) == (2, W.gens[0])
+    rep = verify_symbolic_scan(inst, VerifyBounds(symbolic_upto=3, square_colon_rmax=1))
+    assert (rep.status, rep.witnesses["gap_level"]) == ("fail", 2)
+    assert rep.witnesses["gap_witness"] == str(W.gens[0])
+
+
 def test_grid_script_writes_the_cli_report(tmp_path):
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
