@@ -60,20 +60,24 @@ COMPARE_OPS = ("colon", "intersect", "product")
 
 
 def _write_output(path: str | None, payload: str) -> None:
-    """Write to stdout, or atomically to a file (write then rename)."""
+    """Write to stdout, or atomically to a file (write then rename); a file
+    that cannot be written is a :class:`UsageError`, as an unreadable input
+    is, and leaves no temporary file behind."""
     if path is None:
         sys.stdout.write(payload)
         return
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-genlink-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-genlink-")
         with os.fdopen(fd, "w") as handle:
             handle.write(payload)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as e:
+        raise UsageError(f"{path}: {e.strerror or e}") from e
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _instance(args) -> LinkInstance:

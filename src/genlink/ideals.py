@@ -347,14 +347,15 @@ def _minimalize_indexed(
 class MonomialIdeal:
     """A monomial ideal given by its minimal generators over a universe.
 
-    ``vecs`` are the generators' exponent vectors, sorted by
-    :meth:`Monomial.canonical_key`; ``masks`` and ``gens`` are their support
-    bitmasks and monomials, in the same order; membership queries go
-    through a :class:`_DivisorIndex` over ``vecs``, built on first use, and
-    the powers W^2, W^3, ... are kept once :meth:`power` builds them. The
-    zero ideal has no generators, the unit ideal has the single generator 1.
-    Construct through :func:`ideal`, which reduces an arbitrary generating
-    set.
+    ``vecs`` are the generators' exponent vectors in the one generator
+    order of every ideal, ``(degree, exponent vector)``: by degree, then as
+    tuples, the order the reducer emits packed words in. ``masks`` and
+    ``gens`` are their support bitmasks and monomials, in the same order;
+    membership queries go through a :class:`_DivisorIndex` over ``vecs``,
+    built on first use, and the powers W^2, W^3, ... are kept once
+    :meth:`power` builds them. The zero ideal has no generators, the unit
+    ideal has the single generator 1. Construct through :func:`ideal`,
+    which reduces an arbitrary generating set.
     """
 
     universe: Universe
@@ -706,11 +707,12 @@ def first_symbolic_gap(
     builds W^(k) as the Zariski-Nagata step
     (:meth:`~MonomialIdeal._variable_fold`) of ``W.power(k - 1)``, which
     equals W^(k-1) since level k - 1 passed both inclusions.
-    W^(k) and W^k both come as minimal generators in :func:`_from_vecs`
-    order, so equal ``vecs`` pass the level. Otherwise ordinary <= symbolic,
-    which holds always, is tested first: a generator of W^k outside W^(k)
-    raises :class:`AssertionError`. Then the witness is the first generator
-    of W^(k) outside W^k.
+    W^(k) and W^k both come as minimal generators sorted by
+    ``(degree, exponent vector)``, so equal ``vecs`` pass the level.
+    Otherwise ordinary <= symbolic, which holds always, is tested first: a
+    generator of W^k outside W^(k) raises :class:`AssertionError`. Then the
+    witness is the first generator of W^(k) outside W^k in that order, one
+    of least degree.
     """
     for level in range(1, upto + 1):
         power = W.power(level, cap=cap)
@@ -995,20 +997,9 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-_ABSENT = float("inf")
-
-
 def _from_vecs(universe: Universe, vecs: Iterable[Vec]) -> MonomialIdeal:
-    """Wrap minimal generators in :meth:`Monomial.canonical_key` order.
-
-    At equal degree that key compares exponents in variable order, a missing
-    variable counting above any exponent (the other monomial must still have
-    degree left for later variables).
-    """
-    order = _variable_order(universe)
-    return MonomialIdeal(universe, tuple(sorted(
-        vecs, key=lambda v: (sum(v), [v[i] or _ABSENT for i in order])
-    )))
+    """Wrap minimal generators in ``(degree, exponent vector)`` order."""
+    return MonomialIdeal(universe, tuple(sorted(sorted(vecs), key=sum)))
 
 
 def _check_cap(count: int, cap: int, what: str) -> None:

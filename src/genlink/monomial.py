@@ -133,10 +133,6 @@ class Monomial:
     def divides(self, other: "Monomial") -> bool:
         return all(other.exponent(v) >= e for v, e in self._exps)
 
-    def canonical_key(self) -> tuple:
-        """Universe-independent sort key (not a term order)."""
-        return (self.degree(), self._exps)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Monomial) and self._exps == other._exps
 

@@ -70,11 +70,25 @@ def ideal_to_json(W: MonomialIdeal) -> str:
     return json.dumps(ideal_to_dict(W), indent=2, sort_keys=True) + "\n"
 
 
+def _integer(value: Any, loc: str, least: int = 0) -> int:
+    """``value`` if it is an int of at least ``least``; a bool or a float is
+    not read as one."""
+    if type(value) is not int or value < least:
+        raise SchemaError(loc, f"expected an integer >= {least}, got {value!r}")
+    return value
+
+
+def _pair(value: Any, loc: str) -> tuple[int, int]:
+    if not isinstance(value, list) or len(value) != 2:
+        raise SchemaError(loc, f"expected a pair of integers, got {value!r}")
+    return _integer(value[0], f"{loc}[0]"), _integer(value[1], f"{loc}[1]")
+
+
 def ideal_from_dict(data: Any) -> MonomialIdeal:
     if not isinstance(data, dict):
         raise SchemaError("$", "expected an object")
     version = data.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise SchemaError("schema_version", f"expected {SCHEMA_VERSION}, got {version!r}")
     uni = data.get("universe")
     if not isinstance(uni, dict):
@@ -82,13 +96,13 @@ def ideal_from_dict(data: Any) -> MonomialIdeal:
     for field_name in ("m", "n", "family_sizes", "variables"):
         if field_name not in uni:
             raise SchemaError(f"universe.{field_name}", "missing")
+    m, n = _integer(uni["m"], "universe.m"), _integer(uni["n"], "universe.n")
     sizes = uni["family_sizes"]
     if not isinstance(sizes, dict) or "X" not in sizes or "Y" not in sizes:
         raise SchemaError("universe.family_sizes", "expected X and Y entries")
-    try:
-        y_rows, y_cols = (int(v) for v in sizes["Y"])
-    except (TypeError, ValueError):
-        raise SchemaError("universe.family_sizes.Y", "expected a pair of integers")
+    if _pair(sizes["X"], "universe.family_sizes.X") != (m, n):
+        raise SchemaError("universe.family_sizes.X", f"expected [m, n] = [{m}, {n}]")
+    y_rows, y_cols = _pair(sizes["Y"], "universe.family_sizes.Y")
     if not isinstance(uni["variables"], list):
         raise SchemaError("universe.variables", "expected a list")
     variables = []
@@ -98,8 +112,8 @@ def ideal_from_dict(data: Any) -> MonomialIdeal:
         except (TypeError, ValueError) as e:
             raise SchemaError(f"universe.variables[{k}]", str(e))
     try:
-        universe = Universe(int(uni["m"]), int(uni["n"]), y_rows, y_cols, tuple(variables))
-    except (TypeError, ValueError) as e:
+        universe = Universe(m, n, y_rows, y_cols, tuple(variables))
+    except ValueError as e:
         raise SchemaError("universe", str(e))
     gens_data = data.get("generators")
     if not isinstance(gens_data, list):
@@ -115,18 +129,30 @@ def ideal_from_dict(data: Any) -> MonomialIdeal:
                 var = parse_variable(var_text)
             except ValueError as err:
                 raise SchemaError(loc, str(err))
-            if not isinstance(e, int) or e <= 0:
-                raise SchemaError(loc, f"exponent must be a positive integer, got {e!r}")
+            e = _integer(e, loc, least=1)
             if var not in universe:
                 raise SchemaError(loc, "variable not in the universe")
+            if var in exps:
+                raise SchemaError(loc, f"{var} named twice in one generator")
             exps[var] = e
         gens.append(Monomial(exps))
     return ideal(universe, gens)
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """A JSON object as a dict; a key given twice, which ``json`` would
+    silently read as its last value, is a schema error."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise SchemaError(key, "key given twice in one object")
+        data[key] = value
+    return data
+
+
 def ideal_from_json(text: str) -> MonomialIdeal:
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as e:
         raise SchemaError("$", f"invalid JSON: {e}")
     return ideal_from_dict(data)

@@ -165,6 +165,20 @@ def test_no_partial_file_on_failure(tmp_path, triangle_file):
     assert not any(p.name.startswith(".tmp-genlink-") for p in tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command, target", [
+    (lambda _: ["generate", "2", "4", "iniJ"], "dir"),
+    (lambda _: ["verify", "counts", "2", "4"], "missing/report.json"),
+    (lambda triangle: ["compare", triangle, "--op", "symbolic:2"], "dir"),
+], ids=["generate", "verify", "compare"])
+def test_unwritable_out_is_a_usage_error(tmp_path, triangle_file, capsys, command, target):
+    # no traceback, and no temporary file left next to the target
+    (tmp_path / "dir").mkdir()
+    out = tmp_path / target
+    assert main([*command(triangle_file), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {out}: ")
+    assert not any(p.name.startswith(".tmp-genlink-") for p in tmp_path.iterdir())
+
+
 def test_compare_product_with_a_huge_exponent(tmp_path, capsys):
     # 22 generators outgrow the index switch of 4 variables; an index over
     # the exponent 2^40 would allocate 2^40 bitsets, so the reduction scans

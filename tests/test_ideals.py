@@ -5,7 +5,7 @@ from operator import add, and_
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bruteforce import (
     all_monomials,
@@ -125,16 +125,35 @@ mixed_ideals = st.builds(
 )
 
 
+def by_degree_then_vector(vecs):
+    return sorted(vecs, key=lambda v: (sum(v), v))
+
+
 @given(mixed_ideals)
+@example(ideal(MIXED, [mono(xvar(1, 2)), mono(xvar(1, 1))]))
 @settings(max_examples=80)
 def test_vectors_masks_and_gens_agree(W):
-    # gens are in canonical_key order, and vecs and masks line up with them
-    assert list(W.gens) == sorted(W.gens, key=Monomial.canonical_key)
+    # vecs are in (degree, exponent vector) order, and masks and gens line
+    # up with them; on the example, sorting the monomials by variable would
+    # put x[1,1] first instead
+    assert list(W.vecs) == by_degree_then_vector(W.vecs)
     assert len(W.vecs) == len(W.masks) == len(W.gens)
     for vec, mask, g in zip(W.vecs, W.masks, W.gens):
         assert vec == tuple(g.exponent(v) for v in MIXED.variables)
         assert mask == sum(1 << i for i, e in enumerate(vec) if e)
     assert ideal(MIXED, W.gens) == W
+
+
+@given(squarefree_ideals, squarefree_ideals)
+@settings(max_examples=40, deadline=None)
+def test_every_constructor_keeps_the_generator_order(A, B):
+    built = [A.product(B), A.power(2), A.power(3), A.colon(B), A.intersect(B)]
+    built += [A.symbolic_power(level) for level in (1, 2, 3)]
+    built.append(ideal(U4, reversed(A.gens + B.gens)))
+    inst = LinkInstance(2, 4)
+    built += [inst.minors_initial, inst.sequence_initial, inst.staircase_ideal, inst.link_initial]
+    for W in built:
+        assert list(W.vecs) == by_degree_then_vector(W.vecs)
 
 
 @given(small_ideals)
@@ -629,10 +648,15 @@ def test_first_symbolic_gap_passes_equal_generator_tuples_on_sight(monkeypatch):
 
 
 @given(sparse_squarefree_ideals)
+@example(ideal(U6, [Monomial.of(*g) for g in [(X1, X2), (X1, X3), (X2, X3)] + [
+    (xvar(1, 4), xvar(1, 5)), (xvar(1, 4), xvar(1, 6)), (xvar(1, 5), xvar(1, 6))
+]]))
 @settings(max_examples=60, deadline=None)
 def test_first_symbolic_gap_matches_pairwise_reference_hypothesis(W):
     # the first level whose symbolic power, from the pairwise prime-power
-    # intersection, has a generator outside the pairwise ordinary power
+    # intersection, has a generator outside the pairwise ordinary power; the
+    # witness is the least such generator by (degree, exponent vector), so
+    # on the two triangles of the example x[1,4]*x[1,5]*x[1,6]
     if W.is_unit():
         return
     primes = brute_minimal_covers(W)
@@ -644,7 +668,7 @@ def test_first_symbolic_gap_matches_pairwise_reference_hypothesis(W):
             if not vec_divides_some(power, ideals._to_vec(U6, g))
         ]
         if missing:
-            want = (level, min(missing, key=Monomial.canonical_key))
+            want = (level, min(missing, key=lambda g: (g.degree(), ideals._to_vec(U6, g))))
             break
     assert first_symbolic_gap(W, 3) == want
 

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from genlink import LinkInstance, Monomial, Universe, betti_table, ideal, xvar
@@ -86,6 +88,50 @@ def test_schema_rejects_variable_outside_universe():
             '"generators": [{"x[1,2]": 1}]}'
         )
     assert "generators[0]" in str(err.value)
+
+
+VALID = {
+    "schema_version": 1,
+    "universe": {
+        "m": 1, "n": 2, "family_sizes": {"X": [1, 2], "Y": [0, 0]},
+        "variables": ["x[1,1]", "x[1,2]"],
+    },
+    "generators": [{"x[1,1]": 1, "x[1,2]": 2}],
+}
+
+
+def test_valid_schema_loads():
+    W = ideal_from_json(json.dumps(VALID))
+    assert [str(g) for g in W.gens] == ["x[1,1]*x[1,2]^2"]
+
+
+@pytest.mark.parametrize("path, value, location", [
+    ((), {"schema_version": True}, "schema_version"),
+    (("generators", 0), {"x[1,1]": True}, "generators[0].x[1,1]"),
+    (("universe",), {"m": 1.9}, "universe.m"),
+    (("universe",), {"m": "1"}, "universe.m"),
+    (("universe", "family_sizes"), {"Y": [0.5, 0]}, "universe.family_sizes.Y[0]"),
+    (("universe", "family_sizes"), {"X": "zz"}, "universe.family_sizes.X"),
+    (("universe", "family_sizes"), {"X": [5, 7]}, "universe.family_sizes.X"),
+    (("generators", 0), {" x[1,1]": 2}, "generators[0]. x[1,1]"),
+], ids=["bool-version", "bool-exponent", "float-m", "string-m", "float-Y",
+        "string-X", "wrong-X", "variable-twice"])
+def test_schema_rejects_what_it_would_coerce(path, value, location):
+    data = json.loads(json.dumps(VALID))
+    target = data
+    for key in path:
+        target = target[key]
+    target.update(value)
+    with pytest.raises(SchemaError) as err:
+        ideal_from_json(json.dumps(data))
+    assert err.value.location == location
+
+
+def test_schema_rejects_a_key_given_twice():
+    text = json.dumps(VALID).replace('"x[1,2]": 2', '"x[1,1]": 2')
+    with pytest.raises(SchemaError) as err:
+        ideal_from_json(text)
+    assert err.value.location == "x[1,1]"
 
 
 def test_betti_formats():

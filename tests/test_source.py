@@ -76,3 +76,18 @@ def test_only_ideals_knows_the_word_format():
         if name in private
     ]
     assert not found, found
+
+
+def test_only_ideals_calls_the_ideal_constructor():
+    # Every other module builds an ideal through ideals.py (`ideal`,
+    # `_from_vecs`, the ring operations), so every ideal keeps the one
+    # generator order.
+    root = Path(genlink.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(root.glob("*.py")) if path.name != "ideals.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func).rpartition(".")[2] == "MonomialIdeal"
+    ]
+    assert not found, found
