@@ -28,10 +28,11 @@ quotients of a colon combine each pair of generators in a few big-int
 operations, the symbolic folds lift and test generators on words, and
 all of them reduce their distinct results with one word-level reducer
 (:func:`_minimalize_words`), unpacking only the minimal generators. The
-reducer scans small antichains pairwise, one subtraction and one AND per
-pair, and switches to a bit-sliced divisor index once the antichain is
-large; the same index, built over an ideal's generators on first use,
-answers membership and tells the variable fold which generators to lift.
+reducer takes the words in integer order, which puts every divisor first,
+scans small antichains pairwise, one subtraction and one AND per pair,
+and switches to a bit-sliced divisor index once the antichain is large;
+the same index, built over an ideal's generators on first use, answers
+membership and tells the variable fold which generators to lift.
 All sizes here are desk scale; an explicit candidate cap guards against
 intersection blowup before anything is enumerated, and the index refuses
 exponents whose bitsets would not fit.
@@ -41,9 +42,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain, combinations, combinations_with_replacement, groupby, repeat
+from itertools import chain, combinations, combinations_with_replacement, repeat
 from math import comb
-from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .monomial import Monomial, Universe, Variable
@@ -83,7 +83,6 @@ class _Codec(NamedTuple):
 
     pack: Callable[[Iterable[Vec]], list[int]]
     unpack: Callable[[Iterable[int]], list[Vec]]
-    total: Callable[[int], int]  # the sum of a word's fields: its degree
     guards: int
     shift: int
     top: int
@@ -101,8 +100,8 @@ class _Codec(NamedTuple):
 def _packing(top: int, width: int) -> _Codec:
     """The word format for ``width``-long vectors with exponents at most
     ``top``: the packer, which packs vectors into ints, its inverse, the
-    field sum, the guard mask ``G`` and the shift ``s`` from a field's
-    guard bit to its lowest bit, with ``top`` and ``width``.
+    guard mask ``G`` and the shift ``s`` from a field's guard bit to its
+    lowest bit, with ``top`` and ``width``.
 
     Each exponent takes a field of whole bytes, ``size`` of them, the first
     exponent the most significant, wide enough to leave the field's top
@@ -119,9 +118,10 @@ def _packing(top: int, width: int) -> _Codec:
     - ``V ^ ((U ^ V) & fill)`` packs ``lcm(u, v)``;
     - ``((U | G) - V) & fill`` packs ``max(u - v, 0)``;
     - ``U & M``, for ``M`` the value bits of some fields, packs ``u`` on
-      those fields alone, and the field sum of that is u's degree there.
+      those fields alone.
 
-    Fields have one width, so packed words order like the vectors.
+    Fields have one width, so packed words order like the vectors, and a
+    divisor is the smaller word (see :func:`_minimalize_words`).
     """
     size = (top.bit_length() + 8) // 8
     guards = int.from_bytes((b"\x80" + bytes(size - 1)) * width, "big")
@@ -137,24 +137,16 @@ def _packing(top: int, width: int) -> _Codec:
 
         def unpack(words: Iterable[int]) -> list[Vec]:
             return [tuple(w.to_bytes(width, "big")) for w in words]
-
-        def total(word: int) -> int:
-            return sum(word.to_bytes(width, "big"))
-        return _Codec(pack, unpack, total, guards, shift, top, width)
+        return _Codec(pack, unpack, guards, shift, top, width)
 
     def pack(vecs: Iterable[Vec]) -> list[int]:
         return [int.from_bytes(b"".join(e.to_bytes(size, "big") for e in v), "big") for v in vecs]
 
-    def fields(word: int) -> list[int]:
-        raw = word.to_bytes(size * width, "big")
-        return [int.from_bytes(raw[i:i + size], "big") for i in range(0, len(raw), size)]
-
     def unpack(words: Iterable[int]) -> list[Vec]:
-        return [tuple(fields(w)) for w in words]
-
-    def total(word: int) -> int:
-        return sum(fields(word))
-    return _Codec(pack, unpack, total, guards, shift, top, width)
+        starts = range(0, size * width, size)
+        raws = [w.to_bytes(size * width, "big") for w in words]
+        return [tuple(int.from_bytes(raw[i:i + size], "big") for i in starts) for raw in raws]
+    return _Codec(pack, unpack, guards, shift, top, width)
 
 
 def _top(vecs: Iterable[Vec]) -> int:
@@ -265,53 +257,53 @@ def _minimalize(
     ``seed`` followed by the candidates that no seed vector and no other
     candidate divides, in order of degree, then exponents in vector order.
     The vectors are packed (see :func:`_packing`), reduced by
-    :func:`_minimalize_words` and unpacked.
+    :func:`_minimalize_words`, unpacked and sorted as :func:`_from_vecs`
+    sorts them.
     """
     distinct = list(set(vecs))
     if not distinct:
         return list(seed)
-    degrees = list(map(sum, distinct))
-    # the largest degree bounds every exponent
-    codec = _packing(max(max(degrees), max(map(sum, seed), default=0)), len(distinct[0]))
-    items = sorted(zip(degrees, codec.pack(distinct)))
-    return codec.unpack(_minimalize_words(codec.pack(seed), items, codec, cap))
+    codec = _packing(_top(chain(distinct, seed)), len(distinct[0]))
+    kept = _minimalize_words(codec.pack(seed), sorted(codec.pack(distinct)), codec, cap)
+    return [*seed, *sorted(sorted(codec.unpack(kept[len(seed):])), key=sum)]
 
 
-def _minimalize_words(
-    kept: list[int], items: list[tuple[int, int]], codec: _Codec, cap: int
-) -> list[int]:
-    """Extend the packed antichain ``kept`` by the candidates that no kept
-    word and no other candidate divides, and return it.
+def _minimalize_words(kept: list[int], words: list[int], codec: _Codec, cap: int) -> list[int]:
+    """Extend the packed antichain ``kept`` by the candidate ``words`` that
+    no kept word and no other candidate divides, and return it.
 
-    ``items`` are distinct ``(degree, word)`` candidates in ``codec``'s
-    format, sorted, and none divides a kept word. Candidates are taken in
-    that order, and a candidate is kept unless a kept word divides it;
-    while few are kept they are scanned pairwise, one subtraction and one
-    AND per pair. Once more than ``_INDEX_PER_VARIABLE`` per variable are
-    kept, the rest go to :func:`_minimalize_indexed`. Exponents above
-    ``_INDEX_MAX_EXPONENT`` keep the scan throughout; then
-    :class:`SizeGuardExceeded` is raised first if the candidates times the
-    kept words and candidates, a bound on the pairs scanned, exceed ``cap``.
+    ``words`` are distinct words in ``codec``'s format, in ascending integer
+    order, and none divides a kept word. That order takes every divisor of
+    a candidate first. If ``v`` divides ``u``, no field of ``u`` is below
+    v's, so ``U - V`` subtracts each field without borrowing from the next:
+    it packs the vector ``u - v``, which is at least 0, and is 0 only if
+    ``u = v``. So a candidate is kept unless a kept word divides it: a
+    candidate dividing it came earlier, and was either kept or divided by
+    a kept word. While few are kept they are scanned pairwise, one
+    subtraction and one AND per pair. Once more than
+    ``_INDEX_PER_VARIABLE`` per variable are kept, the rest go to
+    :func:`_minimalize_indexed`. Exponents above ``_INDEX_MAX_EXPONENT``
+    keep the scan throughout; then :class:`SizeGuardExceeded` is raised
+    first if the candidates times the kept words and candidates, a bound on
+    the pairs scanned, exceed ``cap``.
     """
-    if not items:
+    if not words:
         return kept
     switch = _INDEX_PER_VARIABLE * codec.width
-    if codec.top > _INDEX_MAX_EXPONENT and _top(
-        codec.unpack(chain(kept, map(itemgetter(1), items)))
-    ) > _INDEX_MAX_EXPONENT:
-        switch = len(kept) + len(items)  # the index would refuse: scan throughout
-        work = len(items) * switch
+    if codec.top > _INDEX_MAX_EXPONENT and _top(codec.unpack(chain(kept, words))) > _INDEX_MAX_EXPONENT:
+        switch = len(kept) + len(words)  # the index would refuse: scan throughout
+        work = len(words) * switch
         if work > cap:
             raise SizeGuardExceeded(
-                f"reduction would scan {len(items)} candidates with exponents above "
+                f"reduction would scan {len(words)} candidates with exponents above "
                 f"{_INDEX_MAX_EXPONENT} against up to {switch} vectors, about {work} "
                 f"comparisons (cap {cap})",
                 work,
             )
     if len(kept) > switch:
-        return _minimalize_indexed(kept, items, codec)
+        return _minimalize_indexed(kept, words, codec)
     guards = codec.guards
-    for pos, (_, word) in enumerate(items):
+    for pos, word in enumerate(words):
         guarded = word | guards
         for k in kept:
             if (guarded - k) & guards == guards:
@@ -319,25 +311,23 @@ def _minimalize_words(
         else:
             kept.append(word)
             if len(kept) > switch:
-                return _minimalize_indexed(kept, items[pos + 1:], codec)
+                return _minimalize_indexed(kept, words[pos + 1:], codec)
     return kept
 
 
-def _minimalize_indexed(
-    kept: list[int], items: list[tuple[int, int]], codec: _Codec
-) -> list[int]:
-    """Extend ``kept`` by the words of ``(degree, word)`` ``items`` that no
-    kept word and no earlier item divides, through a :class:`_DivisorIndex`
-    grown one degree at a time: distinct vectors of equal degree never
-    divide each other, so a degree only needs the kept vectors of lower
-    degree. ``items`` are sorted by degree, and none divides a kept word."""
+def _minimalize_indexed(kept: list[int], words: list[int], codec: _Codec) -> list[int]:
+    """Extend ``kept`` by the distinct ``words`` that no kept word and no
+    other word divides, through a :class:`_DivisorIndex` grown one degree
+    at a time: distinct vectors of equal degree never divide each other, so
+    a degree only needs the kept vectors of lower degree. The words are
+    bucketed by the degrees of the vectors they unpack to. None of them
+    divides a kept word."""
     index = _DivisorIndex(codec.width, codec.unpack(kept))
-    for _, group in groupby(items, key=itemgetter(0)):
-        words = [word for _, word in group]
-        survivors = [
-            (word, vec) for word, vec in zip(words, codec.unpack(words))
-            if not index.divides_some(vec)
-        ]
+    by_degree: dict[int, list[tuple[int, Vec]]] = {}
+    for word, vec in zip(words, codec.unpack(words)):
+        by_degree.setdefault(sum(vec), []).append((word, vec))
+    for degree in sorted(by_degree):
+        survivors = [(word, vec) for word, vec in by_degree[degree] if not index.divides_some(vec)]
         index.add([vec for _, vec in survivors])
         kept += [word for word, _ in survivors]
     return kept
@@ -349,8 +339,8 @@ class MonomialIdeal:
 
     ``vecs`` are the generators' exponent vectors in the one generator
     order of every ideal, ``(degree, exponent vector)``: by degree, then as
-    tuples, the order the reducer emits packed words in. ``masks`` and
-    ``gens`` are their support bitmasks and monomials, in the same order;
+    tuples, as :func:`_from_vecs` sorts them. ``masks`` and ``gens`` are
+    their support bitmasks and monomials, in the same order;
     membership queries go through a :class:`_DivisorIndex` over ``vecs``,
     built on first use, and the powers W^2, W^3, ... are kept once
     :meth:`power` builds them. The zero ideal has no generators, the unit
@@ -410,7 +400,7 @@ class MonomialIdeal:
         codec = _packing(_top(a) + _top(b), len(self.universe))
         words = codec.pack(b)
         candidates = {u + v for u in codec.pack(a) for v in words}
-        reduced = _minimalize_words([], _by_degree(candidates, codec), codec, cap)
+        reduced = _minimalize_words([], sorted(candidates), codec, cap)
         return _from_vecs(self.universe, codec.unpack(reduced))
 
     def power(self, s: int, cap: int = DEFAULT_CANDIDATE_CAP) -> "MonomialIdeal":
@@ -452,7 +442,7 @@ class MonomialIdeal:
             diffs = [g - v for g in guarded]
             # max(u - v, 0) for every u, see _packing
             quotients = {d & ((ge := d & guards) - (ge >> shift)) for d in diffs}
-            pieces.append(_minimalize_words([], _by_degree(quotients, codec), codec, cap))
+            pieces.append(_minimalize_words([], sorted(quotients), codec, cap))
         folded = _tree_fold_intersect(pieces, codec, cap)
         return _from_vecs(self.universe, codec.unpack(folded))
 
@@ -512,9 +502,9 @@ class MonomialIdeal:
         The antichain stays packed (see :func:`_packing`) from the first
         prime to the last and is unpacked once, at the end: every ``u * w``
         has exponents at most ``level``, so one word format fits the whole
-        fold. A prime is a mask of its fields, a P-degree the field sum of
-        ``u`` under that mask, and a lift ``u * w`` the sum ``u + w`` of
-        words, whose degree is u's degree plus ``level - d``.
+        fold. A P-degree is read from the unpacked ``u``, and a lift
+        ``u * w`` is the sum ``u + w`` of words; the distinct lifts go to
+        the reducer in integer order.
 
         Before a step enumerates anything the guard refuses when its lifted
         count times the current antichain size exceeds ``cap``. This bounds
@@ -528,17 +518,17 @@ class MonomialIdeal:
         """
         width = len(self.universe)
         codec = _packing(level, width)
-        units, masks = _prime_words(codec, self._prime_columns)
+        units = _unit_words(codec)
         current = codec.pack([(0,) * width])
-        for cols, mask in zip(self._prime_columns, masks):
+        for cols in self._prime_columns:
             kept, short = [], []
-            for u in current:
-                deficit = level - codec.total(u & mask)
+            for u, vec in zip(current, codec.unpack(current)):
+                deficit = level - sum(map(vec.__getitem__, cols))
                 if deficit > 0:
-                    short.append((u, deficit, codec.total(u) + deficit))
+                    short.append((u, deficit))
                 else:
                     kept.append(u)
-            lifted = sum(comb(e + len(cols) - 1, e) for _, e, _ in short)
+            lifted = sum(comb(e + len(cols) - 1, e) for _, e in short)
             if (work := lifted * len(current)) > cap:
                 raise SizeGuardExceeded(
                     f"symbolic power step would reduce {lifted} lifted candidates "
@@ -548,12 +538,10 @@ class MonomialIdeal:
             # a degree-e monomial in P's variables is a multiset of e columns
             lifts = {
                 e: [sum(map(units.__getitem__, w)) for w in combinations_with_replacement(cols, e)]
-                for e in {e for _, e, _ in short}
+                for e in {e for _, e in short}
             }
-            # deduplicated as words, each with its degree
-            lifted_words = {u + w: degree for u, e, degree in short for w in lifts[e]}
-            items = sorted(zip(lifted_words.values(), lifted_words))
-            current = _minimalize_words(kept, items, codec, cap)
+            lifted_words = {u + w for u, e in short for w in lifts[e]}  # deduplicated as words
+            current = _minimalize_words(kept, sorted(lifted_words), codec, cap)
         return _from_vecs(self.universe, codec.unpack(current))
 
     def _variable_fold(self, cap: int) -> "MonomialIdeal":
@@ -580,12 +568,12 @@ class MonomialIdeal:
         ``K`` that divides ``u`` but not ``q`` has the part
         ``max(v - q, 0) = x_i``, which divides the part of every ``v`` with
         more ``x_i`` than ``q``. So ``u`` becomes ``u * x_i``, and ``u``
-        times the parts of the ``v`` with at most q's exponent of ``x_i``;
-        for squarefree ``K`` such a part is ``v`` off the support of ``q``.
+        times the parts of the ``v`` with at most q's exponent of ``x_i``.
         Only the minimal parts are kept, reduced per ``u``
-        (:func:`_minimalize_words`). The lifted candidates are then reduced
-        against the kept generators and each other; no lifted word divides a
-        kept one, by the antichain argument of :meth:`_prime_fold`.
+        (:func:`_minimalize_words`, which takes words in integer order and
+        so needs no degree). The lifted candidates are then reduced against
+        the kept generators and each other; no lifted word divides a kept
+        one, by the antichain argument of :meth:`_prime_fold`.
 
         The variables come in :attr:`_support_columns` order, those in the
         most generators first, which keeps the early antichains small: on
@@ -603,19 +591,14 @@ class MonomialIdeal:
         """
         top = _top(self.vecs)
         codec = _packing(top + 1, len(self.universe))
-        columns = self._support_columns
-        units, fields = _prime_words(codec, [[col] for col in columns])
-        guards, shift, ones, values = codec.guards, codec.shift, codec.ones, codec.values
+        guards, shift = codec.guards, codec.shift
+        units = _unit_words(codec)
         gens = codec.pack(self.vecs)
-        # Squarefree K: a part is v off q's support, its degree its bit count.
-        # The general max(v - q, 0) and field sum alone raised symbolic-fold
-        # wall_s from 0.00196 to 0.00203 s (medians, 10 alternating pairs,
-        # every pair slower; 2-core x86-64 VM, Python 3.11).
-        weigh = int.bit_count if top == 1 else codec.total
         index = self._index
         current = gens
-        for col, field in zip(columns, fields):
+        for col in self._support_columns:
             unit = units[col]
+            field = unit * ((1 << shift) - 1)  # the value bits of x_i's field
             # the generators of K with exponent at most e at col, e <= top
             at_most = [[v for v, vec in zip(gens, self.vecs) if vec[col] <= e] for e in range(top + 1)]
             kept = [u for u in current if not u & field]
@@ -631,16 +614,11 @@ class MonomialIdeal:
             lifted = {u + unit for u, _ in short}
             for u, vs in short:
                 q = u - unit
-                if top == 1:  # the fields where q is 0, see _packing
-                    ge = ((q | guards) - ones) & guards
-                    off = values ^ (ge - (ge >> shift))
-                    parts = {v & off for v in vs}
-                else:  # max(v - q, 0), see _packing
-                    parts = {d & ((ge := d & guards) - (ge >> shift)) for d in [(v | guards) - q for v in vs]}
-                items = sorted(zip(map(weigh, parts), parts))
-                lifted.update([u + w for w in _minimalize_words([], items, codec, cap)])
+                # max(v - q, 0), see _packing
+                parts = {d & ((ge := d & guards) - (ge >> shift)) for d in [(v | guards) - q for v in vs]}
+                lifted.update([u + w for w in _minimalize_words([], sorted(parts), codec, cap)])
             _check_cap(pairs + len(lifted), cap, "symbolic power step")
-            current = _minimalize_words(kept, _by_degree(lifted, codec), codec, cap)
+            current = _minimalize_words(kept, sorted(lifted), codec, cap)
         return _from_vecs(self.universe, codec.unpack(current))
 
     def _require_squarefree(self) -> None:
@@ -712,8 +690,11 @@ def first_symbolic_gap(
     Otherwise ordinary <= symbolic, which holds always, is tested first: a
     generator of W^k outside W^(k) raises :class:`AssertionError`. Then the
     witness is the first generator of W^(k) outside W^k in that order, one
-    of least degree.
+    of least degree. An ``upto`` below 1 raises :class:`ValueError`, as it
+    would check nothing.
     """
+    if upto < 1:
+        raise ValueError("upto must be at least 1")
     for level in range(1, upto + 1):
         power = W.power(level, cap=cap)
         if level == 1:
@@ -755,9 +736,9 @@ def square_colon_check(W: MonomialIdeal, r: int, cap: int = DEFAULT_CANDIDATE_CA
     so no chunk enumerates more than ``cap`` of them (the product guard has
     already held ``|W^(r+1)|`` to ``cap``), and :func:`_all_covered` tests
     each chunk at once; it refuses exponents of W^(r+1) above
-    ``_INDEX_MAX_EXPONENT`` first, as the divisor index does. :func:`square_colon_scan` checks every r up to a
-    bound on far fewer sums; its docstring proves it finds the same first
-    failing r.
+    ``_INDEX_MAX_EXPONENT`` first, as the divisor index does.
+    :func:`square_colon_scan` checks every r up to a bound on far fewer
+    sums; its docstring proves it finds the same first failing r.
     """
     if r < 0:
         raise ValueError("r must be nonnegative")
@@ -873,8 +854,11 @@ def square_colon_scan(
     The same powers as in :func:`square_colon_check` are built, in the same
     order, with the same guards, so a refusal has the same message and
     estimate. The halves ``(sum(D) + 1) >> 1`` are tested at most ``cap``
-    distinct ones at a time, in one :func:`_all_covered` pass per level.
+    distinct ones at a time, in one :func:`_all_covered` pass per level. A
+    negative ``r_max`` raises :class:`ValueError`, as it would check nothing.
     """
+    if r_max < 0:
+        raise ValueError("r_max must be nonnegative")
     gens = W.vecs
     width = len(W.universe)
     above: list[int] = []
@@ -939,13 +923,10 @@ def _distinct_chunks(items: Iterable[int], size: int) -> Iterator[set[int]]:
 # -- internals ---------------------------------------------------------------
 
 
-def _prime_words(codec: _Codec, columns: Iterable[Sequence[int]]) -> tuple[list[int], list[int]]:
-    """The packed unit vectors, the i-th one at position i, and for each
-    prime, given by its columns, the mask of every value bit of its fields."""
+def _unit_words(codec: _Codec) -> list[int]:
+    """The packed unit vectors, the i-th one at position i."""
     width = codec.width
-    units = codec.pack(tuple(int(i == c) for i in range(width)) for c in range(width))
-    fill = (1 << codec.shift) - 1  # a field's value bits
-    return units, [sum(map(units.__getitem__, cols)) * fill for cols in columns]
+    return codec.pack(tuple(int(i == c) for i in range(width)) for c in range(width))
 
 
 def _to_vec(universe: Universe, mon: Monomial) -> Vec:
@@ -1010,12 +991,6 @@ def _check_cap(count: int, cap: int, what: str) -> None:
         )
 
 
-def _by_degree(words: set[int], codec: _Codec) -> list[tuple[int, int]]:
-    """``words`` as sorted ``(degree, word)`` items, the input of
-    :func:`_minimalize_words`."""
-    return sorted(zip(map(codec.total, words), words))
-
-
 def _intersect_words(a: list[int], b: list[int], codec: _Codec, cap: int) -> list[int]:
     """Minimal generators of the intersection of two packed antichains."""
     _check_cap(len(a) * len(b), cap, "intersection")
@@ -1025,7 +1000,7 @@ def _intersect_words(a: list[int], b: list[int], codec: _Codec, cap: int) -> lis
         v ^ ((u ^ v) & ((ge := ((u | guards) - v) & guards) - (ge >> shift)))
         for u in a for v in b
     }
-    return _minimalize_words([], _by_degree(lcms, codec), codec, cap)
+    return _minimalize_words([], sorted(lcms), codec, cap)
 
 
 def _tree_fold_intersect(pieces: list[list[int]], codec: _Codec, cap: int) -> list[int]:

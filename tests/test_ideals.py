@@ -215,6 +215,12 @@ def scan_reference(vecs):
 
 
 @given(st.booleans().flatmap(degree_bands))
+# Words are reduced in integer order, not by degree. Here (1, 0, 0) is the
+# larger word but of lower degree than (0, 1, 1); and 14 words free of the
+# first variable pass the index switch (12 kept at width 3) before the
+# degree-2 word (2, 0, 0), which must still beat its multiples there.
+@example((3, [(3, 0, 0), (0, 1, 1), (1, 0, 0)]))
+@example((3, [(0, b, 13 - b) for b in range(14)] + [(1, 0, 13), (2, 0, 0), (2, 1, 0), (3, 0, 0)]))
 @settings(max_examples=120, deadline=None)
 def test_minimalize_matches_scan_reference(band):
     _, vecs = band
@@ -677,6 +683,16 @@ def test_first_symbolic_gap_matches_pairwise_reference_hypothesis(W):
 def test_first_symbolic_gap_needs_a_proper_nonzero_squarefree_ideal(W):
     with pytest.raises(ValueError):
         first_symbolic_gap(W, 1)
+
+
+@pytest.mark.parametrize("below", [1, 2])
+def test_scans_refuse_a_bound_that_checks_nothing(below):
+    # a bound below the first level would return "no gap" unchecked, even
+    # for an ideal that is not squarefree
+    with pytest.raises(ValueError, match="upto"):
+        first_symbolic_gap(ideal(U3, [mono(X1, X1)]), 1 - below)
+    with pytest.raises(ValueError, match="r_max"):
+        square_colon_scan(triangle(), -below)
 
 
 @given(squarefree_ideals)

@@ -65,9 +65,12 @@ def test_every_public_name_has_a_caller():
 
 
 def test_only_ideals_knows_the_word_format():
-    # The packed-word format and its cover test have one owner; the other
-    # modules call the named checks ideals.py builds on them.
-    private = {"_packing", "_Codec", "_all_covered", "_supports", "_top"}
+    # The packed-word format, its cover test and its reducer have one owner;
+    # the other modules call the named checks ideals.py builds on them.
+    private = {
+        "_packing", "_Codec", "_all_covered", "_supports", "_top",
+        "_minimalize_words", "_minimalize_indexed", "_DivisorIndex",
+    }
     root = Path(genlink.__file__).parent
     found = [
         f"{path.name}:{line} {name}"
