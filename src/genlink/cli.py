@@ -136,10 +136,10 @@ def _cmd_compare(args) -> int:
     op = args.op
     level = None
     if op.startswith("symbolic:"):
-        try:
-            level = int(op.split(":", 1)[1])
-        except ValueError:
+        digits = op.split(":", 1)[1]
+        if not (digits.isascii() and digits.isdigit()):  # int() also takes " 2", "+2", "1_0"
             raise UsageError(f"bad symbolic level in {op!r}")
+        level = int(digits)
         if level < 1:
             raise UsageError("symbolic level must be >= 1")
         op = "symbolic"
@@ -198,7 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--samples", type=int, default=DEFAULT_BOUNDS.witness_samples)
     ver.add_argument("--max-gens", type=int, default=DEFAULT_BOUNDS.candidate_cap,
-                     help="cap on intermediate candidate generators")
+                     help="cap on intermediate candidate generators, the witness "
+                     "suite's powers included (leads keeps its own bound)")
     ver.add_argument("--out", default=None, help="write the JSON report here")
     ver.set_defaults(func=_cmd_verify)
 

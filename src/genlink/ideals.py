@@ -13,11 +13,10 @@ W^(k-1), which equals W^(k-1) once the level below has passed, and passes
 a level whose W^(k) and W^k have equal generators. Last, the square-bracket
 colon criterion certifying symbolic = ordinary for squarefree ideals.
 Checked for one r, it builds W^r and W^(r+1) only: it bit-slices the sums
-of their generators, in chunks bounded by the cap, and covers them with
-one pass over W^(r+1), with no W^(2r+1) or bracket power built. The scan
-over r checks, at each level s, only the sums of the odd cliques: the
-sets of 2s+1 distinct generators whose pairs all give a minimal generator
-of W^2, each its least pair.
+of their generators and covers them with one pass over W^(r+1), with no
+W^(2r+1) or bracket power built. The scan over r checks, at each level s,
+only the sums of the odd cliques: the sets of 2s+1 distinct generators
+whose pairs all give a minimal generator of W^2, each its least pair.
 
 An ideal holds its minimal generators once, as dense exponent vectors over
 the universe; their support bitmasks, :class:`Monomial` form and minimal
@@ -42,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain, combinations, combinations_with_replacement, repeat
+from itertools import chain, combinations, combinations_with_replacement, islice, repeat
 from math import comb
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -732,11 +731,7 @@ def square_colon_check(W: MonomialIdeal, r: int, cap: int = DEFAULT_CANDIDATE_CA
       with z != 0, and x' + y would properly divide t;
     - whether t passes is upward closed in t.
 
-    The sums are taken ``max(1, cap // |W^(r+1)|)`` rows of W^r at a time,
-    so no chunk enumerates more than ``cap`` of them (the product guard has
-    already held ``|W^(r+1)|`` to ``cap``), and :func:`_all_covered` tests
-    each chunk at once; it refuses exponents of W^(r+1) above
-    ``_INDEX_MAX_EXPONENT`` first, as the divisor index does.
+    The halves ``(t + 1) >> 1`` of the sums go to :func:`_all_covered`.
     :func:`square_colon_scan` checks every r up to a bound on far fewer
     sums; its docstring proves it finds the same first failing r.
     """
@@ -751,35 +746,35 @@ def square_colon_check(W: MonomialIdeal, r: int, cap: int = DEFAULT_CANDIDATE_CA
     # each field shifts into the guard bit of the field below is masked off
     xs = [x + codec.ones for x in codec.pack(rows)]
     ys = codec.pack(power)
-    step = max(1, cap // max(1, len(ys)))
-    chunks = (
-        {((x + y) >> 1) & values for x in xs[i:i + step] for y in ys}
-        for i in range(0, len(xs), step)
-    )
-    return _all_covered(power, chunks, codec)
+    return _all_covered(power, (((x + y) >> 1) & values for x in xs for y in ys), codec, cap)
 
 
-def _all_covered(vecs: Sequence[Vec], chunks: Iterable[set[int]], codec: _Codec) -> bool:
-    """True iff every packed word of every chunk is at least, fieldwise,
-    some vector of ``vecs``; the first chunk that is not ends the test.
+def _all_covered(vecs: Sequence[Vec], words: Iterable[int], codec: _Codec, cap: int) -> bool:
+    """True iff every packed word of ``words`` is at least, fieldwise, some
+    vector of ``vecs``.
 
-    Each chunk's words are bit-sliced, one bit per word, and the bitset of
-    the words at least ``e`` at column ``k`` is read straight from their
-    bytes, one ``bytes.translate`` of the column's low field bytes, or-ed
-    with the words whose field there exceeds 255. A vector, taken once as
-    its support ``(column, exponent)`` pairs, covers the AND of its pairs'
-    bitsets. Vectors are taken in turn against the words not yet covered,
-    until none is left. Exponents above ``_INDEX_MAX_EXPONENT`` in ``vecs``
-    raise :class:`SizeGuardExceeded` before any chunk is drawn.
+    This is the one place words are cut into chunks: each chunk is the set
+    of the next ``max(1, cap)`` words of the stream (:func:`_chunks`), so no
+    pass holds more than ``max(1, cap)`` words however many the stream
+    yields, and the first chunk with a word that is not covered ends the
+    test. Each chunk's words are bit-sliced, one bit per word, and the
+    bitset of the words at least ``e`` at column ``k`` is read straight
+    from their bytes, one ``bytes.translate`` of the column's low field
+    bytes, or-ed with the words whose field there exceeds 255. A vector,
+    taken once as its support ``(column, exponent)`` pairs, covers the AND
+    of its pairs' bitsets. Vectors are taken in turn against the words not
+    yet covered, until none is left. Exponents above
+    ``_INDEX_MAX_EXPONENT`` in ``vecs`` raise :class:`SizeGuardExceeded`
+    before any chunk is drawn.
     """
     _check_slices(_top(vecs))
     supports = [[(k, e) for k, e in enumerate(v) if e] for v in vecs]
     pairs_used = {pair for pairs in supports for pair in pairs}
     size = (codec.shift + 1) // 8
     stride = size * codec.width
-    for words in chunks:
-        raw = b"".join(map(int.to_bytes, words, repeat(stride), repeat("big")))
-        everyone = (1 << len(words)) - 1
+    for chunk in _chunks(words, max(1, cap)):
+        raw = b"".join(map(int.to_bytes, chunk, repeat(stride), repeat("big")))
+        everyone = (1 << len(chunk)) - 1
         at_least = {}
         for k, e in pairs_used:
             low = raw[k * size + size - 1::stride]
@@ -802,12 +797,12 @@ def _all_covered(vecs: Sequence[Vec], chunks: Iterable[set[int]], codec: _Codec)
     return True
 
 
-def _products_covered(a: MonomialIdeal, b: MonomialIdeal, into: MonomialIdeal) -> bool:
+def _products_covered(a: MonomialIdeal, b: MonomialIdeal, into: MonomialIdeal, cap: int) -> bool:
     """True iff ``into`` holds every product of a generator of ``a`` and one
-    of ``b``, in one :func:`_all_covered` pass with no reducer."""
+    of ``b``, tested by :func:`_all_covered` with no reducer."""
     codec = _packing(_top(a.vecs) + _top(b.vecs), len(a.universe))
     words = codec.pack(b.vecs)
-    return _all_covered(into.vecs, [{t + v for t in codec.pack(a.vecs) for v in words}], codec)
+    return _all_covered(into.vecs, (t + v for t in codec.pack(a.vecs) for v in words), codec, cap)
 
 
 def _is_antichain(W: MonomialIdeal) -> bool:
@@ -853,9 +848,9 @@ def square_colon_scan(
 
     The same powers as in :func:`square_colon_check` are built, in the same
     order, with the same guards, so a refusal has the same message and
-    estimate. The halves ``(sum(D) + 1) >> 1`` are tested at most ``cap``
-    distinct ones at a time, in one :func:`_all_covered` pass per level. A
-    negative ``r_max`` raises :class:`ValueError`, as it would check nothing.
+    estimate. The halves ``(sum(D) + 1) >> 1`` go to :func:`_all_covered`,
+    one stream per level. A negative ``r_max`` raises :class:`ValueError`,
+    as it would check nothing.
     """
     if r_max < 0:
         raise ValueError("r_max must be nonnegative")
@@ -870,8 +865,7 @@ def square_colon_scan(
             above = _good_pairs(words, codec.pack(power))
         values = codec.values  # as in square_colon_check
         sums = _clique_sums(words, above, 2 * s + 1, codec.ones, (1 << len(words)) - 1)
-        halves = ((t >> 1) & values for t in sums)
-        if not _all_covered(power, _distinct_chunks(halves, max(1, cap)), codec):
+        if not _all_covered(power, ((t >> 1) & values for t in sums), codec, cap):
             return s
     return None
 
@@ -907,17 +901,10 @@ def _clique_sums(words: list[int], above: list[int], size: int, total: int, amon
             yield from _clique_sums(words, above, size - 1, total + words[j], rest)
 
 
-def _distinct_chunks(items: Iterable[int], size: int) -> Iterator[set[int]]:
-    """``items`` in sets of at most ``size`` distinct ones, the last one
-    not empty."""
-    chunk: set[int] = set()
-    for item in items:
-        chunk.add(item)
-        if len(chunk) == size:
-            yield chunk
-            chunk = set()
-    if chunk:
-        yield chunk
+def _chunks(words: Iterable[int], size: int) -> Iterator[set[int]]:
+    """The sets of the next ``size`` words of ``words``, until none is left."""
+    words = iter(words)
+    return iter(lambda: set(islice(words, size)), set())
 
 
 # -- internals ---------------------------------------------------------------

@@ -40,7 +40,7 @@ from math import comb
 from operator import add, le
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .ideals import MonomialIdeal, Vec, _from_vecs, _to_monomial
+from .ideals import DEFAULT_CANDIDATE_CAP, MonomialIdeal, Vec, _from_vecs, _to_monomial
 from .monomial import Monomial, Universe, xvar, yvar
 
 Cell = tuple[int, int]
@@ -411,6 +411,7 @@ def square_divisor(
     inst: LinkInstance,
     diag_indices: Sequence[int],
     chain: Sequence[Selector],
+    cap: int = DEFAULT_CANDIDATE_CAP,
 ) -> SquareDivisorWitness:
     """Exhibit delta in link_initial^(r+1) with delta^2 dividing gamma, where
 
@@ -420,7 +421,8 @@ def square_divisor(
     A_1 <= ... <= A_b, a + b = 2r+1 odd, nu the product of all variables and
     mu the product of the diagonal Y. Three constructions apply depending on
     a; the returned witness records which, and both postconditions are
-    verified on exponent vectors before returning.
+    verified on exponent vectors before returning. ``cap`` bounds the
+    building of link_initial^(r+1) (see :meth:`MonomialIdeal.power`).
     """
     diag_indices = tuple(diag_indices)
     chain = tuple(chain)
@@ -470,7 +472,7 @@ def square_divisor(
                 cell=cell, lo=lo, hi=hi, bridge=bridge,
             )
 
-    if not inst.link_initial.power(r + 1)._divides_into(delta):
+    if not inst.link_initial.power(r + 1, cap=cap)._divides_into(delta):
         raise AssertionError(f"delta not in the (r+1)-st power: {witness}")
     if not all(2 * d <= c for d, c in zip(delta, gamma)):
         raise AssertionError(f"delta^2 does not divide gamma: {witness}")
@@ -547,6 +549,7 @@ def odd_part_reduction(
     inst: LinkInstance,
     diag_multiplicities: Mapping[int, int],
     selector_multiplicities: Mapping[Selector, int],
+    cap: int = DEFAULT_CANDIDATE_CAP,
 ) -> OddPartReduction:
     """Reduce a generator multiset with odd total to distinct generators.
 
@@ -555,7 +558,8 @@ def odd_part_reduction(
     the odd part takes one copy of each odd-multiplicity generator and the
     square's root is a product of (r - s) generators, 2r+1 the total and
     2s+1 the number of odd multiplicities. Both facts are verified on
-    exponent vectors.
+    exponent vectors; ``cap`` bounds the building of link_initial^(r-s)
+    (see :meth:`MonomialIdeal.power`).
     """
     total = sum(diag_multiplicities.values()) + sum(selector_multiplicities.values())
     if total % 2 == 0 or total < 1:
@@ -592,7 +596,7 @@ def odd_part_reduction(
         )
     if root_factors != r - s:
         raise AssertionError(f"square root has {root_factors} factors, expected {r - s}")
-    if not inst.link_initial.power(r - s)._divides_into(root):
+    if not inst.link_initial.power(r - s, cap=cap)._divides_into(root):
         raise AssertionError(f"square root {reduction.square_root} escaped power {r - s}")
     return reduction
 

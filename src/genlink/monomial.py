@@ -41,11 +41,13 @@ def yvar(row: int, col: int) -> Variable:
     return Variable(Y_FAMILY, row, col)
 
 
-_VARIABLE_RE = re.compile(r"\s*([xY])\[(\d+),(\d+)\]\s*$")
+# ASCII digits only: \d would also read other scripts' digits
+_VARIABLE_RE = re.compile(r"\s*([xY])\[([0-9]+),([0-9]+)\]\s*$")
 
 
 def parse_variable(text: str) -> Variable:
-    """Parse the canonical text form ``x[i,j]`` / ``Y[i,j]``."""
+    """Parse the canonical text form ``x[i,j]`` / ``Y[i,j]``, indices in
+    ASCII digits, with whitespace allowed around it."""
     m = _VARIABLE_RE.match(text)
     if m is None:
         raise ValueError(f"not a variable: {text!r}")
@@ -154,17 +156,20 @@ class Monomial:
 
     @classmethod
     def from_text(cls, text: str) -> "Monomial":
-        """Parse ``*``-joined powers, e.g. ``x[1,2]^2*Y[1,1]``; ``1`` is the unit."""
+        """Parse ``*``-joined powers, e.g. ``x[1,2]^2*Y[1,1]``; ``1`` is the unit.
+        An exponent is positive, in ASCII digits, with whitespace allowed
+        around it as around a variable."""
         text = text.strip()
         if text == "1":
             return cls()
         acc: dict[Variable, int] = {}
         for factor in text.split("*"):
-            base, _, exp = factor.partition("^")
+            base, caret, exp = factor.partition("^")
             var = parse_variable(base)
-            e = int(exp) if exp else 1
-            if e <= 0:
+            exp = exp.strip()  # int() would also take signs, "_" and other scripts' digits
+            if caret and not (exp.isascii() and exp.isdigit() and int(exp)):
                 raise ValueError(f"bad exponent in {factor!r}")
+            e = int(exp) if caret else 1
             acc[var] = acc.get(var, 0) + e
         return cls(acc)
 

@@ -154,7 +154,7 @@ def verify_colon_link(inst: LinkInstance, bounds: VerifyBounds = DEFAULT_BOUNDS)
         claimed = inst.link_initial
         computed = seq.colon(minors, cap=bounds.candidate_cap)
         set_equal = set(computed.vecs) == set(claimed.vecs)
-        claimed_in_colon = _products_covered(claimed, minors, seq)
+        claimed_in_colon = _products_covered(claimed, minors, seq, bounds.candidate_cap)
         computed_in_claimed = all(claimed._divides_into(c) for c in computed.vecs)
         ok = set_equal and claimed_in_colon and computed_in_claimed
         return ok, {
@@ -372,7 +372,8 @@ def verify_witnesses(
     on seeded samples otherwise; chains are produced by sorting uniform
     selector samples through the straightening normal form. Chains have
     up to ``2 * bounds.square_colon_rmax + 1`` factors; a sampled input set
-    has ``bounds.witness_samples`` members.
+    has ``bounds.witness_samples`` members. ``bounds.candidate_cap`` bounds
+    the link powers that the square divisors and odd-part reductions build.
     """
     r_max, samples = bounds.square_colon_rmax, bounds.witness_samples
 
@@ -396,11 +397,11 @@ def verify_witnesses(
 
         square_inputs = _square_inputs(inst, r_max, rng, samples, EXHAUSTIVE_CAP)
         for diag, chain in square_inputs:
-            square_divisor(inst, diag, chain)
+            square_divisor(inst, diag, chain, cap=bounds.candidate_cap)
             counts["square"] += 1
 
         for diag_mult, sel_mult in _odd_part_inputs(inst, r_max, rng, samples):
-            odd_part_reduction(inst, diag_mult, sel_mult)
+            odd_part_reduction(inst, diag_mult, sel_mult, cap=bounds.candidate_cap)
             counts["odd_part"] += 1
 
         return True, counts

@@ -157,6 +157,13 @@ def test_compare_bad_op(triangle_file):
     assert main(["compare", triangle_file, "--op", "symbolic:0"]) == 2
 
 
+@pytest.mark.parametrize("level", ["1_0", "+2", " 2", "\u0662"])
+def test_compare_takes_only_ascii_digits_for_the_level(triangle_file, capsys, level):
+    # int() would read levels 10, 2, 2 and 2
+    assert main(["compare", triangle_file, "--op", f"symbolic:{level}"]) == 2
+    assert "bad symbolic level" in capsys.readouterr().err
+
+
 def test_no_partial_file_on_failure(tmp_path, triangle_file):
     target = tmp_path / "result.json"
     # second file missing -> usage error before any write

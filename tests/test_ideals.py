@@ -945,20 +945,40 @@ def admitted_cap(W, r):
 
 
 def spy_on_chunks(monkeypatch):
-    """Each chunk's distinct halved sums and its verdict, as the check makes
-    them; as in _all_covered, the first failing chunk ends the test."""
+    """Each chunk _all_covered draws, as the words it takes from the stream,
+    the distinct ones among them, and whether all are covered, as a divisor
+    index over the covering vectors tells."""
     chunks = []
-    original = ideals._all_covered
+    cover, cut = ideals._all_covered, ideals._chunks
+    seen = {}
 
-    def spy(vecs, halves, codec):
-        for chunk in halves:
-            chunks.append((len(chunk), original(vecs, [chunk], codec)))
-            if not chunks[-1][1]:
-                return False
-        return True
+    def all_covered(vecs, words, codec, cap):
+        seen.update(index=ideals._DivisorIndex(codec.width, vecs), unpack=codec.unpack)
+        return cover(vecs, words, codec, cap)
 
-    monkeypatch.setattr(ideals, "_all_covered", spy)
+    def chunking(words, size):
+        drawn = 0
+
+        def counted():
+            nonlocal drawn
+            for word in words:
+                drawn += 1
+                yield word
+        taken = 0
+        for chunk in cut(counted(), size):
+            covered = all(map(seen["index"].divides_some, seen["unpack"](chunk)))
+            chunks.append((drawn - taken, len(chunk), covered))
+            taken = drawn
+            yield chunk
+
+    monkeypatch.setattr(ideals, "_all_covered", all_covered)
+    monkeypatch.setattr(ideals, "_chunks", chunking)
     return chunks
+
+
+def cut_sizes(total, cap):
+    """The words in each chunk of a stream of ``total`` words at ``cap``."""
+    return [cap] * (total // cap) + [total % cap] * (total % cap > 0)
 
 
 @given(
@@ -1003,23 +1023,29 @@ def test_square_colon_check_matches_bracket_power_oracle_on_link_ideals():
 
 def test_square_colon_check_in_chunks_matches_the_oracle_on_link_ideals(monkeypatch):
     chunks = spy_on_chunks(monkeypatch)
+    split = 0
     for label, W, r, want in square_colon_oracle_on_link_ideals():
         chunks.clear()
         cap = admitted_cap(W, r)
         assert square_colon_check(W, r, cap=cap) == want, (label, r)
-        if want and len(W.power(r).vecs) >= 3:
-            # the least cap splits every W^r of at least 3 rows
-            assert len(chunks) >= 3, (label, r, chunks)
+        if want:
+            # every sum is drawn, cap words at a time
+            sums = len(W.power(r).vecs) * len(W.power(r + 1).vecs)
+            assert [words for words, _, _ in chunks] == cut_sizes(sums, cap), (label, r)
+            split += len(chunks) >= 3
+    # the least cap cuts 44 of the passing checks into three chunks or more
+    assert split == 44
 
 
 def test_square_colon_check_fails_beyond_the_first_chunk(monkeypatch):
     # x3 and a triangle on x1, x2, x4: the rows of W = W^1 come by degree,
-    # so the first chunk holds x3's sums alone, and only the triangle fails
+    # so the first 16 of the 4 * 10 sums are x3's and six of x2*x4's, and
+    # only the triangle fails, at x2*x4 + x1*x2*x1*x4, the 19th sum
     W = ideal(U4, [mono(xvar(1, 3)), mono(X1, X2), mono(X1, xvar(1, 4)), mono(X2, xvar(1, 4))])
     chunks = spy_on_chunks(monkeypatch)
     assert not square_colon_holds(W.vecs, 1)
     assert not square_colon_check(W, 1, cap=16)
-    assert [verdict for _, verdict in chunks] == [True, False]
+    assert [(words, verdict) for words, _, verdict in chunks] == [(16, True), (16, False)]
 
 
 def test_square_colon_check_on_zero_and_unit_ideals():
@@ -1035,18 +1061,19 @@ def test_square_colon_chunks_hold_at_most_cap_sums(monkeypatch):
     for cap in (351, 500, 1000, 5000):
         chunks.clear()
         assert square_colon_check(W, 2, cap=cap)
-        step = max(1, cap // 119)
-        assert len(chunks) == -(-39 // step)
-        assert all(size <= cap for size, _ in chunks)
+        assert [words for words, _, _ in chunks] == cut_sizes(39 * 119, cap)
+        assert all(distinct <= words for words, distinct, _ in chunks)
 
 
 def test_square_colon_check_refuses_exponents_above_the_index():
-    W = ideal(U4, [Monomial({xvar(1, 4): 256}), mono(X1)])
-    with pytest.raises(SizeGuardExceeded) as refused:
-        square_colon_check(W, 0)
-    assert refused.value.estimate == 257
-    W = ideal(U4, [Monomial({xvar(1, 4): 255}), mono(X1)])
-    assert square_colon_check(W, 0) == square_colon_holds(W.vecs, 0)
+    # the scan refuses through the same cover pass
+    for holds in (lambda W: square_colon_check(W, 0), lambda W: square_colon_scan(W, 0) is None):
+        W = ideal(U4, [Monomial({xvar(1, 4): 256}), mono(X1)])
+        with pytest.raises(SizeGuardExceeded) as refused:
+            holds(W)
+        assert refused.value.estimate == 257
+        W = ideal(U4, [Monomial({xvar(1, 4): 255}), mono(X1)])
+        assert holds(W) == square_colon_holds(W.vecs, 0)
 
 
 # halves above 255 take a second byte: 256 and 300 are covered at every
@@ -1064,9 +1091,9 @@ HALF_EXPONENTS = st.sampled_from([0, 1, 2, 127, 128, 254, 255, 256, 300, 511])
 def test_all_covered_matches_its_definition(halves, vecs, size):
     codec = ideals._packing(511, 3)
     words = codec.pack(halves)
-    chunks = [set(words[i:i + size]) for i in range(0, len(words), size)]
+    assert list(ideals._chunks(words, size)) == [set(words[i:i + size]) for i in range(0, len(words), size)]
     want = all(any(all(h[k] >= e for k, e in enumerate(v)) for v in vecs) for h in halves)
-    assert ideals._all_covered(vecs, chunks, codec) == want
+    assert ideals._all_covered(vecs, iter(words), codec, size) == want
 
 
 def test_square_colon_scan_builds_each_power_once(monkeypatch):
@@ -1128,24 +1155,25 @@ def test_square_colon_scan_fails_beyond_the_first_chunk(monkeypatch):
     ])
     chunks = spy_on_chunks(monkeypatch)
     assert square_colon_scan(W, 1, cap=100) == 1
-    assert [verdict for _, verdict in chunks] == [True, True, False]
+    assert [(words, verdict) for words, _, verdict in chunks] == [(10, True), (100, True), (20, False)]
     assert square_colon_scan(W, 1) == 1 == first_failing_check(W, 1, DEFAULT_CANDIDATE_CAP)
 
 
 def test_square_colon_scan_checks_few_halves_in_chunks_of_at_most_cap(monkeypatch):
     chunks = spy_on_chunks(monkeypatch)
     assert square_colon_scan(LinkInstance(3, 5).link_initial, 2) is None
-    # one chunk per level: the 9 generators, then the distinct halves of
-    # the 50 good triangles and of the 21 good 5-sets, against 9 * 39 and
-    # 39 * 119 sums for the single-r check
-    assert chunks == [(9, True), (33, True), (21, True)]
+    # one chunk per level: the 9 generators, then the halves of the 50 good
+    # triangles, 33 of them distinct, and of the 21 good 5-sets, against
+    # 9 * 39 and 39 * 119 sums for the single-r check
+    assert chunks == [(9, 9, True), (50, 33, True), (21, 21, True)]
     # every triple of twelve variables is a clique, with its own half; at
     # r = 1 the cap must admit 12 * 12 candidates for W^2
     W = ideal(Universe.x_grid(1, 12), [mono(xvar(1, j)) for j in range(1, 13)])
     for cap in (144, 150, 219, 220):
         chunks.clear()
         assert square_colon_scan(W, 1, cap=cap) is None
-        assert [size for size, _ in chunks] == [12, *[cap] * (220 // cap), *[220 % cap] * (220 % cap > 0)]
+        assert [words for words, _, _ in chunks] == [12, *cut_sizes(220, cap)]
+        assert all(words == distinct for words, distinct, _ in chunks)
 
 
 # -- size guard --------------------------------------------------------------------------

@@ -39,6 +39,14 @@ def test_parse_roundtrip_examples():
         Monomial.from_text("x[1,2]^0")
 
 
+@pytest.mark.parametrize("text", ["x[1,1]^1_0", "x[1,1]^+2", "x[1,1]^\u0662", "x[1,1]^", "x[\u0661,1]"])
+def test_from_text_takes_only_ascii_digits(text):
+    # int() would read 10, 2 and 2, and an empty exponent as 1
+    with pytest.raises(ValueError):
+        Monomial.from_text(text)
+    assert Monomial.from_text(" x[1,2] ^ 2 * Y[1,1] ") == Monomial({xvar(1, 2): 2, yvar(1, 1): 1})
+
+
 @given(monomials)
 def test_text_roundtrip(m):
     assert Monomial.from_text(str(m)) == m

@@ -114,8 +114,10 @@ def test_valid_schema_loads():
     (("universe", "family_sizes"), {"X": "zz"}, "universe.family_sizes.X"),
     (("universe", "family_sizes"), {"X": [5, 7]}, "universe.family_sizes.X"),
     (("generators", 0), {" x[1,1]": 2}, "generators[0]. x[1,1]"),
+    # Arabic-Indic digits, which \d and int() would read as x[1,1]
+    (("universe",), {"variables": ["x[\u0661,\u0661]", "x[1,2]"]}, "universe.variables[0]"),
 ], ids=["bool-version", "bool-exponent", "float-m", "string-m", "float-Y",
-        "string-X", "wrong-X", "variable-twice"])
+        "string-X", "wrong-X", "variable-twice", "other-script-digits"])
 def test_schema_rejects_what_it_would_coerce(path, value, location):
     data = json.loads(json.dumps(VALID))
     target = data

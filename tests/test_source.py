@@ -68,7 +68,7 @@ def test_only_ideals_knows_the_word_format():
     # The packed-word format, its cover test and its reducer have one owner;
     # the other modules call the named checks ideals.py builds on them.
     private = {
-        "_packing", "_Codec", "_all_covered", "_supports", "_top",
+        "_packing", "_Codec", "_all_covered", "_top",
         "_minimalize_words", "_minimalize_indexed", "_DivisorIndex",
     }
     root = Path(genlink.__file__).parent

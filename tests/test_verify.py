@@ -242,6 +242,15 @@ def test_candidate_cap_refusal():
     assert rep.status == "refused"
 
 
+def test_witnesses_refuse_at_the_candidate_cap(tmp_path):
+    # a square divisor at r = 1 builds iniJ^2 from 9 * 9 candidates
+    out = tmp_path / "report.json"
+    argv = ["verify", "witnesses", "3", "5", "--rmax", "2", "--max-gens", "10", "--out", str(out)]
+    assert main(argv) == 3
+    (rep,) = json.loads(out.read_text())["reports"]
+    assert (rep["status"], rep["witnesses"]["estimate"]) == ("refused", 81)
+
+
 def test_run_suite_all():
     bounds = VerifyBounds(symbolic_upto=2, square_colon_rmax=1, witness_samples=10)
     reports = run_suite("all", LinkInstance(2, 3), bounds, seed=1)
@@ -259,7 +268,7 @@ def test_run_suite_unknown():
 def test_postcondition_failure_becomes_fail_report(monkeypatch, tmp_path):
     import genlink.verify
 
-    def broken(inst, diag, chain):
+    def broken(inst, diag, chain, cap):
         raise AssertionError(f"square divisor escaped at diag={diag} chain={chain}")
 
     monkeypatch.setattr(genlink.verify, "square_divisor", broken)
