@@ -15,7 +15,7 @@ import sys
 
 from genlink import LinkInstance
 from genlink.cli import _write_output
-from genlink.verify import DEFAULT_BOUNDS, VerifyBounds, reports_to_json, run_suite
+from genlink.verify import DEFAULT_BOUNDS, SUITES, VerifyBounds, reports_to_json, run_suite
 
 
 def main() -> int:
@@ -40,26 +40,25 @@ def main() -> int:
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)
 
-    suite_names = None
     rows = []
     any_fail = False
     for m in range(1, args.max_m + 1):
         for n in range(m, args.max_n + 1):
             inst = LinkInstance(m, n)
             reports = run_suite("all", inst, bounds, seed=args.seed)
-            if suite_names is None:
-                suite_names = [r.check for r in reports]
             rows.append(((m, n), {r.check: r.status for r in reports}))
             any_fail |= any(r.status == "fail" for r in reports)
             if args.out_dir:
                 path = os.path.join(args.out_dir, f"verify_{m}_{n}.json")
                 _write_output(path, reports_to_json(reports))
 
-    width = max(len(s) for s in suite_names) + 1
-    print("instance " + "".join(f"{s:>{width}}" for s in suite_names))
+    # the suites in the order run_suite("all") runs them, so an empty grid
+    # prints the header too
+    width = max(map(len, SUITES)) + 1
+    print("instance " + "".join(f"{s:>{width}}" for s in SUITES))
     marks = {"pass": "ok", "fail": "FAIL", "refused": "ref"}
     for (m, n), statuses in rows:
-        cells = "".join(f"{marks[statuses[s]]:>{width}}" for s in suite_names)
+        cells = "".join(f"{marks[statuses[s]]:>{width}}" for s in SUITES)
         print(f"({m},{n})   " + cells)
     return 1 if any_fail else 0
 

@@ -142,6 +142,8 @@ def _cmd_compare(args) -> int:
         level = int(digits)
         if level < 1:
             raise UsageError("symbolic level must be >= 1")
+        if args.file_b is not None:
+            raise UsageError(f"op {op!r} takes one ideal file")
         op = "symbolic"
     elif op not in COMPARE_OPS:
         raise UsageError(f"unknown op {args.op!r}")

@@ -10,13 +10,13 @@ into the next prime power and reduces only the lifted ones), a
 symbolic-vs-ordinary scan that computes no prime: it builds each W^(k) by
 the Zariski-Nagata fold over the variables, seeded from the ordinary power
 W^(k-1), which equals W^(k-1) once the level below has passed, and passes
-a level whose W^(k) and W^k have equal generators. Last, the square-bracket
-colon criterion certifying symbolic = ordinary for squarefree ideals.
-Checked for one r, it builds W^r and W^(r+1) only: it bit-slices the sums
-of their generators and covers them with one pass over W^(r+1), with no
-W^(2r+1) or bracket power built. The scan over r checks, at each level s,
-only the sums of the odd cliques: the sets of 2s+1 distinct generators
-whose pairs all give a minimal generator of W^2, each its least pair.
+a level whose W^(k) and W^k have equal generators. Last, a scan of the
+square-bracket colon criterion certifying symbolic = ordinary for
+squarefree ideals. At each level s it builds W^(s+1) only, with no
+W^(2s+1) or bracket power: it checks the sums of the odd cliques, the sets
+of 2s+1 distinct generators whose pairs all give a minimal generator of
+W^2, each its least pair, and covers their bit-sliced halves with one pass
+over W^(s+1).
 
 An ideal holds its minimal generators once, as dense exponent vectors over
 the universe; their support bitmasks, :class:`Monomial` form and minimal
@@ -41,8 +41,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain, combinations, combinations_with_replacement, islice, repeat
+from itertools import chain, combinations, islice, repeat
 from math import comb
+from operator import mul
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .monomial import Monomial, Universe, Variable
@@ -534,11 +535,7 @@ class MonomialIdeal:
                     f"against {len(current)} generators, estimate {work} (cap {cap})",
                     work,
                 )
-            # a degree-e monomial in P's variables is a multiset of e columns
-            lifts = {
-                e: [sum(map(units.__getitem__, w)) for w in combinations_with_replacement(cols, e)]
-                for e in {e for _, e in short}
-            }
+            lifts = {e: _degree_words(units, cols, e) for e in {e for _, e in short}}
             lifted_words = {u + w for u, e in short for w in lifts[e]}  # deduplicated as words
             current = _minimalize_words(kept, sorted(lifted_words), codec, cap)
         return _from_vecs(self.universe, codec.unpack(current))
@@ -714,41 +711,6 @@ def first_symbolic_gap(
     return None
 
 
-def square_colon_check(W: MonomialIdeal, r: int, cap: int = DEFAULT_CANDIDATE_CAP) -> bool:
-    """Check nu in (W^(r+1))^[2] : W^(2r+1), nu the product of all variables.
-
-    For a squarefree proper ideal, this holding for every r >= 0 is
-    equivalent to the equality of all symbolic and ordinary powers; a single
-    r is checked here and callers scan r up to a bound. For a monomial t,
-    some s^2 with s in W^(r+1) divides nu * t = t + 1 iff 2s <= t + 1, that
-    is ``s <= ceil(t / 2)``, so t passes iff ceil(t / 2) lies in W^(r+1).
-    Only W^r and W^(r+1) are built, and every sum ``t = x + y`` of a
-    generator x of W^r and a generator y of W^(r+1) is checked instead of
-    the generators of W^(2r+1). That is exact for any monomial ideal:
-
-    - every minimal generator t of W^(2r+1) is such a sum: split its 2r+1
-      factors into r and r+1; were the r-part x not minimal, x = x' + z
-      with z != 0, and x' + y would properly divide t;
-    - whether t passes is upward closed in t.
-
-    The halves ``(t + 1) >> 1`` of the sums go to :func:`_all_covered`.
-    :func:`square_colon_scan` checks every r up to a bound on far fewer
-    sums; its docstring proves it finds the same first failing r.
-    """
-    if r < 0:
-        raise ValueError("r must be nonnegative")
-    rows = W.power(r, cap=cap).vecs
-    power = W.power(r + 1, cap=cap).vecs
-    codec = _packing(_top(rows) + _top(power), len(W.universe))
-    values = codec.values
-    # ceil(t / 2) = (t + 1) >> 1 fieldwise: the rows carry the + 1, which
-    # may reach a field's guard bit but not carry past it, and the low bit
-    # each field shifts into the guard bit of the field below is masked off
-    xs = [x + codec.ones for x in codec.pack(rows)]
-    ys = codec.pack(power)
-    return _all_covered(power, (((x + y) >> 1) & values for x in xs for y in ys), codec, cap)
-
-
 def _all_covered(vecs: Sequence[Vec], words: Iterable[int], codec: _Codec, cap: int) -> bool:
     """True iff every packed word of ``words`` is at least, fieldwise, some
     vector of ``vecs``.
@@ -816,25 +778,33 @@ def _is_antichain(W: MonomialIdeal) -> bool:
 def square_colon_scan(
     W: MonomialIdeal, r_max: int, cap: int = DEFAULT_CANDIDATE_CAP
 ) -> int | None:
-    """First r <= r_max failing :func:`square_colon_check`, or None.
+    """First r <= r_max at which the square-bracket colon criterion fails,
+    or None.
 
-    Level s = 0, 1, ... checks ``ceil(sum(D) / 2)`` in W^(s+1) only for the
-    sets D of 2s+1 distinct minimal generators of W that are cliques of the
-    good-pair graph (:func:`_good_pairs`): a < b, in the order of
-    ``W.vecs``, is good when a + b is a minimal generator of W^2, equals no
-    square 2c of a generator, and (a, b) is the lexicographically least
-    pair with that sum. Say D (or a multiset) fails when that half is not
-    in W^(s+1). The first failing s is the first failing r:
+    The criterion at r is nu in (W^(r+1))^[2] : W^(2r+1), nu the product of
+    all variables. For a squarefree proper ideal it holds for every r >= 0
+    iff all symbolic and ordinary powers agree. For a monomial t, some s^2
+    with s in W^(r+1) divides nu * t = t + 1 iff 2s <= t + 1, that is
+    ``s <= ceil(t / 2)``, so t passes iff ceil(t / 2) lies in W^(r+1), and
+    passing is upward closed in t. Every minimal generator of W^(2r+1) is a
+    sum of 2r+1 minimal generators of W, and every such sum lies in
+    W^(2r+1). So level r holds iff every multiset M of 2r+1 generators
+    passes; say M fails when ``ceil(sum(M) / 2)`` is not in W^(r+1).
+
+    Level s = 0, 1, ... tests only the sets D of 2s+1 distinct generators
+    that are cliques of the good-pair graph (:func:`_good_pairs`): a < b, in
+    the order of ``W.vecs``, is good when a + b is a minimal generator of
+    W^2, equals no square 2c of a generator, and (a, b) is the
+    lexicographically least pair with that sum. The first s with a failing
+    D is the first failing r:
 
     (i) a multiset M of 2r+1 generators is D + 2E, D its generators of odd
         multiplicity, 2s+1 of them for some s <= r, and
         ``ceil(sum(M) / 2) = ceil(sum(D) / 2) + sum(E)`` with sum(E) in
-        W^(r-s); so if M fails, D fails at level s. The check at r fails
-        iff some M fails (see :func:`square_colon_check`), so at the first
-        failing r some D fails with s = r: a repeated generator never fails
-        first;
-    (ii) a failing D at level s makes the check at s fail, since sum(D)
-        lies in W^(2s+1) and the test is upward closed;
+        W^(r-s); so if M fails, D fails at level s. Level r fails iff some
+        M fails, so at the first failing r some D fails with s = r: a
+        repeated generator never fails first;
+    (ii) a failing D at level s is a failing multiset, so level s fails;
     (iii) at the first failing s, take the failing D that is least by
         sum(D) under divisibility, then by its sorted index tuple. Were a
         pair a < b in D not good, swap it for (c, d): a pair whose sum
@@ -846,11 +816,11 @@ def square_colon_scan(
         c = a and d < b, and c, d are not in D). Either way D was not
         least, so D is a clique.
 
-    The same powers as in :func:`square_colon_check` are built, in the same
-    order, with the same guards, so a refusal has the same message and
-    estimate. The halves ``(sum(D) + 1) >> 1`` go to :func:`_all_covered`,
-    one stream per level. A negative ``r_max`` raises :class:`ValueError`,
-    as it would check nothing.
+    Level s builds W^(s+1) through :meth:`MonomialIdeal.power`, whose
+    product guard refuses first, and streams the halves
+    ``(sum(D) + 1) >> 1`` to :func:`_all_covered`, which refuses exponents
+    of W^(s+1) above ``_INDEX_MAX_EXPONENT``. A negative ``r_max`` raises
+    :class:`ValueError`, as it would check nothing.
     """
     if r_max < 0:
         raise ValueError("r_max must be nonnegative")
@@ -863,7 +833,10 @@ def square_colon_scan(
         words = codec.pack(gens)
         if s == 1:
             above = _good_pairs(words, codec.pack(power))
-        values = codec.values  # as in square_colon_check
+        # ceil(t / 2) = (t + 1) >> 1 fieldwise: the sums carry the + 1, which
+        # may reach a field's guard bit but not carry past it, and the low bit
+        # each field shifts into the guard bit of the field below is masked off
+        values = codec.values
         sums = _clique_sums(words, above, 2 * s + 1, codec.ones, (1 << len(words)) - 1)
         if not _all_covered(power, ((t >> 1) & values for t in sums), codec, cap):
             return s
@@ -914,6 +887,21 @@ def _unit_words(codec: _Codec) -> list[int]:
     """The packed unit vectors, the i-th one at position i."""
     width = codec.width
     return codec.pack(tuple(int(i == c) for i in range(width)) for c in range(width))
+
+
+def _degree_words(units: list[int], cols: list[int], e: int) -> list[int]:
+    """The packed degree-``e`` monomials in the variables at ``cols``, one
+    per placement of ``p - 1`` bars ``b_0 < ... < b_(p-2)`` among
+    ``e + p - 1`` slots, ``p = len(cols)`` (stars and bars). With
+    ``b_(-1) = -1`` and ``b_(p-1) = e + p - 1``, the exponent of
+    ``u_i = units[cols[i]]`` is ``b_i - b_(i-1) - 1``, so the word is
+    ``sum(b_i * (u_i - u_(i+1)) for i < p - 1)`` plus a constant: p - 1
+    products per word, where summing its e unit words would take e."""
+    us = [units[c] for c in cols]
+    end = e + len(us) - 1
+    base = end * us[-1] + us[0] - sum(us)
+    steps = [u - v for u, v in zip(us, us[1:])]
+    return [sum(map(mul, bars, steps), base) for bars in combinations(range(end), len(us) - 1)]
 
 
 def _to_vec(universe: Universe, mon: Monomial) -> Vec:

@@ -152,6 +152,14 @@ def test_compare_missing_second_file(triangle_file):
     assert main(["compare", triangle_file, "--op", "colon"]) == 2
 
 
+def test_compare_symbolic_refuses_a_second_file(tmp_path, triangle_file, capsys):
+    # refused before either file is read, whether the second exists or not
+    missing = str(tmp_path / "missing.json")
+    for second in (triangle_file, missing):
+        assert main(["compare", triangle_file, second, "--op", "symbolic:2"]) == 2
+        assert "'symbolic:2' takes one ideal file" in capsys.readouterr().err
+
+
 def test_compare_bad_op(triangle_file):
     assert main(["compare", triangle_file, "--op", "frobnicate"]) == 2
     assert main(["compare", triangle_file, "--op", "symbolic:0"]) == 2

@@ -1,6 +1,6 @@
 import hashlib
 from functools import lru_cache, reduce
-from itertools import chain
+from itertools import chain, combinations, combinations_with_replacement
 from operator import add, and_
 from random import Random
 
@@ -29,7 +29,6 @@ from genlink import (
     UniverseMismatch,
     first_symbolic_gap,
     ideal,
-    square_colon_check,
     square_colon_scan,
     unit_ideal,
     xvar,
@@ -765,6 +764,27 @@ def test_symbolic_power_refusal_across_field_widths(level, estimate):
     assert refused.value.estimate == estimate
 
 
+def test_prime_fold_refuses_a_high_level_in_the_reducer():
+    # primes (x2) and (x1, x3): the second step lifts x2^16000 by the 16,001
+    # degree-16000 monomials in x1, x3, and with exponents above 255 the
+    # reducer scans them pairwise, so its guard refuses
+    with pytest.raises(SizeGuardExceeded) as refused:
+        ideal(U3, [mono(X1, X2), mono(X2, X3)]).symbolic_power(16_000)
+    assert refused.value.estimate == 16_001 * 16_001 == 256_032_001
+    assert "reduction would scan 16001 candidates" in str(refused.value)
+
+
+def test_degree_words_are_the_monomials_of_that_degree():
+    codec = ideals._packing(5, 4)
+    units = ideals._unit_words(codec)
+    for size in range(1, 5):
+        for cols in combinations(range(4), size):
+            for e in range(1, 6):
+                want = sorted(sum(units[c] for c in w) for w in combinations_with_replacement(cols, e))
+                got = ideals._degree_words(units, list(cols), e)
+                assert sorted(got) == want and len(got) == len(want), (cols, e)
+
+
 def _record_packing(monkeypatch):
     """Every vector any codec packs from now on, in order."""
     packed = []
@@ -919,29 +939,61 @@ def test_nu_in_the_symbolic_square_three_ways():
 
 
 # -- the square-bracket colon criterion ------------------------------------------------
+# "the square-colon check" in a test name is the criterion at a level, as
+# square_colon_scan checks it; tests/bruteforce.square_colon_holds is its oracle
+
+
+def first_failing(W, r_max):
+    """The first r <= r_max at which the criterion fails by the oracle, or None."""
+    return next((r for r in range(r_max + 1) if not square_colon_holds(W.vecs, r)), None)
 
 
 def test_square_colon_examples():
     W = ideal(U3, [mono(X1), mono(X2)])
-    assert square_colon_check(W, 0)
+    assert square_colon_holds(W.vecs, 0)
+    assert square_colon_scan(W, 0) is None
     assert square_colon_scan(W, 2) is None
     failing = square_colon_scan(triangle(), 2)
     assert failing is not None and failing <= 2
 
 
-def test_square_colon_scan_agrees_with_check():
+def test_square_colon_scan_agrees_with_the_oracle():
     subjects = [triangle(), ideal(U3, [mono(X1), mono(X2)])]
     subjects += [LinkInstance(m, n).link_initial for m, n in [(1, 3), (2, 3), (2, 4)]]
     subjects += [LinkInstance(3, 5).staircase_ideal]
     for W in subjects:
-        want = next((r for r in range(3) if not square_colon_check(W, r)), None)
-        assert square_colon_scan(W, 2) == want
+        assert square_colon_scan(W, 2) == first_failing(W, 2)
 
 
 def admitted_cap(W, r):
-    """The least cap under which the square-colon check at r builds W^r and
-    W^(r+1): the largest count of the product guard on the way."""
+    """The least cap under which the scan up to r builds W^(r+1): the
+    largest count of the product guard on the way."""
     return max([len(W.vecs)] + [len(W.power(k).vecs) * len(W.vecs) for k in range(1, r + 1)])
+
+
+def predicted_scan(W, r_max, cap):
+    """What ``square_colon_scan(W, r_max, cap=cap)`` returns, or its
+    refusal's estimate, from the guards and the oracle alone. Level s, up to
+    the first failing level, refuses at the first product guard count above
+    the cap on the way to W^(s+1): |W|, then |W^k| * |W| for k <= s; else at
+    an exponent of W^(s+1) above 255, with the estimate top + 1."""
+    want = first_failing(W, r_max)
+    for s in range(r_max + 1 if want is None else want + 1):
+        counts = [len(W.vecs)] + [len(W.power(k).vecs) * len(W.vecs) for k in range(1, s + 1)]
+        over = [count for count in counts if count > cap]
+        if over:
+            return "refused", over[0]
+        top = max(chain.from_iterable(W.power(s + 1).vecs), default=0)
+        if top > 255:
+            return "refused", top + 1
+    return want
+
+
+def scan_or_refusal(W, r_max, cap):
+    try:
+        return square_colon_scan(W, r_max, cap=cap)
+    except SizeGuardExceeded as refused:
+        return "refused", refused.estimate
 
 
 def spy_on_chunks(monkeypatch):
@@ -976,27 +1028,40 @@ def spy_on_chunks(monkeypatch):
     return chunks
 
 
+def spy_on_passes(monkeypatch):
+    """The chunks of :func:`spy_on_chunks`, one list per cover pass."""
+    chunks, passes = spy_on_chunks(monkeypatch), []
+    cover = ideals._all_covered
+
+    def all_covered(vecs, words, codec, cap):
+        start = len(chunks)
+        covered = cover(vecs, words, codec, cap)
+        passes.append(chunks[start:])
+        return covered
+
+    monkeypatch.setattr(ideals, "_all_covered", all_covered)
+    return passes
+
+
 def cut_sizes(total, cap):
     """The words in each chunk of a stream of ``total`` words at ``cap``."""
     return [cap] * (total // cap) + [total % cap] * (total % cap > 0)
 
 
 @given(
-    st.one_of(small_ideals, mixed_ideals, squarefree_ideals),
+    st.one_of(small_ideals, mixed_ideals, squarefree_ideals, sparse_squarefree_ideals),
     st.integers(min_value=0, max_value=2),
     st.integers(min_value=1, max_value=400),
 )
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
 def test_square_colon_check_matches_bracket_power_oracle(W, r, cap):
-    # non-squarefree ideals too: the check must hold to the definition
-    # whatever the exponents, and in chunks at any cap the powers pass
-    want = square_colon_holds(W.vecs, r)
-    assert square_colon_check(W, r) == want
-    if cap < admitted_cap(W, r):
-        with pytest.raises(SizeGuardExceeded):
-            square_colon_check(W, r, cap=cap)
-    else:
-        assert square_colon_check(W, r, cap=cap) == want
+    # non-squarefree ideals too: the scan must hold to the definition
+    # whatever the exponents. One that is not squarefree fails at r = 0, as
+    # ceil(t/2) properly divides a generator t; the squarefree ones here
+    # pass or fail at r = 1. At any cap the scan refuses as the guards say,
+    # else it gives the oracle's level
+    assert square_colon_scan(W, r) == first_failing(W, r)
+    assert scan_or_refusal(W, r, cap) == predicted_scan(W, r, cap)
 
 
 def link_ideals_up_to_3_5():
@@ -1010,70 +1075,84 @@ def link_ideals_up_to_3_5():
 
 @lru_cache(maxsize=1)
 def square_colon_oracle_on_link_ideals():
-    return [
-        (label, W, r, square_colon_holds(W.vecs, r))
-        for label, W in link_ideals_up_to_3_5() for r in range(3)
-    ]
+    """(label, W, r, the oracle's first failing level <= r) for r <= 2."""
+    out = []
+    for label, W in link_ideals_up_to_3_5():
+        want = None
+        for r in range(3):
+            if want is None and not square_colon_holds(W.vecs, r):
+                want = r
+            out.append((label, W, r, want))
+    return out
 
 
 def test_square_colon_check_matches_bracket_power_oracle_on_link_ideals():
     for label, W, r, want in square_colon_oracle_on_link_ideals():
-        assert square_colon_check(W, r) == want, (label, r)
+        assert square_colon_scan(W, r) == want, (label, r)
 
 
 def test_square_colon_check_in_chunks_matches_the_oracle_on_link_ideals(monkeypatch):
-    chunks = spy_on_chunks(monkeypatch)
+    passes = spy_on_passes(monkeypatch)
     split = 0
     for label, W, r, want in square_colon_oracle_on_link_ideals():
-        chunks.clear()
+        passes.clear()
         cap = admitted_cap(W, r)
-        assert square_colon_check(W, r, cap=cap) == want, (label, r)
-        if want:
-            # every sum is drawn, cap words at a time
-            sums = len(W.power(r).vecs) * len(W.power(r + 1).vecs)
-            assert [words for words, _, _ in chunks] == cut_sizes(sums, cap), (label, r)
-            split += len(chunks) >= 3
-    # the least cap cuts 44 of the passing checks into three chunks or more
-    assert split == 44
+        assert square_colon_scan(W, r, cap=cap) == want, (label, r)
+        # one pass per level up to the first failing one, each cut into
+        # chunks of cap words, and the first uncovered chunk ends the scan
+        assert len(passes) == (r if want is None else want) + 1, (label, r)
+        for chunks in passes:
+            sizes = [words for words, _, _ in chunks]
+            assert sizes == cut_sizes(sum(sizes), cap), (label, r)
+            split += len(chunks) >= 2
+        verdicts = [covered for chunks in passes for _, _, covered in chunks]
+        assert verdicts == [True] * (len(verdicts) - 1) + [want is None], (label, r)
+    # at the least cap the odd cliques of every level fit in one chunk:
+    # there are fewer than the product guard admits for W^(r+1)
+    assert split == 0
 
 
 def test_square_colon_check_fails_beyond_the_first_chunk(monkeypatch):
-    # x3 and a triangle on x1, x2, x4: the rows of W = W^1 come by degree,
-    # so the first 16 of the 4 * 10 sums are x3's and six of x2*x4's, and
-    # only the triangle fails, at x2*x4 + x1*x2*x1*x4, the 19th sum
+    # x3 and a triangle on x1, x2, x4: level 0 passes in one chunk of the 4
+    # generators, and level 1 fails in the next, whose 4 triples include the
+    # triangle; 16 is the least cap that builds W^2
     W = ideal(U4, [mono(xvar(1, 3)), mono(X1, X2), mono(X1, xvar(1, 4)), mono(X2, xvar(1, 4))])
     chunks = spy_on_chunks(monkeypatch)
-    assert not square_colon_holds(W.vecs, 1)
-    assert not square_colon_check(W, 1, cap=16)
-    assert [(words, verdict) for words, _, verdict in chunks] == [(16, True), (16, False)]
+    assert first_failing(W, 1) == 1
+    assert square_colon_scan(W, 1, cap=16) == 1
+    assert [(words, verdict) for words, _, verdict in chunks] == [(4, True), (4, False)]
+    assert scan_or_refusal(W, 1, 15) == ("refused", 16)
 
 
 def test_square_colon_check_on_zero_and_unit_ideals():
     for W in (zero_ideal(U3), unit_ideal(U3)):
         for r in range(3):
-            assert square_colon_check(W, r, cap=1)
+            assert square_colon_holds(W.vecs, r)
+            assert square_colon_scan(W, r, cap=1) is None
         assert square_colon_scan(W, 2) is None
 
 
 def test_square_colon_chunks_hold_at_most_cap_sums(monkeypatch):
     chunks = spy_on_chunks(monkeypatch)
-    W = LinkInstance(3, 5).link_initial  # 39 rows of W^2, 119 of W^3
-    for cap in (351, 500, 1000, 5000):
+    # iniI(3,6): 20 generators, whose 650 good triangles have 389 distinct
+    # halves; r = 1 must admit 20 * 20 candidates for W^2
+    W = LinkInstance(3, 6).minors_initial
+    for cap in (400, 500, 649, 650, 1000):
         chunks.clear()
-        assert square_colon_check(W, 2, cap=cap)
-        assert [words for words, _, _ in chunks] == cut_sizes(39 * 119, cap)
+        assert square_colon_scan(W, 1, cap=cap) is None
+        assert [words for words, _, _ in chunks] == [20, *cut_sizes(650, cap)]
         assert all(distinct <= words for words, distinct, _ in chunks)
+    assert sum(distinct for words, distinct, _ in chunks[1:]) == 389
 
 
 def test_square_colon_check_refuses_exponents_above_the_index():
-    # the scan refuses through the same cover pass
-    for holds in (lambda W: square_colon_check(W, 0), lambda W: square_colon_scan(W, 0) is None):
-        W = ideal(U4, [Monomial({xvar(1, 4): 256}), mono(X1)])
-        with pytest.raises(SizeGuardExceeded) as refused:
-            holds(W)
-        assert refused.value.estimate == 257
-        W = ideal(U4, [Monomial({xvar(1, 4): 255}), mono(X1)])
-        assert holds(W) == square_colon_holds(W.vecs, 0)
+    # the scan refuses through its cover pass
+    W = ideal(U4, [Monomial({xvar(1, 4): 256}), mono(X1)])
+    with pytest.raises(SizeGuardExceeded) as refused:
+        square_colon_scan(W, 0)
+    assert refused.value.estimate == 257
+    W = ideal(U4, [Monomial({xvar(1, 4): 255}), mono(X1)])
+    assert (square_colon_scan(W, 0) is None) == square_colon_holds(W.vecs, 0)
 
 
 # halves above 255 take a second byte: 256 and 300 are covered at every
@@ -1082,7 +1161,7 @@ HALF_EXPONENTS = st.sampled_from([0, 1, 2, 127, 128, 254, 255, 256, 300, 511])
 
 
 @given(
-    # the check hands over no words only when W^(r+1) is zero, with no supports
+    # the scan hands over no words only when W^(r+1) is zero, with no supports
     st.lists(st.tuples(*[HALF_EXPONENTS] * 3), min_size=1, max_size=12),
     st.lists(st.tuples(*[st.integers(0, 255)] * 3), max_size=4),
     st.integers(min_value=1, max_value=12),
@@ -1107,35 +1186,9 @@ def test_square_colon_scan_builds_each_power_once(monkeypatch):
     monkeypatch.setattr(MonomialIdeal, "product", counting)
     W = LinkInstance(2, 4).link_initial
     assert square_colon_scan(W, 2) is None
-    # W^2 and W^3, each one product with W: r = 2 checks the sums of W^2
-    # and W^3, and no W^4 or W^5 is built
+    # W^2 and W^3, each one product with W: level 2 covers its halves by
+    # W^3, and no W^4 or W^5 is built
     assert len(calls) == 2 and all(V is W for V in calls)
-
-
-def first_failing_check(W, r_max, cap):
-    """The first r <= r_max failing the single-r check, or the refusal's
-    estimate."""
-    try:
-        return next((r for r in range(r_max + 1) if not square_colon_check(W, r, cap=cap)), None)
-    except SizeGuardExceeded as refused:
-        return "refused", refused.estimate
-
-
-@given(
-    st.one_of(small_ideals, mixed_ideals, squarefree_ideals, sparse_squarefree_ideals),
-    st.integers(min_value=1, max_value=400),
-)
-@settings(max_examples=120, deadline=None)
-def test_square_colon_scan_matches_the_check_and_the_oracle(W, cap):
-    # an ideal that is not squarefree fails at r = 0, as ceil(t/2) properly
-    # divides a generator t; the squarefree ones here pass or fail at r = 1
-    want = next((r for r in range(3) if not square_colon_holds(W.vecs, r)), None)
-    assert square_colon_scan(W, 2) == want
-    try:
-        got = square_colon_scan(W, 2, cap=cap)
-    except SizeGuardExceeded as refused:
-        got = "refused", refused.estimate
-    assert got == first_failing_check(W, 2, cap)
 
 
 def test_square_colon_scan_fails_first_at_the_odd_cycle():
@@ -1143,7 +1196,7 @@ def test_square_colon_scan_fails_first_at_the_odd_cycle():
     for k in (1, 2, 3):
         U = Universe.x_grid(1, 2 * k + 1)
         W = ideal(U, [mono(a, b) for a, b in zip(U.variables, U.variables[1:] + U.variables[:1])])
-        assert square_colon_scan(W, 3) == k == first_failing_check(W, 3, DEFAULT_CANDIDATE_CAP)
+        assert square_colon_scan(W, 3) == k == first_failing(W, k)
 
 
 def test_square_colon_scan_fails_beyond_the_first_chunk(monkeypatch):
@@ -1156,7 +1209,7 @@ def test_square_colon_scan_fails_beyond_the_first_chunk(monkeypatch):
     chunks = spy_on_chunks(monkeypatch)
     assert square_colon_scan(W, 1, cap=100) == 1
     assert [(words, verdict) for words, _, verdict in chunks] == [(10, True), (100, True), (20, False)]
-    assert square_colon_scan(W, 1) == 1 == first_failing_check(W, 1, DEFAULT_CANDIDATE_CAP)
+    assert square_colon_scan(W, 1) == 1 == first_failing(W, 1)
 
 
 def test_square_colon_scan_checks_few_halves_in_chunks_of_at_most_cap(monkeypatch):
@@ -1164,7 +1217,7 @@ def test_square_colon_scan_checks_few_halves_in_chunks_of_at_most_cap(monkeypatc
     assert square_colon_scan(LinkInstance(3, 5).link_initial, 2) is None
     # one chunk per level: the 9 generators, then the halves of the 50 good
     # triangles, 33 of them distinct, and of the 21 good 5-sets, against
-    # 9 * 39 and 39 * 119 sums for the single-r check
+    # the 9 * 39 and 39 * 119 sums of W^r and W^(r+1) at r = 1 and 2
     assert chunks == [(9, 9, True), (50, 33, True), (21, 21, True)]
     # every triple of twelve variables is a clique, with its own half; at
     # r = 1 the cap must admit 12 * 12 candidates for W^2

@@ -437,3 +437,14 @@ def test_grid_script_writes_the_cli_report(tmp_path):
     assert sorted(p.name for p in out_dir.iterdir()) == [
         f"verify_{m}_{n}.json" for m, n in [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3)]
     ]
+
+
+def test_grid_script_prints_the_header_of_an_empty_grid():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run(
+        [sys.executable, str(root / "scripts" / "run_verification_grid.py"), "--max-m", "0"],
+        env=env, capture_output=True, text=True,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.split() == ["instance", *SUITES]
