@@ -1064,6 +1064,19 @@ def test_square_colon_check_matches_bracket_power_oracle(W, r, cap):
     assert scan_or_refusal(W, r, cap) == predicted_scan(W, r, cap)
 
 
+
+@given(
+    st.one_of(small_ideals, mixed_ideals, squarefree_ideals, sparse_squarefree_ideals),
+    st.integers(min_value=1, max_value=400),
+)
+@settings(max_examples=120, deadline=None)
+def test_square_colon_scan_matches_the_check_and_the_oracle(W, cap):
+    # the scan over r_max = 2 at once: uncapped it gives the oracle's first
+    # failing level; at any cap it matches the check made from the guards
+    # and the oracle, predicted_scan, refusal estimate included
+    assert square_colon_scan(W, 2) == first_failing(W, 2)
+    assert scan_or_refusal(W, 2, cap) == predicted_scan(W, 2, cap)
+
 def link_ideals_up_to_3_5():
     for m in range(1, 4):
         for n in range(m, 6):
