@@ -12,11 +12,12 @@ the Zariski-Nagata fold over the variables, seeded from the ordinary power
 W^(k-1), which equals W^(k-1) once the level below has passed, and passes
 a level whose W^(k) and W^k have equal generators. Last, a scan of the
 square-bracket colon criterion certifying symbolic = ordinary for
-squarefree ideals. At each level s it builds W^(s+1) only, with no
-W^(2s+1) or bracket power: it checks the sums of the odd cliques, the sets
-of 2s+1 distinct generators whose pairs all give a minimal generator of
-W^2, each its least pair, and covers their bit-sliced halves with one pass
-over W^(s+1).
+squarefree ideals. It builds no W^(2s+1) or bracket power: at each level s
+it checks the sums of the odd cliques, the sets of 2s+1 distinct
+generators whose pairs all give a minimal generator of W^2, each its least
+pair, and covers their bit-sliced halves with one pass over W^(s+1), at
+the top level over the unreduced sums of W^s and W, so that W^(s+1) is
+built only where a later level reads it.
 
 An ideal holds its minimal generators once, as dense exponent vectors over
 the universe; their support bitmasks, :class:`Monomial` form and minimal
@@ -41,9 +42,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain, combinations, islice, repeat
+from itertools import chain, combinations, compress, islice, repeat
 from math import comb
-from operator import mul
+from operator import add, mul
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .monomial import Monomial, Universe, Variable
@@ -152,6 +153,12 @@ def _packing(top: int, width: int) -> _Codec:
 def _top(vecs: Iterable[Vec]) -> int:
     """The largest exponent in ``vecs``, 0 if there is none."""
     return max(chain.from_iterable(vecs), default=0)
+
+
+def _column_tops(vecs: Sequence[Vec]) -> list[int]:
+    """The largest exponent at each position of ``vecs``; empty if there
+    is no vector."""
+    return [max(exps) for exps in zip(*vecs)]
 
 
 # An index keeps one bitset per variable and exponent up to the largest
@@ -514,7 +521,11 @@ class MonomialIdeal:
         grows as they are kept. Kept generators are not counted, as they
         are not reduced. Above the index switch of :func:`_minimalize_words`
         a step costs less, but the bound is kept so that refusals do not
-        depend on how reduction is done.
+        depend on how reduction is done. Above ``_INDEX_MAX_EXPONENT`` the
+        reducer may have no index and scan pairwise, refusing when its
+        candidates times the kept words and candidates exceed ``cap``; there
+        the step guard counts ``lifted * (kept + lifted)``, which bounds that
+        count, so such a step refuses before it lists its lifts.
         """
         width = len(self.universe)
         codec = _packing(level, width)
@@ -529,10 +540,14 @@ class MonomialIdeal:
                 else:
                     kept.append(u)
             lifted = sum(comb(e + len(cols) - 1, e) for _, e in short)
-            if (work := lifted * len(current)) > cap:
+            if level > _INDEX_MAX_EXPONENT:  # the reducer may scan: count as its guard does
+                against, what = len(kept) + lifted, "kept generators and lifted candidates"
+            else:
+                against, what = len(current), "generators"
+            if (work := lifted * against) > cap:
                 raise SizeGuardExceeded(
                     f"symbolic power step would reduce {lifted} lifted candidates "
-                    f"against {len(current)} generators, estimate {work} (cap {cap})",
+                    f"against {against} {what}, estimate {work} (cap {cap})",
                     work,
                 )
             lifts = {e: _degree_words(units, cols, e) for e in {e for _, e in short}}
@@ -711,7 +726,7 @@ def first_symbolic_gap(
     return None
 
 
-def _all_covered(vecs: Sequence[Vec], words: Iterable[int], codec: _Codec, cap: int) -> bool:
+def _all_covered(vecs: Iterable[Vec], words: Iterable[int], codec: _Codec, cap: int) -> bool:
     """True iff every packed word of ``words`` is at least, fieldwise, some
     vector of ``vecs``.
 
@@ -719,39 +734,48 @@ def _all_covered(vecs: Sequence[Vec], words: Iterable[int], codec: _Codec, cap: 
     of the next ``max(1, cap)`` words of the stream (:func:`_chunks`), so no
     pass holds more than ``max(1, cap)`` words however many the stream
     yields, and the first chunk with a word that is not covered ends the
-    test. Each chunk's words are bit-sliced, one bit per word, and the
-    bitset of the words at least ``e`` at column ``k`` is read straight
-    from their bytes, one ``bytes.translate`` of the column's low field
-    bytes, or-ed with the words whose field there exceeds 255. A vector,
-    taken once as its support ``(column, exponent)`` pairs, covers the AND
-    of its pairs' bitsets. Vectors are taken in turn against the words not
-    yet covered, until none is left. Exponents above
-    ``_INDEX_MAX_EXPONENT`` in ``vecs`` raise :class:`SizeGuardExceeded`
-    before any chunk is drawn.
+    test. Each chunk's words are bit-sliced, one bit per word: the bitset
+    of the words at least ``e`` at column ``k`` is read straight from their
+    bytes, one ``bytes.translate`` of the column's low field bytes, or-ed
+    with the words whose field there exceeds 255. A vector covers the AND
+    of its support ``(column, exponent)`` pairs' bitsets, and a chunk
+    builds only the bitsets its vectors read. Vectors are taken in turn
+    against the words not yet covered, until none is left, so ``vecs`` may
+    be a one-shot stream: a vector is drawn only when a chunk needs one
+    more, and its pairs are kept for the later chunks. The exponents of
+    ``vecs`` must be at most ``_INDEX_MAX_EXPONENT``; the callers refuse
+    larger ones (:func:`_check_slices`) before they call.
     """
-    _check_slices(_top(vecs))
-    supports = [[(k, e) for k, e in enumerate(v) if e] for v in vecs]
-    pairs_used = {pair for pairs in supports for pair in pairs}
+    vecs = iter(vecs)
+    supports: list[list[tuple[int, int]]] = []
+
+    def drawn() -> Iterator[list[tuple[int, int]]]:
+        yield from supports
+        for v in vecs:
+            supports.append(pairs := list(compress(enumerate(v), v)))
+            yield pairs
+
     size = (codec.shift + 1) // 8
     stride = size * codec.width
     for chunk in _chunks(words, max(1, cap)):
         raw = b"".join(map(int.to_bytes, chunk, repeat(stride), repeat("big")))
         everyone = (1 << len(chunk)) - 1
-        at_least = {}
-        for k, e in pairs_used:
-            low = raw[k * size + size - 1::stride]
-            bits = everyone ^ int(low.translate(_at_most(e - 1)), 2)
-            for b in range(k * size, k * size + size - 1):  # the field's higher bytes
-                bits |= everyone ^ int(raw[b::stride].translate(_at_most(0)), 2)
-            at_least[k, e] = bits
+        at_least: dict[tuple[int, int], int] = {}
         uncovered = everyone
-        for pairs in supports:
-            bits = uncovered
+        for pairs in drawn():
+            covered = uncovered
             for pair in pairs:
-                bits &= at_least[pair]
-                if not bits:
+                bits = at_least.get(pair)
+                if bits is None:
+                    k, e = pair
+                    bits = everyone ^ int(raw[k * size + size - 1::stride].translate(_at_most(e - 1)), 2)
+                    for b in range(k * size, k * size + size - 1):  # the field's higher bytes
+                        bits |= everyone ^ int(raw[b::stride].translate(_at_most(0)), 2)
+                    at_least[pair] = bits
+                covered &= bits
+                if not covered:
                     break
-            uncovered ^= bits
+            uncovered ^= covered
             if not uncovered:
                 break
         if uncovered:
@@ -762,6 +786,7 @@ def _all_covered(vecs: Sequence[Vec], words: Iterable[int], codec: _Codec, cap: 
 def _products_covered(a: MonomialIdeal, b: MonomialIdeal, into: MonomialIdeal, cap: int) -> bool:
     """True iff ``into`` holds every product of a generator of ``a`` and one
     of ``b``, tested by :func:`_all_covered` with no reducer."""
+    _check_slices(_top(into.vecs))
     codec = _packing(_top(a.vecs) + _top(b.vecs), len(a.universe))
     words = codec.pack(b.vecs)
     return _all_covered(into.vecs, (t + v for t in codec.pack(a.vecs) for v in words), codec, cap)
@@ -816,30 +841,48 @@ def square_colon_scan(
         c = a and d < b, and c, d are not in D). Either way D was not
         least, so D is a clique.
 
-    Level s builds W^(s+1) through :meth:`MonomialIdeal.power`, whose
-    product guard refuses first, and streams the halves
-    ``(sum(D) + 1) >> 1`` to :func:`_all_covered`, which refuses exponents
-    of W^(s+1) above ``_INDEX_MAX_EXPONENT``. A negative ``r_max`` raises
-    :class:`ValueError`, as it would check nothing.
+    Level s streams the halves ``(sum(D) + 1) >> 1`` to
+    :func:`_all_covered`, which covers them with a generating set of
+    W^(s+1): any one answers the membership. W^(s+1) itself is built, by
+    :meth:`MonomialIdeal.power`, only where something later reads it: as
+    the next level's W^s (s < r_max) and for the good pairs (s = 1). At the
+    top level s = r_max, unless W keeps W^(s+1) already, the cover is the
+    distinct sums t + v of the generators t of W^s and v of W, drawn as the
+    pass needs them and never reduced. Before either, level s refuses with
+    :class:`SizeGuardExceeded` when the product count |W^s| * |W| exceeds
+    ``cap``, with power's message and estimate, and when the largest sum of
+    the column tops of W^s and W at one position, which bounds every
+    exponent of W^(s+1), exceeds ``_INDEX_MAX_EXPONENT``, with that sum
+    plus one as the estimate. Both counts come from W^s and W alone, so no
+    refusal depends on which powers were built before. A negative
+    ``r_max`` raises :class:`ValueError`, as it would check nothing.
     """
     if r_max < 0:
         raise ValueError("r_max must be nonnegative")
     gens = W.vecs
     width = len(W.universe)
+    tops = _column_tops(gens)
     above: list[int] = []
+    base: Sequence[Vec] = ((0,) * width,)  # W^s, here W^0
     for s in range(r_max + 1):
-        power = W.power(s + 1, cap=cap).vecs
+        _check_cap(len(base) * len(gens), cap, "product")
+        _check_slices(max(map(add, _column_tops(base), tops), default=0))
         codec = _packing((2 * s + 1) * _top(gens), width)
         words = codec.pack(gens)
+        if s < r_max or s == 1 or len(W._powers) >= s:  # read again, or kept
+            cover: Iterable[Vec] = W.power(s + 1, cap=cap).vecs
+        else:  # W^(s+1) would be read once: cover with the sums that reduce to it
+            cover = chain.from_iterable(map(codec.unpack, zip(_distinct_sums(codec.pack(base), words))))
         if s == 1:
-            above = _good_pairs(words, codec.pack(power))
+            above = _good_pairs(words, codec.pack(cover))
         # ceil(t / 2) = (t + 1) >> 1 fieldwise: the sums carry the + 1, which
         # may reach a field's guard bit but not carry past it, and the low bit
         # each field shifts into the guard bit of the field below is masked off
         values = codec.values
         sums = _clique_sums(words, above, 2 * s + 1, codec.ones, (1 << len(words)) - 1)
-        if not _all_covered(power, ((t >> 1) & values for t in sums), codec, cap):
+        if not _all_covered(cover, ((t >> 1) & values for t in sums), codec, cap):
             return s
+        base = cover  # W^(s+1), built as s < r_max
     return None
 
 
@@ -872,6 +915,17 @@ def _clique_sums(words: list[int], above: list[int], size: int, total: int, amon
             yield total + words[j]
         elif (rest := among & above[j]).bit_count() >= size - 1:
             yield from _clique_sums(words, above, size - 1, total + words[j], rest)
+
+
+def _distinct_sums(a: list[int], b: list[int]) -> Iterator[int]:
+    """The distinct sums ``t + v``, ``t`` in ``a`` and ``v`` in ``b``, in the
+    order they first come with ``t`` in the outer loop."""
+    seen: set[int] = set()
+    for t in a:
+        for v in b:
+            if (w := t + v) not in seen:
+                seen.add(w)
+                yield w
 
 
 def _chunks(words: Iterable[int], size: int) -> Iterator[set[int]]:

@@ -764,14 +764,25 @@ def test_symbolic_power_refusal_across_field_widths(level, estimate):
     assert refused.value.estimate == estimate
 
 
-def test_prime_fold_refuses_a_high_level_in_the_reducer():
-    # primes (x2) and (x1, x3): the second step lifts x2^16000 by the 16,001
-    # degree-16000 monomials in x1, x3, and with exponents above 255 the
-    # reducer scans them pairwise, so its guard refuses
+@pytest.mark.parametrize("level", [1_000, 16_000, 64_000])
+def test_prime_fold_refuses_a_high_level_before_it_lifts(monkeypatch, level):
+    # primes (x2) and (x1, x3): the second step would lift x2^level by the
+    # level + 1 monomials of that degree in x1, x3, and with exponents above
+    # 255 the reducer would scan them pairwise; the step guard counts that
+    # scan, lifted * (kept + lifted), and refuses before a lift is built
+    built = []
+    degree_words = ideals._degree_words
+
+    def spy(units, cols, e):
+        built.append((tuple(cols), e))
+        return degree_words(units, cols, e)
+
+    monkeypatch.setattr(ideals, "_degree_words", spy)
     with pytest.raises(SizeGuardExceeded) as refused:
-        ideal(U3, [mono(X1, X2), mono(X2, X3)]).symbolic_power(16_000)
-    assert refused.value.estimate == 16_001 * 16_001 == 256_032_001
-    assert "reduction would scan 16001 candidates" in str(refused.value)
+        ideal(U3, [mono(X1, X2), mono(X2, X3)]).symbolic_power(level)
+    assert refused.value.estimate == (level + 1) * (0 + level + 1)
+    assert f"reduce {level + 1} lifted candidates against {level + 1} kept generators" in str(refused.value)
+    assert built == [((1,), level)]  # the first step's x2^level only
 
 
 def test_degree_words_are_the_monomials_of_that_degree():
@@ -975,17 +986,19 @@ def predicted_scan(W, r_max, cap):
     """What ``square_colon_scan(W, r_max, cap=cap)`` returns, or its
     refusal's estimate, from the guards and the oracle alone. Level s, up to
     the first failing level, refuses at the first product guard count above
-    the cap on the way to W^(s+1): |W|, then |W^k| * |W| for k <= s; else at
-    an exponent of W^(s+1) above 255, with the estimate top + 1."""
+    the cap on the way to W^(s+1): |W|, then |W^k| * |W| for k <= s; else
+    when the exponent bound of W^(s+1), the largest sum of the column tops
+    of W^s and W at one position, is above 255, with the estimate bound + 1."""
     want = first_failing(W, r_max)
     for s in range(r_max + 1 if want is None else want + 1):
         counts = [len(W.vecs)] + [len(W.power(k).vecs) * len(W.vecs) for k in range(1, s + 1)]
         over = [count for count in counts if count > cap]
         if over:
             return "refused", over[0]
-        top = max(chain.from_iterable(W.power(s + 1).vecs), default=0)
-        if top > 255:
-            return "refused", top + 1
+        tops = [map(max, zip(*V.vecs)) for V in (W.power(s), W)]
+        bound = max(map(add, *tops), default=0)
+        if bound > 255:
+            return "refused", bound + 1
     return want
 
 
@@ -999,12 +1012,14 @@ def scan_or_refusal(W, r_max, cap):
 def spy_on_chunks(monkeypatch):
     """Each chunk _all_covered draws, as the words it takes from the stream,
     the distinct ones among them, and whether all are covered, as a divisor
-    index over the covering vectors tells."""
+    index over the covering vectors tells. The covering vectors may come as
+    a one-shot stream, so they are copied into a list first."""
     chunks = []
     cover, cut = ideals._all_covered, ideals._chunks
     seen = {}
 
     def all_covered(vecs, words, codec, cap):
+        vecs = list(vecs)
         seen.update(index=ideals._DivisorIndex(codec.width, vecs), unpack=codec.unpack)
         return cover(vecs, words, codec, cap)
 
@@ -1076,6 +1091,35 @@ def test_square_colon_scan_matches_the_check_and_the_oracle(W, cap):
     # and the oracle, predicted_scan, refusal estimate included
     assert square_colon_scan(W, 2) == first_failing(W, 2)
     assert scan_or_refusal(W, 2, cap) == predicted_scan(W, 2, cap)
+
+
+def scan_outcome(W, r_max, cap):
+    """The scan's level, or its refusal's estimate and message."""
+    try:
+        return square_colon_scan(W, r_max, cap=cap)
+    except SizeGuardExceeded as refused:
+        return "refused", refused.estimate, str(refused)
+
+
+@given(
+    st.one_of(small_ideals, mixed_ideals, squarefree_ideals, sparse_squarefree_ideals),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=1, max_value=400),
+)
+@settings(max_examples=120, deadline=None)
+def test_square_colon_scan_covers_alike_with_the_top_power_kept(W, r, cap):
+    # the top level covers by the sums of W^r and W, or by W^(r+1) if W
+    # keeps it: the two give the same level, refusal and estimate
+    fresh = MonomialIdeal(W.universe, W.vecs)
+    streamed = scan_outcome(fresh, r, cap)
+    # W^2 to W^r at most, and W^2 at r = 1 for the good pairs: no W^(r+1)
+    # for r >= 2
+    assert len(fresh._powers) <= max(r - 1, min(r, 1))
+    kept = MonomialIdeal(W.universe, W.vecs)
+    kept.power(r + 1)
+    assert scan_outcome(kept, r, cap) == streamed
+    assert scan_or_refusal(MonomialIdeal(W.universe, W.vecs), r, cap) == predicted_scan(W, r, cap)
+
 
 def link_ideals_up_to_3_5():
     for m in range(1, 4):
@@ -1186,6 +1230,11 @@ def test_all_covered_matches_its_definition(halves, vecs, size):
     assert list(ideals._chunks(words, size)) == [set(words[i:i + size]) for i in range(0, len(words), size)]
     want = all(any(all(h[k] >= e for k, e in enumerate(v)) for v in vecs) for h in halves)
     assert ideals._all_covered(vecs, iter(words), codec, size) == want
+    # the vectors as a one-shot stream too, the words in one chunk or in
+    # chunks of one: a vector drawn for one chunk is kept for the later ones
+    for cut in (size, 1, len(words)):
+        assert ideals._all_covered(iter(vecs), iter(words), codec, cut) == want, cut
+        assert ideals._all_covered(vecs, iter(words), codec, cut) == want, cut
 
 
 def test_square_colon_scan_builds_each_power_once(monkeypatch):
@@ -1199,9 +1248,10 @@ def test_square_colon_scan_builds_each_power_once(monkeypatch):
     monkeypatch.setattr(MonomialIdeal, "product", counting)
     W = LinkInstance(2, 4).link_initial
     assert square_colon_scan(W, 2) is None
-    # W^2 and W^3, each one product with W: level 2 covers its halves by
-    # W^3, and no W^4 or W^5 is built
-    assert len(calls) == 2 and all(V is W for V in calls)
+    # W^2 only, one product with W: level 2 covers its halves by the sums
+    # of W^2 and W, unreduced, and no W^3, W^4 or W^5 is built
+    assert len(calls) == 1 and calls[0] is W
+    assert len(W._powers) == 1
 
 
 def test_square_colon_scan_fails_first_at_the_odd_cycle():
