@@ -786,6 +786,7 @@ def _all_covered(vecs: Iterable[Vec], words: Iterable[int], codec: _Codec, cap: 
 def _products_covered(a: MonomialIdeal, b: MonomialIdeal, into: MonomialIdeal, cap: int) -> bool:
     """True iff ``into`` holds every product of a generator of ``a`` and one
     of ``b``, tested by :func:`_all_covered` with no reducer."""
+    _check_cap(len(a.vecs) * len(b.vecs), cap, "product")
     _check_slices(_top(into.vecs))
     codec = _packing(_top(a.vecs) + _top(b.vecs), len(a.universe))
     words = codec.pack(b.vecs)

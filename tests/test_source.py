@@ -94,3 +94,22 @@ def test_only_ideals_calls_the_ideal_constructor():
         and ast.unparse(node.func).rpartition(".")[2] == "MonomialIdeal"
     ]
     assert not found, found
+
+
+def test_only_the_runner_applies_the_universe_guard():
+    # Every suite is guarded by the one runner that `_suite` declares, so no
+    # check body can forget the guard or apply it twice.
+    root = Path(genlink.__file__).parent
+    found = []
+    for path in sorted(root.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        runner = [
+            range(node.lineno, node.end_lineno + 1) for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name == "_suite"
+        ]
+        found += [
+            f"{path.name}:{line}"
+            for name, line in _references(tree)
+            if name == "_guard_universe" and not any(line in lines for lines in runner)
+        ]
+    assert not found, found

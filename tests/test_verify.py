@@ -251,6 +251,17 @@ def test_witnesses_refuse_at_the_candidate_cap(tmp_path):
     assert (rep["status"], rep["witnesses"]["estimate"]) == ("refused", 81)
 
 
+def test_colon_refuses_the_claimed_products_at_the_candidate_cap(tmp_path):
+    # the colon itself fits a cap of 50 at (3,5); the check that every claimed
+    # generator times every minors generator (9 * 10) lies in the sequence
+    # ideal refuses before it streams a product
+    out = tmp_path / "report.json"
+    assert main(["verify", "colon", "3", "5", "--max-gens", "50", "--out", str(out)]) == 3
+    (rep,) = json.loads(out.read_text())["reports"]
+    assert (rep["status"], rep["witnesses"]["estimate"]) == ("refused", 90)
+    assert rep["witnesses"]["reason"].startswith("product would enumerate about 90")
+
+
 def test_run_suite_all():
     bounds = VerifyBounds(symbolic_upto=2, square_colon_rmax=1, witness_samples=10)
     reports = run_suite("all", LinkInstance(2, 3), bounds, seed=1)
