@@ -200,8 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--samples", type=int, default=DEFAULT_BOUNDS.witness_samples)
     ver.add_argument("--max-gens", type=int, default=DEFAULT_BOUNDS.candidate_cap,
-                     help="cap on intermediate candidate generators, the witness "
-                     "suite's powers included (leads keeps its own bound)")
+                     help="cap on intermediate candidate generators (leads keeps its "
+                     "own bound; witnesses builds no power)")
     ver.add_argument("--out", default=None, help="write the JSON report here")
     ver.set_defaults(func=_cmd_verify)
 

@@ -24,10 +24,12 @@ The generators are kept once per instance as exponent vectors over the
 universe, and the four ideals are wrapped around them unreduced: each
 family is a list of distinct monomials of one degree, and no antidiagonal
 divides a beta(A), so each list is minimal except the link's at m = n.
-The witnesses compute on the vectors: a product is a sum of vectors, a
-square divides where every doubled exponent fits, and membership in a
-power is a query on its divisor index. Monomials are made only for what a
-witness returns and for the message of a failed check.
+The witnesses compute on the vectors: a product is a sum of vectors, and
+a square divides where every doubled exponent fits. A witness keeps the
+generator vectors it is the sum of, so membership in a power is read off
+them: a sum of k vectors, each in the ideal, lies in its k-th power, and no
+power is built. Monomials are made only for what a witness returns and for
+the message of a failed check.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from math import comb
 from operator import add, le
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .ideals import DEFAULT_CANDIDATE_CAP, MonomialIdeal, Vec, _from_vecs, _to_monomial
+from .ideals import MonomialIdeal, Vec, _from_vecs, _to_monomial
 from .monomial import Monomial, Universe, xvar, yvar
 
 Cell = tuple[int, int]
@@ -372,12 +374,14 @@ class SquareDivisorWitness:
     delta and gamma are kept as exponent vectors over ``universe``; the
     monomial properties build them on access, as does ``off_staircase`` in
     the interior-cell case: the variables of the cell's antidiagonal in the
-    rows p < lo and p > hi.
+    rows p < lo and p > hi. ``factor_vecs`` are the r+1 or more generator
+    vectors whose sum is delta, which certify it in link_initial^(r+1).
     """
 
     universe: Universe
     delta_vec: Vec
     gamma_vec: Vec
+    factor_vecs: tuple[Vec, ...]
     r: int
     case: str
     cell: Cell | None = None
@@ -411,7 +415,6 @@ def square_divisor(
     inst: LinkInstance,
     diag_indices: Sequence[int],
     chain: Sequence[Selector],
-    cap: int = DEFAULT_CANDIDATE_CAP,
 ) -> SquareDivisorWitness:
     """Exhibit delta in link_initial^(r+1) with delta^2 dividing gamma, where
 
@@ -420,9 +423,11 @@ def square_divisor(
     for strictly increasing diag indices i_1 < ... < i_a, a sorted chain
     A_1 <= ... <= A_b, a + b = 2r+1 odd, nu the product of all variables and
     mu the product of the diagonal Y. Three constructions apply depending on
-    a; the returned witness records which, and both postconditions are
-    verified on exponent vectors before returning. ``cap`` bounds the
-    building of link_initial^(r+1) (see :meth:`MonomialIdeal.power`).
+    a; the returned witness records which. delta is the sum of the
+    generator vectors the witness keeps, and both postconditions are
+    verified on exponent vectors before returning: there are at least r+1
+    such factors, each in link_initial (one divisor query per distinct
+    factor, and no power built), and 2*delta fits in gamma.
     """
     diag_indices = tuple(diag_indices)
     chain = tuple(chain)
@@ -441,38 +446,38 @@ def square_divisor(
     diag_vecs = [inst._diag_vec(i) for i in diag_indices]
     stair_vecs = [inst._staircase_vec(A) for A in chain]
     width = len(inst.universe)
-    unit = (0,) * width
     gamma = _vec_product((1,) * width, diag_vecs + stair_vecs)
 
-    witness: SquareDivisorWitness
+    cell = lo = hi = bridge = None
     if a >= 2:
         # the staircase generators at odd positions 1, 3, ... below b - 1
-        delta = _vec_product(unit, diag_vecs + stair_vecs[1:b - 1:2])
-        witness = SquareDivisorWitness(inst.universe, delta, gamma, r, "coprime_block")
+        case, factors = "coprime_block", diag_vecs + stair_vecs[1:b - 1:2]
     elif a == 1:
         i1 = diag_indices[0]
         extra = tuple(range(i1 + 1, i1 + inst.m))
         sorted_chain = chain_normal_form((*chain, extra))
-        delta = _vec_product(diag_vecs[0], map(inst._staircase_vec, sorted_chain[1::2]))
-        witness = SquareDivisorWitness(inst.universe, delta, gamma, r, "single_antidiagonal")
+        case = "single_antidiagonal"
+        factors = [diag_vecs[0], *map(inst._staircase_vec, sorted_chain[1::2])]
     else:
         found = _interior_cell(inst, chain)
         if found is None:
-            delta = _vec_product(unit, stair_vecs[::2])
-            witness = SquareDivisorWitness(inst.universe, delta, gamma, r, "chain_ends")
+            case, factors = "chain_ends", stair_vecs[::2]
         else:
             cell, _ = found
             i, j = cell
             lo, hi, bridge = _bridge_selector(inst, chain[0], chain[-1], cell)
-            s = i + j - inst.m
-            start = tuple(map(add, inst._diag_vec(s), inst._staircase_vec(bridge)))
-            delta = _vec_product(start, stair_vecs[2:-1:2])
-            witness = SquareDivisorWitness(
-                inst.universe, delta, gamma, r, "interior_cell",
-                cell=cell, lo=lo, hi=hi, bridge=bridge,
-            )
+            case = "interior_cell"
+            factors = [
+                inst._diag_vec(i + j - inst.m), inst._staircase_vec(bridge), *stair_vecs[2:-1:2]
+            ]
+    delta = _vec_product((0,) * width, factors)
+    witness = SquareDivisorWitness(
+        inst.universe, delta, gamma, tuple(factors), r, case,
+        cell=cell, lo=lo, hi=hi, bridge=bridge,
+    )
 
-    if not inst.link_initial.power(r + 1, cap=cap)._divides_into(delta):
+    # membership, not minimality, is asked: link_initial collapses at m = n
+    if len(factors) < r + 1 or not all(map(inst.link_initial._divides_into, set(factors))):
         raise AssertionError(f"delta not in the (r+1)-st power: {witness}")
     if not all(2 * d <= c for d, c in zip(delta, gamma)):
         raise AssertionError(f"delta^2 does not divide gamma: {witness}")
@@ -520,13 +525,16 @@ class OddPartReduction:
     """Split of a generator power product into its odd part and a square.
 
     The three parts are kept as exponent vectors over ``universe``; the
-    monomial properties build them on access.
+    monomial properties build them on access. ``root_factor_vecs`` are the
+    r-s generator vectors, each taken ``mult // 2`` times, whose sum is the
+    square root, which certify it in link_initial^(r-s).
     """
 
     universe: Universe
     product_vec: Vec
     odd_part_vec: Vec
     square_root_vec: Vec
+    root_factor_vecs: tuple[Vec, ...]
     odd_count: int  # |P| + |Q| = 2s+1; the square root lies in power r-s
 
     @property
@@ -549,7 +557,6 @@ def odd_part_reduction(
     inst: LinkInstance,
     diag_multiplicities: Mapping[int, int],
     selector_multiplicities: Mapping[Selector, int],
-    cap: int = DEFAULT_CANDIDATE_CAP,
 ) -> OddPartReduction:
     """Reduce a generator multiset with odd total to distinct generators.
 
@@ -557,9 +564,10 @@ def odd_part_reduction(
     s_A on the staircase generators factors as (odd part) * (square), where
     the odd part takes one copy of each odd-multiplicity generator and the
     square's root is a product of (r - s) generators, 2r+1 the total and
-    2s+1 the number of odd multiplicities. Both facts are verified on
-    exponent vectors; ``cap`` bounds the building of link_initial^(r-s)
-    (see :meth:`MonomialIdeal.power`).
+    2s+1 the number of odd multiplicities. The root is the sum of the r-s
+    factors the reduction keeps, and both facts are verified on exponent
+    vectors: the parts multiply back to the product, and each factor lies
+    in link_initial (no power is built).
     """
     total = sum(diag_multiplicities.values()) + sum(selector_multiplicities.values())
     if total % 2 == 0 or total < 1:
@@ -568,9 +576,9 @@ def odd_part_reduction(
         raise ValueError("negative multiplicity")
     if any(e < 0 for e in selector_multiplicities.values()):
         raise ValueError("negative multiplicity")
-    product = odd_part = root = (0,) * len(inst.universe)
+    unit = product = odd_part = (0,) * len(inst.universe)
     odd_count = 0
-    root_factors = 0
+    root_factors: list[Vec] = []
     items: list[tuple[Vec, int]] = []
     for k, rk in sorted(diag_multiplicities.items()):
         items.append((inst._diag_vec(k), rk))
@@ -583,20 +591,21 @@ def odd_part_reduction(
         if mult % 2:
             odd_part = tuple(map(add, odd_part, vec))
             odd_count += 1
-        half = mult // 2
-        root = tuple(q + half * e for q, e in zip(root, vec))
-        root_factors += half
+        root_factors += [vec] * (mult // 2)
+    root = _vec_product(unit, root_factors)
     r = (total - 1) // 2
     s = (odd_count - 1) // 2
-    reduction = OddPartReduction(inst.universe, product, odd_part, root, odd_count)
+    reduction = OddPartReduction(
+        inst.universe, product, odd_part, root, tuple(root_factors), odd_count
+    )
     if any(o + 2 * q != p for o, q, p in zip(odd_part, root, product)):
         raise AssertionError(
             f"{reduction.odd_part} * ({reduction.square_root})^2 is not the product "
             f"{reduction.product}"
         )
-    if root_factors != r - s:
-        raise AssertionError(f"square root has {root_factors} factors, expected {r - s}")
-    if not inst.link_initial.power(r - s, cap=cap)._divides_into(root):
+    if len(root_factors) != r - s:
+        raise AssertionError(f"square root has {len(root_factors)} factors, expected {r - s}")
+    if not all(map(inst.link_initial._divides_into, set(root_factors))):
         raise AssertionError(f"square root {reduction.square_root} escaped power {r - s}")
     return reduction
 

@@ -377,10 +377,11 @@ def verify_witnesses(inst: LinkInstance, bounds: VerifyBounds, seed: int) -> Ver
     ``bounds.witness_samples`` seeded draws (a drawn chain sorts uniform
     selector samples through the straightening normal form). Odd-part
     reductions run on seeded samples. Chains have up to
-    ``2 * bounds.square_colon_rmax + 1`` factors; ``bounds.candidate_cap``
-    bounds the link powers the square divisors and odd-part reductions build.
+    ``2 * bounds.square_colon_rmax + 1`` factors. Each witness certifies its
+    power membership from the generator factors it keeps, so the suite
+    builds no link power and ``bounds.candidate_cap`` does not bound it.
     """
-    r_max, samples, cap = bounds.square_colon_rmax, bounds.witness_samples, bounds.candidate_cap
+    r_max, samples = bounds.square_colon_rmax, bounds.witness_samples
     rng = random.Random(seed)
     pairs = _every_or_drawn(
         product(inst.column_sets, inst.selectors),
@@ -392,10 +393,10 @@ def verify_witnesses(inst: LinkInstance, bounds: VerifyBounds, seed: int) -> Ver
         antidiagonal_divisor(inst, cols, A)
     square_inputs = _square_inputs(inst, r_max, rng, samples, EXHAUSTIVE_CAP)
     for diag, chain in square_inputs:
-        square_divisor(inst, diag, chain, cap=cap)
+        square_divisor(inst, diag, chain)
     odd_inputs = _odd_part_inputs(inst, r_max, rng, samples)
     for diag_mult, sel_mult in odd_inputs:
-        odd_part_reduction(inst, diag_mult, sel_mult, cap=cap)
+        odd_part_reduction(inst, diag_mult, sel_mult)
     return True, {"antidiagonal": len(pairs), "square": len(square_inputs), "odd_part": len(odd_inputs)}
 
 

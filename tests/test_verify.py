@@ -242,13 +242,32 @@ def test_candidate_cap_refusal():
     assert rep.status == "refused"
 
 
-def test_witnesses_refuse_at_the_candidate_cap(tmp_path):
-    # a square divisor at r = 1 builds iniJ^2 from 9 * 9 candidates
+def test_witnesses_pass_under_a_small_candidate_cap(tmp_path):
+    # the witnesses certify power membership from their own factors, so no
+    # iniJ^2 (9 * 9 candidates) is built for the cap to refuse
     out = tmp_path / "report.json"
     argv = ["verify", "witnesses", "3", "5", "--rmax", "2", "--max-gens", "10", "--out", str(out)]
-    assert main(argv) == 3
+    assert main(argv) == 0
     (rep,) = json.loads(out.read_text())["reports"]
-    assert (rep["status"], rep["witnesses"]["estimate"]) == ("refused", 81)
+    assert rep["status"] == "pass"
+    assert rep["witnesses"] == {"antidiagonal": 60, "square": 819, "odd_part": 200}
+
+
+def test_witness_suite_builds_no_power(monkeypatch):
+    calls = []
+    for name in ("power", "product"):
+        original = getattr(MonomialIdeal, name)
+
+        def counting(self, *args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(MonomialIdeal, name, counting)
+    for (m, n), bounds in (((3, 5), VerifyBounds(square_colon_rmax=2)),
+                           ((4, 7), VerifyBounds())):
+        rep = verify_witnesses(LinkInstance(m, n), bounds)
+        assert rep.passed, rep
+    assert calls == []
 
 
 def test_colon_refuses_the_claimed_products_at_the_candidate_cap(tmp_path):
@@ -279,7 +298,7 @@ def test_run_suite_unknown():
 def test_postcondition_failure_becomes_fail_report(monkeypatch, tmp_path):
     import genlink.verify
 
-    def broken(inst, diag, chain, cap):
+    def broken(inst, diag, chain):
         raise AssertionError(f"square divisor escaped at diag={diag} chain={chain}")
 
     monkeypatch.setattr(genlink.verify, "square_divisor", broken)

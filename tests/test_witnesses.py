@@ -3,15 +3,19 @@ from itertools import combinations
 
 import pytest
 
+import genlink.verify
 from bruteforce import (
     antidiagonal_monomial,
     complement_monomial,
     diag_generator,
     staircase_generator,
+    vec_divides_some,
 )
 from genlink import (
     LinkInstance,
     Monomial,
+    MonomialIdeal,
+    VerifyBounds,
     antidiagonal_divisor,
     chain_normal_form,
     odd_part_reduction,
@@ -19,7 +23,7 @@ from genlink import (
     xvar,
     yvar,
 )
-from genlink.verify import _multichains
+from genlink.verify import _multichains, _square_inputs, verify_witnesses
 
 
 def test_antidiagonal_divisor_single_row():
@@ -147,6 +151,69 @@ def test_square_divisor_sampled_47():
         ) if total - a else ()
         w = square_divisor(inst, diag, chain)
         assert (w.delta ** 2).divides(w.gamma)
+
+
+# the instances of the factor oracles, the degenerate (3,3) and (1,4) included
+FACTOR_ORACLE_INSTANCES = [(2, 3), (2, 4), (3, 3), (1, 4), (3, 5)]
+
+
+def _assert_factors_certify(inst, vec, factors):
+    """By brute force: the factors sum to ``vec``, and each lies in iniJ."""
+    assert tuple(map(sum, zip(*factors))) == vec if factors else not any(vec)
+    assert all(vec_divides_some(inst.link_initial.vecs, f) for f in factors)
+
+
+def test_square_divisor_factors_against_the_link_power():
+    for m, n in FACTOR_ORACLE_INSTANCES:
+        inst = LinkInstance(m, n)
+        every = _square_inputs(inst, 2, random.Random(0), 0, exhaustive_cap=10**6)
+        for diag, chain in every:
+            w = square_divisor(inst, diag, chain)
+            assert len(w.factor_vecs) >= w.r + 1, (m, n, diag, chain)
+            _assert_factors_certify(inst, w.delta_vec, w.factor_vecs)
+            assert inst.link_initial.power(w.r + 1).contains(w.delta)
+            assert "factor" not in repr(w)
+
+
+def test_odd_part_root_factors_against_the_link_power():
+    rng = random.Random(29)
+    for m, n in FACTOR_ORACLE_INSTANCES:
+        inst = LinkInstance(m, n)
+        # every multiplicity 1 and an odd count: r - s = 0, the root has no factor
+        ones = ({k: 1 for k in range(1, inst.g + 1)},
+                {A: 1 for A in inst.selectors[:1 - inst.g % 2]})
+        assert odd_part_reduction(inst, *ones).root_factor_vecs == ()
+        multisets = [ones]
+        for _ in range(60):
+            diag = {k: rng.randrange(5) for k in range(1, inst.g + 1)}
+            sel = {A: rng.randrange(5) for A in rng.sample(inst.selectors, 1)}
+            if (sum(diag.values()) + sum(sel.values())) % 2 == 0:
+                diag[1] += 1
+            multisets.append((diag, sel))
+        for diag, sel in multisets:
+            red = odd_part_reduction(inst, diag, sel)
+            total = sum(diag.values()) + sum(sel.values())
+            level = (total - 1) // 2 - (red.odd_count - 1) // 2
+            assert len(red.root_factor_vecs) == level
+            _assert_factors_certify(inst, red.square_root_vec, red.root_factor_vecs)
+            assert inst.link_initial.power(level).contains(red.square_root)
+            assert "factor" not in repr(red)
+
+
+def test_odd_part_failure_names_the_square_root(monkeypatch):
+    inst = LinkInstance(2, 4)
+    monkeypatch.setattr(MonomialIdeal, "_divides_into", lambda self, vec: False)
+    root = diag_generator(2, 1)
+    with pytest.raises(AssertionError) as caught:
+        odd_part_reduction(inst, {1: 3}, {})
+    assert str(caught.value) == f"square root {root} escaped power 1"
+
+    monkeypatch.setattr(genlink.verify, "square_divisor", lambda inst, diag, chain: None)
+    rep = verify_witnesses(inst, VerifyBounds(square_colon_rmax=1))
+    assert rep.status == "fail"
+    error = rep.witnesses["error"]
+    assert error.startswith("square root ") and " escaped power " in error
+    assert "Y[" in error and "(0," not in error
 
 
 def test_square_divisor_checks_the_square_on_vectors():
