@@ -21,9 +21,12 @@ built only where a later level reads it.
 
 An ideal holds its minimal generators once, as dense exponent vectors over
 the universe; their support bitmasks, :class:`Monomial` form and minimal
-primes are derived on first use. Monomials enter only through
-:func:`ideal` and :meth:`~MonomialIdeal.contains`. The kernels work on packed
-exponent words (see :func:`_packing`): product, intersection and the
+primes are derived on first use. Every kernel takes and returns vectors.
+Monomials enter only through :func:`ideal` and
+:meth:`~MonomialIdeal.contains` and leave only as
+:attr:`~MonomialIdeal.gens` and in failure texts; the universe converts
+both ways (``Universe.vector``, ``Universe.monomial``). The kernels work on
+packed exponent words (see :func:`_packing`): product, intersection and the
 quotients of a colon combine each pair of generators in a few big-int
 operations, the symbolic folds lift and test generators on words, and
 all of them reduce their distinct results with one word-level reducer
@@ -47,13 +50,9 @@ from math import comb
 from operator import add, mul
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .monomial import Monomial, Universe, Variable
+from .monomial import Monomial, Universe, UniverseMismatch, Variable
 
 DEFAULT_CANDIDATE_CAP = 200_000
-
-
-class UniverseMismatch(ValueError):
-    """Raised when monomials or ideals do not share one universe."""
 
 
 class NotSquarefree(ValueError):
@@ -346,8 +345,9 @@ class MonomialIdeal:
 
     ``vecs`` are the generators' exponent vectors in the one generator
     order of every ideal, ``(degree, exponent vector)``: by degree, then as
-    tuples, as :func:`_from_vecs` sorts them. ``masks`` and ``gens`` are
-    their support bitmasks and monomials, in the same order;
+    tuples, as :func:`_from_vecs` sorts them. ``masks`` are their support
+    bitmasks and ``gens`` their monomials, which the universe converts, in
+    the same order;
     membership queries go through a :class:`_DivisorIndex` over ``vecs``,
     built on first use, and the powers W^2, W^3, ... are kept once
     :meth:`power` builds them. The zero ideal has no generators, the unit
@@ -360,7 +360,7 @@ class MonomialIdeal:
 
     @cached_property
     def gens(self) -> tuple[Monomial, ...]:
-        return tuple(_to_monomials(self.universe, self.vecs))
+        return tuple(map(self.universe.monomial, self.vecs))
 
     @cached_property
     def masks(self) -> tuple[int, ...]:
@@ -388,7 +388,7 @@ class MonomialIdeal:
 
     def contains(self, mon: Monomial) -> bool:
         """True iff some minimal generator divides ``mon``."""
-        return self._divides_into(_to_vec(self.universe, mon))
+        return self._divides_into(self.universe.vector(mon))
 
     @cached_property
     def _index(self) -> _DivisorIndex:
@@ -653,21 +653,19 @@ class MonomialIdeal:
         ideal from the cover bitmasks (see :meth:`minimal_primes`), by size,
         then by sorted variables."""
         self._require_squarefree()
-        rank = _variable_rank(self.universe)
+        variables = self.universe.variables
         # a cover's bits come lowest first, so its positions are sorted
         covers = [
             [b.bit_length() - 1 for b in _bits(cover)]
             for cover in _minimal_covers(list(self.masks))
         ]
-        # sorted ranks order like the sorted variables
-        covers.sort(key=lambda cols: (len(cols), sorted(map(rank.__getitem__, cols))))
+        covers.sort(key=lambda cols: (len(cols), sorted(map(variables.__getitem__, cols))))
         return covers
 
 
 def ideal(universe: Universe, gens: Iterable[Monomial]) -> MonomialIdeal:
     """Build an ideal from any generating set, reduced to minimal generators."""
-    vecs = [_to_vec(universe, g) for g in gens]
-    return _from_vecs(universe, _minimalize(vecs))
+    return _from_vecs(universe, _minimalize(map(universe.vector, gens)))
 
 
 def zero_ideal(universe: Universe) -> MonomialIdeal:
@@ -685,11 +683,12 @@ def unit_ideal(universe: Universe) -> MonomialIdeal:
 
 def first_symbolic_gap(
     W: MonomialIdeal, upto: int, cap: int = DEFAULT_CANDIDATE_CAP
-) -> tuple[int, Monomial] | None:
+) -> tuple[int, Vec] | None:
     """First level <= upto where the symbolic power exceeds the ordinary one.
 
-    Returns ``(level, witness)`` with a witness generator of the symbolic
-    power missing from the ordinary power, or ``None`` if all levels pass.
+    Returns ``(level, witness)`` with the exponent vector of a generator of
+    the symbolic power missing from the ordinary power, or ``None`` if all
+    levels pass.
     No minimal prime is computed. Level 1 passes once W is a proper nonzero
     squarefree ideal, else :class:`ValueError` (:class:`NotSquarefree`) is
     raised: a squarefree ideal is radical, so W^(1) = W. Each level k >= 2
@@ -717,12 +716,12 @@ def first_symbolic_gap(
         for v in power.vecs:
             if not symbolic._divides_into(v):
                 raise AssertionError(
-                    f"ordinary power generator {_to_monomial(W.universe, v)} "
+                    f"ordinary power generator {W.universe.monomial(v)} "
                     f"escaped symbolic power {level}"
                 )
         for v in symbolic.vecs:
             if not power._divides_into(v):
-                return level, _to_monomial(W.universe, v)
+                return level, v
     return None
 
 
@@ -957,47 +956,6 @@ def _degree_words(units: list[int], cols: list[int], e: int) -> list[int]:
     base = end * us[-1] + us[0] - sum(us)
     steps = [u - v for u, v in zip(us, us[1:])]
     return [sum(map(mul, bars, steps), base) for bars in combinations(range(end), len(us) - 1)]
-
-
-def _to_vec(universe: Universe, mon: Monomial) -> Vec:
-    idx = universe.index
-    vec = [0] * len(universe.variables)
-    for var, e in mon.items():
-        pos = idx.get(var)
-        if pos is None:
-            raise UniverseMismatch(f"{var} is not in the universe")
-        vec[pos] = e
-    return tuple(vec)
-
-
-def _to_monomial(universe: Universe, vec: Vec) -> Monomial:
-    return _to_monomials(universe, [vec])[0]
-
-
-def _to_monomials(universe: Universe, vecs: Iterable[Vec]) -> list[Monomial]:
-    """The monomials of exponent vectors, their pairs listed in variable
-    order as :class:`Monomial` keeps them, so none is sorted again."""
-    variables = universe.variables
-    ordered = [(p, variables[p]) for p in _variable_order(universe)]
-    return [
-        Monomial._trusted(tuple([(v, e) for p, v in ordered if (e := vec[p])]))
-        for vec in vecs
-    ]
-
-
-@lru_cache(maxsize=64)
-def _variable_order(universe: Universe) -> tuple[int, ...]:
-    """Vector positions sorted by variable, as ``Monomial.items`` lists them."""
-    return tuple(sorted(range(len(universe)), key=universe.variables.__getitem__))
-
-
-@lru_cache(maxsize=64)
-def _variable_rank(universe: Universe) -> tuple[int, ...]:
-    """Each vector position's place in :func:`_variable_order`."""
-    rank = [0] * len(universe)
-    for place, pos in enumerate(_variable_order(universe)):
-        rank[pos] = place
-    return tuple(rank)
 
 
 def _bits(mask: int) -> Iterator[int]:

@@ -42,7 +42,7 @@ from math import comb
 from operator import add, le
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .ideals import MonomialIdeal, Vec, _from_vecs, _to_monomial
+from .ideals import MonomialIdeal, Vec, _from_vecs
 from .monomial import Monomial, Universe, xvar, yvar
 
 Cell = tuple[int, int]
@@ -167,15 +167,16 @@ class LinkInstance:
         return self._diag_vecs[j - 1]
 
     @cached_property
+    def _window_vecs(self) -> tuple[Vec, ...]:
+        """antidiagonal(j), on the consecutive columns j, ..., j+m-1, for j = 1..g."""
+        return tuple(self._antidiagonal_vec(range(j, j + self.m)) for j in range(1, self.g + 1))
+
+    @cached_property
     def _diag_vecs(self) -> tuple[Vec, ...]:
         """Y[j,j] * antidiagonal(j), the lead term of row combination j = 1..g."""
         return tuple(
-            tuple(map(
-                add,
-                self._indicator([self._diag_y_position(j)]),
-                self._antidiagonal_vec(range(j, j + self.m)),
-            ))
-            for j in range(1, self.g + 1)
+            tuple(map(add, self._indicator([self._diag_y_position(j)]), window))
+            for j, window in enumerate(self._window_vecs, start=1)
         )
 
     def _staircase_vec(self, A: Selector) -> Vec:
@@ -359,9 +360,9 @@ def antidiagonal_divisor(inst: LinkInstance, cols: Sequence[int], A: Selector) -
     if not (1 <= j <= inst.g):
         raise AssertionError(f"witness index out of range: {j}")
     target = tuple(map(add, gen, inst._complement_vecs[A]))
-    if not all(map(le, inst._antidiagonal_vec(range(j, j + inst.m)), target)):
+    if not all(map(le, inst._window_vecs[j - 1], target)):
         raise AssertionError(
-            f"antidiagonal({j}) does not divide {_to_monomial(inst.universe, target)} "
+            f"antidiagonal({j}) does not divide {inst.universe.monomial(target)} "
             f"for cols={cols}, A={A}"
         )
     return j
@@ -391,11 +392,11 @@ class SquareDivisorWitness:
 
     @property
     def delta(self) -> Monomial:
-        return _to_monomial(self.universe, self.delta_vec)
+        return self.universe.monomial(self.delta_vec)
 
     @property
     def gamma(self) -> Monomial:
-        return _to_monomial(self.universe, self.gamma_vec)
+        return self.universe.monomial(self.gamma_vec)
 
     @property
     def off_staircase(self) -> Monomial | None:
@@ -539,15 +540,15 @@ class OddPartReduction:
 
     @property
     def product(self) -> Monomial:
-        return _to_monomial(self.universe, self.product_vec)
+        return self.universe.monomial(self.product_vec)
 
     @property
     def odd_part(self) -> Monomial:
-        return _to_monomial(self.universe, self.odd_part_vec)
+        return self.universe.monomial(self.odd_part_vec)
 
     @property
     def square_root(self) -> Monomial:
-        return _to_monomial(self.universe, self.square_root_vec)
+        return self.universe.monomial(self.square_root_vec)
 
     def __repr__(self) -> str:
         return _repr_with(self, ("product", "odd_part", "square_root", "odd_count"))

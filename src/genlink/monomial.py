@@ -4,7 +4,10 @@ Variables are positions in one of two integer grids: a lower-case ``x`` grid
 of shape m-by-n and an upper-case ``Y`` grid. A monomial is a finite map from
 variables to positive integer exponents (the empty map is the unit monomial).
 A universe is an ordered list of variables fixing the ambient polynomial
-ring; ideals and serialization are always relative to a universe.
+ring; ideals and serialization are always relative to a universe. The
+universe alone converts between a monomial and its exponent vector, one
+exponent per variable in universe order, the form the ideal kernels
+compute on.
 
 Everything is an immutable value and safe to share between threads.
 """
@@ -12,7 +15,7 @@ Everything is an immutable value and safe to share between threads.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -31,6 +34,10 @@ class Variable(NamedTuple):
 
     def tex(self) -> str:
         return f"{self.family}_{{{self.row},{self.col}}}"
+
+
+class UniverseMismatch(ValueError):
+    """Raised when monomials or ideals do not share one universe."""
 
 
 def xvar(row: int, col: int) -> Variable:
@@ -226,3 +233,29 @@ class Universe:
 
     def __contains__(self, var: Variable) -> bool:
         return var in self.index
+
+    @cached_property
+    def _by_variable(self) -> tuple[tuple[int, Variable], ...]:
+        """(position, variable) pairs sorted by variable, as ``Monomial.items``
+        lists them."""
+        return tuple(sorted(enumerate(self.variables), key=lambda pv: pv[1]))
+
+    def vector(self, mon: Monomial) -> tuple[int, ...]:
+        """The exponent of ``mon`` at each variable, in universe order; a
+        variable outside the universe raises :class:`UniverseMismatch`."""
+        index = self.index
+        vec = [0] * len(self.variables)
+        for var, e in mon.items():
+            pos = index.get(var)
+            if pos is None:
+                raise UniverseMismatch(f"{var} is not in the universe")
+            vec[pos] = e
+        return tuple(vec)
+
+    def monomial(self, vec: Sequence[int]) -> Monomial:
+        """The monomial of ``vec``, one int exponent per variable, none
+        negative; its pairs are read in variable order, so none is sorted
+        again. A vector of another length raises :class:`UniverseMismatch`."""
+        if len(vec) != len(self.variables):
+            raise UniverseMismatch(f"vector of length {len(vec)} over {len(self.variables)} variables")
+        return Monomial._trusted(tuple([(v, e) for p, v in self._by_variable if (e := vec[p])]))

@@ -21,11 +21,12 @@ multiplicative, and have the unit monomial as unique minimum. Keys are
 rule-based on (family, row, col), so monomials need not belong to a declared
 universe.
 
-``diaglex_vector_key(universe)`` is ``DiagLexOrder.key`` on exponent vectors
-over a universe: it ranks the positions once per call and returns a key
-that gives each vector the tuple ``DiagLexOrder.key`` gives its monomial,
-so generators are sorted with no monomial built. ``DiagLexOrder.key``
-stays the reference it is tested against.
+``diaglex_vector_key(variables)`` is the one body of the diagonal-lex key:
+it ranks the positions of a variable sequence once and returns a key on
+exponent vectors over it. The serializer sorts generators by it over the
+universe's variables, with no monomial built, and ``DiagLexOrder.key(mon)``
+is the same key over the monomial's own variables. The tests check it
+against the brute-force ``bruteforce.diaglex_compare``.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .monomial import Monomial, Universe, Variable, X_FAMILY, Y_FAMILY
+from .monomial import Monomial, Variable, X_FAMILY, Y_FAMILY
 
 
 def _ascending_rank(v: Variable) -> tuple:
@@ -77,19 +78,17 @@ class DiagLexOrder(_KeyedOrder):
 
     def key(self, mon: Monomial) -> tuple:
         items = mon.items()
-        y_part = [(_negated_y_rank(v), e) for v, e in items if v.family == Y_FAMILY]
-        x_part = [(v, e) for v, e in items if v.family == X_FAMILY]
-        return (tuple(sorted(y_part, reverse=True)), _revlex_key(x_part))
+        return diaglex_vector_key([v for v, _ in items])([e for _, e in items])
 
 
-def diaglex_vector_key(universe: Universe) -> Callable[[Sequence[int]], tuple]:
-    """The key of :class:`DiagLexOrder` on exponent vectors over ``universe``.
+def diaglex_vector_key(variables: Sequence[Variable]) -> Callable[[Sequence[int]], tuple]:
+    """The key of :class:`DiagLexOrder` on exponent vectors over ``variables``.
 
     The positions are ranked here, once; the key then reads a vector's Y
-    positions highest variable first and its x positions lowest first, and
-    builds the tuple ``DiagLexOrder().key`` builds for its monomial.
+    positions highest variable first and its x positions lowest first: the
+    Y part as (negated rank, exponent) pairs, and the x part as the graded
+    revlex key of ``GradedRevLex``.
     """
-    variables = universe.variables
     y_ranked = sorted(
         ((_negated_y_rank(v), p) for p, v in enumerate(variables) if v.family == Y_FAMILY),
         reverse=True,

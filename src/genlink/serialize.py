@@ -20,7 +20,7 @@ import io
 import json
 from typing import Any
 
-from .ideals import MonomialIdeal, Vec, _to_monomials, ideal
+from .ideals import MonomialIdeal, Vec, ideal
 from .linkage import BettiTable
 from .monomial import Monomial, Universe, Variable, parse_variable
 from .orders import diaglex_vector_key
@@ -38,12 +38,12 @@ class SchemaError(ValueError):
 
 def _sorted_vecs(W: MonomialIdeal) -> list[Vec]:
     """Generator vectors sorted descending under the diagonal-lex order."""
-    return sorted(W.vecs, key=diaglex_vector_key(W.universe), reverse=True)
+    return sorted(W.vecs, key=diaglex_vector_key(W.universe.variables), reverse=True)
 
 
 def sorted_generators(W: MonomialIdeal) -> list[Monomial]:
     """Generators sorted descending under the diagonal-lex order."""
-    return _to_monomials(W.universe, _sorted_vecs(W))
+    return list(map(W.universe.monomial, _sorted_vecs(W)))
 
 
 # -- ideal formats ---------------------------------------------------------

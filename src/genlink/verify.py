@@ -203,7 +203,7 @@ def verify_symbolic_scan(inst: LinkInstance, bounds: VerifyBounds, seed: int) ->
     witnesses: dict = {"upto": upto, "r_max": r_max}
     if gap is not None:
         witnesses["gap_level"] = gap[0]
-        witnesses["gap_witness"] = str(gap[1])
+        witnesses["gap_witness"] = str(W.universe.monomial(gap[1]))
     if failed_r is not None:
         witnesses["failed_r"] = failed_r
     return ok, witnesses

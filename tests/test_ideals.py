@@ -615,7 +615,7 @@ def test_power_inside_symbolic(W, level):
 
 
 def test_first_symbolic_gap():
-    assert first_symbolic_gap(triangle(), 2) == (2, mono(X1, X2, X3))
+    assert first_symbolic_gap(triangle(), 2) == (2, U3.vector(mono(X1, X2, X3)))
     prime = ideal(U3, [mono(X1), mono(X2)])
     assert first_symbolic_gap(prime, 3) is None
 
@@ -628,7 +628,7 @@ def test_first_symbolic_gap_computes_no_prime(monkeypatch):
     monkeypatch.setattr(ideals, "_minimal_covers", refuse)
     monkeypatch.setattr(MonomialIdeal, "_prime_fold", refuse)
     assert first_symbolic_gap(triangle(), 1) is None
-    assert first_symbolic_gap(triangle(), 3) == (2, mono(X1, X2, X3))
+    assert first_symbolic_gap(triangle(), 3) == (2, U3.vector(mono(X1, X2, X3)))
     assert first_symbolic_gap(LinkInstance(2, 4).link_initial, 3) is None
 
 
@@ -648,7 +648,7 @@ def test_first_symbolic_gap_passes_equal_generator_tuples_on_sight(monkeypatch):
     assert first_symbolic_gap(LinkInstance(2, 5).link_initial, 3) is None
     assert calls == []
     # where the tuples differ, the spies see the generator-by-generator test
-    assert first_symbolic_gap(triangle(), 2) == (2, mono(X1, X2, X3))
+    assert first_symbolic_gap(triangle(), 2) == (2, U3.vector(mono(X1, X2, X3)))
     assert set(calls) == {"_divides_into"}
 
 
@@ -670,10 +670,10 @@ def test_first_symbolic_gap_matches_pairwise_reference_hypothesis(W):
         power = pairwise_product(power, W.vecs)
         missing = [
             g for g in pairwise_symbolic_power(primes, level)
-            if not vec_divides_some(power, ideals._to_vec(U6, g))
+            if not vec_divides_some(power, U6.vector(g))
         ]
         if missing:
-            want = (level, min(missing, key=lambda g: (g.degree(), ideals._to_vec(U6, g))))
+            want = (level, U6.vector(min(missing, key=lambda g: (g.degree(), U6.vector(g)))))
             break
     assert first_symbolic_gap(W, 3) == want
 

@@ -30,7 +30,7 @@ from genlink import (
     xvar,
     yvar,
 )
-from genlink.ideals import DEFAULT_CANDIDATE_CAP, MonomialIdeal, _to_monomial, _to_monomials
+from genlink.ideals import DEFAULT_CANDIDATE_CAP, MonomialIdeal
 
 
 def beta(inst, A):
@@ -92,7 +92,7 @@ def test_staircase_rejects_bad_selector():
 
 def test_antidiagonal_examples():
     def antidiagonal(inst, cols):
-        return _to_monomial(inst.universe, inst._antidiagonal_vec(cols))
+        return inst.universe.monomial(inst._antidiagonal_vec(cols))
 
     first = Monomial.of(xvar(1, 3), xvar(2, 2), xvar(3, 1))
     assert antidiagonal(LinkInstance(3, 5), (1, 2, 3)) == first
@@ -148,7 +148,7 @@ def test_minors_initial_35_consecutive_windows_first():
     for j in range(1, 4):
         cols = inst.column_sets[j - 1]
         assert cols == tuple(range(j, j + 3))
-        assert _to_monomial(inst.universe, inst._diag_vecs[j - 1]) == (
+        assert inst.universe.monomial(inst._diag_vecs[j - 1]) == (
             Monomial.of(yvar(j, j)) * antidiagonal_monomial(3, cols)
         )
 
@@ -193,7 +193,7 @@ def test_generator_vectors_match_the_definitions():
             inst = LinkInstance(m, n)
 
             def gens(vecs):
-                return _to_monomials(inst.universe, vecs)
+                return list(map(inst.universe.monomial, vecs))
 
             cols = inst.column_sets
             assert gens(map(inst._antidiagonal_vec, cols)) == [

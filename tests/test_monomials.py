@@ -1,7 +1,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from genlink import Monomial, Universe, parse_variable, xvar, yvar
+import genlink
+import genlink.ideals
+import genlink.monomial
+from genlink import Monomial, Universe, UniverseMismatch, parse_variable, xvar, yvar
 
 VARS = [xvar(i, j) for i in (1, 2) for j in (1, 2, 3)] + [yvar(1, 1), yvar(2, 2)]
 
@@ -94,3 +97,39 @@ def test_constructor_rejects_bad_input():
         Monomial([(xvar(1, 1), -2)])
     with pytest.raises(TypeError):
         Monomial.of(xvar(1, 1)) ** 2.0
+
+
+MIXED = Universe.full(2, 2, 2, 2)  # x variables first, but Y sorts first
+
+
+@st.composite
+def universe_pairs(draw):
+    """MIXED or a universe listing its variables in any order, with a
+    monomial in those variables and an exponent vector over the universe."""
+    permuted = Universe(2, 2, 2, 2, tuple(draw(st.permutations(MIXED.variables))))
+    U = draw(st.sampled_from([MIXED, permuted]))
+    exps = st.dictionaries(st.sampled_from(U.variables), st.integers(min_value=1, max_value=4), max_size=5)
+    vec = st.lists(st.integers(min_value=0, max_value=4), min_size=len(U), max_size=len(U))
+    return U, draw(st.builds(Monomial, exps)), tuple(draw(vec))
+
+
+@given(universe_pairs())
+def test_vector_and_monomial_invert_each_other(case):
+    # equal monomials keep equal pairs, so the first assert also checks that
+    # the monomial's pairs come sorted by variable, not in universe order
+    U, mon, vec = case
+    assert U.monomial(U.vector(mon)) == mon
+    assert U.vector(U.monomial(vec)) == vec
+    assert U.monomial(vec) == Monomial(zip(U.variables, vec))
+
+
+@pytest.mark.parametrize("vec", [(1, 0, 0, 5), (1, 0)])
+def test_monomial_rejects_a_vector_of_the_wrong_length(vec):
+    # unchecked, a longer vector would lose its last exponent and a shorter
+    # one would run out of positions
+    with pytest.raises(UniverseMismatch, match="length"):
+        Universe.x_grid(1, 3).monomial(vec)
+
+
+def test_universe_mismatch_is_one_class():
+    assert genlink.UniverseMismatch is genlink.ideals.UniverseMismatch is genlink.monomial.UniverseMismatch

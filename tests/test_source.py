@@ -113,3 +113,17 @@ def test_only_the_runner_applies_the_universe_guard():
             if name == "_guard_universe" and not any(line in lines for lines in runner)
         ]
     assert not found, found
+
+
+def test_only_monomial_knows_the_pair_layout():
+    # A monomial's sorted (variable, exponent) pairs are its own: the
+    # universe converts to and from exponent vectors, so no other module
+    # builds or reads the pairs behind Monomial's back.
+    root = Path(genlink.__file__).parent
+    found = [
+        f"{path.name}:{line} {name}"
+        for path in sorted(root.glob("*.py")) if path.name != "monomial.py"
+        for name, line in _references(ast.parse(path.read_text(), filename=str(path)))
+        if name in {"_trusted", "_exps"}
+    ]
+    assert not found, found

@@ -443,7 +443,7 @@ def test_a_symbolic_generator_outside_the_ordinary_power_is_the_gap(monkeypatch)
     plant_in_each_fold(monkeypatch, lambda K, symbolic: K.vecs[0])
     inst = LinkInstance(2, 4)
     W = inst.link_initial
-    assert first_symbolic_gap(W, 3) == (2, W.gens[0])
+    assert first_symbolic_gap(W, 3) == (2, W.vecs[0])
     rep = verify_symbolic_scan(inst, VerifyBounds(symbolic_upto=3, square_colon_rmax=1))
     assert (rep.status, rep.witnesses["gap_level"]) == ("fail", 2)
     assert rep.witnesses["gap_witness"] == str(W.gens[0])

@@ -51,6 +51,26 @@ def test_antidiagonal_divisor_smallest_columns():
     )
 
 
+def test_antidiagonal_divisor_builds_one_antidiagonal_per_call(monkeypatch):
+    # the window antidiagonals it divides by are kept on the instance, so
+    # once they are built a call builds only the antidiagonal on its cols
+    built = []
+    build = LinkInstance._antidiagonal_vec
+
+    def counted(self, cols):
+        built.append(tuple(cols))
+        return build(self, cols)
+
+    monkeypatch.setattr(LinkInstance, "_antidiagonal_vec", counted)
+    inst = LinkInstance(3, 5)
+    antidiagonal_divisor(inst, (1, 2, 3), (2, 3))  # warm-up
+    for cols in inst.column_sets:
+        for A in inst.selectors:
+            built.clear()
+            antidiagonal_divisor(inst, cols, A)
+            assert built == [cols]
+
+
 # -- square divisors -------------------------------------------------------------
 
 
