@@ -21,8 +21,9 @@ import functools
 import os
 import sys
 import tempfile
+from math import comb
 
-from .ideals import MonomialIdeal, SizeGuardExceeded
+from .ideals import DEFAULT_CANDIDATE_CAP, MonomialIdeal, SizeGuardExceeded
 from .linkage import LinkInstance, betti_table
 from .serialize import (
     SchemaError,
@@ -49,6 +50,12 @@ GENERATE_TARGETS = {
     "iniJ": lambda inst: inst.link_initial,
     "N": lambda inst: inst.staircase_ideal,
     "betti": betti_table,
+}
+_GENERATOR_COUNTS = {  # target -> the generators it lists, counted before any is built
+    "iniI": lambda inst: inst.r,
+    "iniA": lambda inst: inst.g,
+    "iniJ": lambda inst: inst.g + comb(inst.n - 1, inst.m - 1),
+    "N": lambda inst: comb(inst.n - 1, inst.m - 1),
 }
 FORMATS = {  # format -> (ideal writer, Betti table writer)
     "json": (ideal_to_json, betti_to_json),
@@ -92,7 +99,13 @@ class UsageError(Exception):
 
 
 def _cmd_generate(args) -> int:
-    target = GENERATE_TARGETS[args.target](_instance(args))
+    inst = _instance(args)
+    count = _GENERATOR_COUNTS[args.target](inst) if args.target in _GENERATOR_COUNTS else 0
+    if count > DEFAULT_CANDIDATE_CAP:
+        raise SizeGuardExceeded(
+            f"{args.target} would list {count} generators (cap {DEFAULT_CANDIDATE_CAP})", count
+        )
+    target = GENERATE_TARGETS[args.target](inst)
     write_ideal, write_betti = FORMATS[args.format]
     payload = write_betti(target) if args.target == "betti" else write_ideal(target)
     _write_output(args.out, payload)

@@ -35,7 +35,8 @@ reducer takes the words in integer order, which puts every divisor first,
 scans small antichains pairwise, one subtraction and one AND per pair,
 and switches to a bit-sliced divisor index once the antichain is large;
 the same index, built over an ideal's generators on first use, answers
-membership and tells the variable fold which generators to lift.
+membership (a generator itself by set lookup) and tells the variable fold
+which generators to lift.
 All sizes here are desk scale; an explicit candidate cap guards against
 intersection blowup before anything is enumerated, and the index refuses
 exponents whose bitsets would not fit.
@@ -347,9 +348,9 @@ class MonomialIdeal:
     order of every ideal, ``(degree, exponent vector)``: by degree, then as
     tuples, as :func:`_from_vecs` sorts them. ``masks`` are their support
     bitmasks and ``gens`` their monomials, which the universe converts, in
-    the same order;
-    membership queries go through a :class:`_DivisorIndex` over ``vecs``,
-    built on first use, and the powers W^2, W^3, ... are kept once
+    the same order. A membership query of a generator is a set lookup;
+    any other goes through a :class:`_DivisorIndex` over ``vecs``, built
+    on first use. The powers W^2, W^3, ... are kept once
     :meth:`power` builds them. The zero ideal has no generators, the unit
     ideal has the single generator 1. Construct through :func:`ideal`,
     which reduces an arbitrary generating set.
@@ -394,9 +395,14 @@ class MonomialIdeal:
     def _index(self) -> _DivisorIndex:
         return _DivisorIndex(len(self.universe), self.vecs)
 
+    @cached_property
+    def _vec_set(self) -> frozenset[Vec]:
+        return frozenset(self.vecs)
+
     def _divides_into(self, vec: Vec) -> bool:
-        """True iff some minimal generator divides the exponent vector ``vec``."""
-        return self._index.divides_some(vec)
+        """True iff some minimal generator divides the exponent vector
+        ``vec``; a generator itself is found by lookup, with no index built."""
+        return vec in self._vec_set or self._index.divides_some(vec)
 
     # -- ring operations --------------------------------------------------
 

@@ -24,12 +24,13 @@ The generators are kept once per instance as exponent vectors over the
 universe, and the four ideals are wrapped around them unreduced: each
 family is a list of distinct monomials of one degree, and no antidiagonal
 divides a beta(A), so each list is minimal except the link's at m = n.
-The witnesses compute on the vectors: a product is a sum of vectors, and
-a square divides where every doubled exponent fits. A witness keeps the
-generator vectors it is the sum of, so membership in a power is read off
-them: a sum of k vectors, each in the ideal, lies in its k-th power, and no
-power is built. Monomials are made only for what a witness returns and for
-the message of a failed check.
+The witnesses compute on the vectors: a product is one pass summing all
+its vectors, and a square divides where every doubled exponent fits. A
+witness keeps the generator vectors it is the sum of, so membership in a
+power is read off them: a sum of k vectors, each in the ideal (a lookup
+for m < n), lies in its k-th power, and no power is built. Monomials are
+made only for what a witness returns and for the message of a failed
+check.
 """
 
 from __future__ import annotations
@@ -250,7 +251,7 @@ def join(A: Selector, B: Selector) -> Selector:
 
 
 def leq(A: Selector, B: Selector) -> bool:
-    return all(a <= b for a, b in zip(A, B))
+    return all(map(le, A, B))
 
 
 def straighten_holds(inst: LinkInstance, A: Selector, B: Selector) -> bool:
@@ -314,7 +315,7 @@ def chain_exponent(inst: LinkInstance, chain: Sequence[Selector], cell: Cell) ->
     (length of the right prefix) + (length of the left suffix).
     """
     chain = tuple(chain)
-    if any(not leq(a, b) for a, b in zip(chain, chain[1:])):
+    if not all(map(leq, chain, chain[1:])):
         raise ValueError("chain is not sorted")
     length = len(chain)
     sides = [side_of(inst, A, cell) for A in chain]
@@ -328,9 +329,7 @@ def chain_exponent(inst: LinkInstance, chain: Sequence[Selector], cell: Cell) ->
 
 def _vec_product(start: Vec, factors: Iterable[Vec]) -> Vec:
     """The exponent vector of ``start`` times the monomials of ``factors``."""
-    for vec in factors:
-        start = tuple(map(add, start, vec))
-    return start
+    return tuple(map(sum, zip(start, *factors)))
 
 
 def _repr_with(obj: object, names: Sequence[str]) -> str:
@@ -427,8 +426,9 @@ def square_divisor(
     a; the returned witness records which. delta is the sum of the
     generator vectors the witness keeps, and both postconditions are
     verified on exponent vectors before returning: there are at least r+1
-    such factors, each in link_initial (one divisor query per distinct
-    factor, and no power built), and 2*delta fits in gamma.
+    such factors, each in link_initial (a lookup per distinct generator,
+    a divisor query only at m = n, and no power built), and 2*delta fits
+    in gamma.
     """
     diag_indices = tuple(diag_indices)
     chain = tuple(chain)
@@ -440,7 +440,7 @@ def square_divisor(
         raise ValueError("diagonal indices must be strictly increasing")
     if any(not (1 <= i <= inst.g) for i in diag_indices):
         raise ValueError("diagonal index out of range")
-    if any(not leq(x, y) for x, y in zip(chain, chain[1:])):
+    if not all(map(leq, chain, chain[1:])):
         raise ValueError("selector chain is not sorted")
     r = (total - 1) // 2
 
@@ -480,7 +480,7 @@ def square_divisor(
     # membership, not minimality, is asked: link_initial collapses at m = n
     if len(factors) < r + 1 or not all(map(inst.link_initial._divides_into, set(factors))):
         raise AssertionError(f"delta not in the (r+1)-st power: {witness}")
-    if not all(2 * d <= c for d, c in zip(delta, gamma)):
+    if not all(map(le, map(add, delta, delta), gamma)):
         raise AssertionError(f"delta^2 does not divide gamma: {witness}")
     return witness
 
@@ -577,29 +577,21 @@ def odd_part_reduction(
         raise ValueError("negative multiplicity")
     if any(e < 0 for e in selector_multiplicities.values()):
         raise ValueError("negative multiplicity")
-    unit = product = odd_part = (0,) * len(inst.universe)
-    odd_count = 0
-    root_factors: list[Vec] = []
-    items: list[tuple[Vec, int]] = []
-    for k, rk in sorted(diag_multiplicities.items()):
-        items.append((inst._diag_vec(k), rk))
-    for A, sA in sorted(selector_multiplicities.items()):
-        items.append((inst._staircase_vec(A), sA))
-    for vec, mult in items:
-        if not mult:
-            continue
-        product = tuple(p + mult * e for p, e in zip(product, vec))
-        if mult % 2:
-            odd_part = tuple(map(add, odd_part, vec))
-            odd_count += 1
-        root_factors += [vec] * (mult // 2)
+    items = [(inst._diag_vec(k), rk) for k, rk in sorted(diag_multiplicities.items())]
+    items += [(inst._staircase_vec(A), sA) for A, sA in sorted(selector_multiplicities.items())]
+    unit = (0,) * len(inst.universe)
+    product = _vec_product(unit, [vec for vec, mult in items for _ in range(mult)])
+    odd_factors = [vec for vec, mult in items if mult % 2]
+    odd_part = _vec_product(unit, odd_factors)
+    root_factors = [vec for vec, mult in items for _ in range(mult // 2)]
     root = _vec_product(unit, root_factors)
+    odd_count = len(odd_factors)
     r = (total - 1) // 2
     s = (odd_count - 1) // 2
     reduction = OddPartReduction(
         inst.universe, product, odd_part, root, tuple(root_factors), odd_count
     )
-    if any(o + 2 * q != p for o, q, p in zip(odd_part, root, product)):
+    if _vec_product(odd_part, (root, root)) != product:
         raise AssertionError(
             f"{reduction.odd_part} * ({reduction.square_root})^2 is not the product "
             f"{reduction.product}"

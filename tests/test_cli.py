@@ -3,9 +3,10 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+import genlink.cli
 from genlink.cli import main
 from genlink.serialize import ideal_to_json
-from genlink import Monomial, Universe, ideal, unit_ideal, xvar, zero_ideal
+from genlink import LinkInstance, Monomial, Universe, ideal, unit_ideal, xvar, zero_ideal
 
 
 @pytest.fixture
@@ -44,6 +45,20 @@ def test_generate_staircase(capsys):
 def test_generate_invalid_sizes(capsys):
     assert main(["generate", "5", "3", "iniJ"]) == 2
     assert main(["generate", "2", "3", "bogus"]) == 2
+
+
+def test_generate_refuses_before_it_enumerates(monkeypatch, capsys):
+    # iniJ(2,6) lists g + C(5,1) = 10 generators, iniJ(3,6) lists 4 + C(5,2) = 14
+    monkeypatch.setattr(genlink.cli, "DEFAULT_CANDIDATE_CAP", 10)
+    assert main(["generate", "2", "6", "iniJ"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 10
+
+    def enumerated(inst):
+        raise AssertionError("a refused target listed its selectors")
+
+    monkeypatch.setattr(LinkInstance, "selectors", property(enumerated))
+    assert main(["generate", "3", "6", "iniJ"]) == 3
+    assert capsys.readouterr().err == "refused: iniJ would list 14 generators (cap 10)\n"
 
 
 def test_generate_byte_identical(tmp_path):

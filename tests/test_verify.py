@@ -270,6 +270,27 @@ def test_witness_suite_builds_no_power(monkeypatch):
     assert calls == []
 
 
+def test_witness_factors_that_are_generators_query_no_index(monkeypatch):
+    # for m < n every factor is a generator of iniJ, found by lookup; at m = n
+    # iniJ collapses to (Y[1,1]) and the diagonal factors still query the index
+    queried = []
+    original = ideals._DivisorIndex.divides_some
+
+    def spy(self, vec):
+        queried.append(vec)
+        return original(self, vec)
+
+    monkeypatch.setattr(ideals._DivisorIndex, "divides_some", spy)
+    assert verify_witnesses(LinkInstance(3, 5)).passed
+    assert queried == []
+    for m in (2, 3):
+        inst = LinkInstance(m, m)
+        rep = verify_witnesses(inst)
+        assert rep.passed, rep
+        assert queried and not set(queried) & set(inst.link_initial.vecs)
+        queried.clear()
+
+
 def test_colon_refuses_the_claimed_products_at_the_candidate_cap(tmp_path):
     # the colon itself fits a cap of 50 at (3,5); the check that every claimed
     # generator times every minors generator (9 * 10) lies in the sequence
