@@ -51,11 +51,14 @@ GENERATE_TARGETS = {
     "N": lambda inst: inst.staircase_ideal,
     "betti": betti_table,
 }
-_GENERATOR_COUNTS = {  # target -> the generators it lists, counted before any is built
-    "iniI": lambda inst: inst.r,
-    "iniA": lambda inst: inst.g,
-    "iniJ": lambda inst: inst.g + comb(inst.n - 1, inst.m - 1),
-    "N": lambda inst: comb(inst.n - 1, inst.m - 1),
+_OUTPUT_COUNTS = {  # target -> what it lists and how many, counted before any is built
+    "iniI": lambda inst: (inst.r, "generators"),
+    "iniA": lambda inst: (inst.g, "generators"),
+    "iniJ": lambda inst: (inst.g + comb(inst.n - 1, inst.m - 1), "generators"),
+    "N": lambda inst: (comb(inst.n - 1, inst.m - 1), "generators"),
+    # the grid of the text and TeX tables: rows j - i from 0 to m(g - 1),
+    # columns i from 0 to g
+    "betti": lambda inst: ((inst.m * (inst.g - 1) + 1) * (inst.g + 1), "table cells"),
 }
 FORMATS = {  # format -> (ideal writer, Betti table writer)
     "json": (ideal_to_json, betti_to_json),
@@ -100,10 +103,10 @@ class UsageError(Exception):
 
 def _cmd_generate(args) -> int:
     inst = _instance(args)
-    count = _GENERATOR_COUNTS[args.target](inst) if args.target in _GENERATOR_COUNTS else 0
+    count, what = _OUTPUT_COUNTS[args.target](inst)
     if count > DEFAULT_CANDIDATE_CAP:
         raise SizeGuardExceeded(
-            f"{args.target} would list {count} generators (cap {DEFAULT_CANDIDATE_CAP})", count
+            f"{args.target} would list {count} {what} (cap {DEFAULT_CANDIDATE_CAP})", count
         )
     target = GENERATE_TARGETS[args.target](inst)
     write_ideal, write_betti = FORMATS[args.format]

@@ -12,12 +12,10 @@ the Zariski-Nagata fold over the variables, seeded from the ordinary power
 W^(k-1), which equals W^(k-1) once the level below has passed, and passes
 a level whose W^(k) and W^k have equal generators. Last, a scan of the
 square-bracket colon criterion certifying symbolic = ordinary for
-squarefree ideals. It builds no W^(2s+1) or bracket power: at each level s
-it checks the sums of the odd cliques, the sets of 2s+1 distinct
-generators whose pairs all give a minimal generator of W^2, each its least
-pair, and covers their bit-sliced halves with one pass over W^(s+1), at
-the top level over the unreduced sums of W^s and W, so that W^(s+1) is
-built only where a later level reads it.
+squarefree ideals. It builds no power but W^2: at each level s it checks
+the sums of the odd cliques, the sets of 2s+1 distinct generators whose
+pairs all give a minimal generator of W^2, each its least pair, and asks
+whether their halves lie in W^(s+1) by peeling generators of W off them.
 
 An ideal holds its minimal generators once, as dense exponent vectors over
 the universe; their support bitmasks, :class:`Monomial` form and minimal
@@ -46,10 +44,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain, combinations, compress, islice, repeat
+from itertools import chain, combinations, compress, repeat
 from math import comb
-from operator import add, mul
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from operator import mul
+from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Sequence
 
 from .monomial import Monomial, Universe, UniverseMismatch, Variable
 
@@ -155,12 +153,6 @@ def _top(vecs: Iterable[Vec]) -> int:
     return max(chain.from_iterable(vecs), default=0)
 
 
-def _column_tops(vecs: Sequence[Vec]) -> list[int]:
-    """The largest exponent at each position of ``vecs``; empty if there
-    is no vector."""
-    return [max(exps) for exps in zip(*vecs)]
-
-
 # An index keeps one bitset per variable and exponent up to the largest
 # exponent it holds. Above this exponent it refuses to be built, so its
 # memory does not grow with exponent size; _minimalize_words scans instead.
@@ -255,24 +247,15 @@ def _at_most(e: int) -> bytes:
 # 4x is within the spread of the best on all three.
 _INDEX_PER_VARIABLE = 4
 
-def _minimalize(
-    vecs: Iterable[Vec], seed: Sequence[Vec] = (), cap: int = DEFAULT_CANDIDATE_CAP
-) -> list[Vec]:
-    """Reduce candidates against an antichain ``seed`` and each other.
-
-    ``seed`` must be an antichain that no candidate divides; the result is
-    ``seed`` followed by the candidates that no seed vector and no other
-    candidate divides, in order of degree, then exponents in vector order.
-    The vectors are packed (see :func:`_packing`), reduced by
-    :func:`_minimalize_words`, unpacked and sorted as :func:`_from_vecs`
-    sorts them.
-    """
+def _minimalize(vecs: Iterable[Vec], cap: int = DEFAULT_CANDIDATE_CAP) -> list[Vec]:
+    """The vectors of ``vecs`` that no other one divides, each once, in no
+    set order: they are packed (see :func:`_packing`), reduced by
+    :func:`_minimalize_words` and unpacked."""
     distinct = list(set(vecs))
     if not distinct:
-        return list(seed)
-    codec = _packing(_top(chain(distinct, seed)), len(distinct[0]))
-    kept = _minimalize_words(codec.pack(seed), sorted(codec.pack(distinct)), codec, cap)
-    return [*seed, *sorted(sorted(codec.unpack(kept[len(seed):])), key=sum)]
+        return []
+    codec = _packing(_top(distinct), len(distinct[0]))
+    return codec.unpack(_minimalize_words([], sorted(codec.pack(distinct)), codec, cap))
 
 
 def _minimalize_words(kept: list[int], words: list[int], codec: _Codec, cap: int) -> list[int]:
@@ -731,74 +714,58 @@ def first_symbolic_gap(
     return None
 
 
-def _all_covered(vecs: Iterable[Vec], words: Iterable[int], codec: _Codec, cap: int) -> bool:
+def _all_covered(vecs: Sequence[Vec], words: Collection[int], codec: _Codec) -> bool:
     """True iff every packed word of ``words`` is at least, fieldwise, some
     vector of ``vecs``.
 
-    This is the one place words are cut into chunks: each chunk is the set
-    of the next ``max(1, cap)`` words of the stream (:func:`_chunks`), so no
-    pass holds more than ``max(1, cap)`` words however many the stream
-    yields, and the first chunk with a word that is not covered ends the
-    test. Each chunk's words are bit-sliced, one bit per word: the bitset
-    of the words at least ``e`` at column ``k`` is read straight from their
-    bytes, one ``bytes.translate`` of the column's low field bytes, or-ed
-    with the words whose field there exceeds 255. A vector covers the AND
-    of its support ``(column, exponent)`` pairs' bitsets, and a chunk
-    builds only the bitsets its vectors read. Vectors are taken in turn
-    against the words not yet covered, until none is left, so ``vecs`` may
-    be a one-shot stream: a vector is drawn only when a chunk needs one
-    more, and its pairs are kept for the later chunks. The exponents of
-    ``vecs`` must be at most ``_INDEX_MAX_EXPONENT``; the callers refuse
-    larger ones (:func:`_check_slices`) before they call.
+    The words are bit-sliced, one bit per word: the bitset of the words at
+    least ``e`` at column ``k`` is read straight from their bytes, one
+    ``bytes.translate`` of the column's low field bytes, or-ed with the
+    words whose field there exceeds 255. A vector covers the AND of its
+    support ``(column, exponent)`` pairs' bitsets, and only the bitsets the
+    vectors read are built. Vectors are taken in turn against the words not
+    yet covered, until none is left. The exponents of ``vecs`` must be at
+    most ``_INDEX_MAX_EXPONENT``; the caller refuses larger ones
+    (:func:`_check_slices`) before it calls.
     """
-    vecs = iter(vecs)
-    supports: list[list[tuple[int, int]]] = []
-
-    def drawn() -> Iterator[list[tuple[int, int]]]:
-        yield from supports
-        for v in vecs:
-            supports.append(pairs := list(compress(enumerate(v), v)))
-            yield pairs
-
     size = (codec.shift + 1) // 8
     stride = size * codec.width
-    for chunk in _chunks(words, max(1, cap)):
-        raw = b"".join(map(int.to_bytes, chunk, repeat(stride), repeat("big")))
-        everyone = (1 << len(chunk)) - 1
-        at_least: dict[tuple[int, int], int] = {}
-        uncovered = everyone
-        for pairs in drawn():
-            covered = uncovered
-            for pair in pairs:
-                bits = at_least.get(pair)
-                if bits is None:
-                    k, e = pair
-                    bits = everyone ^ int(raw[k * size + size - 1::stride].translate(_at_most(e - 1)), 2)
-                    for b in range(k * size, k * size + size - 1):  # the field's higher bytes
-                        bits |= everyone ^ int(raw[b::stride].translate(_at_most(0)), 2)
-                    at_least[pair] = bits
-                covered &= bits
-                if not covered:
-                    break
-            uncovered ^= covered
-            if not uncovered:
+    raw = b"".join(map(int.to_bytes, words, repeat(stride), repeat("big")))
+    everyone = (1 << len(words)) - 1
+    at_least: dict[tuple[int, int], int] = {}
+    uncovered = everyone
+    for v in vecs:
+        covered = uncovered
+        for pair in compress(enumerate(v), v):
+            bits = at_least.get(pair)
+            if bits is None:
+                k, e = pair
+                bits = everyone ^ int(raw[k * size + size - 1::stride].translate(_at_most(e - 1)), 2)
+                for b in range(k * size, k * size + size - 1):  # the field's higher bytes
+                    bits |= everyone ^ int(raw[b::stride].translate(_at_most(0)), 2)
+                at_least[pair] = bits
+            covered &= bits
+            if not covered:
                 break
-        if uncovered:
-            return False
-    return True
+        uncovered ^= covered
+        if not uncovered:
+            break
+    return not uncovered
 
 
-def _products_covered(a: MonomialIdeal, b: MonomialIdeal, into: MonomialIdeal, cap: int) -> bool:
+def products_covered(a: MonomialIdeal, b: MonomialIdeal, into: MonomialIdeal, cap: int) -> bool:
     """True iff ``into`` holds every product of a generator of ``a`` and one
-    of ``b``, tested by :func:`_all_covered` with no reducer."""
+    of ``b``, tested by :func:`_all_covered` with no reducer. Refuses with
+    :class:`SizeGuardExceeded` when there are more than ``cap`` products,
+    or when an exponent of ``into`` is above ``_INDEX_MAX_EXPONENT``."""
     _check_cap(len(a.vecs) * len(b.vecs), cap, "product")
     _check_slices(_top(into.vecs))
     codec = _packing(_top(a.vecs) + _top(b.vecs), len(a.universe))
     words = codec.pack(b.vecs)
-    return _all_covered(into.vecs, (t + v for t in codec.pack(a.vecs) for v in words), codec, cap)
+    return _all_covered(into.vecs, {t + v for t in codec.pack(a.vecs) for v in words}, codec)
 
 
-def _is_antichain(W: MonomialIdeal) -> bool:
+def is_antichain(W: MonomialIdeal) -> bool:
     """True iff no generator of ``W`` divides another, tested pairwise on
     packed words with no reducer (see :func:`_packing`)."""
     codec = _packing(_top(W.vecs), len(W.universe))
@@ -847,49 +814,79 @@ def square_colon_scan(
         c = a and d < b, and c, d are not in D). Either way D was not
         least, so D is a clique.
 
-    Level s streams the halves ``(sum(D) + 1) >> 1`` to
-    :func:`_all_covered`, which covers them with a generating set of
-    W^(s+1): any one answers the membership. W^(s+1) itself is built, by
-    :meth:`MonomialIdeal.power`, only where something later reads it: as
-    the next level's W^s (s < r_max) and for the good pairs (s = 1). At the
-    top level s = r_max, unless W keeps W^(s+1) already, the cover is the
-    distinct sums t + v of the generators t of W^s and v of W, drawn as the
-    pass needs them and never reduced. Before either, level s refuses with
-    :class:`SizeGuardExceeded` when the product count |W^s| * |W| exceeds
-    ``cap``, with power's message and estimate, and when the largest sum of
-    the column tops of W^s and W at one position, which bounds every
-    exponent of W^(s+1), exceeds ``_INDEX_MAX_EXPONENT``, with that sum
-    plus one as the estimate. Both counts come from W^s and W alone, so no
-    refusal depends on which powers were built before. A negative
+    Level s takes the halves ``(sum(D) + 1) >> 1`` from the clique stream
+    and answers each by peeling generators off it (:func:`_all_in_power`),
+    so it builds no W^(s+1): h lies in W^(s+1) iff some generator g of W
+    divides h and h - g lies in W^s. The one power built is W^2, by
+    :meth:`MonomialIdeal.power` with its product guard, for the good pairs;
+    it is reused when W keeps it already. A level refuses with
+    :class:`SizeGuardExceeded` once it has taken more than ``cap`` halves,
+    or once its peel has made more than ``cap`` divisibility tests; the
+    estimate is that count, a lower bound on the level's work. A negative
     ``r_max`` raises :class:`ValueError`, as it would check nothing.
     """
     if r_max < 0:
         raise ValueError("r_max must be nonnegative")
     gens = W.vecs
-    width = len(W.universe)
-    tops = _column_tops(gens)
     above: list[int] = []
-    base: Sequence[Vec] = ((0,) * width,)  # W^s, here W^0
     for s in range(r_max + 1):
-        _check_cap(len(base) * len(gens), cap, "product")
-        _check_slices(max(map(add, _column_tops(base), tops), default=0))
-        codec = _packing((2 * s + 1) * _top(gens), width)
+        codec = _packing((2 * s + 1) * _top(gens), len(W.universe))
         words = codec.pack(gens)
-        if s < r_max or s == 1 or len(W._powers) >= s:  # read again, or kept
-            cover: Iterable[Vec] = W.power(s + 1, cap=cap).vecs
-        else:  # W^(s+1) would be read once: cover with the sums that reduce to it
-            cover = chain.from_iterable(map(codec.unpack, zip(_distinct_sums(codec.pack(base), words))))
         if s == 1:
-            above = _good_pairs(words, codec.pack(cover))
+            above = _good_pairs(words, codec.pack(W.power(2, cap=cap).vecs))
         # ceil(t / 2) = (t + 1) >> 1 fieldwise: the sums carry the + 1, which
         # may reach a field's guard bit but not carry past it, and the low bit
         # each field shifts into the guard bit of the field below is masked off
         values = codec.values
         sums = _clique_sums(words, above, 2 * s + 1, codec.ones, (1 << len(words)) - 1)
-        if not _all_covered(cover, ((t >> 1) & values for t in sums), codec, cap):
+        if not _all_in_power(((t >> 1) & values for t in sums), words, s + 1, codec.guards, cap):
             return s
-        base = cover  # W^(s+1), built as s < r_max
     return None
+
+
+def _all_in_power(halves: Iterable[int], words: list[int], j: int, guards: int, cap: int) -> bool:
+    """True iff every word of ``halves`` lies in W^j, ``j >= 1``, for the
+    ideal W of the packed generators ``words`` with guard mask ``guards``
+    (see :func:`_packing`).
+
+    A word h lies in W^j iff some generator g divides h and h - g lies in
+    W^(j-1); at j = 1 that is a plain divisor test. The generators are
+    tried in turn, one divisibility test each, until one answers, and each
+    depth keeps one dict of the words it has answered, so no word is peeled
+    twice at one depth. :class:`SizeGuardExceeded` is raised once more than
+    ``cap`` halves are taken, or once more than ``cap`` tests are made.
+    """
+    memos: list[dict[int, bool]] = [{} for _ in range(j + 1)]
+    tests = 0
+
+    def member(h: int, depth: int) -> bool:
+        nonlocal tests
+        memo = memos[depth]
+        found = memo.get(h)
+        if found is None:
+            guarded, found, count = h | guards, False, 0
+            for count, g in enumerate(words, 1):
+                if (guarded - g) & guards == guards and (depth == 1 or member(h - g, depth - 1)):
+                    found = True
+                    break
+            tests += count
+            if tests > cap:
+                raise SizeGuardExceeded(
+                    f"square-colon scan has made {tests} divisibility tests for "
+                    f"W^{j}, a lower bound on its work (cap {cap})", tests,
+                )
+            memo[h] = found
+        return found
+
+    for taken, h in enumerate(halves, 1):
+        if taken > cap:
+            raise SizeGuardExceeded(
+                f"square-colon scan has taken {taken} halves to test in W^{j}, "
+                f"a lower bound on its work (cap {cap})", taken,
+            )
+        if not member(h, j):
+            return False
+    return True
 
 
 def _good_pairs(words: list[int], square: list[int]) -> list[int]:
@@ -921,23 +918,6 @@ def _clique_sums(words: list[int], above: list[int], size: int, total: int, amon
             yield total + words[j]
         elif (rest := among & above[j]).bit_count() >= size - 1:
             yield from _clique_sums(words, above, size - 1, total + words[j], rest)
-
-
-def _distinct_sums(a: list[int], b: list[int]) -> Iterator[int]:
-    """The distinct sums ``t + v``, ``t`` in ``a`` and ``v`` in ``b``, in the
-    order they first come with ``t`` in the outer loop."""
-    seen: set[int] = set()
-    for t in a:
-        for v in b:
-            if (w := t + v) not in seen:
-                seen.add(w)
-                yield w
-
-
-def _chunks(words: Iterable[int], size: int) -> Iterator[set[int]]:
-    """The sets of the next ``size`` words of ``words``, until none is left."""
-    words = iter(words)
-    return iter(lambda: set(islice(words, size)), set())
 
 
 # -- internals ---------------------------------------------------------------

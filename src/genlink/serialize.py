@@ -207,11 +207,12 @@ def betti_to_json(table: BettiTable) -> str:
 
 
 def _betti_grid(table: BettiTable) -> tuple[list[int], list[int], dict[tuple[int, int], int]]:
-    """Rows indexed by j - i, columns by i, including the implicit unit."""
+    """Rows indexed by j - i, every one from 0 to the largest, columns by i,
+    including the implicit unit."""
     cells = {(0, 0): 1}
     cells.update(table.entries)
     cols = sorted({i for i, _ in cells})
-    rows = sorted({j - i for i, j in cells})
+    rows = list(range(max(j - i for i, j in cells) + 1))
     grid = {(j - i, i): v for (i, j), v in cells.items()}
     return rows, cols, grid
 
@@ -219,7 +220,6 @@ def _betti_grid(table: BettiTable) -> tuple[list[int], list[int], dict[tuple[int
 def betti_to_text(table: BettiTable) -> str:
     """Pretty print with row index j - i, '-' marking zero entries."""
     rows, cols, grid = _betti_grid(table)
-    rows = list(range(0, max(rows) + 1))
     width = max(
         [len(str(v)) for v in grid.values()] + [len(str(c)) for c in cols] + [1]
     )
@@ -233,7 +233,6 @@ def betti_to_text(table: BettiTable) -> str:
 
 def betti_to_tex(table: BettiTable) -> str:
     rows, cols, grid = _betti_grid(table)
-    rows = list(range(0, max(rows) + 1))
     head = " & ".join(str(c) for c in cols)
     lines = [
         "\\begin{tabular}{l" + "l" * len(cols) + "}",

@@ -29,9 +29,9 @@ from typing import Callable, Iterable
 from .ideals import (
     DEFAULT_CANDIDATE_CAP,
     SizeGuardExceeded,
-    _is_antichain,
-    _products_covered,
     first_symbolic_gap,
+    is_antichain,
+    products_covered,
     square_colon_scan,
 )
 from .linkage import (
@@ -178,7 +178,7 @@ def verify_colon_link(inst: LinkInstance, bounds: VerifyBounds, seed: int) -> Ve
     claimed = inst.link_initial
     computed = seq.colon(minors, cap=bounds.candidate_cap)
     set_equal = set(computed.vecs) == set(claimed.vecs)
-    claimed_in_colon = _products_covered(claimed, minors, seq, bounds.candidate_cap)
+    claimed_in_colon = products_covered(claimed, minors, seq, bounds.candidate_cap)
     computed_in_claimed = all(claimed._divides_into(c) for c in computed.vecs)
     ok = set_equal and claimed_in_colon and computed_in_claimed
     return ok, {
@@ -271,7 +271,7 @@ def verify_counts_and_degrees(inst: LinkInstance, bounds: VerifyBounds, seed: in
     witnesses: dict = {"generators": len(W.vecs)}
     checks = []
     checks.append(W.is_squarefree())
-    checks.append(_is_antichain(W))  # pairwise, not via the reducer
+    checks.append(is_antichain(W))  # pairwise, not via the reducer
     checks.append(not any(
         map(inst.minors_initial._divides_into, inst._complement_vecs.values())
     ))

@@ -5,8 +5,8 @@ import pytest
 
 import genlink.cli
 from genlink.cli import main
-from genlink.serialize import ideal_to_json
-from genlink import LinkInstance, Monomial, Universe, ideal, unit_ideal, xvar, zero_ideal
+from genlink.serialize import _betti_grid, ideal_to_json
+from genlink import LinkInstance, Monomial, Universe, betti_table, ideal, unit_ideal, xvar, zero_ideal
 
 
 @pytest.fixture
@@ -59,6 +59,28 @@ def test_generate_refuses_before_it_enumerates(monkeypatch, capsys):
     monkeypatch.setattr(LinkInstance, "selectors", property(enumerated))
     assert main(["generate", "3", "6", "iniJ"]) == 3
     assert capsys.readouterr().err == "refused: iniJ would list 14 generators (cap 10)\n"
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (1, 3), (2, 3), (2, 4), (3, 7), (4, 9)])
+def test_betti_count_is_the_grid_the_tables_lay_out(m, n):
+    inst = LinkInstance(m, n)
+    rows, cols, _ = _betti_grid(betti_table(inst))
+    assert genlink.cli._OUTPUT_COUNTS["betti"](inst) == (len(rows) * len(cols), "table cells")
+
+
+def test_generate_betti_refuses_a_large_grid_before_it_builds(monkeypatch, capsys, tmp_path):
+    def built(inst):
+        raise AssertionError("a refused table was built")
+
+    original = genlink.cli.GENERATE_TARGETS["betti"]
+    monkeypatch.setitem(genlink.cli.GENERATE_TARGETS, "betti", built)
+    # g = 999: (2 * 998 + 1) * 1000 cells, in every format
+    for fmt in genlink.cli.FORMATS:
+        assert main(["generate", "2", "1000", "betti", "--format", fmt]) == 3
+        assert capsys.readouterr().err == "refused: betti would list 1997000 table cells (cap 200000)\n"
+    # g = 299: 597 * 300 = 179,100 cells pass the cap
+    monkeypatch.setitem(genlink.cli.GENERATE_TARGETS, "betti", original)
+    assert main(["generate", "2", "300", "betti", "--format", "json", "--out", str(tmp_path / "b.json")]) == 0
 
 
 def test_generate_byte_identical(tmp_path):

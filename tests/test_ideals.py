@@ -5,7 +5,7 @@ from operator import add, and_
 from random import Random
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from bruteforce import (
     all_monomials,
@@ -35,7 +35,7 @@ from genlink import (
     zero_ideal,
 )
 from genlink import ideals
-from genlink.ideals import DEFAULT_CANDIDATE_CAP, _DivisorIndex, _minimalize
+from genlink.ideals import DEFAULT_CANDIDATE_CAP, _DivisorIndex, _minimalize, _minimalize_words
 
 U3 = Universe.x_grid(1, 3)
 U4 = Universe.x_grid(1, 4)
@@ -204,13 +204,30 @@ def degree_bands(draw, squarefree):
 
 
 def reduction_order(vec):
-    # _minimalize returns its antichain by degree, then exponents in vector
+    # the generator order of every ideal: by degree, then exponents in vector
     # order; the scan reference sorts by degree, then support mask
     return sum(vec), vec
 
 
 def scan_reference(vecs):
     return sorted(scan_minimalize(vecs), key=reduction_order)
+
+
+def minimalized(vecs, cap=DEFAULT_CANDIDATE_CAP):
+    # _minimalize returns its antichain in no set order; ideal() sorts it
+    return sorted(_minimalize(vecs, cap), key=reduction_order)
+
+
+def reduced_against(seed, candidates, cap=DEFAULT_CANDIDATE_CAP):
+    """The antichain ``seed``, then the distinct candidates that no seed
+    vector and no other candidate divides, as _minimalize_words keeps them
+    on packed words."""
+    vecs = seed + candidates
+    if not vecs:
+        return []
+    codec = ideals._packing(ideals._top(vecs), len(vecs[0]))
+    got = codec.unpack(_minimalize_words(codec.pack(seed), sorted(set(codec.pack(candidates))), codec, cap))
+    return got[:len(seed)] + sorted(got[len(seed):], key=reduction_order)
 
 
 @given(st.booleans().flatmap(degree_bands))
@@ -223,15 +240,15 @@ def scan_reference(vecs):
 @settings(max_examples=120, deadline=None)
 def test_minimalize_matches_scan_reference(band):
     _, vecs = band
-    assert _minimalize(vecs) == scan_reference(vecs)
+    assert minimalized(vecs) == scan_reference(vecs)
 
 
 def assert_seeded_matches_scan(vecs, cut):
     # The seed is the antichain of the first ``cut`` vectors; candidates
-    # dividing a seed vector are dropped, as _minimalize requires.
+    # dividing a seed vector are dropped, as _minimalize_words requires.
     seed = scan_minimalize(vecs[:cut])
     candidates = [c for c in vecs[cut:] if not any(vec_divides_some([c], s) for s in seed)]
-    got = _minimalize(candidates, seed)
+    got = reduced_against(seed, candidates)
     assert got[:len(seed)] == seed
     assert got[len(seed):] == [v for v in scan_reference(seed + candidates) if v not in seed]
 
@@ -256,7 +273,7 @@ WIDE_EXPONENTS = st.sampled_from([0, 1, 2, 127, 128, 255, 256, 2**40])
 )
 @settings(max_examples=200)
 def test_minimalize_packs_wide_exponents(vecs, cut):
-    assert _minimalize(vecs) == scan_reference(vecs)
+    assert minimalized(vecs) == scan_reference(vecs)
     assert_seeded_matches_scan(vecs, cut)
 
 
@@ -264,13 +281,13 @@ def test_minimalize_scans_past_the_switch_above_the_index_exponent(monkeypatch):
     monkeypatch.setattr(ideals, "_minimalize_indexed", None)  # must not be reached
     level5 = [(a, b, 5 - a - b, 0) for a in range(6) for b in range(6 - a)]  # 21 vectors
     vecs = level5 + [(0, 0, 0, 2**40), (1, 0, 0, 2**40), (0, 0, 6, 0)]
-    assert _minimalize(vecs) == scan_reference(vecs)
+    assert minimalized(vecs) == scan_reference(vecs)
     assert len(_minimalize(vecs)) == 22
 
 
 def test_minimalize_refuses_a_long_scan_above_the_index_exponent():
     # with no index to fall back on, the scan refuses before it starts when
-    # candidates times (seed + candidates) exceeds the cap
+    # candidates times (kept + candidates) exceeds the cap
     level5 = [(a, b, 5 - a - b, 0) for a in range(6) for b in range(6 - a)]  # 21 vectors
     huge = level5 + [(0, 0, 0, 2**40)]
     with pytest.raises(SizeGuardExceeded) as refused:
@@ -279,9 +296,9 @@ def test_minimalize_refuses_a_long_scan_above_the_index_exponent():
     assert len(_minimalize(huge, cap=22 * 22)) == 22
     seed, candidates = huge[:10], huge[10:]
     with pytest.raises(SizeGuardExceeded) as refused:
-        _minimalize(candidates, seed, cap=12 * 22 - 1)
+        reduced_against(seed, candidates, cap=12 * 22 - 1)
     assert refused.value.estimate == 12 * 22
-    assert _minimalize(candidates, seed, cap=12 * 22) == seed + scan_reference(candidates)
+    assert reduced_against(seed, candidates, cap=12 * 22) == seed + scan_reference(candidates)
     # up to the index exponent the index takes over and the cap is not consulted
     assert len(_minimalize(level5 + [(0, 0, 0, 255)], cap=1)) == 22
 
@@ -312,7 +329,7 @@ def test_minimalize_switches_after_four_kept_per_variable(monkeypatch):
     for size, switched in ((12, False), (13, True)):
         entered.clear()
         vecs = level4[:size] + [top]
-        assert _minimalize(vecs) == scan_reference(vecs)
+        assert minimalized(vecs) == scan_reference(vecs)
         assert entered == ([size] if switched else [])
 
 
@@ -321,7 +338,7 @@ def test_minimalize_matches_scan_on_link_powers_3_5():
     power, reached = W, 0
     for _ in range(2, 6):
         candidates = [tuple(map(add, u, v)) for u in power.vecs for v in W.vecs]
-        got = _minimalize(candidates)
+        got = minimalized(candidates)
         assert got == scan_reference(candidates)
         reached += len(got) > 4 * len(W.universe)
         power = power.product(W)
@@ -981,32 +998,6 @@ def test_square_colon_scan_agrees_with_the_oracle():
         assert square_colon_scan(W, 2) == first_failing(W, 2)
 
 
-def admitted_cap(W, r):
-    """The least cap under which the scan up to r builds W^(r+1): the
-    largest count of the product guard on the way."""
-    return max([len(W.vecs)] + [len(W.power(k).vecs) * len(W.vecs) for k in range(1, r + 1)])
-
-
-def predicted_scan(W, r_max, cap):
-    """What ``square_colon_scan(W, r_max, cap=cap)`` returns, or its
-    refusal's estimate, from the guards and the oracle alone. Level s, up to
-    the first failing level, refuses at the first product guard count above
-    the cap on the way to W^(s+1): |W|, then |W^k| * |W| for k <= s; else
-    when the exponent bound of W^(s+1), the largest sum of the column tops
-    of W^s and W at one position, is above 255, with the estimate bound + 1."""
-    want = first_failing(W, r_max)
-    for s in range(r_max + 1 if want is None else want + 1):
-        counts = [len(W.vecs)] + [len(W.power(k).vecs) * len(W.vecs) for k in range(1, s + 1)]
-        over = [count for count in counts if count > cap]
-        if over:
-            return "refused", over[0]
-        tops = [map(max, zip(*V.vecs)) for V in (W.power(s), W)]
-        bound = max(map(add, *tops), default=0)
-        if bound > 255:
-            return "refused", bound + 1
-    return want
-
-
 def scan_or_refusal(W, r_max, cap):
     try:
         return square_colon_scan(W, r_max, cap=cap)
@@ -1014,58 +1005,48 @@ def scan_or_refusal(W, r_max, cap):
         return "refused", refused.estimate
 
 
-def spy_on_chunks(monkeypatch):
-    """Each chunk _all_covered draws, as the words it takes from the stream,
-    the distinct ones among them, and whether all are covered, as a divisor
-    index over the covering vectors tells. The covering vectors may come as
-    a one-shot stream, so they are copied into a list first."""
-    chunks = []
-    cover, cut = ideals._all_covered, ideals._chunks
-    seen = {}
+def assert_level_or_refusal(W, r_max, cap):
+    """At any cap the scan gives the oracle's first failing level, or a
+    refusal whose estimate is above the cap: a level's own guard counts
+    what it has taken or tested, W^2's product guard what it would build."""
+    got = scan_or_refusal(W, r_max, cap)
+    if isinstance(got, tuple):
+        assert got[1] > cap, got
+    else:
+        assert got == first_failing(W, r_max), got
+    return got
 
-    def all_covered(vecs, words, codec, cap):
-        vecs = list(vecs)
-        seen.update(index=ideals._DivisorIndex(codec.width, vecs), unpack=codec.unpack)
-        return cover(vecs, words, codec, cap)
 
-    def chunking(words, size):
-        drawn = 0
+def spy_on_halves(monkeypatch):
+    """The halves each level takes from the clique stream, one count per
+    level in order."""
+    taken = []
+    peel = ideals._all_in_power
+
+    def all_in_power(halves, *args):
+        taken.append(0)
 
         def counted():
-            nonlocal drawn
-            for word in words:
-                drawn += 1
-                yield word
-        taken = 0
-        for chunk in cut(counted(), size):
-            covered = all(map(seen["index"].divides_some, seen["unpack"](chunk)))
-            chunks.append((drawn - taken, len(chunk), covered))
-            taken = drawn
-            yield chunk
+            for h in halves:
+                taken[-1] += 1
+                yield h
+        return peel(counted(), *args)
 
-    monkeypatch.setattr(ideals, "_all_covered", all_covered)
-    monkeypatch.setattr(ideals, "_chunks", chunking)
-    return chunks
+    monkeypatch.setattr(ideals, "_all_in_power", all_in_power)
+    return taken
 
 
-def spy_on_passes(monkeypatch):
-    """The chunks of :func:`spy_on_chunks`, one list per cover pass."""
-    chunks, passes = spy_on_chunks(monkeypatch), []
-    cover = ideals._all_covered
+def spy_on_products(monkeypatch):
+    """The right operand of each product call."""
+    calls = []
+    original = MonomialIdeal.product
 
-    def all_covered(vecs, words, codec, cap):
-        start = len(chunks)
-        covered = cover(vecs, words, codec, cap)
-        passes.append(chunks[start:])
-        return covered
+    def counting(self, other, cap=DEFAULT_CANDIDATE_CAP):
+        calls.append(other)
+        return original(self, other, cap=cap)
 
-    monkeypatch.setattr(ideals, "_all_covered", all_covered)
-    return passes
-
-
-def cut_sizes(total, cap):
-    """The words in each chunk of a stream of ``total`` words at ``cap``."""
-    return [cap] * (total // cap) + [total % cap] * (total % cap > 0)
+    monkeypatch.setattr(MonomialIdeal, "product", counting)
+    return calls
 
 
 @given(
@@ -1078,11 +1059,9 @@ def test_square_colon_check_matches_bracket_power_oracle(W, r, cap):
     # non-squarefree ideals too: the scan must hold to the definition
     # whatever the exponents. One that is not squarefree fails at r = 0, as
     # ceil(t/2) properly divides a generator t; the squarefree ones here
-    # pass or fail at r = 1. At any cap the scan refuses as the guards say,
-    # else it gives the oracle's level
+    # pass or fail at r = 1
     assert square_colon_scan(W, r) == first_failing(W, r)
-    assert scan_or_refusal(W, r, cap) == predicted_scan(W, r, cap)
-
+    assert_level_or_refusal(W, r, cap)
 
 
 @given(
@@ -1092,38 +1071,36 @@ def test_square_colon_check_matches_bracket_power_oracle(W, r, cap):
 @settings(max_examples=120, deadline=None)
 def test_square_colon_scan_matches_the_check_and_the_oracle(W, cap):
     # the scan over r_max = 2 at once: uncapped it gives the oracle's first
-    # failing level; at any cap it matches the check made from the guards
-    # and the oracle, predicted_scan, refusal estimate included
+    # failing level, at any cap that level or a refusal above the cap, and
+    # the same outcome whether or not W keeps W^2 already
     assert square_colon_scan(W, 2) == first_failing(W, 2)
-    assert scan_or_refusal(W, 2, cap) == predicted_scan(W, 2, cap)
+    fresh = assert_level_or_refusal(MonomialIdeal(W.universe, W.vecs), 2, cap)
+    kept = MonomialIdeal(W.universe, W.vecs)
+    kept.power(2)
+    assert scan_or_refusal(kept, 2, cap) == fresh
 
 
-def scan_outcome(W, r_max, cap):
-    """The scan's level, or its refusal's estimate and message."""
-    try:
-        return square_colon_scan(W, r_max, cap=cap)
-    except SizeGuardExceeded as refused:
-        return "refused", refused.estimate, str(refused)
+# exponents above 255 take a field of two bytes or more
+WIDE_SQUARE_EXPONENTS = st.sampled_from([1, 2, 255, 256, 300, 511, 2**16])
 
 
 @given(
-    st.one_of(small_ideals, mixed_ideals, squarefree_ideals, sparse_squarefree_ideals),
-    st.integers(min_value=0, max_value=3),
-    st.integers(min_value=1, max_value=400),
+    st.lists(
+        st.dictionaries(st.sampled_from([X1, X2, X3]), WIDE_SQUARE_EXPONENTS, min_size=1, max_size=3),
+        min_size=1,
+        max_size=4,
+    ),
+    st.integers(min_value=0, max_value=2),
 )
-@settings(max_examples=120, deadline=None)
-def test_square_colon_scan_covers_alike_with_the_top_power_kept(W, r, cap):
-    # the top level covers by the sums of W^r and W, or by W^(r+1) if W
-    # keeps it: the two give the same level, refusal and estimate
-    fresh = MonomialIdeal(W.universe, W.vecs)
-    streamed = scan_outcome(fresh, r, cap)
-    # W^2 to W^r at most, and W^2 at r = 1 for the good pairs: no W^(r+1)
-    # for r >= 2
-    assert len(fresh._powers) <= max(r - 1, min(r, 1))
-    kept = MonomialIdeal(W.universe, W.vecs)
-    kept.power(r + 1)
-    assert scan_outcome(kept, r, cap) == streamed
-    assert scan_or_refusal(MonomialIdeal(W.universe, W.vecs), r, cap) == predicted_scan(W, r, cap)
+@example([{xvar(1, 3): 256}, {X1: 1}], 0)
+@settings(max_examples=80, deadline=None)
+def test_square_colon_scan_matches_the_oracle_above_byte_exponents(gens, r):
+    # the peel works on packed words of any field width, so an exponent
+    # above 255 is answered, not refused; an ideal with one is not
+    # squarefree, so the scan and the oracle find it failing at r = 0
+    W = ideal(U3, [Monomial(g) for g in gens])
+    assume(max(map(max, W.vecs)) > 255)
+    assert square_colon_scan(W, r) == first_failing(W, r) == 0
 
 
 def link_ideals_up_to_3_5():
@@ -1154,36 +1131,29 @@ def test_square_colon_check_matches_bracket_power_oracle_on_link_ideals():
 
 
 def test_square_colon_check_in_chunks_matches_the_oracle_on_link_ideals(monkeypatch):
-    passes = spy_on_passes(monkeypatch)
-    split = 0
+    # at any cap a level takes at most cap + 1 halves, and the scan gives
+    # the oracle's level or refuses above the cap
+    taken = spy_on_halves(monkeypatch)
+    refused = 0
     for label, W, r, want in square_colon_oracle_on_link_ideals():
-        passes.clear()
-        cap = admitted_cap(W, r)
-        assert square_colon_scan(W, r, cap=cap) == want, (label, r)
-        # one pass per level up to the first failing one, each cut into
-        # chunks of cap words, and the first uncovered chunk ends the scan
-        assert len(passes) == (r if want is None else want) + 1, (label, r)
-        for chunks in passes:
-            sizes = [words for words, _, _ in chunks]
-            assert sizes == cut_sizes(sum(sizes), cap), (label, r)
-            split += len(chunks) >= 2
-        verdicts = [covered for chunks in passes for _, _, covered in chunks]
-        assert verdicts == [True] * (len(verdicts) - 1) + [want is None], (label, r)
-    # at the least cap the odd cliques of every level fit in one chunk:
-    # there are fewer than the product guard admits for W^(r+1)
-    assert split == 0
+        for cap in (1, 10, 50, 200, 1000):
+            taken.clear()
+            refused += isinstance(assert_level_or_refusal(W, r, cap), tuple)
+            assert max(taken, default=0) <= cap + 1, (label, r, cap)
+    assert refused > 0
 
 
 def test_square_colon_check_fails_beyond_the_first_chunk(monkeypatch):
-    # x3 and a triangle on x1, x2, x4: level 0 passes in one chunk of the 4
-    # generators, and level 1 fails in the next, whose 4 triples include the
-    # triangle; 16 is the least cap that builds W^2
+    # x3 and a triangle on x1, x2, x4: the 4 halves of level 0 pass, and
+    # level 1 fails at the triangle among its 4 triples. 16 is the least cap
+    # under which W^2 is built; level 1 then makes 19 divisibility tests
     W = ideal(U4, [mono(xvar(1, 3)), mono(X1, X2), mono(X1, xvar(1, 4)), mono(X2, xvar(1, 4))])
-    chunks = spy_on_chunks(monkeypatch)
-    assert first_failing(W, 1) == 1
-    assert square_colon_scan(W, 1, cap=16) == 1
-    assert [(words, verdict) for words, _, verdict in chunks] == [(4, True), (4, False)]
+    taken = spy_on_halves(monkeypatch)
+    assert square_colon_scan(W, 1) == 1 == first_failing(W, 1)
+    assert taken == [4, 4]
     assert scan_or_refusal(W, 1, 15) == ("refused", 16)
+    assert scan_or_refusal(W, 1, 18) == ("refused", 19)
+    assert square_colon_scan(W, 1, cap=19) == 1
 
 
 def test_square_colon_check_on_zero_and_unit_ideals():
@@ -1194,69 +1164,77 @@ def test_square_colon_check_on_zero_and_unit_ideals():
         assert square_colon_scan(W, 2) is None
 
 
+def test_square_colon_scan_refuses_past_cap_halves_or_tests(monkeypatch):
+    taken = spy_on_halves(monkeypatch)
+    # level 0 of (x1, x2) at cap 1: x1 takes one test, then the second half
+    # is one more than the cap
+    W = ideal(U3, [mono(X1), mono(X2)])
+    with pytest.raises(SizeGuardExceeded, match="taken 2 halves.*lower bound") as refused:
+        square_colon_scan(W, 0, cap=1)
+    assert refused.value.estimate == 2
+    # x2 takes two tests
+    with pytest.raises(SizeGuardExceeded, match="made 3 divisibility tests.*lower bound") as refused:
+        square_colon_scan(W, 0, cap=2)
+    assert refused.value.estimate == 3
+    assert square_colon_scan(W, 0, cap=3) is None
+    assert taken == [2, 2, 2]
+
+
 def test_square_colon_chunks_hold_at_most_cap_sums(monkeypatch):
-    chunks = spy_on_chunks(monkeypatch)
-    # iniI(3,6): 20 generators, whose 650 good triangles have 389 distinct
-    # halves; r = 1 must admit 20 * 20 candidates for W^2
+    taken = spy_on_halves(monkeypatch)
+    # iniI(3,6): 20 generators and 650 good triangles; r = 1 must admit
+    # 20 * 20 candidates for W^2
     W = LinkInstance(3, 6).minors_initial
-    for cap in (400, 500, 649, 650, 1000):
-        chunks.clear()
-        assert square_colon_scan(W, 1, cap=cap) is None
-        assert [words for words, _, _ in chunks] == [20, *cut_sizes(650, cap)]
-        assert all(distinct <= words for words, distinct, _ in chunks)
-    assert sum(distinct for words, distinct, _ in chunks[1:]) == 389
-
-
-def test_square_colon_check_refuses_exponents_above_the_index():
-    # the scan refuses through its cover pass
-    W = ideal(U4, [Monomial({xvar(1, 4): 256}), mono(X1)])
-    with pytest.raises(SizeGuardExceeded) as refused:
-        square_colon_scan(W, 0)
-    assert refused.value.estimate == 257
-    W = ideal(U4, [Monomial({xvar(1, 4): 255}), mono(X1)])
-    assert (square_colon_scan(W, 0) is None) == square_colon_holds(W.vecs, 0)
+    for cap in (400, 500, 649, 650, 1000, 5000):
+        taken.clear()
+        assert_level_or_refusal(W, 1, cap)
+        assert max(taken) <= cap + 1
+    assert taken == [20, 650]
+    # (x1, ..., x60) has C(60, 5) = 5,461,512 good 5-sets at r = 2; a level
+    # takes at most cap + 1 halves before it is refused
+    U = Universe.x_grid(1, 60)
+    for cap in (1000, DEFAULT_CANDIDATE_CAP):
+        taken.clear()
+        refused, estimate = scan_or_refusal(ideal(U, [mono(v) for v in U.variables]), 2, cap)
+        assert estimate > cap
+        assert max(taken) <= cap + 1
 
 
 # halves above 255 take a second byte: 256 and 300 are covered at every
-# exponent a generator of W^(r+1) may have
+# exponent a vector here may have
 HALF_EXPONENTS = st.sampled_from([0, 1, 2, 127, 128, 254, 255, 256, 300, 511])
 
 
 @given(
-    # the scan hands over no words only when W^(r+1) is zero, with no supports
+    # products_covered hands over no words only when a or b is zero
     st.lists(st.tuples(*[HALF_EXPONENTS] * 3), min_size=1, max_size=12),
     st.lists(st.tuples(*[st.integers(0, 255)] * 3), max_size=4),
-    st.integers(min_value=1, max_value=12),
 )
 @settings(max_examples=100)
-def test_all_covered_matches_its_definition(halves, vecs, size):
+def test_all_covered_matches_its_definition(halves, vecs):
     codec = ideals._packing(511, 3)
-    words = codec.pack(halves)
-    assert list(ideals._chunks(words, size)) == [set(words[i:i + size]) for i in range(0, len(words), size)]
     want = all(any(all(h[k] >= e for k, e in enumerate(v)) for v in vecs) for h in halves)
-    assert ideals._all_covered(vecs, iter(words), codec, size) == want
-    # the vectors as a one-shot stream too, the words in one chunk or in
-    # chunks of one: a vector drawn for one chunk is kept for the later ones
-    for cut in (size, 1, len(words)):
-        assert ideals._all_covered(iter(vecs), iter(words), codec, cut) == want, cut
-        assert ideals._all_covered(vecs, iter(words), codec, cut) == want, cut
+    assert ideals._all_covered(vecs, set(codec.pack(halves)), codec) == want
 
 
 def test_square_colon_scan_builds_each_power_once(monkeypatch):
-    calls = []
-    original = MonomialIdeal.product
-
-    def counting(self, other, cap=DEFAULT_CANDIDATE_CAP):
-        calls.append(other)
-        return original(self, other, cap=cap)
-
-    monkeypatch.setattr(MonomialIdeal, "product", counting)
+    calls = spy_on_products(monkeypatch)
     W = LinkInstance(2, 4).link_initial
     assert square_colon_scan(W, 2) is None
-    # W^2 only, one product with W: level 2 covers its halves by the sums
-    # of W^2 and W, unreduced, and no W^3, W^4 or W^5 is built
+    # W^2 only, one product with W, for the good pairs: every level peels
+    # its halves, and no W^3, W^4 or W^5 is built
     assert len(calls) == 1 and calls[0] is W
     assert len(W._powers) == 1
+
+
+@pytest.mark.parametrize("m, n, r_max", [(4, 8, 4), (3, 10, 5)])
+def test_square_colon_scan_reaches_the_clique_bound_at_the_default_cap(monkeypatch, m, n, r_max):
+    # r_max = n // 2, past which no level has a clique of 2 r_max + 1
+    # vertices; the scan to it builds W^2 and no other power
+    calls = spy_on_products(monkeypatch)
+    W = LinkInstance(m, n).link_initial
+    assert square_colon_scan(W, r_max) is None
+    assert len(calls) == 1 and calls[0] is W
 
 
 def test_square_colon_scan_fails_first_at_the_odd_cycle():
@@ -1270,31 +1248,34 @@ def test_square_colon_scan_fails_first_at_the_odd_cycle():
 def test_square_colon_scan_fails_beyond_the_first_chunk(monkeypatch):
     # seven variables, then a triangle on x1, x2, x3: the generators come
     # by degree, so the triangle is the last of the 120 triples of level 1,
-    # and the only one failing; 100 is the least cap that builds W^2
+    # and the only one failing. At a cap of 100 halves it lies beyond what
+    # the level may take, so the scan refuses and does not pass
     W = ideal(Universe.x_grid(1, 10), [
         *(mono(xvar(1, j)) for j in range(4, 11)), mono(X1, X2), mono(X1, X3), mono(X2, X3),
     ])
-    chunks = spy_on_chunks(monkeypatch)
-    assert square_colon_scan(W, 1, cap=100) == 1
-    assert [(words, verdict) for words, _, verdict in chunks] == [(10, True), (100, True), (20, False)]
+    taken = spy_on_halves(monkeypatch)
     assert square_colon_scan(W, 1) == 1 == first_failing(W, 1)
+    assert taken == [10, 120]
+    taken.clear()
+    refused, estimate = scan_or_refusal(W, 1, 100)
+    assert estimate > 100 and taken[-1] <= 101
 
 
 def test_square_colon_scan_checks_few_halves_in_chunks_of_at_most_cap(monkeypatch):
-    chunks = spy_on_chunks(monkeypatch)
+    taken = spy_on_halves(monkeypatch)
+    # the 9 generators, then the 50 good triangles and the 21 good 5-sets
     assert square_colon_scan(LinkInstance(3, 5).link_initial, 2) is None
-    # one chunk per level: the 9 generators, then the halves of the 50 good
-    # triangles, 33 of them distinct, and of the 21 good 5-sets, against
-    # the 9 * 39 and 39 * 119 sums of W^r and W^(r+1) at r = 1 and 2
-    assert chunks == [(9, 9, True), (50, 33, True), (21, 21, True)]
+    assert taken == [9, 50, 21]
     # every triple of twelve variables is a clique, with its own half; at
     # r = 1 the cap must admit 12 * 12 candidates for W^2
     W = ideal(Universe.x_grid(1, 12), [mono(xvar(1, j)) for j in range(1, 13)])
+    taken.clear()
+    assert square_colon_scan(W, 1) is None
+    assert taken == [12, 220]
     for cap in (144, 150, 219, 220):
-        chunks.clear()
-        assert square_colon_scan(W, 1, cap=cap) is None
-        assert [words for words, _, _ in chunks] == [12, *cut_sizes(220, cap)]
-        assert all(words == distinct for words, distinct, _ in chunks)
+        taken.clear()
+        assert_level_or_refusal(W, 1, cap)
+        assert max(taken) <= cap + 1
 
 
 # -- size guard --------------------------------------------------------------------------

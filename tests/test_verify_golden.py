@@ -11,9 +11,10 @@ minimal primes, and the two cor412 commands while N^(2) and nu's place in
 it were still read from the minimal primes of N, and the three commands at
 the CLI defaults (``--Lmax 3 --rmax 3``) while the square-colon scan still
 checked every sum of generators of W^r and W^(r+1), so a change that
-alters a status, a witness or a refusal estimate fails here. The refused
-command's digest is the same whether or not the square-colon check builds
-W^(2r+1): the product guard on W^3 refuses it first.
+alters a status, a witness or a refusal estimate fails here. The
+``--max-gens 350`` command was recorded once the square-colon scan peeled
+its halves and built no power but W^2; while it built W^3 it was refused
+there, with estimate 351.
 To print the digests of the current tree:
 
     PYTHONPATH=src python tests/test_verify_golden.py
@@ -40,9 +41,10 @@ COMMANDS = (
     "verify symbolic 4 6 --Lmax 2 --rmax 1",
     "verify symbolic 3 6 --Lmax 3 --rmax 1",
     "verify symbolic 4 6 --Lmax 3 --rmax 1",
-    # refused while it builds the square-colon powers: W^3 = W^2 * W at r = 2
-    # counts 39 * 9 = 351 candidates
+    # the square-colon scan builds W^2 alone, for the good pairs: 9 * 9 = 81
+    # candidates pass a cap of 350 and are refused under a cap of 80
     "verify symbolic 3 5 --Lmax 1 --rmax 2 --max-gens 350",
+    "verify symbolic 3 5 --Lmax 1 --rmax 2 --max-gens 80",
     # N^(2) and the nu witness; N(4,8) has the most primes per variable
     # (60 over 18) of the staircase ideals up to n = 8
     "verify cor412 4 7",
@@ -87,6 +89,7 @@ def _digest(command):
         "verify_symbolic_3_6",
         "verify_symbolic_4_6_--Lmax_3_--rmax_1",
         "verify_symbolic_3_5",
+        "verify_symbolic_3_5_--max-gens_80",
         "verify_cor412_4_7",
         "verify_cor412_4_8",
         "verify_symbolic_3_6_defaults",
@@ -103,9 +106,9 @@ def test_every_command_is_recorded():
 
 
 def test_square_colon_refusal_estimate():
-    code, doc = _run("verify symbolic 3 5 --Lmax 1 --rmax 2 --max-gens 350")
+    code, doc = _run("verify symbolic 3 5 --Lmax 1 --rmax 2 --max-gens 80")
     (report,) = doc["reports"]
-    assert (code, report["status"], report["witnesses"]["estimate"]) == (3, "refused", 351)
+    assert (code, report["status"], report["witnesses"]["estimate"]) == (3, "refused", 81)
 
 
 if __name__ == "__main__":
