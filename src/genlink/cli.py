@@ -23,7 +23,7 @@ import sys
 import tempfile
 from math import comb
 
-from .ideals import DEFAULT_CANDIDATE_CAP, MonomialIdeal, SizeGuardExceeded
+from .ideals import DEFAULT_CANDIDATE_CAP, MonomialIdeal, SizeGuardExceeded, check_cap
 from .linkage import LinkInstance, betti_table
 from .serialize import (
     SchemaError,
@@ -104,10 +104,7 @@ class UsageError(Exception):
 def _cmd_generate(args) -> int:
     inst = _instance(args)
     count, what = _OUTPUT_COUNTS[args.target](inst)
-    if count > DEFAULT_CANDIDATE_CAP:
-        raise SizeGuardExceeded(
-            f"{args.target} would list {count} {what} (cap {DEFAULT_CANDIDATE_CAP})", count
-        )
+    check_cap(count, DEFAULT_CANDIDATE_CAP, args.target, what)
     target = GENERATE_TARGETS[args.target](inst)
     write_ideal, write_betti = FORMATS[args.format]
     payload = write_betti(target) if args.target == "betti" else write_ideal(target)
@@ -216,8 +213,9 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--samples", type=int, default=DEFAULT_BOUNDS.witness_samples)
     ver.add_argument("--max-gens", type=int, default=DEFAULT_BOUNDS.candidate_cap,
-                     help="cap on intermediate candidate generators (leads keeps its "
-                     "own bound; witnesses builds no power)")
+                     help="cap on each kernel's count: candidate generators, fold-step "
+                     "pairs, reducer comparisons, square-colon halves and tests (the universe, "
+                     "lead-term and index guards keep fixed caps; witnesses builds no power)")
     ver.add_argument("--out", default=None, help="write the JSON report here")
     ver.set_defaults(func=_cmd_verify)
 

@@ -37,7 +37,8 @@ membership (a generator itself by set lookup) and tells the variable fold
 which generators to lift.
 All sizes here are desk scale; an explicit candidate cap guards against
 intersection blowup before anything is enumerated, and the index refuses
-exponents whose bitsets would not fit.
+exponents whose bitsets would not fit. Every refusal is raised by
+:func:`check_cap`.
 """
 
 from __future__ import annotations
@@ -59,11 +60,20 @@ class NotSquarefree(ValueError):
 
 
 class SizeGuardExceeded(RuntimeError):
-    """Raised before an intermediate computation would exceed the candidate cap."""
+    """A refusal, raised by :func:`check_cap` alone, with its ``estimate``."""
 
     def __init__(self, message: str, estimate: int):
         super().__init__(message)
         self.estimate = estimate
+
+
+def check_cap(count: int, cap: int, what: str, unit: str = "candidate generators") -> None:
+    """The one size guard: refuse ``what`` with :class:`SizeGuardExceeded`
+    when its ``count`` of ``unit`` exceeds ``cap``. The count is the
+    estimate, taken before the work it bounds, or, for a scan that counts
+    as it goes, the work done so far."""
+    if count > cap:
+        raise SizeGuardExceeded(f"{what} would enumerate about {count} {unit} (cap {cap})", count)
 
 
 Vec = tuple[int, ...]
@@ -186,7 +196,8 @@ class _DivisorIndex:
         if not vecs:
             return
         tops = [max(exps) for exps in zip(*vecs)]
-        _check_slices(max(tops, default=0))
+        if (highest := max(tops, default=0)) > _INDEX_MAX_EXPONENT:
+            check_cap(highest + 1, _INDEX_MAX_EXPONENT + 1, "divisor index", "exponent slices per variable")
         shift, old_all = self.size, (1 << self.size) - 1
         new_all = ((1 << len(vecs)) - 1) << shift
         for col, exps, top in zip(self.below, zip(*vecs), tops):
@@ -211,15 +222,6 @@ class _DivisorIndex:
                 if not hits:
                     return False
         return hits != 0
-
-
-def _check_slices(top: int) -> None:
-    """Refuse exponent bitsets up to ``top`` past ``_INDEX_MAX_EXPONENT``."""
-    if top > _INDEX_MAX_EXPONENT:
-        raise SizeGuardExceeded(
-            f"divisor index would hold {top + 1} exponent slices per variable "
-            f"(cap {_INDEX_MAX_EXPONENT + 1})", top + 1,
-        )
 
 
 @lru_cache(maxsize=_INDEX_MAX_EXPONENT)
@@ -282,14 +284,8 @@ def _minimalize_words(kept: list[int], words: list[int], codec: _Codec, cap: int
     switch = _INDEX_PER_VARIABLE * codec.width
     if codec.top > _INDEX_MAX_EXPONENT and _top(codec.unpack(chain(kept, words))) > _INDEX_MAX_EXPONENT:
         switch = len(kept) + len(words)  # the index would refuse: scan throughout
-        work = len(words) * switch
-        if work > cap:
-            raise SizeGuardExceeded(
-                f"reduction would scan {len(words)} candidates with exponents above "
-                f"{_INDEX_MAX_EXPONENT} against up to {switch} vectors, about {work} "
-                f"comparisons (cap {cap})",
-                work,
-            )
+        check_cap(len(words) * switch, cap, f"reduction of {len(words)} candidates with exponents "
+                  f"above {_INDEX_MAX_EXPONENT} against up to {switch} vectors", "comparisons")
     if len(kept) > switch:
         return _minimalize_indexed(kept, words, codec)
     guards = codec.guards
@@ -392,7 +388,7 @@ class MonomialIdeal:
     def product(self, other: "MonomialIdeal", cap: int = DEFAULT_CANDIDATE_CAP) -> "MonomialIdeal":
         self._same_universe(other)
         a, b = self.vecs, other.vecs
-        _check_cap(len(a) * len(b), cap, "product")
+        check_cap(len(a) * len(b), cap, "product")
         codec = _packing(_top(a) + _top(b), len(self.universe))
         words = codec.pack(b)
         candidates = {u + v for u in codec.pack(a) for v in words}
@@ -410,10 +406,10 @@ class MonomialIdeal:
             raise ValueError("negative power")
         if s == 0:
             return unit_ideal(self.universe)
-        _check_cap(len(self.vecs), cap, "product")  # W^1 = 1 * W
+        check_cap(len(self.vecs), cap, "product")  # W^1 = 1 * W
         power = self
         for k in range(2, s + 1):
-            _check_cap(len(power.vecs) * len(self.vecs), cap, "product")
+            check_cap(len(power.vecs) * len(self.vecs), cap, "product")
             if len(self._powers) < k - 1:
                 self._powers.append(power.product(self, cap=cap))
             power = self._powers[k - 2]
@@ -534,11 +530,8 @@ class MonomialIdeal:
             else:
                 against, what = len(current), "generators"
             if (work := lifted * against) > cap:
-                raise SizeGuardExceeded(
-                    f"symbolic power step would reduce {lifted} lifted candidates "
-                    f"against {against} {what}, estimate {work} (cap {cap})",
-                    work,
-                )
+                check_cap(work, cap, f"symbolic power step reducing {lifted} lifted "
+                          f"candidates against {against} {what}", "candidate pairs")
             lifts = {e: _degree_words(units, cols, e) for e in {e for _, e in short}}
             lifted_words = {u + w for u, e in short for w in lifts[e]}  # deduplicated as words
             current = _minimalize_words(kept, sorted(lifted_words), codec, cap)
@@ -610,14 +603,14 @@ class MonomialIdeal:
                 else:
                     short.append((u, at_most[q[col]]))
             pairs = sum(len(vs) for _, vs in short)
-            _check_cap(pairs, cap, "symbolic power step")
+            check_cap(pairs, cap, "symbolic power step")
             lifted = {u + unit for u, _ in short}
             for u, vs in short:
                 q = u - unit
                 # max(v - q, 0), see _packing
                 parts = {d & ((ge := d & guards) - (ge >> shift)) for d in [(v | guards) - q for v in vs]}
                 lifted.update([u + w for w in _minimalize_words([], sorted(parts), codec, cap)])
-            _check_cap(pairs + len(lifted), cap, "symbolic power step")
+            check_cap(pairs + len(lifted), cap, "symbolic power step")
             current = _minimalize_words(kept, sorted(lifted), codec, cap)
         return _from_vecs(self.universe, codec.unpack(current))
 
@@ -725,8 +718,8 @@ def _all_covered(vecs: Sequence[Vec], words: Collection[int], codec: _Codec) -> 
     support ``(column, exponent)`` pairs' bitsets, and only the bitsets the
     vectors read are built. Vectors are taken in turn against the words not
     yet covered, until none is left. The exponents of ``vecs`` must be at
-    most ``_INDEX_MAX_EXPONENT``; the caller refuses larger ones
-    (:func:`_check_slices`) before it calls.
+    most ``_INDEX_MAX_EXPONENT``; the caller refuses larger ones before it
+    calls.
     """
     size = (codec.shift + 1) // 8
     stride = size * codec.width
@@ -758,8 +751,8 @@ def products_covered(a: MonomialIdeal, b: MonomialIdeal, into: MonomialIdeal, ca
     of ``b``, tested by :func:`_all_covered` with no reducer. Refuses with
     :class:`SizeGuardExceeded` when there are more than ``cap`` products,
     or when an exponent of ``into`` is above ``_INDEX_MAX_EXPONENT``."""
-    _check_cap(len(a.vecs) * len(b.vecs), cap, "product")
-    _check_slices(_top(into.vecs))
+    check_cap(len(a.vecs) * len(b.vecs), cap, "product")
+    check_cap(_top(into.vecs) + 1, _INDEX_MAX_EXPONENT + 1, "cover test", "exponent slices per variable")
     codec = _packing(_top(a.vecs) + _top(b.vecs), len(a.universe))
     words = codec.pack(b.vecs)
     return _all_covered(into.vecs, {t + v for t in codec.pack(a.vecs) for v in words}, codec)
@@ -871,19 +864,13 @@ def _all_in_power(halves: Iterable[int], words: list[int], j: int, guards: int, 
                     break
             tests += count
             if tests > cap:
-                raise SizeGuardExceeded(
-                    f"square-colon scan has made {tests} divisibility tests for "
-                    f"W^{j}, a lower bound on its work (cap {cap})", tests,
-                )
+                check_cap(tests, cap, f"square-colon scan for W^{j}", "divisibility tests")
             memo[h] = found
         return found
 
     for taken, h in enumerate(halves, 1):
         if taken > cap:
-            raise SizeGuardExceeded(
-                f"square-colon scan has taken {taken} halves to test in W^{j}, "
-                f"a lower bound on its work (cap {cap})", taken,
-            )
+            check_cap(taken, cap, f"square-colon scan for W^{j}", "halves")
         if not member(h, j):
             return False
     return True
@@ -957,17 +944,9 @@ def _from_vecs(universe: Universe, vecs: Iterable[Vec]) -> MonomialIdeal:
     return MonomialIdeal(universe, tuple(sorted(sorted(vecs), key=sum)))
 
 
-def _check_cap(count: int, cap: int, what: str) -> None:
-    if count > cap:
-        raise SizeGuardExceeded(
-            f"{what} would enumerate about {count} candidate generators "
-            f"(cap {cap})", count,
-        )
-
-
 def _intersect_words(a: list[int], b: list[int], codec: _Codec, cap: int) -> list[int]:
     """Minimal generators of the intersection of two packed antichains."""
-    _check_cap(len(a) * len(b), cap, "intersection")
+    check_cap(len(a) * len(b), cap, "intersection")
     guards, shift = codec.guards, codec.shift
     # lcm(u, v) for every pair, see _packing
     lcms = {

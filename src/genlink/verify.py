@@ -5,12 +5,14 @@ Each check is a plain function ``(inst, bounds, seed) -> (ok, witnesses)``
 declared once by :func:`_suite`, with its suite name, the report params it
 reads from :class:`VerifyBounds`, whether its report records the seed and
 whether the universe guard applies. The declared runner, in ``SUITES`` and
-under the check's public name, is the one place where a suite is guarded
-(``MAX_UNIVERSE_VARS``, before any ideal is built), timed and reported: a
-size guard (:class:`SizeGuardExceeded`, raised with an estimate before a
-kernel enumerates) becomes a ``refused`` report, and a failed postcondition
-(an :class:`AssertionError`) a ``fail`` report with its message. Reports
-are deterministic given (instance, seed, bounds), apart from ``elapsed_ms``.
+under the check's public name, is the one place where a suite is guarded,
+timed and reported. The universe guard counts the variables, ``m*n + g``,
+against ``MAX_UNIVERSE_VARS`` before any universe or ideal is built. Every
+guard refuses through :func:`~genlink.ideals.check_cap`, whose
+:class:`SizeGuardExceeded` carries the estimate and becomes a ``refused``
+report; a failed postcondition (an :class:`AssertionError`) becomes a
+``fail`` report with its message. Reports are deterministic given
+(instance, seed, bounds), apart from ``elapsed_ms``.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from typing import Callable, Iterable
 from .ideals import (
     DEFAULT_CANDIDATE_CAP,
     SizeGuardExceeded,
+    check_cap,
     first_symbolic_gap,
     is_antichain,
     products_covered,
@@ -76,6 +79,9 @@ EXHAUSTIVE_CAP = 4000
 # Every suite but leads refuses an instance whose universe has more
 # variables than this, before it builds any ideal.
 MAX_UNIVERSE_VARS = 40
+
+# The leads suite refuses when it would compare more products than this.
+MAX_LEAD_PRODUCTS = 500_000
 
 PASS, FAIL, REFUSED = "pass", "fail", "refused"
 
@@ -135,8 +141,8 @@ def _suite(name: str, params: tuple[tuple[str, str], ...] = (), seeded: bool = F
         def run(inst: LinkInstance, bounds: VerifyBounds = DEFAULT_BOUNDS, seed: int = 0) -> Report:
             t0 = time.perf_counter()
             try:
-                if guarded:
-                    _guard_universe(inst)
+                if guarded:  # the universe's size, counted before it is built
+                    check_cap(inst.m * inst.n + inst.g, MAX_UNIVERSE_VARS, "universe", "variables")
                 ok, witnesses = check(inst, bounds, seed)
                 status = PASS if ok else FAIL
             except SizeGuardExceeded as e:
@@ -152,12 +158,6 @@ def _suite(name: str, params: tuple[tuple[str, str], ...] = (), seeded: bool = F
         return run
 
     return declare
-
-
-def _guard_universe(inst: LinkInstance) -> None:
-    size = len(inst.universe)
-    if size > MAX_UNIVERSE_VARS:
-        raise SizeGuardExceeded(f"universe has {size} variables (guard {MAX_UNIVERSE_VARS})", size)
 
 
 # -- the checks -----------------------------------------------------------------
@@ -319,9 +319,7 @@ def verify_lead_terms(inst: LinkInstance, bounds: VerifyBounds, seed: int) -> Ve
     r * m! * g, an upper bound on the r * m! + g * r keys the scan compares
     (see :func:`_row_leads`).
     """
-    work = inst.r * factorial(inst.m) * inst.g
-    if work > 500_000:
-        raise SizeGuardExceeded(f"lead-term scan would compare {work} monomials", work)
+    check_cap(inst.r * factorial(inst.m) * inst.g, MAX_LEAD_PRODUCTS, "lead-term scan", "products")
     leads = _row_leads(inst)
     # Y[j,k] is in the universe only for k = j
     rows_ok = [

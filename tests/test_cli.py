@@ -58,7 +58,7 @@ def test_generate_refuses_before_it_enumerates(monkeypatch, capsys):
 
     monkeypatch.setattr(LinkInstance, "selectors", property(enumerated))
     assert main(["generate", "3", "6", "iniJ"]) == 3
-    assert capsys.readouterr().err == "refused: iniJ would list 14 generators (cap 10)\n"
+    assert capsys.readouterr().err == "refused: iniJ would enumerate about 14 generators (cap 10)\n"
 
 
 @pytest.mark.parametrize("m, n", [(1, 1), (1, 3), (2, 3), (2, 4), (3, 7), (4, 9)])
@@ -77,7 +77,7 @@ def test_generate_betti_refuses_a_large_grid_before_it_builds(monkeypatch, capsy
     # g = 999: (2 * 998 + 1) * 1000 cells, in every format
     for fmt in genlink.cli.FORMATS:
         assert main(["generate", "2", "1000", "betti", "--format", fmt]) == 3
-        assert capsys.readouterr().err == "refused: betti would list 1997000 table cells (cap 200000)\n"
+        assert capsys.readouterr().err == "refused: betti would enumerate about 1997000 table cells (cap 200000)\n"
     # g = 299: 597 * 300 = 179,100 cells pass the cap
     monkeypatch.setitem(genlink.cli.GENERATE_TARGETS, "betti", original)
     assert main(["generate", "2", "300", "betti", "--format", "json", "--out", str(tmp_path / "b.json")]) == 0

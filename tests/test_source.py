@@ -98,21 +98,53 @@ def test_only_ideals_calls_the_ideal_constructor():
 
 def test_only_the_runner_applies_the_universe_guard():
     # Every suite is guarded by the one runner that `_suite` declares, so no
-    # check body can forget the guard or apply it twice.
+    # check body can forget the universe cap or apply it twice: the cap is
+    # read in `_suite` alone, in a call to the one size guard.
     root = Path(genlink.__file__).parent
-    found = []
+    found, applied = [], []
     for path in sorted(root.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         runner = [
-            range(node.lineno, node.end_lineno + 1) for node in tree.body
+            node for node in tree.body
             if isinstance(node, ast.FunctionDef) and node.name == "_suite"
         ]
+        defined = {
+            node.lineno for node in tree.body
+            if isinstance(node, ast.Assign) and "MAX_UNIVERSE_VARS" in map(ast.unparse, node.targets)
+        }
+        inside = [range(node.lineno, node.end_lineno + 1) for node in runner]
         found += [
             f"{path.name}:{line}"
             for name, line in _references(tree)
-            if name == "_guard_universe" and not any(line in lines for lines in runner)
+            if name == "MAX_UNIVERSE_VARS" and line not in defined
+            and not any(line in lines for lines in inside)
+        ]
+        applied += [
+            call for node in runner for call in ast.walk(node)
+            if isinstance(call, ast.Call) and ast.unparse(call.func) == "check_cap"
+            and "MAX_UNIVERSE_VARS" in map(ast.unparse, call.args)
         ]
     assert not found, found
+    assert len(applied) == 1, applied
+
+
+def test_one_size_guard_raises_every_refusal():
+    # Every refusal goes through `ideals.check_cap`, so each one has the
+    # same message shape and its estimate is the count it was checked on.
+    root = Path(genlink.__file__).parent
+    raises, builds = [], []
+    for path in sorted(root.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owners = {
+            line: node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+            for line in range(node.lineno, node.end_lineno + 1)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and "SizeGuardExceeded" in ast.unparse(node):
+                raises.append((path.name, owners.get(node.lineno)))
+            if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("SizeGuardExceeded"):
+                builds.append((path.name, owners.get(node.lineno)))
+    assert raises == builds == [("ideals.py", "check_cap")]
 
 
 def test_only_monomial_knows_the_pair_layout():

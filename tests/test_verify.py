@@ -234,6 +234,19 @@ def test_size_guard_refusal():
         (rep,) = run_suite(suite, inst)
         assert (rep.status, rep.witnesses["estimate"]) == ("refused", 44), suite
         assert not ideals & inst.__dict__.keys(), suite
+        assert "universe" not in inst.__dict__, suite
+
+
+def test_universe_guard_counts_before_it_builds(capsys):
+    # (1000,3000) has 1000 * 3000 x variables and 2001 diagonal Y: the
+    # guard counts them and refuses with no universe built
+    inst = LinkInstance(1000, 3000)
+    rep = verify_counts_and_degrees(inst)
+    assert (rep.status, rep.witnesses["estimate"]) == ("refused", 3_002_001)
+    assert rep.witnesses["reason"] == "universe would enumerate about 3002001 variables (cap 40)"
+    assert "universe" not in inst.__dict__
+    assert main(["verify", "counts", "1000", "3000"]) == 3
+    assert re.fullmatch(r"counts \(1000,3000\): refused \[\d+ ms\]\n", capsys.readouterr().out)
 
 
 def test_candidate_cap_refusal():
