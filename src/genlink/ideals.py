@@ -26,15 +26,20 @@ Monomials enter only through :func:`ideal` and
 both ways (``Universe.vector``, ``Universe.monomial``). The kernels work on
 packed exponent words (see :func:`_packing`): product, intersection and the
 quotients of a colon combine each pair of generators in a few big-int
-operations, the symbolic folds lift and test generators on words, and
-all of them reduce their distinct results with one word-level reducer
+operations, the prime fold lifts generators by adding words, and they
+reduce their distinct results with one word-level reducer
 (:func:`_minimalize_words`), unpacking only the minimal generators. The
 reducer takes the words in integer order, which puts every divisor first,
 scans small antichains pairwise, one subtraction and one AND per pair,
 and switches to a bit-sliced divisor index once the antichain is large;
 the same index, built over an ideal's generators on first use, answers
-membership (a generator itself by set lookup) and tells the variable fold
-which generators to lift.
+membership (a generator itself by set lookup). The variable fold keeps
+its own unary words (see :func:`_unary`), where an exponent ``e`` is a
+run of ``e`` bits: dividing or multiplying by a variable clears or sets
+one bit, divisibility is a subset test and the lcm a lift takes is an OR.
+Its reducer (:func:`_minimalize_unary`) scans them with one AND per pair
+and hands large antichains to the same index, and the index also answers
+the fold's membership queries once the ideal is large.
 All sizes here are desk scale; an explicit candidate cap guards against
 intersection blowup before anything is enumerated, and the index refuses
 exponents whose bitsets would not fit. Every refusal is raised by
@@ -47,7 +52,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, combinations, compress, repeat
 from math import comb
-from operator import mul
+from operator import mul, xor
 from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Sequence
 
 from .monomial import Monomial, Universe, UniverseMismatch, Variable
@@ -158,6 +163,59 @@ def _packing(top: int, width: int) -> _Codec:
     return _Codec(pack, unpack, guards, shift, top, width)
 
 
+class _Unary(NamedTuple):
+    """A unary word format, made by :func:`_unary`."""
+
+    pack: Callable[[Iterable[Vec]], list[int]]
+    unpack: Callable[[Iterable[int]], list[Vec]]
+    lows: list[int]  # each position's field's lowest bit, the word of x_i
+    fields: list[int]  # each position's field bits
+    full: int  # every field bit
+    top: int
+    width: int
+
+
+# exponent e <-> its one-byte unary field, e low bits set, for e <= 8; a
+# unary field's exponent is its bit length
+_TO_UNARY = bytes((1 << e) - 1 for e in range(9)).ljust(256, b"\0")
+_FROM_UNARY = bytes(b.bit_length() for b in range(256))
+
+
+def _unary(top: int, width: int) -> _Unary:
+    """The unary word format for ``width``-long vectors with exponents at
+    most ``top``, used by :meth:`MonomialIdeal._variable_fold`.
+
+    Each exponent takes a field of ``top`` bits, a byte if ``top <= 8``,
+    the first exponent the most significant, and ``e`` sets the field's
+    ``e`` low bits. So ``x_i`` divides ``u`` iff ``u`` has the lowest bit
+    of x_i's field, and ``u * x_i`` and ``u / x_i`` set or clear one bit.
+    A vector ``v`` divides ``u`` iff v's bits are a subset of u's,
+    ``V & ~U == 0``, so a divisor is the smaller word, and ``U | V`` packs
+    ``lcm(u, v)``. One-byte fields pack and unpack by one
+    ``bytes.translate``, as :func:`_packing`'s do; wider fields by the
+    length of each field's run of bits.
+    """
+    size = max(top, 8)
+    lows = [1 << size * (width - 1 - c) for c in range(width)]
+    fields = [low * ((1 << size) - 1) for low in lows]
+    if size == 8:
+        def pack(vecs: Iterable[Vec]) -> list[int]:
+            return [int.from_bytes(bytes(v).translate(_TO_UNARY), "big") for v in vecs]
+
+        def unpack(words: Iterable[int]) -> list[Vec]:
+            return [tuple(w.to_bytes(width, "big").translate(_FROM_UNARY)) for w in words]
+    else:
+        shifts = [low.bit_length() - 1 for low in lows]
+        ones = (1 << size) - 1
+
+        def pack(vecs: Iterable[Vec]) -> list[int]:
+            return [sum(((1 << e) - 1) << s for e, s in zip(v, shifts)) for v in vecs]
+
+        def unpack(words: Iterable[int]) -> list[Vec]:
+            return [tuple(((w >> s) & ones).bit_length() for s in shifts) for w in words]
+    return _Unary(pack, unpack, lows, fields, sum(fields), top, width)
+
+
 def _top(vecs: Iterable[Vec]) -> int:
     """The largest exponent in ``vecs``, 0 if there is none."""
     return max(chain.from_iterable(vecs), default=0)
@@ -165,7 +223,7 @@ def _top(vecs: Iterable[Vec]) -> int:
 
 # An index keeps one bitset per variable and exponent up to the largest
 # exponent it holds. Above this exponent it refuses to be built, so its
-# memory does not grow with exponent size; _minimalize_words scans instead.
+# memory does not grow with exponent size; the reducers scan instead.
 _INDEX_MAX_EXPONENT = 255
 
 
@@ -231,8 +289,9 @@ def _at_most(e: int) -> bytes:
     return b"1" * (e + 1) + b"0" * (255 - e)
 
 
-# _minimalize_words switches from the pairwise scan to the index once the
-# kept antichain has more than this many members per variable. Measured on
+# The reducers, _minimalize_words and _minimalize_unary, switch from the
+# pairwise scan to the index once the kept antichain has more than this many
+# members per variable. Measured for _minimalize_words on
 # the reducer's captured inputs, ms summed over the calls, for the
 # benchmark's symbolic-fold (155 calls, median 10 candidates against 7 kept
 # words) / square-colon (59 calls) workloads / symbolic_power(2) of
@@ -281,11 +340,7 @@ def _minimalize_words(kept: list[int], words: list[int], codec: _Codec, cap: int
     """
     if not words:
         return kept
-    switch = _INDEX_PER_VARIABLE * codec.width
-    if codec.top > _INDEX_MAX_EXPONENT and _top(codec.unpack(chain(kept, words))) > _INDEX_MAX_EXPONENT:
-        switch = len(kept) + len(words)  # the index would refuse: scan throughout
-        check_cap(len(words) * switch, cap, f"reduction of {len(words)} candidates with exponents "
-                  f"above {_INDEX_MAX_EXPONENT} against up to {switch} vectors", "comparisons")
+    switch = _scan_switch(kept, words, codec, cap)
     if len(kept) > switch:
         return _minimalize_indexed(kept, words, codec)
     guards = codec.guards
@@ -301,7 +356,54 @@ def _minimalize_words(kept: list[int], words: list[int], codec: _Codec, cap: int
     return kept
 
 
-def _minimalize_indexed(kept: list[int], words: list[int], codec: _Codec) -> list[int]:
+def _minimalize_unary(kept: list[int], words: list[int], codec: _Unary, cap: int) -> list[int]:
+    """:func:`_minimalize_words` for unary words (see :func:`_unary`):
+    ``k`` divides ``word`` iff ``k & ~word`` is 0, so a candidate is kept
+    iff every kept word ANDs nonzero with its complement, one AND per pair.
+    The switch to :func:`_minimalize_indexed` and the guard above
+    ``_INDEX_MAX_EXPONENT`` are those of :func:`_minimalize_words`."""
+    if not words:
+        return kept
+    switch = _scan_switch(kept, words, codec, cap)
+    if len(kept) > switch:
+        return _minimalize_indexed(kept, words, codec)
+    full = codec.full
+    for pos, word in enumerate(words):
+        outside = full ^ word
+        for k in kept:
+            if not k & outside:
+                break
+        else:
+            kept.append(word)
+            if len(kept) > switch:
+                return _minimalize_indexed(kept, words[pos + 1:], codec)
+    return kept
+
+
+def _has_subset(words: list[int], word: int, full: int) -> bool:
+    """True iff some unary word of ``words`` divides ``word``."""
+    outside = full ^ word
+    for k in words:
+        if not k & outside:
+            return True
+    return False
+
+
+def _scan_switch(kept: list[int], words: list[int], codec: _Codec | _Unary, cap: int) -> int:
+    """The kept-antichain size past which a reducer hands the rest to
+    :func:`_minimalize_indexed`. When an exponent is above
+    ``_INDEX_MAX_EXPONENT`` the index would refuse, so the reducer scans
+    throughout, and :class:`SizeGuardExceeded` is raised first if the
+    candidates times the kept words and candidates exceed ``cap``."""
+    if codec.top > _INDEX_MAX_EXPONENT and _top(codec.unpack(chain(kept, words))) > _INDEX_MAX_EXPONENT:
+        switch = len(kept) + len(words)
+        check_cap(len(words) * switch, cap, f"reduction of {len(words)} candidates with exponents "
+                  f"above {_INDEX_MAX_EXPONENT} against up to {switch} vectors", "comparisons")
+        return switch
+    return _INDEX_PER_VARIABLE * codec.width
+
+
+def _minimalize_indexed(kept: list[int], words: list[int], codec: _Codec | _Unary) -> list[int]:
     """Extend ``kept`` by the distinct ``words`` that no kept word and no
     other word divides, through a :class:`_DivisorIndex` grown one degree
     at a time: distinct vectors of equal degree never divide each other, so
@@ -550,30 +652,40 @@ class MonomialIdeal:
         Zariski-Nagata. So the step of ``K = I`` is ``I^(2)``, and the step
         of ``K = I^(k-1)`` is ``I^(k)``.
 
+        The fold works on unary words (see :func:`_unary`) with fields wide
+        enough for ``top(K) + 1``: every exponent stays at most one above
+        K's largest, so one format serves the whole fold. K's generators are
+        packed once, and the antichain is unpacked once, at the end.
+
         The step for ``x_i`` intersects the current antichain with
         ``K_i + x_i * K``, the ``u`` of ``K`` that ``x_i`` does not divide
         or with ``u / x_i`` in ``K``, where ``K_i`` is generated by the
         generators of ``K`` free of ``x_i``. A generator ``u`` is kept if
-        ``x_i`` does not divide it or ``q = u / x_i`` lies in ``K``, which
-        K's divisor index tells. Any other ``u`` becomes
-        ``x_i * lcm(q, v) = u + max(v - q, 0)`` for every generator ``v`` of
-        ``K``, which generates ``(u) ∩ (K_i + x_i * K)``. A generator of
-        ``K`` that divides ``u`` but not ``q`` has the part
-        ``max(v - q, 0) = x_i``, which divides the part of every ``v`` with
-        more ``x_i`` than ``q``. So ``u`` becomes ``u * x_i``, and ``u``
-        times the parts of the ``v`` with at most q's exponent of ``x_i``.
-        Only the minimal parts are kept, reduced per ``u``
-        (:func:`_minimalize_words`, which takes words in integer order and
-        so needs no degree). The lifted candidates are then reduced against
-        the kept generators and each other; no lifted word divides a kept
-        one, by the antichain argument of :meth:`_prime_fold`.
+        ``x_i`` does not divide it, that is, ``u`` lacks the low bit of
+        x_i's field, or if ``q = u / x_i``, ``u`` less the top bit of its
+        run there, lies in ``K``. While ``K`` has at most the index switch of
+        :func:`_minimalize_words`, a scan of K's words tells: ``q`` lies in
+        ``K`` iff some ``v`` of ``K`` that lacks that top bit divides ``u``.
+        Past the switch, K's divisor index tells, on the unpacked ``q``.
+
+        Any other ``u`` becomes ``x_i * lcm(q, v)`` for every generator
+        ``v`` of ``K``, which generates ``(u) ∩ (K_i + x_i * K)``. A
+        generator of ``K`` that divides ``u`` but not ``q`` gives
+        ``u * x_i``, which divides ``x_i * lcm(q, v)`` for every ``v`` with
+        more ``x_i`` than ``q``. So ``u`` becomes ``u * x_i``, ``u`` with
+        the next bit of its run set, and ``x_i * lcm(q, v)`` for the ``v``
+        with at most q's exponent of ``x_i``. For those, ``x_i * lcm(q, v)
+        = lcm(u, v) = u | v``: at x_i's position ``v <= q < u``, and
+        elsewhere ``u = q``. Only the minimal ``u | v`` are kept, reduced
+        per ``u`` (:func:`_minimalize_unary`). The lifted candidates are
+        then reduced against the kept generators and each other; no lifted
+        word divides a kept one, by the antichain argument of
+        :meth:`_prime_fold`.
 
         The variables come in :attr:`_support_columns` order, those in the
         most generators first, which keeps the early antichains small: on
-        iniJ(3,8) the step of ``iniJ`` takes 12 ms in that order and 30 ms
-        in universe order. Every exponent stays at most one above K's
-        largest, so one word format (see :func:`_packing`) serves the whole
-        fold, and the antichain is unpacked once, at the end.
+        iniJ(3,8) the step of ``iniJ`` takes 9-16 ms in that order and
+        27-45 ms in universe order.
 
         The guard counts one word per pair of a short generator and a
         generator of ``K`` it is lifted by, and one index query (or a scan
@@ -582,36 +694,39 @@ class MonomialIdeal:
         ``cap``, before they are enumerated, and when the pairs and lifted
         candidates do, before those are reduced.
         """
-        top = _top(self.vecs)
-        codec = _packing(top + 1, len(self.universe))
-        guards, shift = codec.guards, codec.shift
-        units = _unit_words(codec)
-        gens = codec.pack(self.vecs)
-        index = self._index
+        top, width = _top(self.vecs), len(self.universe)
+        codec = _unary(top + 1, width)
+        full, gens = codec.full, codec.pack(self.vecs)
+        # K's index answers past the switch; it refuses an exponent above
+        # _INDEX_MAX_EXPONENT, and so does the fold
+        indexed = len(gens) > _INDEX_PER_VARIABLE * width or top > _INDEX_MAX_EXPONENT
         current = gens
         for col in self._support_columns:
-            unit = units[col]
-            field = unit * ((1 << shift) - 1)  # the value bits of x_i's field
-            # the generators of K with exponent at most e at col, e <= top
-            at_most = [[v for v, vec in zip(gens, self.vecs) if vec[col] <= e] for e in range(top + 1)]
-            kept = [u for u in current if not u & field]
-            divisible = [u for u in current if u & field]
+            low, field = codec.lows[col], codec.fields[col]
+            kept = [u for u in current if not u & low]
+            divisible = [u for u in current if u & low]
+            # a run of e bits plus its low bit is its bit e; half of that is
+            # the run's top bit, which u / x_i lacks
+            tops = [((u & field) + low) >> 1 for u in divisible]
+            # by bit e of x_i's field: the v with v[col] <= e
+            without = {bit: [v for v in gens if not v & bit] for bit in set(tops)}
+            if indexed:
+                members = map(self._index.divides_some, codec.unpack(map(xor, divisible, tops)))
+            else:  # some v of K without that bit divides u
+                members = map(_has_subset, map(without.__getitem__, tops), divisible, repeat(full))
             short = []
-            for u, q in zip(divisible, codec.unpack([u - unit for u in divisible])):
-                if index.divides_some(q):
+            for u, bit, member in zip(divisible, tops, members):
+                if member:
                     kept.append(u)
                 else:
-                    short.append((u, at_most[q[col]]))
-            pairs = sum(len(vs) for _, vs in short)
+                    short.append((u, bit))
+            pairs = sum(len(without[bit]) for _, bit in short)
             check_cap(pairs, cap, "symbolic power step")
-            lifted = {u + unit for u, _ in short}
-            for u, vs in short:
-                q = u - unit
-                # max(v - q, 0), see _packing
-                parts = {d & ((ge := d & guards) - (ge >> shift)) for d in [(v | guards) - q for v in vs]}
-                lifted.update([u + w for w in _minimalize_words([], sorted(parts), codec, cap)])
+            lifted = {u | bit << 1 for u, bit in short}
+            for u, bit in short:
+                lifted.update(_minimalize_unary([], sorted({u | v for v in without[bit]}), codec, cap))
             check_cap(pairs + len(lifted), cap, "symbolic power step")
-            current = _minimalize_words(kept, sorted(lifted), codec, cap)
+            current = _minimalize_unary(kept, sorted(lifted), codec, cap)
         return _from_vecs(self.universe, codec.unpack(current))
 
     def _require_squarefree(self) -> None:

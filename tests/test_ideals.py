@@ -847,16 +847,79 @@ def test_symbolic_power_packs_no_generator_twice(monkeypatch):
     assert min(map(sum, want.vecs)) >= 3
 
 
-def test_variable_fold_packs_only_exponents_up_to_2(monkeypatch):
-    # The variable fold packs the ideal's generators once, and the unit
-    # vectors, and carries every generator from step to step packed.
+def test_variable_fold_encodes_once_and_decodes_only_the_result(monkeypatch):
+    # The variable fold packs K's generators once, into unary words wide
+    # enough for top(K) + 1 = 2, carries every word from step to step
+    # packed and unpacks only the final antichain. iniJ(2,5) stays below
+    # the index switch, where no quotient is unpacked for a query.
     W = LinkInstance(2, 5).link_initial
-    want = W.symbolic_power(2)
-    packed = _record_packing(monkeypatch)
+    want = W._prime_fold(2, DEFAULT_CANDIDATE_CAP)
+    codecs, packed, unpacked, reduced = [], [], [], []
+    unary, minimalize = ideals._unary, ideals._minimalize_unary
+
+    def recording(top, width):
+        codec = unary(top, width)
+        codecs.append(codec)
+
+        def pack(vecs):
+            vecs = list(vecs)
+            packed.extend(vecs)
+            return codec.pack(vecs)
+
+        def unpack(words):
+            vecs = codec.unpack(words)
+            unpacked.extend(vecs)
+            return vecs
+        return codec._replace(pack=pack, unpack=unpack)
+
+    def spy(kept, words, codec, cap):
+        reduced.extend(kept + words)
+        return minimalize(kept, words, codec, cap)
+
+    monkeypatch.setattr(ideals, "_unary", recording)
+    monkeypatch.setattr(ideals, "_minimalize_unary", spy)
     assert W._variable_fold(DEFAULT_CANDIDATE_CAP) == want
-    assert packed and max(chain.from_iterable(packed)) <= 2
-    assert sorted(v for v in packed if sum(v) > 1) == sorted(W.vecs)
-    assert max(chain.from_iterable(want.vecs)) == 2
+    [codec] = codecs
+    assert codec.top == 2 and packed == list(W.vecs)
+    assert sorted(unpacked) == sorted(want.vecs)
+    # every word reduced has unary fields, none above top(K) + 1
+    vecs = codec.unpack(reduced)
+    assert codec.pack(vecs) == reduced
+    assert max(chain.from_iterable(vecs)) == 2
+
+
+def test_variable_fold_of_bipartite_powers_across_field_widths():
+    # Both edge ideals are bipartite, so W^(k) = W^k for every k and the
+    # step of W^k is W^(k+1). Up to k = 7 the fields are one byte; from
+    # k = 8, top + 1 = 9 bits take the general unary format. Each short u
+    # is lifted by u | v.
+    U = Universe.x_grid(1, 5)
+    x = [None] + [xvar(1, j) for j in range(1, 6)]
+    for edges in ([(1, 2), (2, 3), (3, 4), (4, 5)], [(1, 2), (2, 3)]):
+        W = ideal(U, [mono(x[a], x[b]) for a, b in edges])
+        for k in range(1, 10):
+            assert W.power(k)._variable_fold(DEFAULT_CANDIDATE_CAP) == W.power(k + 1), (edges, k)
+    triangle5 = ideal(U, [mono(x[1], x[2]), mono(x[2], x[3]), mono(x[1], x[3])])
+    assert first_symbolic_gap(triangle5, 9) == (2, (1, 1, 1, 0, 0))
+
+
+@pytest.mark.parametrize("cap, estimate", [(100, 124), (300, 348), (1_000, 1_100), (3_000, None)])
+def test_variable_fold_guard_estimates_on_the_staircase(cap, estimate):
+    # No golden --max-gens command reaches the fold, so the estimates of
+    # its two step guards are pinned here, on N(4,8)^(2).
+    N = LinkInstance(4, 8).staircase_ideal
+    if estimate is None:
+        assert len(N.symbolic_power(2, cap=cap).gens) == 290
+        return
+    with pytest.raises(SizeGuardExceeded) as refused:
+        N.symbolic_power(2, cap=cap)
+    assert refused.value.estimate == estimate
+
+
+def test_first_symbolic_gap_guard_estimate_at_3_6():
+    with pytest.raises(SizeGuardExceeded) as refused:
+        first_symbolic_gap(LinkInstance(3, 6).link_initial, 3, cap=2_000)
+    assert refused.value.estimate == 2_004
 
 
 SYMBOLIC_SUBJECTS = {

@@ -65,11 +65,12 @@ def test_every_public_name_has_a_caller():
 
 
 def test_only_ideals_knows_the_word_format():
-    # The packed-word format, its cover test and its reducer have one owner;
+    # The word formats, the cover test and the reducers have one owner;
     # the other modules call the named checks ideals.py builds on them.
     private = {
         "_packing", "_Codec", "_all_covered", "_top",
         "_minimalize_words", "_minimalize_indexed", "_DivisorIndex",
+        "_unary", "_Unary", "_minimalize_unary",
     }
     root = Path(genlink.__file__).parent
     found = [
