@@ -23,8 +23,8 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce, wraps
-from itertools import combinations, islice, permutations, product
-from math import comb, factorial
+from itertools import chain, combinations, islice, permutations, product
+from math import comb
 from operator import and_, getitem
 from typing import Callable, Iterable
 
@@ -317,9 +317,14 @@ def verify_lead_terms(inst: LinkInstance, bounds: VerifyBounds, seed: int) -> Ve
 
     The check guards its own work, not the universe: it counts every product,
     r * m! * g, an upper bound on the r * m! + g * r keys the scan compares
-    (see :func:`_row_leads`).
+    (see :func:`_row_leads`), as a running product, refused at the first
+    partial product past the cap: a lower bound, so a small estimate.
     """
-    check_cap(inst.r * factorial(inst.m) * inst.g, MAX_LEAD_PRODUCTS, "lead-term scan", "products")
+    m, n, count = inst.m, inst.n, 1
+    binomial = ((n - k + 1, k) for k in range(1, min(m, n - m) + 1))  # C(n, k) after k
+    for num, den in chain(binomial, [(inst.g, 1)], ((k, 1) for k in range(2, m + 1))):
+        count = count * num // den
+        check_cap(count, MAX_LEAD_PRODUCTS, "lead-term scan", "products")
     leads = _row_leads(inst)
     # Y[j,k] is in the universe only for k = j
     rows_ok = [

@@ -493,11 +493,19 @@ def kernel_operands(draw):
 @settings(max_examples=300, deadline=None)
 def test_product_and_intersect_match_pairwise_oracles(operands, cap):
     A, B = operands
-    for op, combine, oracle in (("product", add, pairwise_product), ("intersect", max, pairwise_intersect)):
-        pairs = [tuple(map(combine, u, v)) for u in A.vecs for v in B.vecs]
-        # above the index exponent, reduction scans distinct candidates pairwise
-        scan = len(set(pairs)) ** 2 if max(chain(*pairs), default=0) > 255 else 0
-        if len(pairs) > cap or scan > cap:
+    # intersect keeps the generators of A in (B) and reduces only the lcms of
+    # the others; product reduces every sum
+    kept = [u for u in A.vecs if vec_divides_some(B.vecs, u)]
+    lifts = {tuple(map(max, u, v)) for u in A.vecs if u not in kept for v in B.vecs}
+    sums = {tuple(map(add, u, v)) for u in A.vecs for v in B.vecs}
+    for op, reduced, candidates, oracle in (("product", [], sums, pairwise_product),
+                                            ("intersect", kept, lifts, pairwise_intersect)):
+        pairs = len(A.vecs) * len(B.vecs)
+        # above the index exponent, reduction scans its distinct candidates
+        # against the kept vectors and each other
+        big = max(chain(*reduced, *candidates), default=0) > 255
+        scan = len(candidates) * (len(reduced) + len(candidates)) if big else 0
+        if pairs > cap or scan > cap:
             with pytest.raises(SizeGuardExceeded):
                 getattr(A, op)(B, cap=cap)
         else:
@@ -514,6 +522,61 @@ def test_colon_matches_pairwise_oracle(operands):
             A.colon(B)
     else:
         assert sorted(A.colon(B).vecs) == sorted(pairwise_colon(A.vecs, B.vecs))
+
+
+@given(kernel_operands())
+@settings(max_examples=300, deadline=None)
+def test_intersection_keeps_the_members_and_lifts_only_the_rest(operands):
+    # the candidates are the lcms of the A outside (B); colon folds its
+    # quotients, one per generator of B, left to right
+    A, B = operands
+    calls = []
+    original = ideals._minimalize_words
+
+    def spy(kept, words, codec, cap):
+        calls.append((codec.unpack(kept), codec.unpack(words)))
+        return original(kept, words, codec, cap)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ideals, "_minimalize_words", spy)
+        meet_ = A.intersect(B)
+    assert sorted(meet_.vecs) == sorted(pairwise_intersect(A.vecs, B.vecs))
+    (kept, words), = calls
+    assert kept == [u for u in A.vecs if vec_divides_some(B.vecs, u)]
+    lcms = {tuple(map(max, u, v)) for u in A.vecs if u not in kept for v in B.vecs}
+    assert set(words) == lcms and len(words) == len(lcms)
+    if not B.is_zero():
+        steps = []
+        original_step = ideals._intersect_words
+
+        def step(a, b, codec, cap):
+            steps.append((list(a), original_step(a, b, codec, cap)))
+            return steps[-1][1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ideals, "_intersect_words", step)
+            A.colon(B)
+        assert len(steps) == len(B.vecs) - 1
+        # each step meets the one before's result with the next quotient
+        assert all(a == met for (a, _), (_, met) in zip(steps[1:], steps))
+
+
+@pytest.mark.parametrize("m, n, largest", [(3, 5, 27), (4, 7, 96)])
+def test_colon_guard_counts_its_largest_fold_step(m, n, largest):
+    # a step meets the running colon with the quotient by one more generator
+    # of I and counts their product; the quotients come in I's order
+    inst = LinkInstance(m, n)
+    A, I = inst.sequence_initial, inst.minors_initial
+    meet_, *rest = (A.colon(ideal(I.universe, [g])) for g in I.gens)
+    steps = []
+    for piece in rest:
+        steps.append(len(meet_.vecs) * len(piece.vecs))
+        meet_ = meet_.intersect(piece)
+    assert meet_ == inst.link_initial and max(steps) == largest
+    with pytest.raises(SizeGuardExceeded, match=f"intersection would enumerate about {largest} ") as refused:
+        A.colon(I, cap=largest - 1)
+    assert refused.value.estimate == largest
+    assert A.colon(I, cap=largest) == inst.link_initial
 
 
 # -- membership -------------------------------------------------------------------

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 from random import Random
 
@@ -109,10 +110,22 @@ def test_row_leads_match_the_full_scan(m, n):
     assert leads == scan_row_leads(inst)
 
 
-def test_lead_terms_refusal_keeps_the_full_scan_estimate():
+def test_lead_terms_refusal_estimate_is_the_first_partial_product_past_the_cap():
+    # r * m! * g as C(12, k) for k <= 6, then g = 7, then 2..6: 924 * 7 * 4!
+    # is within the cap, times 5 is not; a lower bound on the full 924 * 720 * 7
     rep = verify_lead_terms(LinkInstance(6, 12))
     assert rep.status == "refused"
-    assert rep.witnesses["estimate"] == 924 * 720 * 7
+    assert rep.witnesses["estimate"] == 924 * 7 * 120 < 924 * 720 * 7
+
+
+def test_lead_terms_guard_refuses_a_huge_instance_at_once_with_a_small_estimate():
+    start = time.perf_counter()
+    rep = verify_lead_terms(LinkInstance(1000, 3000))
+    assert time.perf_counter() - start < 0.5
+    # C(3000, 2) is the first partial product past the cap
+    assert rep.status == "refused"
+    assert rep.witnesses["estimate"] == 3000 * 2999 // 2 < 2**53
+    assert verify_lead_terms(LinkInstance(5, 8)).passed  # 56 * 4 * 5! = 26,880 products
 
 
 def test_suites_compute_on_exponent_vectors(monkeypatch):
