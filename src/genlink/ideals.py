@@ -41,7 +41,9 @@ run of ``e`` bits: dividing or multiplying by a variable clears or sets
 one bit, divisibility is a subset test and the lcm a lift takes is an OR.
 Its reducer (:func:`_minimalize_unary`) scans them with one AND per pair
 and hands large antichains to the same index, and the index also answers
-the fold's membership queries once the ideal is large.
+the fold's membership queries once the ideal is large. The colon suite's
+product test (:func:`products_covered`) and :func:`is_antichain` build no
+index: they scan packed words pairwise, one subtraction per pair.
 All sizes here are desk scale; an explicit candidate cap guards against
 intersection blowup before anything is enumerated, and the index refuses
 exponents whose bitsets would not fit. Every refusal is raised by
@@ -52,10 +54,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from itertools import chain, combinations, compress, repeat
+from itertools import chain, combinations, repeat
 from math import comb
 from operator import mul, xor
-from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .monomial import Monomial, Universe, UniverseMismatch, Variable
 
@@ -287,7 +289,8 @@ class _DivisorIndex:
 @lru_cache(maxsize=_INDEX_MAX_EXPONENT)
 def _at_most(e: int) -> bytes:
     """The ``bytes.translate`` table taking a byte to ``b"1"`` if it is at
-    most ``e``, else to ``b"0"``."""
+    most ``e``, else to ``b"0"``, from which :class:`_DivisorIndex` reads
+    its bitsets."""
     return b"1" * (e + 1) + b"0" * (255 - e)
 
 
@@ -824,55 +827,26 @@ def first_symbolic_gap(
     return None
 
 
-def _all_covered(vecs: Sequence[Vec], words: Collection[int], codec: _Codec) -> bool:
-    """True iff every packed word of ``words`` is at least, fieldwise, some
-    vector of ``vecs``.
-
-    The words are bit-sliced, one bit per word: the bitset of the words at
-    least ``e`` at column ``k`` is read straight from their bytes, one
-    ``bytes.translate`` of the column's low field bytes, or-ed with the
-    words whose field there exceeds 255. A vector covers the AND of its
-    support ``(column, exponent)`` pairs' bitsets, and only the bitsets the
-    vectors read are built. Vectors are taken in turn against the words not
-    yet covered, until none is left. The exponents of ``vecs`` must be at
-    most ``_INDEX_MAX_EXPONENT``; the caller refuses larger ones before it
-    calls.
-    """
-    size = (codec.shift + 1) // 8
-    stride = size * codec.width
-    raw = b"".join(map(int.to_bytes, words, repeat(stride), repeat("big")))
-    everyone = (1 << len(words)) - 1
-    at_least: dict[tuple[int, int], int] = {}
-    uncovered = everyone
-    for v in vecs:
-        covered = uncovered
-        for pair in compress(enumerate(v), v):
-            bits = at_least.get(pair)
-            if bits is None:
-                k, e = pair
-                bits = everyone ^ int(raw[k * size + size - 1::stride].translate(_at_most(e - 1)), 2)
-                for b in range(k * size, k * size + size - 1):  # the field's higher bytes
-                    bits |= everyone ^ int(raw[b::stride].translate(_at_most(0)), 2)
-                at_least[pair] = bits
-            covered &= bits
-            if not covered:
-                break
-        uncovered ^= covered
-        if not uncovered:
-            break
-    return not uncovered
-
-
 def products_covered(a: MonomialIdeal, b: MonomialIdeal, into: MonomialIdeal, cap: int) -> bool:
     """True iff ``into`` holds every product of a generator of ``a`` and one
-    of ``b``, tested by :func:`_all_covered` with no reducer. Refuses with
-    :class:`SizeGuardExceeded` when there are more than ``cap`` products,
-    or when an exponent of ``into`` is above ``_INDEX_MAX_EXPONENT``."""
+    of ``b``, tested pairwise on packed words with no reducer (see
+    :func:`_packing`): each product ``t + v`` is tested against into's
+    generators in turn, one guarded subtraction each, up to the first
+    divisor, and the scan stops at the first product that none divides. No
+    set of products is built. Refuses with :class:`SizeGuardExceeded` when
+    there are more than ``cap`` products."""
     check_cap(len(a.vecs) * len(b.vecs), cap, "product")
-    check_cap(_top(into.vecs) + 1, _INDEX_MAX_EXPONENT + 1, "cover test", "exponent slices per variable")
-    codec = _packing(_top(a.vecs) + _top(b.vecs), len(a.universe))
-    words = codec.pack(b.vecs)
-    return _all_covered(into.vecs, {t + v for t in codec.pack(a.vecs) for v in words}, codec)
+    codec = _packing(max(_top(a.vecs) + _top(b.vecs), _top(into.vecs)), len(a.universe))
+    guards, gens, words = codec.guards, codec.pack(into.vecs), codec.pack(b.vecs)
+    for t in codec.pack(a.vecs):
+        for v in words:
+            guarded = (t + v) | guards
+            for g in gens:
+                if (guarded - g) & guards == guards:
+                    break
+            else:
+                return False
+    return True
 
 
 def is_antichain(W: MonomialIdeal) -> bool:

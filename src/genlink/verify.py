@@ -83,6 +83,10 @@ MAX_UNIVERSE_VARS = 40
 # The leads suite refuses when it would compare more products than this.
 MAX_LEAD_PRODUCTS = 500_000
 
+# The largest integer a JSON reader that parses numbers as doubles holds
+# exactly; a report writes a larger r = C(n, m) as its decimal string.
+MAX_JSON_INT = 2**53 - 1
+
 PASS, FAIL, REFUSED = "pass", "fail", "refused"
 
 
@@ -102,9 +106,10 @@ class Report:
 
     def to_dict(self) -> dict:
         m, n = self.instance
+        r = comb(n, m)
         return {
             "check": self.check,
-            "instance": {"m": m, "n": n, "g": n - m + 1, "r": comb(n, m)},
+            "instance": {"m": m, "n": n, "g": n - m + 1, "r": r if r <= MAX_JSON_INT else str(r)},
             "params": self.params,
             "status": self.status,
             "witnesses": self.witnesses,

@@ -728,7 +728,6 @@ def test_first_symbolic_gap_passes_equal_generator_tuples_on_sight(monkeypatch):
             return original(*args)
         return counted
 
-    monkeypatch.setattr(ideals, "_all_covered", spy(ideals._all_covered))
     monkeypatch.setattr(MonomialIdeal, "_divides_into", spy(MonomialIdeal._divides_into))
     assert first_symbolic_gap(LinkInstance(2, 5).link_initial, 3) is None
     assert calls == []
@@ -1326,21 +1325,28 @@ def test_square_colon_chunks_hold_at_most_cap_sums(monkeypatch):
         assert max(taken) <= cap + 1
 
 
-# halves above 255 take a second byte: 256 and 300 are covered at every
-# exponent a vector here may have
-HALF_EXPONENTS = st.sampled_from([0, 1, 2, 127, 128, 254, 255, 256, 300, 511])
-
-
-@given(
-    # products_covered hands over no words only when a or b is zero
-    st.lists(st.tuples(*[HALF_EXPONENTS] * 3), min_size=1, max_size=12),
-    st.lists(st.tuples(*[st.integers(0, 255)] * 3), max_size=4),
+# exponents above 127 take a second byte, whether in a product or in into:
+# the codec fits the larger of the two
+WORD_EXPONENTS = st.sampled_from([0, 1, 2, 127, 128, 254, 255, 256, 300, 511])
+word_ideals = st.builds(
+    lambda vecs: ideal(U3, map(U3.monomial, vecs)),
+    st.lists(st.tuples(*[WORD_EXPONENTS] * 3), max_size=5),
 )
-@settings(max_examples=100)
-def test_all_covered_matches_its_definition(halves, vecs):
-    codec = ideals._packing(511, 3)
-    want = all(any(all(h[k] >= e for k, e in enumerate(v)) for v in vecs) for h in halves)
-    assert ideals._all_covered(vecs, set(codec.pack(halves)), codec) == want
+
+
+@given(word_ideals, word_ideals, word_ideals, st.integers(0, 30))
+@example(ideal(U3, [mono(X1)]), ideal(U3, [mono(X2)]), zero_ideal(U3), 30)
+@example(zero_ideal(U3), ideal(U3, [mono(X2)]), zero_ideal(U3), 0)
+@settings(max_examples=150)
+def test_products_covered_matches_its_definition(a, b, into, cap):
+    products = len(a.vecs) * len(b.vecs)
+    if products > cap:
+        with pytest.raises(SizeGuardExceeded, match=f"product would enumerate about {products} ") as refused:
+            ideals.products_covered(a, b, into, cap)
+        assert refused.value.estimate == products
+        return
+    want = all(vec_divides_some(into.vecs, tuple(map(add, t, v))) for t in a.vecs for v in b.vecs)
+    assert ideals.products_covered(a, b, into, cap) == want
 
 
 def test_square_colon_scan_builds_each_power_once(monkeypatch):

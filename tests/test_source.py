@@ -65,10 +65,10 @@ def test_every_public_name_has_a_caller():
 
 
 def test_only_ideals_knows_the_word_format():
-    # The word formats, the cover test and the reducers have one owner;
-    # the other modules call the named checks ideals.py builds on them.
+    # The word formats and the reducers have one owner; the other modules
+    # call the named checks ideals.py builds on them.
     private = {
-        "_packing", "_Codec", "_all_covered", "_top",
+        "_packing", "_Codec", "_top",
         "_minimalize_words", "_minimalize_indexed", "_DivisorIndex",
         "_unary", "_Unary", "_minimalize_unary",
     }

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import time
+from math import comb
 from pathlib import Path
 from random import Random
 
@@ -260,6 +261,20 @@ def test_universe_guard_counts_before_it_builds(capsys):
     assert "universe" not in inst.__dict__
     assert main(["verify", "counts", "1000", "3000"]) == 3
     assert re.fullmatch(r"counts \(1000,3000\): refused \[\d+ ms\]\n", capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("suite", ["leads", "counts"])
+def test_refused_huge_report_writes_no_number_past_the_double_range(tmp_path, suite):
+    # r = C(3000, 1000) has 828 digits: the report writes it as a string, so
+    # a reader that parses numbers as doubles gets every number exactly
+    out = tmp_path / "report.json"
+    assert main(["verify", suite, "1000", "3000", "--out", str(out)]) == 3
+    numbers = []
+    doc = json.loads(out.read_text(), parse_int=lambda text: numbers.append(int(text)) or int(text))
+    assert numbers and max(numbers) <= 2**53 - 1
+    (report,) = doc["reports"]
+    assert report["status"] == "refused"
+    assert int(report["instance"]["r"]) == comb(3000, 1000)
 
 
 def test_candidate_cap_refusal():
