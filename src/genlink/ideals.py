@@ -44,9 +44,11 @@ and hands large antichains to the same index, and the index also answers
 the fold's membership queries once the ideal is large. The colon suite's
 product test (:func:`products_covered`) and :func:`is_antichain` build no
 index: they scan packed words pairwise, one subtraction per pair.
-All sizes here are desk scale; an explicit candidate cap guards against
-intersection blowup before anything is enumerated, and the index refuses
-exponents whose bitsets would not fit. Every refusal is raised by
+:class:`WordCache` lends the same words to the divisor witnesses of
+:mod:`genlink.linkage`, which add and compare them without knowing the
+format. All sizes here are desk scale; an explicit candidate cap guards
+against intersection blowup before anything is enumerated, and the index
+refuses exponents whose bitsets would not fit. Every refusal is raised by
 :func:`check_cap`.
 """
 
@@ -223,6 +225,62 @@ def _unary(top: int, width: int) -> _Unary:
 def _top(vecs: Iterable[Vec]) -> int:
     """The largest exponent in ``vecs``, 0 if there is none."""
     return max(chain.from_iterable(vecs), default=0)
+
+
+class _Memo(dict):
+    """A dict that fills a missing key ``k`` with ``make(k)``."""
+
+    def __init__(self, make: Callable):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+class WordCache:
+    """The packed words (see :func:`_packing`) of ``width``-long vectors,
+    for code outside this module that adds vectors and compares the sums:
+    the divisor witnesses keep one per link instance. Each vector is packed
+    once per field size and then looked up by itself."""
+
+    def __init__(self, width: int):
+        self._tops = _Memo(max)
+        # fields of ``size`` bytes: exponents up to 2 ** (8 * size - 1) - 1
+        self._sizes = _Memo(lambda size: WordSums(_packing(2 ** (8 * size - 1) - 1, width)))
+
+    def sums(self, vecs: Iterable[Vec], count: int) -> WordSums:
+        """The words whose fields hold ``count`` times the largest exponent
+        of ``vecs``, which bounds any sum of at most ``count`` of them."""
+        return self._sizes[(count * max(map(self._tops.__getitem__, vecs))).bit_length() // 8 + 1]
+
+
+class WordSums:
+    """Sums of vectors as integer sums of their cached words, made by
+    :meth:`WordCache.sums`; the caller keeps every sum within its bound."""
+
+    def __init__(self, codec: _Codec):
+        self._guards, self._unpack = codec.guards, codec.unpack
+        self._words = _Memo(lambda vec: codec.pack((vec,))[0])
+
+    def sum(self, vecs: Iterable[Vec], times: Iterable[int] | None = None) -> int:
+        """The word of the sum of ``vecs``, each taken ``times`` over if given."""
+        words = map(self._words.__getitem__, vecs)
+        return sum(words if times is None else map(mul, words, times))
+
+    def fits(self, part: int, whole: int, times: int = 1) -> bool:
+        """True iff ``times * part`` is at most ``whole`` in every field: one
+        guarded subtraction and one AND."""
+        guards = self._guards
+        return ((whole | guards) - times * part) & guards == guards
+
+    def adds_up(self, whole: int, *parts: int) -> bool:
+        """True iff the ``parts`` sum to ``whole``."""
+        return sum(parts) == whole
+
+    def unpack(self, word: int) -> Vec:
+        return self._unpack((word,))[0]
 
 
 # An index keeps one bitset per variable and exponent up to the largest

@@ -24,13 +24,16 @@ The generators are kept once per instance as exponent vectors over the
 universe, and the four ideals are wrapped around them unreduced: each
 family is a list of distinct monomials of one degree, and no antidiagonal
 divides a beta(A), so each list is minimal except the link's at m = n.
-The witnesses compute on the vectors: a product is one pass summing all
-its vectors, and a square divides where every doubled exponent fits. A
-witness keeps the generator vectors it is the sum of, so membership in a
-power is read off them: a sum of k vectors, each in the ideal (a lookup
-for m < n), lies in its k-th power, and no power is built. Monomials are
-made only for what a witness returns and for the message of a failed
-check.
+The witnesses add those vectors as packed words, which the instance's
+``WordCache`` from :mod:`genlink.ideals` keeps by vector: a product is
+an integer sum of words, a square divides when one guarded subtraction
+finds every doubled exponent fits, and the odd-part check is one int
+comparison. The fields are sized from each call's summands, so no
+exponent bound is assumed. A witness keeps the generator vectors it is
+the sum of, so membership in a power is read off them: a sum of k
+vectors, each in the ideal (a lookup for m < n), lies in its k-th power,
+and no power is built. Vectors and monomials are unpacked only for what
+a witness returns and for the message of a failed check.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from math import comb
 from operator import add, le
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .ideals import MonomialIdeal, Vec, _from_vecs
+from .ideals import MonomialIdeal, Vec, WordCache, WordSums, _from_vecs
 from .monomial import Monomial, Universe, xvar, yvar
 
 Cell = tuple[int, int]
@@ -179,6 +182,11 @@ class LinkInstance:
             tuple(map(add, self._indicator([self._diag_y_position(j)]), window))
             for j, window in enumerate(self._window_vecs, start=1)
         )
+
+    @cached_property
+    def _word_cache(self) -> WordCache:
+        """The packed words of the vectors the witnesses add, by vector."""
+        return WordCache(len(self.universe))
 
     def _staircase_vec(self, A: Selector) -> Vec:
         self.check_selector(A)
@@ -327,9 +335,14 @@ def chain_exponent(inst: LinkInstance, chain: Sequence[Selector], cell: Cell) ->
 # -- divisor witnesses ----------------------------------------------------------
 
 
-def _vec_product(start: Vec, factors: Iterable[Vec]) -> Vec:
-    """The exponent vector of ``start`` times the monomials of ``factors``."""
-    return tuple(map(sum, zip(start, *factors)))
+def _unpacked(word: str) -> property:
+    """The exponent vector a witness keeps as the packed ``word``, unpacked on access."""
+    return property(lambda self: self.sums.unpack(getattr(self, word)))
+
+
+def _monomial(vec: str) -> property:
+    """The monomial of a witness's exponent vector ``vec``, built on access."""
+    return property(lambda self: self.universe.monomial(getattr(self, vec)))
 
 
 def _repr_with(obj: object, names: Sequence[str]) -> str:
@@ -343,7 +356,7 @@ def antidiagonal_divisor(inst: LinkInstance, cols: Sequence[int], A: Selector) -
     The index is produced by the scan rule: take the least row position i
     whose column satisfies cols[i] + 1 < a_i (the selector entry; the
     condition is vacuously true at i = m), and set j = cols[i] - i + 1.
-    Divisibility is checked on exponent vectors before returning.
+    Divisibility is checked on packed words before returning.
     """
     cols = tuple(cols)
     inst.check_selector(A)
@@ -358,10 +371,12 @@ def antidiagonal_divisor(inst: LinkInstance, cols: Sequence[int], A: Selector) -
     j = cols[eps - 1] - eps + 1
     if not (1 <= j <= inst.g):
         raise AssertionError(f"witness index out of range: {j}")
-    target = tuple(map(add, gen, inst._complement_vecs[A]))
-    if not all(map(le, inst._window_vecs[j - 1], target)):
+    beta, window = inst._complement_vecs[A], inst._window_vecs[j - 1]
+    sums = inst._word_cache.sums((gen, beta, window), 2)
+    target = sums.sum((gen, beta))
+    if not sums.fits(sums.sum((window,)), target):
         raise AssertionError(
-            f"antidiagonal({j}) does not divide {inst.universe.monomial(target)} "
+            f"antidiagonal({j}) does not divide {inst.universe.monomial(sums.unpack(target))} "
             f"for cols={cols}, A={A}"
         )
     return j
@@ -371,16 +386,18 @@ def antidiagonal_divisor(inst: LinkInstance, cols: Sequence[int], A: Selector) -
 class SquareDivisorWitness:
     """Certificate that delta in link_initial^(r+1) has delta^2 | gamma.
 
-    delta and gamma are kept as exponent vectors over ``universe``; the
-    monomial properties build them on access, as does ``off_staircase`` in
-    the interior-cell case: the variables of the cell's antidiagonal in the
-    rows p < lo and p > hi. ``factor_vecs`` are the r+1 or more generator
-    vectors whose sum is delta, which certify it in link_initial^(r+1).
+    delta and gamma are kept as packed words of ``sums``; their exponent
+    vectors over ``universe`` and their monomials are built on access, as
+    is ``off_staircase`` in the interior-cell case: the variables of the
+    cell's antidiagonal in the rows p < lo and p > hi. ``factor_vecs`` are
+    the r+1 or more generator vectors whose sum is delta, which certify it
+    in link_initial^(r+1).
     """
 
     universe: Universe
-    delta_vec: Vec
-    gamma_vec: Vec
+    sums: WordSums
+    delta_word: int
+    gamma_word: int
     factor_vecs: tuple[Vec, ...]
     r: int
     case: str
@@ -389,13 +406,8 @@ class SquareDivisorWitness:
     hi: int | None = None
     bridge: Selector | None = None
 
-    @property
-    def delta(self) -> Monomial:
-        return self.universe.monomial(self.delta_vec)
-
-    @property
-    def gamma(self) -> Monomial:
-        return self.universe.monomial(self.gamma_vec)
+    delta_vec, gamma_vec = _unpacked("delta_word"), _unpacked("gamma_word")
+    delta, gamma = _monomial("delta_vec"), _monomial("gamma_vec")
 
     @property
     def off_staircase(self) -> Monomial | None:
@@ -424,11 +436,11 @@ def square_divisor(
     A_1 <= ... <= A_b, a + b = 2r+1 odd, nu the product of all variables and
     mu the product of the diagonal Y. Three constructions apply depending on
     a; the returned witness records which. delta is the sum of the
-    generator vectors the witness keeps, and both postconditions are
-    verified on exponent vectors before returning: there are at least r+1
-    such factors, each in link_initial (a lookup per distinct generator,
-    a divisor query only at m = n, and no power built), and 2*delta fits
-    in gamma.
+    generator vectors the witness keeps, and gamma and delta are integer
+    sums of their packed words. Both postconditions are verified before
+    returning: there are at least r+1 such factors, each in link_initial
+    (a lookup per distinct generator, a divisor query only at m = n, and no
+    power built), and 2*delta fits in gamma, one guarded subtraction.
     """
     diag_indices = tuple(diag_indices)
     chain = tuple(chain)
@@ -446,8 +458,7 @@ def square_divisor(
 
     diag_vecs = [inst._diag_vec(i) for i in diag_indices]
     stair_vecs = [inst._staircase_vec(A) for A in chain]
-    width = len(inst.universe)
-    gamma = _vec_product((1,) * width, diag_vecs + stair_vecs)
+    summands = [(1,) * len(inst.universe), *diag_vecs, *stair_vecs]
 
     cell = lo = hi = bridge = None
     if a >= 2:
@@ -471,16 +482,18 @@ def square_divisor(
             factors = [
                 inst._diag_vec(i + j - inst.m), inst._staircase_vec(bridge), *stair_vecs[2:-1:2]
             ]
-    delta = _vec_product((0,) * width, factors)
+    # the fields hold gamma and 2*delta
+    sums = inst._word_cache.sums(summands + factors, max(len(summands), 2 * len(factors)))
+    delta, gamma = sums.sum(factors), sums.sum(summands)
     witness = SquareDivisorWitness(
-        inst.universe, delta, gamma, tuple(factors), r, case,
+        inst.universe, sums, delta, gamma, tuple(factors), r, case,
         cell=cell, lo=lo, hi=hi, bridge=bridge,
     )
 
     # membership, not minimality, is asked: link_initial collapses at m = n
     if len(factors) < r + 1 or not all(map(inst.link_initial._divides_into, set(factors))):
         raise AssertionError(f"delta not in the (r+1)-st power: {witness}")
-    if not all(map(le, map(add, delta, delta), gamma)):
+    if not sums.fits(delta, gamma, 2):
         raise AssertionError(f"delta^2 does not divide gamma: {witness}")
     return witness
 
@@ -525,30 +538,24 @@ def _bridge_selector(
 class OddPartReduction:
     """Split of a generator power product into its odd part and a square.
 
-    The three parts are kept as exponent vectors over ``universe``; the
-    monomial properties build them on access. ``root_factor_vecs`` are the
-    r-s generator vectors, each taken ``mult // 2`` times, whose sum is the
-    square root, which certify it in link_initial^(r-s).
+    The three parts are kept as packed words of ``sums``; their exponent
+    vectors over ``universe`` and their monomials are built on access.
+    ``root_factor_vecs`` are the r-s generator vectors, each taken
+    ``mult // 2`` times, whose sum is the square root, which certify it in
+    link_initial^(r-s).
     """
 
     universe: Universe
-    product_vec: Vec
-    odd_part_vec: Vec
-    square_root_vec: Vec
+    sums: WordSums
+    product_word: int
+    odd_part_word: int
+    square_root_word: int
     root_factor_vecs: tuple[Vec, ...]
     odd_count: int  # |P| + |Q| = 2s+1; the square root lies in power r-s
 
-    @property
-    def product(self) -> Monomial:
-        return self.universe.monomial(self.product_vec)
-
-    @property
-    def odd_part(self) -> Monomial:
-        return self.universe.monomial(self.odd_part_vec)
-
-    @property
-    def square_root(self) -> Monomial:
-        return self.universe.monomial(self.square_root_vec)
+    product_vec, product = _unpacked("product_word"), _monomial("product_vec")
+    odd_part_vec, odd_part = _unpacked("odd_part_word"), _monomial("odd_part_vec")
+    square_root_vec, square_root = _unpacked("square_root_word"), _monomial("square_root_vec")
 
     def __repr__(self) -> str:
         return _repr_with(self, ("product", "odd_part", "square_root", "odd_count"))
@@ -566,9 +573,10 @@ def odd_part_reduction(
     the odd part takes one copy of each odd-multiplicity generator and the
     square's root is a product of (r - s) generators, 2r+1 the total and
     2s+1 the number of odd multiplicities. The root is the sum of the r-s
-    factors the reduction keeps, and both facts are verified on exponent
-    vectors: the parts multiply back to the product, and each factor lies
-    in link_initial (no power is built).
+    factors the reduction keeps; the three parts are integer sums of packed
+    words. Both facts are verified: the parts multiply back to the product,
+    one int comparison, and each factor lies in link_initial (no power is
+    built).
     """
     total = sum(diag_multiplicities.values()) + sum(selector_multiplicities.values())
     if total % 2 == 0 or total < 1:
@@ -579,19 +587,21 @@ def odd_part_reduction(
         raise ValueError("negative multiplicity")
     items = [(inst._diag_vec(k), rk) for k, rk in sorted(diag_multiplicities.items())]
     items += [(inst._staircase_vec(A), sA) for A, sA in sorted(selector_multiplicities.items())]
-    unit = (0,) * len(inst.universe)
-    product = _vec_product(unit, [vec for vec, mult in items for _ in range(mult)])
+    vecs = [vec for vec, _ in items]
+    # the fields hold the product, which bounds the odd part and the root
+    sums = inst._word_cache.sums(vecs, total)
+    product = sums.sum(vecs, [mult for _, mult in items])
     odd_factors = [vec for vec, mult in items if mult % 2]
-    odd_part = _vec_product(unit, odd_factors)
+    odd_part = sums.sum(odd_factors)
     root_factors = [vec for vec, mult in items for _ in range(mult // 2)]
-    root = _vec_product(unit, root_factors)
+    root = sums.sum(root_factors)
     odd_count = len(odd_factors)
     r = (total - 1) // 2
     s = (odd_count - 1) // 2
     reduction = OddPartReduction(
-        inst.universe, product, odd_part, root, tuple(root_factors), odd_count
+        inst.universe, sums, product, odd_part, root, tuple(root_factors), odd_count
     )
-    if _vec_product(odd_part, (root, root)) != product:
+    if not sums.adds_up(product, odd_part, root, root):
         raise AssertionError(
             f"{reduction.odd_part} * ({reduction.square_root})^2 is not the product "
             f"{reduction.product}"

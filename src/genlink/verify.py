@@ -83,6 +83,10 @@ MAX_UNIVERSE_VARS = 40
 # The leads suite refuses when it would compare more products than this.
 MAX_LEAD_PRODUCTS = 500_000
 
+# The witness suite refuses when its draws, ``samples`` of up to
+# ``2 * r_max + 1`` generators each, could hold more summands than this.
+MAX_WITNESS_SUMMANDS = 500_000
+
 # The largest integer a JSON reader that parses numbers as doubles holds
 # exactly; a report writes a larger r = C(n, m) as its decimal string.
 MAX_JSON_INT = 2**53 - 1
@@ -387,9 +391,12 @@ def verify_witnesses(inst: LinkInstance, bounds: VerifyBounds, seed: int) -> Ver
     reductions run on seeded samples. Chains have up to
     ``2 * bounds.square_colon_rmax + 1`` factors. Each witness certifies its
     power membership from the generator factors it keeps, so the suite
-    builds no link power and ``bounds.candidate_cap`` does not bound it.
+    builds no link power and ``bounds.candidate_cap`` does not bound it;
+    before any draw, ``samples * (2 * r_max + 1)`` is checked against
+    ``MAX_WITNESS_SUMMANDS``.
     """
     r_max, samples = bounds.square_colon_rmax, bounds.witness_samples
+    check_cap(samples * (2 * r_max + 1), MAX_WITNESS_SUMMANDS, "witness draws", "summands")
     rng = random.Random(seed)
     pairs = _every_or_drawn(
         product(inst.column_sets, inst.selectors),

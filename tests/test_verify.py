@@ -12,11 +12,12 @@ import pytest
 
 from bruteforce import scan_row_leads
 from genlink import LinkInstance, Monomial, VerifyBounds, first_symbolic_gap, xvar, yvar
-from genlink import ideals
+from genlink import ideals, verify
 from genlink.cli import main
 from genlink.ideals import DEFAULT_CANDIDATE_CAP, MonomialIdeal, ideal
 from genlink.verify import (
     MAX_UNIVERSE_VARS,
+    MAX_WITNESS_SUMMANDS,
     SUITES,
     _row_leads,
     _square_inputs,
@@ -292,6 +293,25 @@ def test_witnesses_pass_under_a_small_candidate_cap(tmp_path):
     (rep,) = json.loads(out.read_text())["reports"]
     assert rep["status"] == "pass"
     assert rep["witnesses"] == {"antidiagonal": 60, "square": 819, "odd_part": 200}
+
+
+@pytest.mark.parametrize("argv, estimate", [
+    (["--samples", str(10**8)], 10**8 * 7),  # at the default --rmax 3, 7 summands a draw
+    (["--rmax", str(10**6)], 200 * 2_000_001),  # at the default --samples 200
+])
+def test_witness_draw_guard_refuses_before_any_draw(monkeypatch, tmp_path, argv, estimate):
+    listed = []
+    monkeypatch.setattr(verify, "_every_or_drawn", lambda *args: listed.append(args))
+    out = tmp_path / "report.json"
+    start = time.perf_counter()
+    assert main(["verify", "witnesses", "2", "4", *argv, "--out", str(out)]) == 3
+    assert time.perf_counter() - start < 0.5
+    assert listed == []
+    (rep,) = json.loads(out.read_text())["reports"]
+    assert (rep["status"], rep["witnesses"]["estimate"]) == ("refused", estimate)
+    assert rep["witnesses"]["reason"] == (
+        f"witness draws would enumerate about {estimate} summands (cap {MAX_WITNESS_SUMMANDS})"
+    )
 
 
 def test_witness_suite_builds_no_power(monkeypatch):

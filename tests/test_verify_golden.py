@@ -14,7 +14,10 @@ checked every sum of generators of W^r and W^(r+1), so a change that
 alters a status, a witness or a refusal estimate fails here. The
 ``--max-gens 350`` command was recorded once the square-colon scan peeled
 its halves and built no power but W^2; while it built W^3 it was refused
-there, with estimate 351.
+there, with estimate 351. The witnesses command at ``--rmax 70`` was
+recorded while the witnesses still summed exponent vectors position by
+position; its sums pass 127, so the packed words they now add take fields
+wider than a byte.
 To print the digests of the current tree:
 
     PYTHONPATH=src python tests/test_verify_golden.py
@@ -53,6 +56,8 @@ COMMANDS = (
     "verify symbolic 3 6",
     "verify symbolic 4 6",
     "verify symbolic 4 7",
+    # chains of up to 141 generators: the witness sums need two-byte fields
+    "verify witnesses 2 4 --rmax 70 --samples 50 --seed 0",
 )
 DIGESTS = Path(__file__).resolve().parent / "verify_digests.json"
 
@@ -95,6 +100,7 @@ def _digest(command):
         "verify_symbolic_3_6_defaults",
         "verify_symbolic_4_6_defaults",
         "verify_symbolic_4_7_defaults",
+        "verify_witnesses_2_4_--rmax_70",
     ],
 )
 def test_verify_report_matches_the_recorded_digest(command):

@@ -1,5 +1,7 @@
 import random
+from functools import reduce
 from itertools import combinations
+from operator import mul
 
 import pytest
 
@@ -23,6 +25,7 @@ from genlink import (
     xvar,
     yvar,
 )
+from genlink.ideals import WordCache
 from genlink.verify import _multichains, _square_inputs, verify_witnesses
 
 
@@ -246,6 +249,89 @@ def test_square_divisor_checks_the_square_on_vectors():
     inst.__dict__["_diag_vecs"] = (tuple(first), *inst._diag_vecs[1:])
     with pytest.raises(AssertionError, match=r"delta\^2 does not divide gamma: .*Y\[1,1\]\^2"):
         square_divisor(inst, (1, 2, 3), ())
+
+
+@pytest.mark.parametrize("e", [63, 64, 127, 128])
+def test_square_divisor_checks_a_planted_exponent_at_a_field_boundary(e):
+    # as above with Y[1,1]^e: 2*delta puts 2e at Y[1,1], at or past the top
+    # bit of a one-byte field, against e+1 in gamma
+    inst = LinkInstance(3, 5)
+    inst.link_initial.power(2)
+    first = list(inst._diag_vecs[0])
+    first[inst.universe.index[yvar(1, 1)]] = e
+    inst.__dict__["_diag_vecs"] = (tuple(first), *inst._diag_vecs[1:])
+    message = (rf"delta\^2 does not divide gamma: SquareDivisorWitness\(delta=Monomial\(Y\[1,1\]\^{e}\*"
+               rf".*gamma=Monomial\(Y\[1,1\]\^{e + 1}\*")
+    with pytest.raises(AssertionError, match=message):
+        square_divisor(inst, (1, 2, 3), ())
+
+
+def test_word_sums_widen_their_fields_at_the_top_bit():
+    # count * top below 128 fits a byte, up to 32767 two bytes; a field
+    # never borrows from its neighbour
+    cache, formats = WordCache(3), []
+    cases = [(127, 1), (64, 2), (1, 127), (1, 128), (255, 1), (128, 2), (300, 7), (40000, 1)]
+    for top, count in cases:
+        vec = (top, 0, 1)
+        sums = cache.sums([vec], count)
+        total = sums.sum([vec] * count)
+        assert total == sums.sum([vec], [count])
+        assert sums.unpack(total) == (top * count, 0, count)
+        assert sums.fits(total, total) and sums.fits(sums.sum([vec]), total, count)
+        assert not sums.fits(sums.sum([(0, 1, 0)]), total)
+        assert not sums.fits(sums.sum([(0, 0, 1)]), sums.sum([(top, 0, 0)]))
+        assert sums.adds_up(total, sums.sum([vec], [count - 1]), sums.sum([vec]))
+        formats.append(sums)
+    assert [formats.index(sums) for sums in formats] == [0, 1, 0, 1, 1, 1, 1, 7]
+
+
+def _generator_monomials(inst):
+    """Each generator vector the witnesses sum, mapped to its monomial as
+    the definitions build it."""
+    m, n = inst.m, inst.n
+    gens = [diag_generator(m, j) for j in range(1, inst.g + 1)]
+    gens += [staircase_generator(m, n, A) for A in inst.selectors]
+    return {inst.universe.vector(gen): gen for gen in gens}
+
+
+def _product(monomials):
+    return reduce(mul, monomials, Monomial.one())
+
+
+@pytest.mark.parametrize("m, n", [(2, 4), (3, 5), (3, 3), (4, 6)])
+def test_word_sums_match_monomial_products(m, n):
+    # seeded inputs of up to 2 * 70 + 1 generators and multiplicities up to
+    # 300, so that exponents pass 127 and 255 and the fields widen
+    inst = LinkInstance(m, n)
+    vector, gens = inst.universe.vector, _generator_monomials(inst)
+    nu = Monomial.of(*inst.universe.variables)
+    rng = random.Random(10 * m + n)
+    tops = []
+    for r in (0, 1, 2, 5, 63, 64, 70):
+        total = 2 * r + 1
+        a = rng.randrange(min(total, inst.g) + 1)
+        diag = tuple(sorted(rng.sample(range(1, inst.g + 1), a)))
+        chain = chain_normal_form([rng.choice(inst.selectors) for _ in range(total - a)]) if total > a else ()
+        w = square_divisor(inst, diag, chain)
+        gamma = nu * _product(gens[inst._diag_vec(i)] for i in diag)
+        gamma = gamma * _product(staircase_generator(m, n, A) for A in chain)
+        assert w.gamma_vec == vector(gamma) and w.gamma == gamma, (diag, chain)
+        assert w.delta_vec == vector(_product(map(gens.__getitem__, w.factor_vecs))), (diag, chain)
+        tops.append(max(w.gamma_vec))
+    for most in (1, 4, 130, 300):
+        diag = {k: rng.randrange(most + 1) for k in range(1, inst.g + 1)}
+        sel = {A: rng.randrange(most + 1) for A in rng.sample(inst.selectors, 1)}
+        if (sum(diag.values()) + sum(sel.values())) % 2 == 0:
+            diag[1] += 1
+        red = odd_part_reduction(inst, diag, sel)
+        factors = [(diag_generator(m, k), e) for k, e in diag.items()]
+        factors += [(staircase_generator(m, n, A), e) for A, e in sel.items()]
+        parts = [_product(gen ** (e % 2) for gen, e in factors),
+                 _product(gen ** (e // 2) for gen, e in factors),
+                 _product(gen ** e for gen, e in factors)]
+        assert (red.odd_part_vec, red.square_root_vec, red.product_vec) == tuple(map(vector, parts))
+        tops.append(max(red.product_vec))
+    assert max(tops) > 255
 
 
 def test_square_divisor_input_validation():
