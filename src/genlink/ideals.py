@@ -44,12 +44,13 @@ and hands large antichains to the same index, and the index also answers
 the fold's membership queries once the ideal is large. The colon suite's
 product test (:func:`products_covered`) and :func:`is_antichain` build no
 index: they scan packed words pairwise, one subtraction per pair.
-:class:`WordCache` lends the same words to the divisor witnesses of
-:mod:`genlink.linkage`, which add and compare them without knowing the
-format. All sizes here are desk scale; an explicit candidate cap guards
-against intersection blowup before anything is enumerated, and the index
-refuses exponents whose bitsets would not fit. Every refusal is raised by
-:func:`check_cap`.
+:class:`WordCache` packs a fixed table of vectors in the same words, once
+per field size, for the divisor witnesses of :mod:`genlink.linkage`: its
+keys name a link instance's generators, and the witnesses add and compare
+words by key without knowing the format. All sizes here are desk scale;
+an explicit candidate cap guards against intersection blowup before
+anything is enumerated, and the index refuses exponents whose bitsets
+would not fit. Every refusal is raised by :func:`check_cap`.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from functools import cached_property, lru_cache, reduce
 from itertools import chain, combinations, repeat
 from math import comb
 from operator import mul, xor
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .monomial import Monomial, Universe, UniverseMismatch, Variable
 
@@ -240,33 +241,40 @@ class _Memo(dict):
 
 
 class WordCache:
-    """The packed words (see :func:`_packing`) of ``width``-long vectors,
-    for code outside this module that adds vectors and compares the sums:
-    the divisor witnesses keep one per link instance. Each vector is packed
-    once per field size and then looked up by itself."""
+    """The packed words (see :func:`_packing`) of a fixed table of vectors
+    of one length, by key, for code outside this module that adds vectors
+    and compares the sums: the divisor witnesses keep one per link
+    instance, keyed by generator. The table's largest exponent is found
+    once, and the table is packed once per field size, by the first call
+    that needs that size."""
 
-    def __init__(self, width: int):
-        self._tops = _Memo(max)
-        # fields of ``size`` bytes: exponents up to 2 ** (8 * size - 1) - 1
-        self._sizes = _Memo(lambda size: WordSums(_packing(2 ** (8 * size - 1) - 1, width)))
+    def __init__(self, vecs: Mapping[Hashable, Vec]):
+        self.vecs = vecs = dict(vecs)
+        self._top = _top(vecs.values())
+        width = len(next(iter(vecs.values())))
+        # fields of ``size`` bytes: exponents up to 2 ** (8 * size - 1) - 1;
+        # the maker holds the table, not self, so no cycle keeps it alive
+        self._sizes = _Memo(lambda size: WordSums(_packing(2 ** (8 * size - 1) - 1, width), vecs))
 
-    def sums(self, vecs: Iterable[Vec], count: int) -> WordSums:
-        """The words whose fields hold ``count`` times the largest exponent
-        of ``vecs``, which bounds any sum of at most ``count`` of them."""
-        return self._sizes[(count * max(map(self._tops.__getitem__, vecs))).bit_length() // 8 + 1]
+    def sums(self, count: int) -> WordSums:
+        """The words whose fields hold ``count`` times the table's largest
+        exponent, which bounds any sum of at most ``count`` of its vectors."""
+        return self._sizes[(count * self._top).bit_length() // 8 + 1]
 
 
 class WordSums:
-    """Sums of vectors as integer sums of their cached words, made by
-    :meth:`WordCache.sums`; the caller keeps every sum within its bound."""
+    """A table's words in one format, by key (``words``), made by
+    :meth:`WordCache.sums`. A sum of vectors is the integer sum of their
+    words; the caller keeps every sum within its bound."""
 
-    def __init__(self, codec: _Codec):
+    def __init__(self, codec: _Codec, vecs: Mapping[Hashable, Vec]):
+        self.words = dict(zip(vecs, codec.pack(vecs.values())))
         self._guards, self._unpack = codec.guards, codec.unpack
-        self._words = _Memo(lambda vec: codec.pack((vec,))[0])
 
-    def sum(self, vecs: Iterable[Vec], times: Iterable[int] | None = None) -> int:
-        """The word of the sum of ``vecs``, each taken ``times`` over if given."""
-        words = map(self._words.__getitem__, vecs)
+    def sum(self, keys: Iterable[Hashable], times: Iterable[int] | None = None) -> int:
+        """The word of the sum of the vectors at ``keys``, each taken
+        ``times`` over if given."""
+        words = map(self.words.__getitem__, keys)
         return sum(words if times is None else map(mul, words, times))
 
     def fits(self, part: int, whole: int, times: int = 1) -> bool:

@@ -24,16 +24,20 @@ The generators are kept once per instance as exponent vectors over the
 universe, and the four ideals are wrapped around them unreduced: each
 family is a list of distinct monomials of one degree, and no antidiagonal
 divides a beta(A), so each list is minimal except the link's at m = n.
-The witnesses add those vectors as packed words, which the instance's
-``WordCache`` from :mod:`genlink.ideals` keeps by vector: a product is
-an integer sum of words, a square divides when one guarded subtraction
-finds every doubled exponent fits, and the odd-part check is one int
-comparison. The fields are sized from each call's summands, so no
-exponent bound is assumed. A witness keeps the generator vectors it is
-the sum of, so membership in a power is read off them: a sum of k
-vectors, each in the ideal (a lookup for m < n), lies in its k-th power,
-and no power is built. Vectors and monomials are unpacked only for what
-a witness returns and for the message of a failed check.
+The witnesses add those vectors as packed words, from one table per
+instance (a ``WordCache`` from :mod:`genlink.ideals`) keyed by generator:
+the diagonal index j, the selector A, the column set of an antidiagonal,
+and ``NU`` for nu. A witness carries keys through its case logic; a
+product is an integer sum of the words at its keys, a square divides when
+one guarded subtraction finds every doubled exponent fits, and the
+odd-part check is one int comparison. The fields hold a call's count of
+summands times the table's largest exponent, so no exponent bound is
+assumed. A witness keeps the generator vectors it is the sum of, so
+membership in a power is read off them: a sum of k vectors, each in the
+ideal (a lookup for m < n), lies in its k-th power, and no power is
+built. Vectors are fetched only for those factors, and vectors and
+monomials are unpacked only for what a witness returns and for the
+message of a failed check.
 """
 
 from __future__ import annotations
@@ -44,13 +48,16 @@ from functools import cached_property
 from itertools import combinations
 from math import comb
 from operator import add, le
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .ideals import MonomialIdeal, Vec, WordCache, WordSums, _from_vecs
 from .monomial import Monomial, Universe, xvar, yvar
 
 Cell = tuple[int, int]
 Selector = tuple[int, ...]
+
+# the key of nu, the product of all variables, in an instance's word table
+NU = "nu"
 
 
 @dataclass(frozen=True)
@@ -165,9 +172,12 @@ class LinkInstance:
             self._cell_positions((self.m - i, col) for i, col in enumerate(cols))
         )
 
-    def _diag_vec(self, j: int) -> Vec:
+    def check_diag_index(self, j: int) -> None:
         if not (1 <= j <= self.g):
             raise ValueError(f"antidiagonal index out of range: {j}")
+
+    def _diag_vec(self, j: int) -> Vec:
+        self.check_diag_index(j)
         return self._diag_vecs[j - 1]
 
     @cached_property
@@ -183,11 +193,6 @@ class LinkInstance:
             for j, window in enumerate(self._window_vecs, start=1)
         )
 
-    @cached_property
-    def _word_cache(self) -> WordCache:
-        """The packed words of the vectors the witnesses add, by vector."""
-        return WordCache(len(self.universe))
-
     def _staircase_vec(self, A: Selector) -> Vec:
         self.check_selector(A)
         return self._staircase_vecs[A]
@@ -197,6 +202,20 @@ class LinkInstance:
         """mu * beta(A) for every selector A, mu the product of the diagonal Y."""
         mu = self._indicator(map(self._diag_y_position, range(1, self.g + 1)))
         return {A: tuple(map(add, mu, beta)) for A, beta in self._complement_vecs.items()}
+
+    @cached_property
+    def _word_cache(self) -> WordCache:
+        """The packed words of the vectors the witnesses add, keyed by
+        generator: j for Y[j,j] * antidiagonal(j), a selector A for
+        mu * beta(A), a column set for its antidiagonal and ``NU`` for nu,
+        the product of all variables. It is built on first use through the
+        accessors above, so a changed accessor is packed as it is."""
+        table: dict = {j: self._diag_vec(j) for j in range(1, self.g + 1)}
+        table.update((A, self._staircase_vec(A)) for A in self.selectors)
+        table.update(zip(self.column_sets, self._window_vecs))  # the windows come first
+        table.update((cols, self._antidiagonal_vec(cols)) for cols in self.column_sets[self.g:])
+        table[NU] = (1,) * len(self.universe)
+        return WordCache(table)
 
     # -- the minors ----------------------------------------------------------
 
@@ -360,7 +379,10 @@ def antidiagonal_divisor(inst: LinkInstance, cols: Sequence[int], A: Selector) -
     """
     cols = tuple(cols)
     inst.check_selector(A)
-    gen = inst._antidiagonal_vec(cols)
+    sums = inst._word_cache.sums(2)
+    words = sums.words
+    if len(cols) != inst.m or cols not in words:
+        inst._antidiagonal_vec(cols)  # raises: cols is no column set
     eps = None
     for i in range(1, inst.m + 1):
         if i == inst.m or cols[i - 1] + 1 < A[i - 1]:
@@ -371,19 +393,19 @@ def antidiagonal_divisor(inst: LinkInstance, cols: Sequence[int], A: Selector) -
     j = cols[eps - 1] - eps + 1
     if not (1 <= j <= inst.g):
         raise AssertionError(f"witness index out of range: {j}")
-    beta, window = inst._complement_vecs[A], inst._window_vecs[j - 1]
-    sums = inst._word_cache.sums((gen, beta, window), 2)
-    target = sums.sum((gen, beta))
-    if not sums.fits(sums.sum((window,)), target):
+    # the word of A is mu * beta(A); an antidiagonal has no Y, so the window
+    # on columns j, ..., j+m-1 (the j-th column set) divides the target
+    # times mu iff it divides the target
+    if not sums.fits(words[inst.column_sets[j - 1]], words[cols] + words[A]):
+        target = map(add, inst._antidiagonal_vec(cols), inst._complement_vecs[A])
         raise AssertionError(
-            f"antidiagonal({j}) does not divide {inst.universe.monomial(sums.unpack(target))} "
+            f"antidiagonal({j}) does not divide {inst.universe.monomial(tuple(target))} "
             f"for cols={cols}, A={A}"
         )
     return j
 
 
-@dataclass(frozen=True, repr=False)
-class SquareDivisorWitness:
+class SquareDivisorWitness(NamedTuple):
     """Certificate that delta in link_initial^(r+1) has delta^2 | gamma.
 
     delta and gamma are kept as packed words of ``sums``; their exponent
@@ -435,12 +457,13 @@ def square_divisor(
     for strictly increasing diag indices i_1 < ... < i_a, a sorted chain
     A_1 <= ... <= A_b, a + b = 2r+1 odd, nu the product of all variables and
     mu the product of the diagonal Y. Three constructions apply depending on
-    a; the returned witness records which. delta is the sum of the
-    generator vectors the witness keeps, and gamma and delta are integer
-    sums of their packed words. Both postconditions are verified before
-    returning: there are at least r+1 such factors, each in link_initial
-    (a lookup per distinct generator, a divisor query only at m = n, and no
-    power built), and 2*delta fits in gamma, one guarded subtraction.
+    a; the returned witness records which. Each picks the generators of
+    delta by their keys in the instance's word table, and gamma and delta
+    are integer sums of the words at those keys. Both postconditions are
+    verified before returning: there are at least r+1 such factors, each in
+    link_initial (a lookup per distinct generator, a divisor query only at
+    m = n, and no power built), and 2*delta fits in gamma, one guarded
+    subtraction.
     """
     diag_indices = tuple(diag_indices)
     chain = tuple(chain)
@@ -450,48 +473,44 @@ def square_divisor(
         raise ValueError("need an odd number of factors")
     if any(y <= x for x, y in zip(diag_indices, diag_indices[1:])):
         raise ValueError("diagonal indices must be strictly increasing")
-    if any(not (1 <= i <= inst.g) for i in diag_indices):
+    if diag_indices and not (1 <= diag_indices[0] and diag_indices[-1] <= inst.g):
         raise ValueError("diagonal index out of range")
     if not all(map(leq, chain, chain[1:])):
         raise ValueError("selector chain is not sorted")
+    for A in chain:
+        inst.check_selector(A)
     r = (total - 1) // 2
-
-    diag_vecs = [inst._diag_vec(i) for i in diag_indices]
-    stair_vecs = [inst._staircase_vec(A) for A in chain]
-    summands = [(1,) * len(inst.universe), *diag_vecs, *stair_vecs]
 
     cell = lo = hi = bridge = None
     if a >= 2:
         # the staircase generators at odd positions 1, 3, ... below b - 1
-        case, factors = "coprime_block", diag_vecs + stair_vecs[1:b - 1:2]
+        case, factors = "coprime_block", [*diag_indices, *chain[1:b - 1:2]]
     elif a == 1:
         i1 = diag_indices[0]
         extra = tuple(range(i1 + 1, i1 + inst.m))
-        sorted_chain = chain_normal_form((*chain, extra))
-        case = "single_antidiagonal"
-        factors = [diag_vecs[0], *map(inst._staircase_vec, sorted_chain[1::2])]
+        case, factors = "single_antidiagonal", [i1, *chain_normal_form((*chain, extra))[1::2]]
     else:
         found = _interior_cell(inst, chain)
         if found is None:
-            case, factors = "chain_ends", stair_vecs[::2]
+            case, factors = "chain_ends", chain[::2]
         else:
             cell, _ = found
             i, j = cell
             lo, hi, bridge = _bridge_selector(inst, chain[0], chain[-1], cell)
-            case = "interior_cell"
-            factors = [
-                inst._diag_vec(i + j - inst.m), inst._staircase_vec(bridge), *stair_vecs[2:-1:2]
-            ]
+            case, factors = "interior_cell", [i + j - inst.m, bridge, *chain[2:-1:2]]
+    table = inst._word_cache
     # the fields hold gamma and 2*delta
-    sums = inst._word_cache.sums(summands + factors, max(len(summands), 2 * len(factors)))
-    delta, gamma = sums.sum(factors), sums.sum(summands)
+    sums = table.sums(max(total + 1, 2 * len(factors)))
+    delta, gamma = sums.sum(factors), sums.sum((NU, *diag_indices, *chain))
+    vecs = table.vecs
     witness = SquareDivisorWitness(
-        inst.universe, sums, delta, gamma, tuple(factors), r, case,
-        cell=cell, lo=lo, hi=hi, bridge=bridge,
+        inst.universe, sums, delta, gamma, tuple(map(vecs.__getitem__, factors)), r, case,
+        cell, lo, hi, bridge,
     )
 
     # membership, not minimality, is asked: link_initial collapses at m = n
-    if len(factors) < r + 1 or not all(map(inst.link_initial._divides_into, set(factors))):
+    divides_into = inst.link_initial._divides_into
+    if len(factors) < r + 1 or not all(divides_into(vecs[key]) for key in set(factors)):
         raise AssertionError(f"delta not in the (r+1)-st power: {witness}")
     if not sums.fits(delta, gamma, 2):
         raise AssertionError(f"delta^2 does not divide gamma: {witness}")
@@ -534,8 +553,7 @@ def _bridge_selector(
     return lo, hi, bridge
 
 
-@dataclass(frozen=True, repr=False)
-class OddPartReduction:
+class OddPartReduction(NamedTuple):
     """Split of a generator power product into its odd part and a square.
 
     The three parts are kept as packed words of ``sums``; their exponent
@@ -573,10 +591,10 @@ def odd_part_reduction(
     the odd part takes one copy of each odd-multiplicity generator and the
     square's root is a product of (r - s) generators, 2r+1 the total and
     2s+1 the number of odd multiplicities. The root is the sum of the r-s
-    factors the reduction keeps; the three parts are integer sums of packed
-    words. Both facts are verified: the parts multiply back to the product,
-    one int comparison, and each factor lies in link_initial (no power is
-    built).
+    factors the reduction keeps; the three parts are integer sums of the
+    words at the generators' keys in the instance's word table. Both facts
+    are verified: the parts multiply back to the product, one int
+    comparison, and each factor lies in link_initial (no power is built).
     """
     total = sum(diag_multiplicities.values()) + sum(selector_multiplicities.values())
     if total % 2 == 0 or total < 1:
@@ -585,30 +603,35 @@ def odd_part_reduction(
         raise ValueError("negative multiplicity")
     if any(e < 0 for e in selector_multiplicities.values()):
         raise ValueError("negative multiplicity")
-    items = [(inst._diag_vec(k), rk) for k, rk in sorted(diag_multiplicities.items())]
-    items += [(inst._staircase_vec(A), sA) for A, sA in sorted(selector_multiplicities.items())]
-    vecs = [vec for vec, _ in items]
+    items = [*sorted(diag_multiplicities.items()), *sorted(selector_multiplicities.items())]
+    for k in diag_multiplicities:
+        inst.check_diag_index(k)
+    for A in selector_multiplicities:
+        inst.check_selector(A)
+    keys, mults = [key for key, _ in items], [mult for _, mult in items]
+    table = inst._word_cache
     # the fields hold the product, which bounds the odd part and the root
-    sums = inst._word_cache.sums(vecs, total)
-    product = sums.sum(vecs, [mult for _, mult in items])
-    odd_factors = [vec for vec, mult in items if mult % 2]
-    odd_part = sums.sum(odd_factors)
-    root_factors = [vec for vec, mult in items for _ in range(mult // 2)]
-    root = sums.sum(root_factors)
-    odd_count = len(odd_factors)
+    sums = table.sums(total)
+    product = sums.sum(keys, mults)
+    odd_part = sums.sum(keys, [mult % 2 for mult in mults])
+    root = sums.sum(keys, [mult // 2 for mult in mults])
+    root_keys = [key for key, mult in items for _ in range(mult // 2)]
+    odd_count = sum(mult % 2 for mult in mults)
     r = (total - 1) // 2
     s = (odd_count - 1) // 2
+    vecs = table.vecs
     reduction = OddPartReduction(
-        inst.universe, sums, product, odd_part, root, tuple(root_factors), odd_count
+        inst.universe, sums, product, odd_part, root, tuple(map(vecs.__getitem__, root_keys)),
+        odd_count,
     )
     if not sums.adds_up(product, odd_part, root, root):
         raise AssertionError(
             f"{reduction.odd_part} * ({reduction.square_root})^2 is not the product "
             f"{reduction.product}"
         )
-    if len(root_factors) != r - s:
-        raise AssertionError(f"square root has {len(root_factors)} factors, expected {r - s}")
-    if not all(map(inst.link_initial._divides_into, set(root_factors))):
+    if len(root_keys) != r - s:
+        raise AssertionError(f"square root has {len(root_keys)} factors, expected {r - s}")
+    if not all(inst.link_initial._divides_into(vecs[key]) for key in set(root_keys)):
         raise AssertionError(f"square root {reduction.square_root} escaped power {r - s}")
     return reduction
 

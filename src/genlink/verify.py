@@ -383,17 +383,20 @@ def _row_leads(inst: LinkInstance) -> list[tuple[int, tuple[int, ...]]]:
 def verify_witnesses(inst: LinkInstance, bounds: VerifyBounds, seed: int) -> Verdict:
     """Run the divisor-witness constructions and assert their postconditions.
 
-    Antidiagonal divisors run over (column set, selector) pairs and square
-    divisors over (diag indices, chain) pairs, each picked by
-    :func:`_every_or_drawn`: all of them up to ``EXHAUSTIVE_CAP``, else
-    ``bounds.witness_samples`` seeded draws (a drawn chain sorts uniform
-    selector samples through the straightening normal form). Odd-part
+    Antidiagonal divisors run over (column set, selector) pairs, picked by
+    :func:`_every_or_drawn`, and square divisors over (diag indices, chain)
+    pairs, picked by :func:`_square_inputs`, which counts them first: all of
+    them up to ``EXHAUSTIVE_CAP``, else ``bounds.witness_samples`` seeded
+    draws (a drawn chain sorts uniform selector samples through the
+    straightening normal form). Odd-part
     reductions run on seeded samples. Chains have up to
     ``2 * bounds.square_colon_rmax + 1`` factors. Each witness certifies its
     power membership from the generator factors it keeps, so the suite
-    builds no link power and ``bounds.candidate_cap`` does not bound it;
-    before any draw, ``samples * (2 * r_max + 1)`` is checked against
-    ``MAX_WITNESS_SUMMANDS``.
+    builds no link power and ``bounds.candidate_cap`` does not bound it.
+    Every input is picked before any witness is built: first
+    ``samples * (2 * r_max + 1)`` is checked against
+    ``MAX_WITNESS_SUMMANDS``, and the summands of the square divisors'
+    exhaustive listing are counted against it before they are listed.
     """
     r_max, samples = bounds.square_colon_rmax, bounds.witness_samples
     check_cap(samples * (2 * r_max + 1), MAX_WITNESS_SUMMANDS, "witness draws", "summands")
@@ -404,12 +407,12 @@ def verify_witnesses(inst: LinkInstance, bounds: VerifyBounds, seed: int) -> Ver
                  inst.selectors[rng.randrange(len(inst.selectors))]),
         samples, EXHAUSTIVE_CAP,
     )
+    square_inputs = _square_inputs(inst, r_max, rng, samples, EXHAUSTIVE_CAP)
+    odd_inputs = _odd_part_inputs(inst, r_max, rng, samples)
     for cols, A in pairs:
         antidiagonal_divisor(inst, cols, A)
-    square_inputs = _square_inputs(inst, r_max, rng, samples, EXHAUSTIVE_CAP)
     for diag, chain in square_inputs:
         square_divisor(inst, diag, chain)
-    odd_inputs = _odd_part_inputs(inst, r_max, rng, samples)
     for diag_mult, sel_mult in odd_inputs:
         odd_part_reduction(inst, diag_mult, sel_mult)
     return True, {"antidiagonal": len(pairs), "square": len(square_inputs), "odd_part": len(odd_inputs)}
@@ -422,23 +425,62 @@ def _every_or_drawn(every: Iterable, draw: Callable[[], object], samples: int, c
 
 
 def _multichains(elements: tuple[Selector, ...], length: int) -> Iterable[tuple[Selector, ...]]:
-    """All sorted chains of the given length from a selector lattice; each
-    selector's successors, the B with A <= B, are found once per call."""
+    """All sorted chains of the given length from a selector lattice, in
+    lexicographic order; each selector's successors, the B with A <= B, are
+    found once per call. The walk keeps a stack of successor iterators, one
+    per position of the prefix, so a chain of any length needs no recursion."""
     ordered = sorted(elements)
     successors = {A: [B for B in ordered if leq(A, B)] for A in ordered}
+    if length == 0:
+        yield ()
+        return
+    prefix: list[Selector] = []
+    stack = [iter(ordered)]
+    while stack:
+        for B in stack[-1]:
+            if len(prefix) + 1 == length:
+                yield (*prefix, B)
+            else:
+                prefix.append(B)
+                stack.append(iter(successors[B]))
+                break
+        else:  # this position is done: back up one
+            stack.pop()
+            if prefix:
+                prefix.pop()
 
-    def rec(prefix: tuple[Selector, ...], after: list[Selector]) -> Iterable[tuple[Selector, ...]]:
-        if len(prefix) == length:
-            yield prefix
-            return
-        for e in after:
-            yield from rec(prefix + (e,), successors[e])
 
-    yield from rec((), ordered)
+def _square_listing(inst: LinkInstance, r_max: int, cap: int) -> tuple[int, int] | None:
+    """The number of (diag indices, chain) inputs with at most
+    ``2 * r_max + 1`` factors and the summands they hold, counted level by
+    level with no input listed; None once the inputs pass ``cap``.
+
+    ``ends[B]`` counts the chains of the current length that end at B;
+    a chain one longer ends at some B above its last selector. Each level
+    has an input, so the count stops after at most ``cap + 1`` levels."""
+    ordered = sorted(inst.selectors)
+    below = [[p for p, A in enumerate(ordered) if leq(A, B)] for B in ordered]
+    ends = [1] * len(ordered)
+    chains = [1, len(ordered)]  # multichains of length 0 and 1
+    inputs = summands = 0
+    for r in range(r_max + 1):
+        while len(chains) < 2 * r + 2:
+            ends = [sum(ends[p] for p in ps) for ps in below]
+            chains.append(sum(ends))
+        level = sum(
+            comb(inst.g, a) * chains[2 * r + 1 - a] for a in range(min(2 * r + 1, inst.g) + 1)
+        )
+        inputs, summands = inputs + level, summands + level * (2 * r + 1)
+        if inputs > cap:
+            return None
+    return inputs, summands
 
 
 def _square_inputs(inst, r_max, rng, samples, exhaustive_cap):
-    """(diag indices, chain) pairs with an odd total, exhaustive or sampled."""
+    """(diag indices, chain) pairs with an odd total: every one when
+    :func:`_square_listing` counts at most ``exhaustive_cap``, refused
+    before they are listed if they hold more than ``MAX_WITNESS_SUMMANDS``
+    summands, else ``samples`` draws."""
     def draw():
         total = 2 * rng.randrange(r_max + 1) + 1
         a = rng.randrange(min(total, inst.g) + 1)
@@ -446,14 +488,17 @@ def _square_inputs(inst, r_max, rng, samples, exhaustive_cap):
         chosen = [inst.selectors[rng.randrange(len(inst.selectors))] for _ in range(total - a)]
         return diag, chain_normal_form(chosen) if chosen else ()
 
-    every_input = (
+    listing = _square_listing(inst, r_max, exhaustive_cap)
+    if listing is None:
+        return [draw() for _ in range(samples)]
+    check_cap(listing[1], MAX_WITNESS_SUMMANDS, "witness listing", "summands")
+    return [
         (diag, chain)
         for r in range(r_max + 1)
         for a in range(min(2 * r + 1, inst.g) + 1)
         for diag in combinations(range(1, inst.g + 1), a)
         for chain in _multichains(inst.selectors, 2 * r + 1 - a)
-    )
-    return _every_or_drawn(every_input, draw, samples, exhaustive_cap)
+    ]
 
 
 def _odd_part_inputs(inst, r_max, rng, samples):

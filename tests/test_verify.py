@@ -19,6 +19,7 @@ from genlink.verify import (
     MAX_UNIVERSE_VARS,
     MAX_WITNESS_SUMMANDS,
     SUITES,
+    _multichains,
     _row_leads,
     _square_inputs,
     resolve_staircase_powers,
@@ -312,6 +313,36 @@ def test_witness_draw_guard_refuses_before_any_draw(monkeypatch, tmp_path, argv,
     assert rep["witnesses"]["reason"] == (
         f"witness draws would enumerate about {estimate} summands (cap {MAX_WITNESS_SUMMANDS})"
     )
+
+
+def test_witness_listing_guard_counts_before_it_lists(monkeypatch, tmp_path):
+    # at (1,3) the one selector makes one chain of each length: r = 0 has 4
+    # inputs of one generator and each r >= 1 has 8 of 2r + 1, one per set
+    # of diagonal indices, so --rmax 300 lists 2,404 inputs, under
+    # EXHAUSTIVE_CAP, which hold 724,804 summands
+    listed = []
+    monkeypatch.setattr(verify, "_multichains", lambda *args: listed.append(args))
+    out = tmp_path / "report.json"
+    argv = ["verify", "witnesses", "1", "3", "--rmax", "300", "--samples", "1", "--out", str(out)]
+    assert main(argv) == 3
+    assert listed == []
+    (rep,) = json.loads(out.read_text())["reports"]
+    estimate = 4 + 8 * sum(2 * r + 1 for r in range(1, 301))
+    assert (rep["status"], rep["witnesses"]["estimate"]) == ("refused", estimate)
+    assert rep["witnesses"]["reason"] == (
+        f"witness listing would enumerate about {estimate} summands (cap {MAX_WITNESS_SUMMANDS})"
+    )
+    assert rep["elapsed_ms"] <= 100
+
+
+def test_witness_chains_longer_than_the_stack_is_deep_end_in_a_report():
+    # at --rmax 600 the listing would pass EXHAUSTIVE_CAP, so it is not
+    # built: one input of up to 1,201 generators is drawn instead. Chains
+    # are listed without recursion, at any length.
+    bounds = VerifyBounds(square_colon_rmax=600, witness_samples=1)
+    rep = verify_witnesses(LinkInstance(1, 3), bounds)
+    assert rep.status == "pass" and rep.elapsed_ms <= 100, rep
+    assert list(_multichains([()], 5000)) == [((),) * 5000]
 
 
 def test_witness_suite_builds_no_power(monkeypatch):

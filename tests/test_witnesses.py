@@ -1,7 +1,7 @@
 import random
 from functools import reduce
 from itertools import combinations
-from operator import mul
+from operator import le, mul
 
 import pytest
 
@@ -26,6 +26,7 @@ from genlink import (
     yvar,
 )
 from genlink.ideals import WordCache
+from genlink.linkage import _bridge_selector, _interior_cell
 from genlink.verify import _multichains, _square_inputs, verify_witnesses
 
 
@@ -54,9 +55,10 @@ def test_antidiagonal_divisor_smallest_columns():
     )
 
 
-def test_antidiagonal_divisor_builds_one_antidiagonal_per_call(monkeypatch):
-    # the window antidiagonals it divides by are kept on the instance, so
-    # once they are built a call builds only the antidiagonal on its cols
+def test_antidiagonal_divisor_builds_no_antidiagonal_per_call(monkeypatch):
+    # every antidiagonal is packed once, in the instance's word table, so
+    # once the table is built a call builds none; a call on columns that
+    # are no column set still builds them, to raise the ValueError
     built = []
     build = LinkInstance._antidiagonal_vec
 
@@ -71,7 +73,10 @@ def test_antidiagonal_divisor_builds_one_antidiagonal_per_call(monkeypatch):
         for A in inst.selectors:
             built.clear()
             antidiagonal_divisor(inst, cols, A)
-            assert built == [cols]
+            assert built == []
+    for cols in [(1, 2), (2, 1, 3), (0, 1, 2), (3, 4, 6)]:
+        with pytest.raises(ValueError):
+            antidiagonal_divisor(inst, cols, (2, 3))
 
 
 # -- square divisors -------------------------------------------------------------
@@ -269,20 +274,22 @@ def test_square_divisor_checks_a_planted_exponent_at_a_field_boundary(e):
 def test_word_sums_widen_their_fields_at_the_top_bit():
     # count * top below 128 fits a byte, up to 32767 two bytes; a field
     # never borrows from its neighbour
-    cache, formats = WordCache(3), []
+    formats = []
     cases = [(127, 1), (64, 2), (1, 127), (1, 128), (255, 1), (128, 2), (300, 7), (40000, 1)]
     for top, count in cases:
-        vec = (top, 0, 1)
-        sums = cache.sums([vec], count)
-        total = sums.sum([vec] * count)
-        assert total == sums.sum([vec], [count])
+        table = WordCache({"v": (top, 0, 1), "x": (0, 1, 0), "z": (0, 0, 1), "t": (top, 0, 0)})
+        sums = table.sums(count)
+        total = sums.sum(["v"] * count)
+        assert total == sums.sum(["v"], [count])
         assert sums.unpack(total) == (top * count, 0, count)
-        assert sums.fits(total, total) and sums.fits(sums.sum([vec]), total, count)
-        assert not sums.fits(sums.sum([(0, 1, 0)]), total)
-        assert not sums.fits(sums.sum([(0, 0, 1)]), sums.sum([(top, 0, 0)]))
-        assert sums.adds_up(total, sums.sum([vec], [count - 1]), sums.sum([vec]))
-        formats.append(sums)
-    assert [formats.index(sums) for sums in formats] == [0, 1, 0, 1, 1, 1, 1, 7]
+        assert sums.fits(total, total) and sums.fits(sums.sum(["v"]), total, count)
+        assert not sums.fits(sums.sum(["x"]), total)
+        assert not sums.fits(sums.sum(["z"]), sums.sum(["t"]))
+        assert sums.adds_up(total, sums.sum(["v"], [count - 1]), sums.sum(["v"]))
+        assert table.sums(count) is sums  # packed once per field size
+        formats.append(sums.words["x"])  # 2 ** (8 * field size)
+    assert [formats.index(x) for x in formats] == [0, 1, 0, 1, 1, 1, 1, 7]
+    assert formats[0] == 2 ** 8 and formats[1] == 2 ** 16 and formats[-1] == 2 ** 24
 
 
 def _generator_monomials(inst):
@@ -298,10 +305,11 @@ def _product(monomials):
     return reduce(mul, monomials, Monomial.one())
 
 
-@pytest.mark.parametrize("m, n", [(2, 4), (3, 5), (3, 3), (4, 6)])
+@pytest.mark.parametrize("m, n", [(2, 4), (3, 5), (3, 3), (4, 6), (1, 3)])
 def test_word_sums_match_monomial_products(m, n):
     # seeded inputs of up to 2 * 70 + 1 generators and multiplicities up to
-    # 300, so that exponents pass 127 and 255 and the fields widen
+    # 300, so that exponents pass 127 and 255 and the fields widen; the
+    # witnesses also match their vector-level reference there
     inst = LinkInstance(m, n)
     vector, gens = inst.universe.vector, _generator_monomials(inst)
     nu = Monomial.of(*inst.universe.variables)
@@ -317,6 +325,7 @@ def test_word_sums_match_monomial_products(m, n):
         gamma = gamma * _product(staircase_generator(m, n, A) for A in chain)
         assert w.gamma_vec == vector(gamma) and w.gamma == gamma, (diag, chain)
         assert w.delta_vec == vector(_product(map(gens.__getitem__, w.factor_vecs))), (diag, chain)
+        _assert_matches_the_reference(inst, diag, chain)
         tops.append(max(w.gamma_vec))
     for most in (1, 4, 130, 300):
         diag = {k: rng.randrange(most + 1) for k in range(1, inst.g + 1)}
@@ -330,6 +339,8 @@ def test_word_sums_match_monomial_products(m, n):
                  _product(gen ** (e // 2) for gen, e in factors),
                  _product(gen ** e for gen, e in factors)]
         assert (red.odd_part_vec, red.square_root_vec, red.product_vec) == tuple(map(vector, parts))
+        assert (red.product_vec, red.odd_part_vec, red.square_root_vec,
+                red.root_factor_vecs) == _reference_odd_part(inst, diag, sel), (diag, sel)
         tops.append(max(red.product_vec))
     assert max(tops) > 255
 
@@ -430,3 +441,87 @@ def test_odd_part_rejects_even_total():
         odd_part_reduction(LinkInstance(2, 4), {1: 2}, {})
     with pytest.raises(ValueError):
         odd_part_reduction(LinkInstance(2, 4), {}, {(1,): 1})  # not a selector
+
+
+# -- the word table against vector arithmetic ---------------------------------------
+
+
+def _vec_sum(vecs, width):
+    return tuple(map(sum, zip(*vecs))) if vecs else (0,) * width
+
+
+def _reference_square_divisor(inst, diag, chain):
+    """square_divisor's witness on exponent vectors: the generators picked
+    by the accessors and added position by position."""
+    width, m = len(inst.universe), inst.m
+    diag_vecs = [inst._diag_vec(i) for i in diag]
+    stair_vecs = [inst._staircase_vec(A) for A in chain]
+    a, b = len(diag), len(chain)
+    cell = lo = hi = bridge = None
+    if a >= 2:
+        case, factors = "coprime_block", diag_vecs + stair_vecs[1:b - 1:2]
+    elif a == 1:
+        extra = tuple(range(diag[0] + 1, diag[0] + m))
+        case = "single_antidiagonal"
+        picked = chain_normal_form((*chain, extra))[1::2]
+        factors = [diag_vecs[0], *map(inst._staircase_vec, picked)]
+    else:
+        found = _interior_cell(inst, chain)
+        if found is None:
+            case, factors = "chain_ends", stair_vecs[::2]
+        else:
+            cell = found[0]
+            lo, hi, bridge = _bridge_selector(inst, chain[0], chain[-1], cell)
+            case = "interior_cell"
+            factors = [inst._diag_vec(sum(cell) - m), inst._staircase_vec(bridge),
+                       *stair_vecs[2:-1:2]]
+    gamma = _vec_sum([(1,) * width, *diag_vecs, *stair_vecs], width)
+    return (_vec_sum(factors, width), gamma, tuple(factors), case, cell, lo, hi, bridge)
+
+
+def _reference_odd_part(inst, diag_mult, sel_mult):
+    """odd_part_reduction's parts on exponent vectors."""
+    width = len(inst.universe)
+    items = [(inst._diag_vec(k), e) for k, e in sorted(diag_mult.items())]
+    items += [(inst._staircase_vec(A), e) for A, e in sorted(sel_mult.items())]
+    product = [vec for vec, e in items for _ in range(e)]
+    odd = [vec for vec, e in items if e % 2]
+    root = [vec for vec, e in items for _ in range(e // 2)]
+    return (_vec_sum(product, width), _vec_sum(odd, width), _vec_sum(root, width), tuple(root))
+
+
+def _assert_matches_the_reference(inst, diag, chain):
+    w = square_divisor(inst, diag, chain)
+    delta, gamma, factors, *rest = _reference_square_divisor(inst, diag, chain)
+    assert (w.delta_vec, w.gamma_vec, w.factor_vecs) == (delta, gamma, factors), (diag, chain)
+    assert (w.case, w.cell, w.lo, w.hi, w.bridge) == tuple(rest), (diag, chain)
+    assert w.r == (len(diag) + len(chain) - 1) // 2
+
+
+@pytest.mark.parametrize("m, n", [(1, 3), (2, 4), (3, 3), (3, 5)])
+def test_witnesses_match_vector_arithmetic_on_every_input(m, n):
+    inst = LinkInstance(m, n)
+    for diag, chain in _square_inputs(inst, 2, random.Random(0), 0, exhaustive_cap=10**6):
+        _assert_matches_the_reference(inst, diag, chain)
+    for cols in inst.column_sets:
+        gen = inst._antidiagonal_vec(cols)
+        for A in inst.selectors:
+            j = antidiagonal_divisor(inst, cols, A)
+            # the scan rule's index, and the window divides on vectors
+            eps = next(i for i in range(1, m + 1) if i == m or cols[i - 1] + 1 < A[i - 1])
+            assert j == cols[eps - 1] - eps + 1
+            window = inst._antidiagonal_vec(range(j, j + m))
+            target = [u + v for u, v in zip(gen, inst._complement_vecs[A])]
+            assert all(map(le, window, target)), (cols, A)
+
+
+def test_witness_records_are_immutable():
+    inst = LinkInstance(3, 5)
+    w = square_divisor(inst, (), ((2, 4), (2, 5), (3, 5)))
+    red = odd_part_reduction(inst, {1: 3}, {(2, 3): 2})
+    fields = [(w, "case"), (w, "delta_word"), (red, "odd_count"), (red, "product_word")]
+    for record, field in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    assert repr(w).startswith("SquareDivisorWitness(delta=Monomial(")
+    assert repr(red).startswith("OddPartReduction(product=Monomial(")
