@@ -972,8 +972,11 @@ def square_colon_scan(
     it is reused when W keeps it already. A level refuses with
     :class:`SizeGuardExceeded` once it has taken more than ``cap`` halves,
     or once its peel has made more than ``cap`` divisibility tests; the
-    estimate is that count, a lower bound on the level's work. A negative
-    ``r_max`` raises :class:`ValueError`, as it would check nothing.
+    estimate is that count, a lower bound on the level's work. A level with
+    no clique passes, and so does every level above it, as a clique of
+    2s+3 vertices holds one of 2s+1: the scan stops at the first such level,
+    so ``r_max`` is only a cap. A negative ``r_max`` raises
+    :class:`ValueError`, as it would check nothing.
     """
     if r_max < 0:
         raise ValueError("r_max must be nonnegative")
@@ -984,12 +987,16 @@ def square_colon_scan(
         words = codec.pack(gens)
         if s == 1:
             above = _good_pairs(words, codec.pack(W.power(2, cap=cap).vecs))
+        sums = _clique_sums(words, above, 2 * s + 1, codec.ones, (1 << len(words)) - 1)
+        first = next(sums, None)
+        if first is None:
+            return None
         # ceil(t / 2) = (t + 1) >> 1 fieldwise: the sums carry the + 1, which
         # may reach a field's guard bit but not carry past it, and the low bit
         # each field shifts into the guard bit of the field below is masked off
         values = codec.values
-        sums = _clique_sums(words, above, 2 * s + 1, codec.ones, (1 << len(words)) - 1)
-        if not _all_in_power(((t >> 1) & values for t in sums), words, s + 1, codec.guards, cap):
+        halves = ((t >> 1) & values for t in chain((first,), sums))
+        if not _all_in_power(halves, words, s + 1, codec.guards, cap):
             return s
     return None
 

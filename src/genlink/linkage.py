@@ -43,10 +43,9 @@ message of a failed check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import comb
+from math import comb, factorial, prod
 from operator import add, le
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -657,16 +656,15 @@ class BettiTable:
 
 
 def resolution_ranks(d: int, g: int) -> dict[int, int]:
-    """Ranks b_s = prod_{r != s} (d+r-1)/|r-s| of the length-g linear resolution."""
+    """Ranks b_s = prod_{r != s} (d+r-1)/|r-s| of the length-g linear resolution,
+    in integers: the denominator is (s-1)! (g-s)!."""
     out = {}
     for s in range(1, g + 1):
-        val = Fraction(1)
-        for r in range(1, g + 1):
-            if r != s:
-                val *= Fraction(d + r - 1, abs(r - s))
-        if val.denominator != 1:
-            raise ArithmeticError(f"non-integral rank b_{s} = {val}")
-        out[s] = int(val)
+        num = prod(d + r - 1 for r in range(1, g + 1) if r != s)
+        den = factorial(s - 1) * factorial(g - s)
+        out[s], rest = divmod(num, den)
+        if rest:
+            raise ArithmeticError(f"non-integral rank b_{s} = {num}/{den}")
     return out
 
 

@@ -7,7 +7,7 @@ A universe is an ordered list of variables fixing the ambient polynomial
 ring; ideals and serialization are always relative to a universe. The
 universe alone converts between a monomial and its exponent vector, one
 exponent per variable in universe order, the form the ideal kernels
-compute on.
+compute on, and writes a vector's TeX without building its monomial.
 
 Everything is an immutable value and safe to share between threads.
 """
@@ -59,6 +59,12 @@ def parse_variable(text: str) -> Variable:
     if m is None:
         raise ValueError(f"not a variable: {text!r}")
     return Variable(m.group(1), int(m.group(2)), int(m.group(3)))
+
+
+def _tex_product(factors: Iterable[tuple[str, int]]) -> str:
+    """TeX of a product of variables given as (TeX name, exponent) pairs: a
+    power past 1 as ``^{e}``, factors joined by a space, ``1`` if none."""
+    return " ".join([t if e == 1 else f"{t}^{{{e}}}" for t, e in factors]) or "1"
 
 
 class Monomial:
@@ -154,9 +160,7 @@ class Monomial:
         return "*".join(str(v) if e == 1 else f"{v}^{e}" for v, e in self._exps)
 
     def tex(self) -> str:
-        if not self._exps:
-            return "1"
-        return " ".join(v.tex() if e == 1 else f"{v.tex()}^{{{e}}}" for v, e in self._exps)
+        return _tex_product([(v.tex(), e) for v, e in self._exps])
 
     def __repr__(self) -> str:
         return f"Monomial({self})"
@@ -259,3 +263,9 @@ class Universe:
         if len(vec) != len(self.variables):
             raise UniverseMismatch(f"vector of length {len(vec)} over {len(self.variables)} variables")
         return Monomial._trusted(tuple([(v, e) for p, v in self._by_variable if (e := vec[p])]))
+
+    def tex_texts(self, vecs: Iterable[Sequence[int]]) -> list[str]:
+        """:meth:`Monomial.tex` of the monomial of each of ``vecs``, read
+        straight from the vector, with the TeX of each variable built once."""
+        names = [(p, v.tex()) for p, v in self._by_variable]
+        return [_tex_product([(t, e) for p, t in names if (e := vec[p])]) for vec in vecs]

@@ -5,8 +5,14 @@ bounds ``m``, ``n``, ``family_sizes`` and the ordered variable list, plus a
 ``generators`` array of exponent maps keyed by the canonical variable text
 ``x[i,j]`` / ``Y[i,j]``. Generators are emitted sorted descending under the
 diagonal-lex order, so serialized output is byte-identical across runs.
-They are sorted as exponent vectors; JSON is written from the vectors, and
-the text, CSV and TeX formats build one monomial per generator to print.
+They are sorted as exponent vectors. JSON and TeX write each generator
+straight from its vector, with each variable's key or TeX built once per
+call, so they build no monomial and no per-generator dict: JSON takes a
+generator's keys in ``sort_keys`` order, by variable text, and TeX goes
+through :meth:`Universe.tex_texts`. The text and CSV formats build one
+monomial per generator to print. :func:`ideal_to_dict` and
+:func:`sorted_generators` are the references the writers are tested
+against.
 
 Betti tables serialize as CSV rows ``i,j,value``, as JSON, as TeX, and as a
 text pretty print with row index j - i in the style of computer-algebra
@@ -18,6 +24,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from .ideals import MonomialIdeal, Vec, ideal
@@ -49,9 +56,9 @@ def sorted_generators(W: MonomialIdeal) -> list[Monomial]:
 # -- ideal formats ---------------------------------------------------------
 
 
-def ideal_to_dict(W: MonomialIdeal) -> dict:
-    u = W.universe
-    names = [str(v) for v in u.variables]
+def _envelope(u: Universe, names: list[str]) -> dict:
+    """The ideal JSON document without its generators; ``names`` are the
+    texts of the variables of ``u``."""
     return {
         "schema_version": SCHEMA_VERSION,
         "universe": {
@@ -60,14 +67,36 @@ def ideal_to_dict(W: MonomialIdeal) -> dict:
             "family_sizes": {"X": [u.m, u.n], "Y": [u.y_rows, u.y_cols]},
             "variables": names,
         },
-        "generators": [
-            {names[p]: e for p, e in enumerate(vec) if e} for vec in _sorted_vecs(W)
-        ],
     }
 
 
+def ideal_to_dict(W: MonomialIdeal) -> dict:
+    names = [str(v) for v in W.universe.variables]
+    doc = _envelope(W.universe, names)
+    doc["generators"] = [
+        {names[p]: e for p, e in enumerate(vec) if e} for vec in _sorted_vecs(W)
+    ]
+    return doc
+
+
 def ideal_to_json(W: MonomialIdeal) -> str:
-    return json.dumps(ideal_to_dict(W), indent=2, sort_keys=True) + "\n"
+    """``json.dumps(ideal_to_dict(W), indent=2, sort_keys=True)`` and a
+    newline, with the generators written straight from their vectors: each
+    key is quoted once per call, as ``json`` quotes it, and a generator's
+    keys are taken in the order of their text, as ``sort_keys`` takes them.
+    The ``"generators"`` entry, first in key order, goes before the envelope."""
+    names = [str(v) for v in W.universe.variables]
+    keys = [
+        (p, f"      {encode_basestring_ascii(name)}: ")
+        for name, p in sorted(zip(names, range(len(names))))
+    ]
+    gens = []
+    for vec in _sorted_vecs(W):
+        body = ",\n".join([f"{key}{e}" for p, key in keys if (e := vec[p])])
+        gens.append(f"{{\n{body}\n    }}" if body else "{}")
+    listed = "[\n    " + ",\n    ".join(gens) + "\n  ]" if gens else "[]"
+    envelope = json.dumps(_envelope(W.universe, names), indent=2, sort_keys=True)
+    return f'{{\n  "generators": {listed},\n{envelope[2:]}\n'
 
 
 def _integer(value: Any, loc: str, least: int = 0) -> int:
@@ -173,10 +202,10 @@ def ideal_to_csv(W: MonomialIdeal) -> str:
 
 
 def ideal_to_tex(W: MonomialIdeal) -> str:
-    gens = sorted_generators(W)
+    gens = W.universe.tex_texts(_sorted_vecs(W))
     if not gens:
         return "$(0)$\n"
-    return "$(" + ",\\; ".join(g.tex() for g in gens) + ")$\n"
+    return "$(" + ",\\; ".join(gens) + ")$\n"
 
 
 # -- Betti table formats -----------------------------------------------------

@@ -4,7 +4,10 @@
 ``genlink generate M N TARGET --format FMT`` for each instance below. The
 digests were recorded before the serializer and the instance ideals moved
 onto exponent vectors, so a change that alters one byte of any output
-fails here. To print the digests of the current tree:
+fails here. (2,10) was recorded before the writers rendered generators
+from exponent vectors: its x[1,10] and x[2,10] are the first variable
+texts whose sorted order is not the grid order. To print the digests of
+the current tree:
 
     PYTHONPATH=src python tests/test_generate_golden.py
 """
@@ -19,7 +22,7 @@ import pytest
 
 from genlink.cli import FORMATS, GENERATE_TARGETS, main
 
-INSTANCES = ((1, 1), (1, 3), (2, 4), (3, 5), (4, 4), (4, 6))
+INSTANCES = ((1, 1), (1, 3), (2, 4), (3, 5), (4, 4), (4, 6), (2, 10))
 DIGESTS = Path(__file__).resolve().parent / "generate_digests.json"
 
 

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -449,6 +450,20 @@ def test_betti_tail_rank_identity():
             inst = LinkInstance(m, n)
             ranks = resolution_ranks(inst.m, inst.g)
             assert ranks[inst.g] == comb(n - 1, m - 1)
+
+
+def test_resolution_ranks_match_the_fraction_product():
+    for d in range(1, 13):
+        for g in range(1, 13):
+            expected = {}
+            for s in range(1, g + 1):
+                val = Fraction(1)
+                for r in range(1, g + 1):
+                    if r != s:
+                        val *= Fraction(d + r - 1, abs(r - s))
+                assert val.denominator == 1
+                expected[s] = int(val)
+            assert resolution_ranks(d, g) == expected, (d, g)
 
 
 def test_betti_first_column_matches_generator_degrees():

@@ -23,16 +23,16 @@ from genlink.verify import FAIL, PASS, REFUSED, run_suite
 # instances with n <= 5; every suite runs each in well under a second
 small_instances = st.integers(1, 5).flatmap(lambda n: st.tuples(st.integers(1, n), st.just(n)))
 
-# bounds at desk scale, up to the --rmax 600 at which m = 1 once listed
+# bounds at desk scale, past the --rmax 600 at which m = 1 once listed
 # chains deep enough to overflow the stack, or samples far enough out that
 # the witness draw guard must refuse. The square-colon scan of the symbolic
-# suite has no guard on its levels, so --rmax stays below the 10^3 or so
-# past which a pass at (1, 3) takes longer than this test may
+# suite stops at its first level with no clique, so --rmax may go far
+# beyond any instance's clique bound
 suite_bounds = st.builds(
     VerifyBounds,
     candidate_cap=st.one_of(st.integers(1, 2000), st.just(DEFAULT_CANDIDATE_CAP)),
     symbolic_upto=st.integers(1, 3),
-    square_colon_rmax=st.one_of(st.integers(0, 3), st.integers(0, 700)),
+    square_colon_rmax=st.one_of(st.integers(0, 3), st.integers(0, 100_000)),
     witness_samples=st.one_of(st.integers(1, 50), st.integers(10**6, 10**9)),
 )
 
@@ -41,6 +41,7 @@ suite_bounds = st.builds(
 @given(small_instances, suite_bounds, st.integers(0, 2**32 - 1))
 @example((1, 3), VerifyBounds(square_colon_rmax=300, witness_samples=1), 0)
 @example((1, 3), VerifyBounds(square_colon_rmax=600, witness_samples=1), 0)
+@example((1, 3), VerifyBounds(square_colon_rmax=100_000, witness_samples=1), 0)
 def test_every_suite_ends_in_a_report(mn, bounds, seed):
     for report in run_suite("all", LinkInstance(*mn), bounds, seed):
         assert report.status in (PASS, FAIL, REFUSED), report

@@ -1,8 +1,19 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from genlink import LinkInstance, Monomial, Universe, betti_table, ideal, xvar
+from genlink import (
+    LinkInstance,
+    Monomial,
+    Universe,
+    betti_table,
+    ideal,
+    unit_ideal,
+    xvar,
+    yvar,
+    zero_ideal,
+)
 from genlink.serialize import (
     SchemaError,
     betti_to_csv,
@@ -10,6 +21,7 @@ from genlink.serialize import (
     betti_to_text,
     ideal_from_json,
     ideal_to_csv,
+    ideal_to_dict,
     ideal_to_json,
     ideal_to_tex,
     ideal_to_text,
@@ -60,9 +72,40 @@ def test_text_and_csv_and_tex():
     # monomial text contains commas, so csv must quote
     assert lines[1] == '"x[1,2]*x[1,3]",2'
     assert ideal_to_tex(W).startswith("$(")
-    from genlink import zero_ideal
-
     assert ideal_to_text(zero_ideal(W.universe)) == "0\n"
+    assert Monomial({xvar(1, 2): 3, yvar(1, 1): 1}).tex() == "Y_{1,1} x_{1,2}^{3}"
+    assert Monomial().tex() == "1"
+
+
+WIDE = Universe.full(2, 11, 3, 12)  # x[1,10] sorts before x[1,2], and Y before x
+
+
+@st.composite
+def wide_ideals(draw):
+    """An ideal over a universe with up to 12 columns and a Y grid, listing
+    its variables in any order, generated by monomials with exponents up
+    to 300; the zero and the unit ideal among them."""
+    m = draw(st.integers(1, 3))
+    n = draw(st.one_of(st.integers(m, 4), st.integers(10, 12)))
+    y_rows, y_cols = draw(st.integers(0, 3)), draw(st.integers(0, 12))
+    full = Universe.full(m, n, y_rows, y_cols)
+    u = Universe(m, n, y_rows, y_cols, tuple(draw(st.permutations(full.variables))))
+    exponents = st.one_of(st.just(1), st.integers(1, 300))
+    monomials = st.dictionaries(st.sampled_from(u.variables), exponents, max_size=6)
+    return ideal(u, map(Monomial, draw(st.lists(monomials, max_size=8))))
+
+
+@given(wide_ideals())
+@example(zero_ideal(WIDE))
+@example(unit_ideal(WIDE))
+@example(ideal(WIDE, [Monomial({xvar(1, 10): 300, xvar(1, 2): 1}), Monomial.of(xvar(2, 11))]))
+@settings(max_examples=200, deadline=None)
+def test_json_and_tex_writers_match_their_references(W):
+    assert ideal_to_json(W) == json.dumps(ideal_to_dict(W), indent=2, sort_keys=True) + "\n"
+    assert ideal_from_json(ideal_to_json(W)) == W
+    gens = sorted_generators(W)
+    tex = "$(" + ",\\; ".join(g.tex() for g in gens) + ")$\n" if gens else "$(0)$\n"
+    assert ideal_to_tex(W) == tex
 
 
 def test_schema_errors_carry_location():

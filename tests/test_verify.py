@@ -65,6 +65,14 @@ def test_symbolic_suite_passes_at_4_6(capsys):
     assert capsys.readouterr().out.startswith("symbolic (4,6): pass")
 
 
+def test_symbolic_scan_stops_at_its_first_level_with_no_clique(capsys):
+    # iniJ(1,3) has 4 generators, so no level past 1 has a clique of 2s+1
+    start = time.perf_counter()
+    assert main(["verify", "symbolic", "1", "3", "--rmax", "100000"]) == 0
+    assert time.perf_counter() - start < 0.1
+    assert capsys.readouterr().out.startswith("symbolic (1,3): pass")
+
+
 def test_symbolic_suite_builds_each_power_once(monkeypatch, capsys):
     calls = []
     original = MonomialIdeal.product
