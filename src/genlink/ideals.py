@@ -228,18 +228,6 @@ def _top(vecs: Iterable[Vec]) -> int:
     return max(chain.from_iterable(vecs), default=0)
 
 
-class _Memo(dict):
-    """A dict that fills a missing key ``k`` with ``make(k)``."""
-
-    def __init__(self, make: Callable):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        value = self[key] = self.make(key)
-        return value
-
-
 class WordCache:
     """The packed words (see :func:`_packing`) of a fixed table of vectors
     of one length, by key, for code outside this module that adds vectors
@@ -251,15 +239,17 @@ class WordCache:
     def __init__(self, vecs: Mapping[Hashable, Vec]):
         self.vecs = vecs = dict(vecs)
         self._top = _top(vecs.values())
-        width = len(next(iter(vecs.values())))
-        # fields of ``size`` bytes: exponents up to 2 ** (8 * size - 1) - 1;
-        # the maker holds the table, not self, so no cycle keeps it alive
-        self._sizes = _Memo(lambda size: WordSums(_packing(2 ** (8 * size - 1) - 1, width), vecs))
+        self._width = len(next(iter(vecs.values())))
+        self._sizes: dict[int, WordSums] = {}
 
     def sums(self, count: int) -> WordSums:
         """The words whose fields hold ``count`` times the table's largest
         exponent, which bounds any sum of at most ``count`` of its vectors."""
-        return self._sizes[(count * self._top).bit_length() // 8 + 1]
+        size = (count * self._top).bit_length() // 8 + 1
+        if size not in self._sizes:
+            # fields of ``size`` bytes: exponents up to 2 ** (8 * size - 1) - 1
+            self._sizes[size] = WordSums(_packing(2 ** (8 * size - 1) - 1, self._width), self.vecs)
+        return self._sizes[size]
 
 
 class WordSums:

@@ -23,7 +23,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce, wraps
-from itertools import chain, combinations, islice, permutations, product
+from itertools import chain, combinations, permutations, product
 from math import comb
 from operator import and_, getitem
 from typing import Callable, Iterable
@@ -383,16 +383,17 @@ def _row_leads(inst: LinkInstance) -> list[tuple[int, tuple[int, ...]]]:
 def verify_witnesses(inst: LinkInstance, bounds: VerifyBounds, seed: int) -> Verdict:
     """Run the divisor-witness constructions and assert their postconditions.
 
-    Antidiagonal divisors run over (column set, selector) pairs, picked by
-    :func:`_every_or_drawn`, and square divisors over (diag indices, chain)
-    pairs, picked by :func:`_square_inputs`, which counts them first: all of
-    them up to ``EXHAUSTIVE_CAP``, else ``bounds.witness_samples`` seeded
-    draws (a drawn chain sorts uniform selector samples through the
-    straightening normal form). Odd-part
-    reductions run on seeded samples. Chains have up to
-    ``2 * bounds.square_colon_rmax + 1`` factors. Each witness certifies its
-    power membership from the generator factors it keeps, so the suite
-    builds no link power and ``bounds.candidate_cap`` does not bound it.
+    Antidiagonal divisors run over (column set, selector) pairs, and square
+    divisors over (diag indices, chain) pairs. Each kind is counted before
+    any input is listed, the pairs as ``r * |selectors|`` and the square
+    inputs level by level in :func:`_square_inputs`: all of them up to
+    ``EXHAUSTIVE_CAP``, else ``bounds.witness_samples`` seeded draws (a
+    drawn chain sorts uniform selector samples through the straightening
+    normal form). Odd-part reductions run on seeded samples. Chains have
+    up to ``2 * bounds.square_colon_rmax + 1`` factors. Each witness
+    certifies its power membership from the generator factors it keeps, so
+    the suite builds no link power and ``bounds.candidate_cap`` does not
+    bound it.
     Every input is picked before any witness is built: first
     ``samples * (2 * r_max + 1)`` is checked against
     ``MAX_WITNESS_SUMMANDS``, and the summands of the square divisors'
@@ -401,12 +402,11 @@ def verify_witnesses(inst: LinkInstance, bounds: VerifyBounds, seed: int) -> Ver
     r_max, samples = bounds.square_colon_rmax, bounds.witness_samples
     check_cap(samples * (2 * r_max + 1), MAX_WITNESS_SUMMANDS, "witness draws", "summands")
     rng = random.Random(seed)
-    pairs = _every_or_drawn(
-        product(inst.column_sets, inst.selectors),
-        lambda: (inst.column_sets[rng.randrange(inst.r)],
-                 inst.selectors[rng.randrange(len(inst.selectors))]),
-        samples, EXHAUSTIVE_CAP,
-    )
+    if inst.r * len(inst.selectors) <= EXHAUSTIVE_CAP:
+        pairs = list(product(inst.column_sets, inst.selectors))
+    else:
+        pairs = [(inst.column_sets[rng.randrange(inst.r)],
+                  inst.selectors[rng.randrange(len(inst.selectors))]) for _ in range(samples)]
     square_inputs = _square_inputs(inst, r_max, rng, samples, EXHAUSTIVE_CAP)
     odd_inputs = _odd_part_inputs(inst, r_max, rng, samples)
     for cols, A in pairs:
@@ -418,69 +418,20 @@ def verify_witnesses(inst: LinkInstance, bounds: VerifyBounds, seed: int) -> Ver
     return True, {"antidiagonal": len(pairs), "square": len(square_inputs), "odd_part": len(odd_inputs)}
 
 
-def _every_or_drawn(every: Iterable, draw: Callable[[], object], samples: int, cap: int) -> list:
-    """Every input when there are at most ``cap``, else ``samples`` draws."""
-    inputs = list(islice(every, cap + 1))
-    return inputs if len(inputs) <= cap else [draw() for _ in range(samples)]
-
-
-def _multichains(elements: tuple[Selector, ...], length: int) -> Iterable[tuple[Selector, ...]]:
-    """All sorted chains of the given length from a selector lattice, in
-    lexicographic order; each selector's successors, the B with A <= B, are
-    found once per call. The walk keeps a stack of successor iterators, one
-    per position of the prefix, so a chain of any length needs no recursion."""
-    ordered = sorted(elements)
-    successors = {A: [B for B in ordered if leq(A, B)] for A in ordered}
-    if length == 0:
-        yield ()
-        return
-    prefix: list[Selector] = []
-    stack = [iter(ordered)]
-    while stack:
-        for B in stack[-1]:
-            if len(prefix) + 1 == length:
-                yield (*prefix, B)
-            else:
-                prefix.append(B)
-                stack.append(iter(successors[B]))
-                break
-        else:  # this position is done: back up one
-            stack.pop()
-            if prefix:
-                prefix.pop()
-
-
-def _square_listing(inst: LinkInstance, r_max: int, cap: int) -> tuple[int, int] | None:
-    """The number of (diag indices, chain) inputs with at most
-    ``2 * r_max + 1`` factors and the summands they hold, counted level by
-    level with no input listed; None once the inputs pass ``cap``.
-
-    ``ends[B]`` counts the chains of the current length that end at B;
-    a chain one longer ends at some B above its last selector. Each level
-    has an input, so the count stops after at most ``cap + 1`` levels."""
-    ordered = sorted(inst.selectors)
-    below = [[p for p, A in enumerate(ordered) if leq(A, B)] for B in ordered]
-    ends = [1] * len(ordered)
-    chains = [1, len(ordered)]  # multichains of length 0 and 1
-    inputs = summands = 0
-    for r in range(r_max + 1):
-        while len(chains) < 2 * r + 2:
-            ends = [sum(ends[p] for p in ps) for ps in below]
-            chains.append(sum(ends))
-        level = sum(
-            comb(inst.g, a) * chains[2 * r + 1 - a] for a in range(min(2 * r + 1, inst.g) + 1)
-        )
-        inputs, summands = inputs + level, summands + level * (2 * r + 1)
-        if inputs > cap:
-            return None
-    return inputs, summands
-
-
 def _square_inputs(inst, r_max, rng, samples, exhaustive_cap):
-    """(diag indices, chain) pairs with an odd total: every one when
-    :func:`_square_listing` counts at most ``exhaustive_cap``, refused
-    before they are listed if they hold more than ``MAX_WITNESS_SUMMANDS``
-    summands, else ``samples`` draws."""
+    """(diag indices, chain) pairs with an odd total of at most
+    ``2 * r_max + 1`` factors: every one when there are at most
+    ``exhaustive_cap``, refused before they are listed if they hold more
+    than ``MAX_WITNESS_SUMMANDS`` summands, else ``samples`` draws.
+
+    One order relation drives the count and the listing: ``above[q]`` holds
+    the positions of the selectors at or above the q-th, in sorted order.
+    The count goes level by level and lists nothing: ``ends[q]`` counts the
+    chains of the current length that end at the q-th selector, and a chain
+    one longer ends at a selector above its last one. Each level has an
+    input, so the count stops after at most ``exhaustive_cap + 1`` levels.
+    The chains of each length extend those one shorter by the selectors
+    above their last one, which keeps them in lexicographic order."""
     def draw():
         total = 2 * rng.randrange(r_max + 1) + 1
         a = rng.randrange(min(total, inst.g) + 1)
@@ -488,16 +439,36 @@ def _square_inputs(inst, r_max, rng, samples, exhaustive_cap):
         chosen = [inst.selectors[rng.randrange(len(inst.selectors))] for _ in range(total - a)]
         return diag, chain_normal_form(chosen) if chosen else ()
 
-    listing = _square_listing(inst, r_max, exhaustive_cap)
-    if listing is None:
-        return [draw() for _ in range(samples)]
-    check_cap(listing[1], MAX_WITNESS_SUMMANDS, "witness listing", "summands")
+    ordered = sorted(inst.selectors)
+    above = [[p for p, B in enumerate(ordered) if leq(A, B)] for A in ordered]
+    ends = [1] * len(ordered)
+    counts = [1, len(ordered)]  # multichains of length 0 and 1
+    inputs = summands = 0
+    for r in range(r_max + 1):
+        while len(counts) < 2 * r + 2:
+            pushed = [0] * len(ordered)
+            for q, count in enumerate(ends):
+                for p in above[q]:
+                    pushed[p] += count
+            ends = pushed
+            counts.append(sum(ends))
+        level = sum(
+            comb(inst.g, a) * counts[2 * r + 1 - a] for a in range(min(2 * r + 1, inst.g) + 1)
+        )
+        inputs, summands = inputs + level, summands + level * (2 * r + 1)
+        if inputs > exhaustive_cap:
+            return [draw() for _ in range(samples)]
+    check_cap(summands, MAX_WITNESS_SUMMANDS, "witness listing", "summands")
+    # chains[k]: the chains of length k, each with the positions that extend it
+    chains = [[((), range(len(ordered)))]]
+    while len(chains) < len(counts):
+        chains.append([((*c, ordered[p]), above[p]) for c, ps in chains[-1] for p in ps])
     return [
-        (diag, chain)
+        (diag, c)
         for r in range(r_max + 1)
         for a in range(min(2 * r + 1, inst.g) + 1)
         for diag in combinations(range(1, inst.g + 1), a)
-        for chain in _multichains(inst.selectors, 2 * r + 1 - a)
+        for c, _ in chains[2 * r + 1 - a]
     ]
 
 

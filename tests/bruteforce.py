@@ -9,9 +9,10 @@ minimal generators from a pairwise scan over the kept vectors, products,
 intersections and colons from tuple arithmetic on every pair of generators,
 the square-bracket colon criterion from squaring every generator of a
 pairwise power, the chain normal form of selectors from meet/join
-exchanges, the lead terms of the link rows from a scan over every term
-of every minor, and the link generator families as monomials straight from
-the band and staircase definitions of ``genlink.linkage``.
+exchanges, selector chains from filtered combinations with replacement,
+the lead terms of the link rows from a scan over every term of every
+minor, and the link generator families as monomials straight from the
+band and staircase definitions of ``genlink.linkage``.
 """
 
 from itertools import combinations, combinations_with_replacement, permutations
@@ -165,6 +166,16 @@ def bubble_chain_normal_form(selectors):
                 arr[i], arr[i + 1] = tuple(map(min, a, b)), tuple(map(max, a, b))
                 changed = True
     return tuple(arr)
+
+
+def brute_multichains(selectors, length):
+    """The chains A_1 <= ... <= A_length of selectors, componentwise, in
+    lexicographic order: every sorted multiset of that size, kept when each
+    selector is at or below the next."""
+    return [
+        c for c in combinations_with_replacement(sorted(selectors), length)
+        if all(all(map(le, a, b)) for a, b in zip(c, c[1:]))
+    ]
 
 
 def _ascending_rank(v):

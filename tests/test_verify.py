@@ -19,7 +19,6 @@ from genlink.verify import (
     MAX_UNIVERSE_VARS,
     MAX_WITNESS_SUMMANDS,
     SUITES,
-    _multichains,
     _row_leads,
     _square_inputs,
     resolve_staircase_powers,
@@ -309,8 +308,11 @@ def test_witnesses_pass_under_a_small_candidate_cap(tmp_path):
     (["--rmax", str(10**6)], 200 * 2_000_001),  # at the default --samples 200
 ])
 def test_witness_draw_guard_refuses_before_any_draw(monkeypatch, tmp_path, argv, estimate):
+    # the three input pickers: the antidiagonal pairs (at (2,4), 18 of them,
+    # listed by ``product``), the square inputs and the odd-part inputs
     listed = []
-    monkeypatch.setattr(verify, "_every_or_drawn", lambda *args: listed.append(args))
+    for name in ("product", "_square_inputs", "_odd_part_inputs"):
+        monkeypatch.setattr(verify, name, lambda *args, name=name: listed.append(name))
     out = tmp_path / "report.json"
     start = time.perf_counter()
     assert main(["verify", "witnesses", "2", "4", *argv, "--out", str(out)]) == 3
@@ -328,8 +330,9 @@ def test_witness_listing_guard_counts_before_it_lists(monkeypatch, tmp_path):
     # inputs of one generator and each r >= 1 has 8 of 2r + 1, one per set
     # of diagonal indices, so --rmax 300 lists 2,404 inputs, under
     # EXHAUSTIVE_CAP, which hold 724,804 summands
+    # the listing takes each input's diagonal indices from ``combinations``
     listed = []
-    monkeypatch.setattr(verify, "_multichains", lambda *args: listed.append(args))
+    monkeypatch.setattr(verify, "combinations", lambda *args: listed.append(args))
     out = tmp_path / "report.json"
     argv = ["verify", "witnesses", "1", "3", "--rmax", "300", "--samples", "1", "--out", str(out)]
     assert main(argv) == 3
@@ -346,11 +349,13 @@ def test_witness_listing_guard_counts_before_it_lists(monkeypatch, tmp_path):
 def test_witness_chains_longer_than_the_stack_is_deep_end_in_a_report():
     # at --rmax 600 the listing would pass EXHAUSTIVE_CAP, so it is not
     # built: one input of up to 1,201 generators is drawn instead. Chains
-    # are listed without recursion, at any length.
+    # are listed without recursion: --rmax 100 lists 804 inputs, with
+    # chains of up to 201 selectors.
     bounds = VerifyBounds(square_colon_rmax=600, witness_samples=1)
     rep = verify_witnesses(LinkInstance(1, 3), bounds)
     assert rep.status == "pass" and rep.elapsed_ms <= 100, rep
-    assert list(_multichains([()], 5000)) == [((),) * 5000]
+    listed = _square_inputs(LinkInstance(1, 3), 100, Random(0), 1, 804)
+    assert len(listed) == 804 and ((), ((),) * 201) in listed
 
 
 def test_witness_suite_builds_no_power(monkeypatch):

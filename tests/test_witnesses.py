@@ -1,3 +1,4 @@
+import gc
 import random
 from functools import reduce
 from itertools import combinations
@@ -8,6 +9,7 @@ import pytest
 import genlink.verify
 from bruteforce import (
     antidiagonal_monomial,
+    brute_multichains,
     complement_monomial,
     diag_generator,
     staircase_generator,
@@ -26,8 +28,8 @@ from genlink import (
     yvar,
 )
 from genlink.ideals import WordCache
-from genlink.linkage import _bridge_selector, _interior_cell
-from genlink.verify import _multichains, _square_inputs, verify_witnesses
+from genlink.linkage import _bridge_selector, _interior_cell, leq
+from genlink.verify import EXHAUSTIVE_CAP, _square_inputs, verify_witnesses
 
 
 def test_antidiagonal_divisor_single_row():
@@ -117,7 +119,7 @@ def test_square_divisor_exhaustive_small_instances():
             total = 2 * r + 1
             for a in range(min(total, inst.g) + 1):
                 for diag in combinations(range(1, inst.g + 1), a):
-                    for chain in _multichains(inst.selectors, total - a):
+                    for chain in brute_multichains(inst.selectors, total - a):
                         square_divisor(inst, diag, chain)
 
 
@@ -130,7 +132,7 @@ def test_square_divisor_gamma_is_nu_times_the_generators():
             total = 2 * r + 1
             for a in range(min(total, inst.g) + 1):
                 for diag in combinations(range(1, inst.g + 1), a):
-                    for chain in _multichains(inst.selectors, total - a):
+                    for chain in brute_multichains(inst.selectors, total - a):
                         w = square_divisor(inst, diag, chain)
                         gamma = Monomial.of(*inst.universe.variables)
                         for i in diag:
@@ -290,6 +292,58 @@ def test_word_sums_widen_their_fields_at_the_top_bit():
         formats.append(sums.words["x"])  # 2 ** (8 * field size)
     assert [formats.index(x) for x in formats] == [0, 1, 0, 1, 1, 1, 1, 7]
     assert formats[0] == 2 ** 8 and formats[1] == 2 ** 16 and formats[-1] == 2 ** 24
+
+
+def test_word_caches_leave_no_cyclic_garbage():
+    # a run packs the instance's words once per field size; dropping the
+    # instance frees them by reference counts alone
+    gc.collect()
+    gc.disable()
+    try:
+        inst = LinkInstance(3, 5)
+        assert verify_witnesses(inst).passed
+        del inst
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def _brute_square_inputs(inst, r_max, cap):
+    """Every (diag indices, chain) input of an odd total up to
+    ``2 * r_max + 1``, in the witness suite's order, from the brute-force
+    chains; None once there are more than ``cap``."""
+    inputs = []
+    for r in range(r_max + 1):
+        for a in range(min(2 * r + 1, inst.g) + 1):
+            chains = brute_multichains(inst.selectors, 2 * r + 1 - a)
+            inputs += [(diag, c) for diag in combinations(range(1, inst.g + 1), a) for c in chains]
+        if len(inputs) > cap:
+            return None
+    return inputs
+
+
+def test_square_inputs_list_the_brute_force_chains(monkeypatch):
+    # the listing, order included, at every instance and r_max that lists,
+    # m = 1 (one empty selector) and m = n among them; one cap less draws.
+    # Each call compares every pair of selectors once, at any r_max.
+    compared = []
+    monkeypatch.setattr(genlink.verify, "leq", lambda A, B: compared.append(1) or leq(A, B))
+    cases = []
+    for m in range(1, 5):
+        for n in range(m, 8):
+            inst = LinkInstance(m, n)
+            for r_max in range(4):
+                every = _brute_square_inputs(inst, r_max, EXHAUSTIVE_CAP)
+                if every is None:
+                    continue
+                compared.clear()
+                assert _square_inputs(inst, r_max, random.Random(0), 1, len(every)) == every
+                assert len(compared) == len(inst.selectors) ** 2
+                drawn = _square_inputs(inst, r_max, random.Random(0), len(every) + 1, len(every) - 1)
+                assert len(drawn) == len(every) + 1, (m, n, r_max)
+                assert len(compared) == 2 * len(inst.selectors) ** 2
+                cases.append((m, n, r_max))
+    assert {(1, 1, 3), (1, 7, 3), (4, 4, 3), (4, 7, 1)} <= set(cases)
 
 
 def _generator_monomials(inst):
