@@ -273,10 +273,6 @@ class WordSums:
         guards = self._guards
         return ((whole | guards) - times * part) & guards == guards
 
-    def adds_up(self, whole: int, *parts: int) -> bool:
-        """True iff the ``parts`` sum to ``whole``."""
-        return sum(parts) == whole
-
     def unpack(self, word: int) -> Vec:
         return self._unpack((word,))[0]
 

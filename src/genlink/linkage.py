@@ -623,7 +623,7 @@ def odd_part_reduction(
         inst.universe, sums, product, odd_part, root, tuple(map(vecs.__getitem__, root_keys)),
         odd_count,
     )
-    if not sums.adds_up(product, odd_part, root, root):
+    if product != odd_part + 2 * root:
         raise AssertionError(
             f"{reduction.odd_part} * ({reduction.square_root})^2 is not the product "
             f"{reduction.product}"

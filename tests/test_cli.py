@@ -1,4 +1,5 @@
 import json
+import time
 from itertools import combinations_with_replacement
 
 import pytest
@@ -59,6 +60,34 @@ def test_generate_refuses_before_it_enumerates(monkeypatch, capsys):
     monkeypatch.setattr(LinkInstance, "selectors", property(enumerated))
     assert main(["generate", "3", "6", "iniJ"]) == 3
     assert capsys.readouterr().err == "refused: iniJ would enumerate about 14 generators (cap 10)\n"
+
+
+def test_generate_refuses_a_large_universe_before_it_builds(monkeypatch, capsys):
+    def built(inst):
+        raise AssertionError("a refused target built its universe")
+
+    monkeypatch.setattr(LinkInstance, "universe", property(built))
+    # 200,000 generators pass the generator cap, but with the universe's own
+    # vector they hold 200,001 * (200,000 + 200,000) exponent entries
+    start = time.perf_counter()
+    assert main(["generate", "1", "200000", "iniI"]) == 3
+    assert time.perf_counter() - start < 0.1
+    assert capsys.readouterr().err == (
+        "refused: iniI would enumerate about 80000400000 exponent entries (cap 10000000)\n"
+    )
+    # one generator more is refused by the generator count, as before
+    assert main(["generate", "1", "200001", "iniI"]) == 3
+    assert capsys.readouterr().err == "refused: iniI would enumerate about 200001 generators (cap 200000)\n"
+
+
+def test_generate_entry_cap_is_inclusive(monkeypatch, capsys):
+    # iniJ(2,4): (3 + 3 + 1) generator and universe vectors of 8 + 3 entries
+    monkeypatch.setattr(genlink.cli, "MAX_GENERATE_ENTRIES", 77)
+    assert main(["generate", "2", "4", "iniJ"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 6
+    monkeypatch.setattr(genlink.cli, "MAX_GENERATE_ENTRIES", 76)
+    assert main(["generate", "2", "4", "iniJ"]) == 3
+    assert capsys.readouterr().err == "refused: iniJ would enumerate about 77 exponent entries (cap 76)\n"
 
 
 @pytest.mark.parametrize("m, n", [(1, 1), (1, 3), (2, 3), (2, 4), (3, 7), (4, 9)])

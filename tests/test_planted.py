@@ -120,12 +120,10 @@ def test_leads_fail_a_wrong_row_lead(monkeypatch, m, n):
     assert_fails(verify_lead_terms, m, n)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "ROADMAP State: the betti suite passes a table with 1 added to its "
-    "top-corner entry at (3,5) and (4,7); only the golden (2,4) table "
-    "catches the plant"))
 @pytest.mark.parametrize("m, n, corner", [(3, 5, (3, 9)), (4, 7, (4, 16))])
 def test_betti_fails_a_shifted_entry(monkeypatch, m, n, corner):
+    # 1 added to the top-corner entry breaks the Herzog–Kühl sums: to
+    # (-1, -9, -81) at (3,5) and (1, 16, 256, 4096) at (4,7)
     def planted(inst):
         table = betti_table(inst)
         entries = Counter(table.entries)

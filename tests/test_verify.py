@@ -12,7 +12,7 @@ import pytest
 
 from bruteforce import scan_row_leads
 from genlink import LinkInstance, Monomial, VerifyBounds, first_symbolic_gap, xvar, yvar
-from genlink import ideals, verify
+from genlink import ideals, orders, verify
 from genlink.cli import main
 from genlink.ideals import DEFAULT_CANDIDATE_CAP, MonomialIdeal, ideal
 from genlink.verify import (
@@ -106,11 +106,11 @@ def test_lead_terms_small():
 
 
 @pytest.mark.parametrize(
-    "m, n", [(1, 1), (1, 3), (2, 3), (2, 4), (3, 4), (3, 5), (4, 4), (2, 6), (4, 6)]
+    "m, n", [(m, n) for m in range(1, 5) for n in range(m, 8)] + [(5, 7)]
 )
 def test_row_leads_match_the_full_scan(m, n):
-    # one scan per minor, then one product per (row, minor), against the
-    # comparator over every product of every term
+    # one minor per row, by its Y rank, then its terms by the shared key,
+    # against the comparator over every product of every term
     inst = LinkInstance(m, n)
     variables = inst.universe.variables
     leads = [
@@ -118,6 +118,20 @@ def test_row_leads_match_the_full_scan(m, n):
         for j, (k, term) in enumerate(_row_leads(inst), start=1)
     ]
     assert leads == scan_row_leads(inst)
+
+
+def test_row_leads_key_one_minor_per_row(monkeypatch):
+    # g * m! = 4 * 24 terms at (4,7), not the r * m! = 35 * 24 of every minor
+    keyed = []
+
+    def counting(variables):
+        key = orders.diaglex_vector_key(variables)
+        return lambda vec: keyed.append(vec) or key(vec)
+
+    monkeypatch.setattr(verify, "diaglex_vector_key", counting)
+    inst = LinkInstance(4, 7)
+    _row_leads(inst)
+    assert len(keyed) == inst.g * 24 == 96
 
 
 def test_lead_terms_refusal_estimate_is_the_first_partial_product_past_the_cap():
