@@ -44,21 +44,15 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_REFUSED = 3
 
-GENERATE_TARGETS = {
-    "iniI": lambda inst: inst.minors_initial,
-    "iniA": lambda inst: inst.sequence_initial,
-    "iniJ": lambda inst: inst.link_initial,
-    "N": lambda inst: inst.staircase_ideal,
-    "betti": betti_table,
-}
-_OUTPUT_COUNTS = {  # target -> what it lists and how many, counted before any is built
-    "iniI": lambda inst: (inst.r, "generators"),
-    "iniA": lambda inst: (inst.g, "generators"),
-    "iniJ": lambda inst: (inst.g + comb(inst.n - 1, inst.m - 1), "generators"),
-    "N": lambda inst: (comb(inst.n - 1, inst.m - 1), "generators"),
+GENERATE_TARGETS = {  # target -> (builder, count of what it lists, taken before it is built, unit)
+    "iniI": (lambda inst: inst.minors_initial, lambda inst: inst.r, "generators"),
+    "iniA": (lambda inst: inst.sequence_initial, lambda inst: inst.g, "generators"),
+    "iniJ": (lambda inst: inst.link_initial,
+             lambda inst: inst.g + comb(inst.n - 1, inst.m - 1), "generators"),
+    "N": (lambda inst: inst.staircase_ideal, lambda inst: comb(inst.n - 1, inst.m - 1), "generators"),
     # the grid of the text and TeX tables: rows j - i from 0 to m(g - 1),
     # columns i from 0 to g
-    "betti": lambda inst: ((inst.m * (inst.g - 1) + 1) * (inst.g + 1), "table cells"),
+    "betti": (betti_table, lambda inst: (inst.m * (inst.g - 1) + 1) * (inst.g + 1), "table cells"),
 }
 # The exponent entries an ideal target's vectors may hold, the generators'
 # and the universe's, (generators + 1) * (m*n + g): near the cap, generate
@@ -70,6 +64,8 @@ FORMATS = {  # format -> (ideal writer, Betti table writer)
     "text": (ideal_to_text, betti_to_text),
     "tex": (ideal_to_tex, betti_to_tex),
 }
+# Each op is the MonomialIdeal method it calls, looked up by name on the
+# ideal, so a method replaced on the class (a trace span, a spy) is called.
 COMPARE_OPS = ("colon", "intersect", "product")
 
 
@@ -107,12 +103,13 @@ class UsageError(Exception):
 
 def _cmd_generate(args) -> int:
     inst = _instance(args)
-    count, what = _OUTPUT_COUNTS[args.target](inst)
+    build, count_of, what = GENERATE_TARGETS[args.target]
+    count = count_of(inst)
     check_cap(count, DEFAULT_CANDIDATE_CAP, args.target, what)
     if args.target != "betti":  # counted before the universe is built
         entries = (count + 1) * (inst.m * inst.n + inst.g)
         check_cap(entries, MAX_GENERATE_ENTRIES, args.target, "exponent entries")
-    target = GENERATE_TARGETS[args.target](inst)
+    target = build(inst)
     write_ideal, write_betti = FORMATS[args.format]
     payload = write_betti(target) if args.target == "betti" else write_ideal(target)
     _write_output(args.out, payload)
@@ -154,7 +151,6 @@ def _read_ideal(path: str) -> MonomialIdeal:
 
 def _cmd_compare(args) -> int:
     op = args.op
-    level = None
     if op.startswith("symbolic:"):
         digits = op.split(":", 1)[1]
         if not (digits.isascii() and digits.isdigit()):  # int() also takes " 2", "+2", "1_0"
@@ -164,23 +160,14 @@ def _cmd_compare(args) -> int:
             raise UsageError("symbolic level must be >= 1")
         if args.file_b is not None:
             raise UsageError(f"op {op!r} takes one ideal file")
-        op = "symbolic"
+        result = _read_ideal(args.file_a).symbolic_power(level)
     elif op not in COMPARE_OPS:
         raise UsageError(f"unknown op {args.op!r}")
-
-    a = _read_ideal(args.file_a)
-    if op == "symbolic":
-        result = a.symbolic_power(level)
     else:
+        a = _read_ideal(args.file_a)
         if args.file_b is None:
             raise UsageError(f"op {op!r} needs a second ideal file")
-        b = _read_ideal(args.file_b)
-        if op == "colon":
-            result = a.colon(b)
-        elif op == "intersect":
-            result = a.intersect(b)
-        else:
-            result = a.product(b)
+        result = getattr(a, op)(_read_ideal(args.file_b))
     _write_output(args.out, ideal_to_json(result))
     return EXIT_OK
 
@@ -230,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_.add_argument("file_a")
     cmp_.add_argument("file_b", nargs="?", default=None)
     cmp_.add_argument("--op", required=True,
-                      help="colon | intersect | product | symbolic:L")
+                      help=" | ".join((*COMPARE_OPS, "symbolic:L")))
     cmp_.add_argument("--out", default=None)
     cmp_.set_defaults(func=_cmd_compare)
 

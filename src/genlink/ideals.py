@@ -917,13 +917,22 @@ def square_colon_scan(
 
     The criterion at r is nu in (W^(r+1))^[2] : W^(2r+1), nu the product of
     all variables. For a squarefree proper ideal it holds for every r >= 0
-    iff all symbolic and ordinary powers agree. For a monomial t, some s^2
-    with s in W^(r+1) divides nu * t = t + 1 iff 2s <= t + 1, that is
-    ``s <= ceil(t / 2)``, so t passes iff ceil(t / 2) lies in W^(r+1), and
-    passing is upward closed in t. Every minimal generator of W^(2r+1) is a
-    sum of 2r+1 minimal generators of W, and every such sum lies in
-    W^(2r+1). So level r holds iff every multiset M of 2r+1 generators
-    passes; say M fails when ``ceil(sum(M) / 2)`` is not in W^(r+1).
+    iff all symbolic and ordinary powers agree. The <= direction is
+    elementary: if every symbolic power is the ordinary one, a sum t of
+    2r+1 generators has degree at least 2r+1 on every minimal prime P, so
+    ceil(t / 2) has degree at least r+1 on each P, lies in the (r+1)-th
+    symbolic power and so in W^(r+1). ``verify symbolic`` relies on the =>
+    direction, the splitting criterion of Montaño and Núñez-Betancourt
+    ("Splittings and symbolic powers of square-free monomial ideals", IMRN
+    2021): it reads a passing scan as equality at every level.
+
+    For a monomial t, some s^2 with s in W^(r+1) divides nu * t = t + 1 iff
+    2s <= t + 1, that is ``s <= ceil(t / 2)``, so t passes iff ceil(t / 2)
+    lies in W^(r+1), and passing is upward closed in t. Every minimal
+    generator of W^(2r+1) is a sum of 2r+1 minimal generators of W, and
+    every such sum lies in W^(2r+1). So level r holds iff every multiset M
+    of 2r+1 generators passes; say M fails when ``ceil(sum(M) / 2)`` is not
+    in W^(r+1).
 
     Level s = 0, 1, ... tests only the sets D of 2s+1 distinct generators
     that are cliques of the good-pair graph (:func:`_good_pairs`): a < b, in
@@ -1122,7 +1131,7 @@ def _intersect_words(a: list[int], b: list[int], codec: _Codec, cap: int) -> lis
     return _minimalize_words(kept, sorted(lifts), codec, cap)
 
 
-def _minimal_covers(edges: list[int]) -> list[int]:
+def _minimal_covers(edges: list[int]) -> set[int]:
     """All minimal vertex covers (as bitmasks) of a clutter of edge bitmasks."""
     results: set[int] = set()
 
@@ -1150,4 +1159,4 @@ def _minimal_covers(edges: list[int]) -> list[int]:
             banned |= v
 
     rec(edges, 0, 0)
-    return sorted(results, key=lambda c: (bin(c).count("1"), c))
+    return results

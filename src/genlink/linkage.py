@@ -691,22 +691,18 @@ def betti_table(inst: LinkInstance) -> BettiTable:
 # -- shape conditions for staircase-power equality -----------------------------------
 
 
-@dataclass(frozen=True)
-class StaircasePowerConditions:
-    """Three candidate closed-form shape conditions for when the second
-    symbolic and ordinary powers of the staircase ideal coincide. They
-    disagree on some instances; ground truth is never read off these, it is
-    computed by brute force in the verification harness."""
-
-    printed_corollary: bool  # m <= 2 or m <= n-1
-    printed_example: bool    # m <= 2 or m <= n+1
-    derived: bool            # m <= 2 or n <= m+1
+# Three candidate closed-form shape conditions for when the second symbolic
+# and ordinary powers of the staircase ideal coincide, by the text a report
+# gives them: the printed corollary's, the printed example's, the derived one.
+STAIRCASE_POWER_CONDITIONS = {
+    "m<=2 or m<=n-1": lambda m, n: m <= 2 or m <= n - 1,
+    "m<=2 or m<=n+1": lambda m, n: m <= 2 or m <= n + 1,
+    "m<=2 or n<=m+1": lambda m, n: m <= 2 or n <= m + 1,
+}
 
 
-def staircase_power_conditions(inst: LinkInstance) -> StaircasePowerConditions:
-    m, n = inst.m, inst.n
-    return StaircasePowerConditions(
-        printed_corollary=m <= 2 or m <= n - 1,
-        printed_example=m <= 2 or m <= n + 1,
-        derived=m <= 2 or n <= m + 1,
-    )
+def staircase_power_conditions(inst: LinkInstance) -> dict[str, bool]:
+    """Whether each of :data:`STAIRCASE_POWER_CONDITIONS` holds at ``inst``,
+    by its text. They disagree on some instances; ground truth is never read
+    off these, it is computed by brute force in the verification harness."""
+    return {text: holds(inst.m, inst.n) for text, holds in STAIRCASE_POWER_CONDITIONS.items()}

@@ -94,7 +94,21 @@ def test_generate_entry_cap_is_inclusive(monkeypatch, capsys):
 def test_betti_count_is_the_grid_the_tables_lay_out(m, n):
     inst = LinkInstance(m, n)
     rows, cols, _ = _betti_grid(betti_table(inst))
-    assert genlink.cli._OUTPUT_COUNTS["betti"](inst) == (len(rows) * len(cols), "table cells")
+    _, count, unit = genlink.cli.GENERATE_TARGETS["betti"]
+    assert (count(inst), unit) == (len(rows) * len(cols), "table cells")
+
+
+def test_generate_counts_are_the_generators_built():
+    # iniJ at m = n counts g + 1 = 2 generators: the sequence lead term, and
+    # Y[1,1] times the single beta, which is 1. Y[1,1] divides the lead
+    # term, so the ideal built is (Y[1,1])
+    for m in range(1, 9):
+        for n in range(m, 9):
+            inst = LinkInstance(m, n)
+            for target in ("iniI", "iniA", "iniJ", "N"):
+                build, count, _ = genlink.cli.GENERATE_TARGETS[target]
+                built = len(build(inst).vecs)
+                assert (count(inst), built) == ((2, 1) if (target, m) == ("iniJ", n) else (built, built))
 
 
 def test_generate_betti_refuses_a_large_grid_before_it_builds(monkeypatch, capsys, tmp_path):
@@ -102,7 +116,7 @@ def test_generate_betti_refuses_a_large_grid_before_it_builds(monkeypatch, capsy
         raise AssertionError("a refused table was built")
 
     original = genlink.cli.GENERATE_TARGETS["betti"]
-    monkeypatch.setitem(genlink.cli.GENERATE_TARGETS, "betti", built)
+    monkeypatch.setitem(genlink.cli.GENERATE_TARGETS, "betti", (built, *original[1:]))
     # g = 999: (2 * 998 + 1) * 1000 cells, in every format
     for fmt in genlink.cli.FORMATS:
         assert main(["generate", "2", "1000", "betti", "--format", fmt]) == 3

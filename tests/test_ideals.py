@@ -1359,14 +1359,18 @@ def test_square_colon_scan_builds_each_power_once(monkeypatch):
     assert len(W._powers) == 1
 
 
-@pytest.mark.parametrize("m, n, r_max", [(4, 8, 4), (3, 10, 5)])
+@pytest.mark.parametrize("m, n, r_max", [(4, 8, 4), (3, 10, 5), (2, 4, 1000)])
 def test_square_colon_scan_reaches_the_clique_bound_at_the_default_cap(monkeypatch, m, n, r_max):
-    # r_max = n // 2, past which no level has a clique of 2 r_max + 1
-    # vertices; the scan to it builds W^2 and no other power
+    # the largest clique has n + 1 vertices, so no level s past n // 2 has
+    # a clique of 2s + 1; the scan to it builds W^2 and no other power. At
+    # (2,4), levels 0, 1 and 2 take halves and the scan stops at level 3,
+    # however large r_max is
     calls = spy_on_products(monkeypatch)
+    taken = spy_on_halves(monkeypatch)
     W = LinkInstance(m, n).link_initial
     assert square_colon_scan(W, r_max) is None
     assert len(calls) == 1 and calls[0] is W
+    assert len(taken) == min(r_max, n // 2) + 1 and all(taken)
 
 
 def test_square_colon_scan_fails_first_at_the_odd_cycle():

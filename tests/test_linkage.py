@@ -480,14 +480,14 @@ def test_betti_first_column_matches_generator_degrees():
 
 
 def test_staircase_power_conditions():
+    corollary, example, derived = "m<=2 or m<=n-1", "m<=2 or m<=n+1", "m<=2 or n<=m+1"
     c35 = staircase_power_conditions(LinkInstance(3, 5))
-    assert c35.printed_corollary is True
-    assert c35.printed_example is True
-    assert c35.derived is False
+    assert c35 == {corollary: True, example: True, derived: False}
+    assert list(c35) == [corollary, example, derived]
     c2n = staircase_power_conditions(LinkInstance(2, 7))
-    assert c2n.printed_corollary and c2n.printed_example and c2n.derived
+    assert c2n[corollary] and c2n[example] and c2n[derived]
     c34 = staircase_power_conditions(LinkInstance(3, 4))
-    assert c34.derived is True
+    assert c34[derived] is True
 
 
 def test_instance_validation():

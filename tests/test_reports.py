@@ -92,7 +92,7 @@ def _replace_one(doc, value, pick):
 
 
 ideal_texts = st.builds(
-    lambda mn, target: ideal_to_json(GENERATE_TARGETS[target](LinkInstance(*mn))),
+    lambda mn, target: ideal_to_json(GENERATE_TARGETS[target][0](LinkInstance(*mn))),
     st.integers(1, 4).flatmap(lambda n: st.tuples(st.integers(1, n), st.just(n))),
     st.sampled_from(["iniI", "iniA", "iniJ", "N"]),
 )

@@ -410,15 +410,24 @@ def test_witness_factors_that_are_generators_query_no_index(monkeypatch):
         queried.clear()
 
 
-def test_colon_refuses_the_claimed_products_at_the_candidate_cap(tmp_path):
+def test_colon_refuses_the_claimed_products_at_the_candidate_cap(monkeypatch, tmp_path):
     # the colon itself fits a cap of 50 at (3,5); the check that every claimed
     # generator times every minors generator (9 * 10) lies in the sequence
-    # ideal refuses before it streams a product
+    # ideal refuses before it streams a product, and before the colon is built
+    built = []
+    original = MonomialIdeal.colon
+
+    def colon(self, *args, **kwargs):
+        built.append(self)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(MonomialIdeal, "colon", colon)
     out = tmp_path / "report.json"
     assert main(["verify", "colon", "3", "5", "--max-gens", "50", "--out", str(out)]) == 3
     (rep,) = json.loads(out.read_text())["reports"]
     assert (rep["status"], rep["witnesses"]["estimate"]) == ("refused", 90)
     assert rep["witnesses"]["reason"].startswith("product would enumerate about 90")
+    assert built == []
 
 
 def test_run_suite_all():
